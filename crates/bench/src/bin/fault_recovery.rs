@@ -22,9 +22,10 @@ use jsonlite::{obj, Json, ToJson};
 use parafile_audit::{RawElement, RawFalls, RawPattern};
 use parafile_net::server::{serve, DaemonConfig};
 use parafile_net::wire::{Reply, Request};
-use parafile_net::{FaultPlan, NodeClient};
+use parafile_net::{FaultPlan, Mux, RetryBudget};
 use pf_bench::{dump_json, TableArgs};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Stamped writes per throughput repetition.
@@ -79,6 +80,23 @@ fn stamped(file: u64, seq: u64, payload: Vec<u8>, r_s: u64) -> Request {
     Request::Write { file, compute: 0, l_s: 0, r_s, session: 0xBE7C, seq, payload }
 }
 
+/// A one-node transport to `addr`, with `file` opened at `len` bytes and
+/// the half view installed.
+fn connect_with_view(addr: &str, file: u64, len: u64) -> Mux {
+    let mux = Mux::new(&[addr.to_string()], Arc::new(RetryBudget::for_session()));
+    install_view(&mux, file, len);
+    mux
+}
+
+fn install_view(mux: &Mux, file: u64, len: u64) {
+    for request in [Request::Open { file, subfile: 0, len, tenant: 0 }, half_view(file, len)] {
+        match mux.call(0, request).expect("open + view") {
+            Reply::Ok => {}
+            other => panic!("expected Ok, got {other:?}"),
+        }
+    }
+}
+
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pf_bench_fault_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -91,13 +109,11 @@ fn scratch_dir(name: &str) -> PathBuf {
 fn timed_writes(backend: StorageBackend, len: u64, file: u64) -> u128 {
     let config = DaemonConfig { backend, ..Default::default() };
     let daemon = serve("127.0.0.1:0", config).expect("serve");
-    let mut client = NodeClient::new(daemon.addr());
-    client.expect_ok(&Request::Open { file, subfile: 0, len, tenant: 0 }).expect("open");
-    client.expect_ok(&half_view(file, len)).expect("view");
+    let mux = connect_with_view(daemon.addr(), file, len);
     let payload: Vec<u8> = (0..len / 2).map(|i| i as u8).collect();
     let start = Instant::now();
     for seq in 1..=WRITES {
-        match client.call(&stamped(file, seq, payload.clone(), len - 1)).expect("write") {
+        match mux.call(0, stamped(file, seq, payload.clone(), len - 1)).expect("write") {
             Reply::WriteOk { written, replayed: false } => assert_eq!(written, len / 2),
             other => panic!("expected fresh WriteOk, got {other:?}"),
         }
@@ -120,10 +136,7 @@ fn recovery_cycle(len: u64, file: u64, dir: &std::path::Path) -> Duration {
     };
     let mut handle = serve("127.0.0.1:0", config).expect("serve");
     let addr = handle.addr().to_string();
-    let mut client = NodeClient::new(&addr);
-    let open = Request::Open { file, subfile: 0, len, tenant: 0 };
-    client.expect_ok(&open).expect("open");
-    client.expect_ok(&half_view(file, len)).expect("view");
+    let mux = connect_with_view(&addr, file, len);
     let payload = vec![0x5Au8; (len / 2) as usize];
     let write = stamped(file, 1, payload, len - 1);
 
@@ -132,7 +145,7 @@ fn recovery_cycle(len: u64, file: u64, dir: &std::path::Path) -> Duration {
     // severed. Restart it on the same backend (the supervisor's job),
     // then run the client's recovery path: re-open (journal replay +
     // dedup repopulation), re-ship the view, re-send the same stamp.
-    let _ = client.call(&write).expect_err("daemon crashes mid-write");
+    let _ = mux.call(0, write.clone()).expect_err("daemon crashes mid-write");
     handle.wait();
     assert!(handle.fault_killed(), "the injected crash fired");
     let config = DaemonConfig {
@@ -141,9 +154,8 @@ fn recovery_cycle(len: u64, file: u64, dir: &std::path::Path) -> Duration {
         ..Default::default()
     };
     let _restarted = serve(&addr, config).expect("rebind");
-    client.expect_ok(&open).expect("re-open");
-    client.expect_ok(&half_view(file, len)).expect("re-ship view");
-    match client.call(&write).expect("retried write") {
+    install_view(&mux, file, len);
+    match mux.call(0, write).expect("retried write") {
         Reply::WriteOk { replayed: true, .. } => {}
         other => panic!("expected a replayed WriteOk, got {other:?}"),
     }
@@ -174,17 +186,13 @@ fn main() {
 
             // Replay rate: re-send one already-applied stamp.
             let daemon = serve("127.0.0.1:0", DaemonConfig::default()).expect("serve");
-            let mut client = NodeClient::new(daemon.addr());
-            client
-                .expect_ok(&Request::Open { file: file + 2, subfile: 0, len, tenant: 0 })
-                .expect("open");
-            client.expect_ok(&half_view(file + 2, len)).expect("view");
+            let mux = connect_with_view(daemon.addr(), file + 2, len);
             let payload = vec![7u8; (len / 2) as usize];
             let w = stamped(file + 2, 1, payload, len - 1);
-            client.call(&w).expect("first application");
+            mux.call(0, w.clone()).expect("first application");
             let start = Instant::now();
             for _ in 0..REPLAYS {
-                match client.call(&w).expect("replay") {
+                match mux.call(0, w.clone()).expect("replay") {
                     Reply::WriteOk { replayed: true, .. } => {}
                     other => panic!("expected replay, got {other:?}"),
                 }

@@ -1,8 +1,8 @@
 //! The one retry-backoff schedule shared by every retrying path.
 //!
-//! [`NodeClient::call`](crate::client::NodeClient::call) and
+//! The [`mux`](crate::mux) retry ladder and
 //! [`Session::flush`](crate::session::Session::flush) both retry transient
-//! failures; both drive this type instead of carrying their own sleep
+//! failures; both drive this type instead of carrying their own delay
 //! arithmetic. The schedule is capped exponential with jitter: each
 //! [`Backoff::sleep`] sleeps a uniformly-jittered interval in
 //! `[delay/2, delay]` (so peers that failed together do not retry in

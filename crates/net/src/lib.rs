@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
-pub mod client;
 pub mod error;
 pub mod fault;
 pub mod mux;
@@ -38,18 +37,20 @@ pub mod session;
 pub mod wire;
 
 pub use backoff::Backoff;
-pub use client::NodeClient;
 pub use error::{ErrCode, NetError, ProtocolError};
 pub use fault::{
     chaos_proxy, ChaosOutcome, ChaosProxyHandle, FaultInjector, FaultPlan, TruncateFault,
 };
+pub use mux::{Mux, RetryPolicy, CHUNK_WINDOW};
 pub use pool::{evict_idle, pool_stats, MuxHandle};
 pub use proto::{ChunkHeader, ChunkPlan, ChunkSender, Negotiation, ProtoViolation, WriteStream};
 pub use reactor::{Clock, ManualClock, MonotonicClock, Reactor, TimerId, TimerWheel};
 pub use resilience::{
     Admission, BreakerCore, BreakerState, CircuitBreaker, Deadline, LatencyTracker, RetryBudget,
 };
-pub use server::{serve, DaemonConfig, DaemonHandle, NetListener, DEFAULT_MAX_CHUNK};
+pub use server::{
+    serve, DaemonConfig, DaemonHandle, NetListener, DEFAULT_MAX_CHUNK, DEFAULT_WORKERS,
+};
 pub use session::{
     spawn_loopback, BatchWrite, NodeHealth, RedistReport, ScrubReport, SegmentOutcome, Session,
 };

@@ -1,35 +1,44 @@
-//! Multiplexed session transport: one reactor thread drives every node.
+//! The client transport: one reactor thread drives every node.
 //!
-//! The session used to dedicate a worker thread (plus a bounded queue) to
-//! each I/O node; a fan-out across N nodes cost N parked threads and each
-//! connection carried at most one request at a time. This module replaces
-//! that with a single driver thread owning a [`Reactor`]: every warm node
-//! connection is registered non-blocking under its node index, requests
-//! are pipelined — many in flight per connection, replies matched FIFO by
+//! A single driver thread owns a [`Reactor`]; every warm node connection
+//! is registered non-blocking under its node index, requests are
+//! pipelined — many in flight per connection, replies matched FIFO by
 //! request id — and all timing (retry backoff, shed hints, response
-//! timeouts) runs on the reactor's [`TimerWheel`] instead of parked
-//! threads (DESIGN.md §17).
+//! timeouts) runs on the reactor's [`TimerWheel`] (DESIGN.md §17). A
+//! session, or a whole pool of them, is exactly one connection per node.
 //!
-//! The per-request state machine reproduces `NodeClient::call`'s retry
-//! ladder: capped-jittered backoff spending from the session
-//! [`RetryBudget`], deadline vetoes before every (re)send, a request that
-//! dies on a fresh connection resetting its backoff, `Busy`/`Overloaded`
-//! sheds retried after their hinted delay, transparent
-//! `UnsupportedVersion` downgrade (guarded so a burst of pipelined
-//! rejections downgrades once), the one-time `Ping` capability probe, and
-//! chunked `WriteChunk` streams with windowed acks and `ResumeQuery`
-//! fast-forward. One deliberate simplification: reads are sent
-//! monolithically (no `ReadChunk` reassembly) — correctness-identical,
+//! # The per-request ladder
+//!
+//! Transport failures on retry-safe requests (everything except
+//! `Shutdown` — stamped writes are deduplicated by the daemon, everything
+//! else is naturally idempotent) are retried over a fresh connection with
+//! capped, jittered exponential backoff ([`RetryPolicy`]), each retry
+//! spending from the session [`RetryBudget`]; a request that dies on a
+//! fresh connection resets its backoff (the peer is back). Protocol
+//! errors are never retried: the daemon meant them. A [`Deadline`] vetoes
+//! every (re)send that would start after expiry, `Busy`/`Overloaded`
+//! sheds are retried after their hinted delay, and `UnsupportedVersion`
+//! steps the negotiated version down transparently (guarded so a burst of
+//! pipelined rejections downgrades once).
+//!
+//! # Chunking
+//!
+//! On protocol ≥ 3 peers a `Write` larger than the daemon's advertised
+//! `max_chunk` (learned from a one-time `Ping` probe) is streamed as
+//! `WriteChunk` frames with [`CHUNK_WINDOW`] in flight; a stream that died
+//! mid-way asks `ResumeQuery` how far it got before retrying. Callers see
+//! a plain `WriteOk` either way. `PF_NET_CHUNK` lowers the chunk size
+//! (`0` disables chunking). Reads are always one `Read`/`Data` exchange,
 //! bounded by the same frame cap as `Fetch`.
 //!
-//! Ordering: the old workers serialized each node's requests end-to-end;
-//! the mux pipelines them but *stalls the queue* whenever the head request
-//! is parked for a retry, so cross-request reordering is confined to
+//! # Ordering
+//!
+//! Requests are pipelined, but the queue *stalls* whenever its head is
+//! parked for a retry, so cross-request reordering is confined to
 //! requests already on the wire when a connection fails — DESIGN.md §17
 //! argues why the session's invariants tolerate that window.
 
 use crate::backoff::Backoff;
-use crate::client::{NodeClient, RetryPolicy, CHUNK_WINDOW};
 use crate::error::{ErrCode, NetError, ProtocolError};
 use crate::proto::{ChunkSender, Negotiation};
 use crate::reactor::{Clock, Event, Interest, MonotonicClock, Reactor, TimerId, TimerWheel, Waker};
@@ -46,20 +55,55 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// In-flight `WriteChunk` frames per connection before the sender waits
+/// for an acknowledgment. Small by design: the point is overlapping the
+/// encode/send of chunk *n+1* with the server's journal+scatter of chunk
+/// *n*, not unbounded buffering.
+pub const CHUNK_WINDOW: usize = 4;
+
+/// Retry/backoff policy for idempotent requests.
+#[derive(Debug, Clone, Copy)]
+pub struct RetryPolicy {
+    /// Total connection attempts per request (1 = no retry).
+    pub attempts: u32,
+    /// Backoff before the first retry.
+    pub base_delay: Duration,
+    /// Backoff cap (doubling stops here).
+    pub max_delay: Duration,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        Self {
+            attempts: 4,
+            base_delay: Duration::from_millis(10),
+            max_delay: Duration::from_millis(200),
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// The backoff schedule this policy prescribes, jitter-seeded by
+    /// `seed` (a peer identity, so distinct clients desynchronize).
+    #[must_use]
+    pub fn backoff(&self, seed: u64) -> Backoff {
+        Backoff::new(self.base_delay, self.max_delay, seed)
+    }
+}
+
 /// How long a sent request may wait for its reply before the connection
-/// is declared dead (mirrors the old per-connection 30 s read timeout).
+/// is declared dead.
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Socket read granularity.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// The receive half a submitter blocks on: the same shape the session's
-/// collectors always consumed (capacity-1 channel, one terminal result).
+/// The receive half a submitter blocks on: a capacity-1 channel carrying
+/// one terminal result.
 pub type ReplySlot = Receiver<Result<Reply, NetError>>;
 
 /// The error surfaced when the driver thread is gone (spawn failure,
-/// panic, or shutdown) — the transport-level analogue of the old "worker
-/// thread panicked".
+/// panic, or shutdown).
 pub(crate) fn mux_lost(node: usize) -> NetError {
     NetError::Io(std::io::Error::other(format!("node {node} transport driver is gone")))
 }
@@ -110,8 +154,7 @@ struct MuxShared {
     /// submits fail fast instead of queueing into the void.
     dead: AtomicBool,
     /// Per-node fault hooks: the next job for an armed node fails with an
-    /// I/O error and resets the connection (test stand-in for the old
-    /// worker-thread `panic_next`).
+    /// I/O error and resets the connection (test hook).
     kill_next: Vec<AtomicBool>,
     budget: Arc<RetryBudget>,
     waker: Option<Waker>,
@@ -234,6 +277,12 @@ impl Mux {
         Ok(rx)
     }
 
+    /// One synchronous exchange: [`submit`](Self::submit), then block on
+    /// the slot. What the recovery paths and the wire-level tests use.
+    pub fn call(&self, node: usize, request: Request) -> Result<Reply, NetError> {
+        self.submit(node, request)?.recv().unwrap_or_else(|_| Err(mux_lost(node)))
+    }
+
     /// Number of nodes this mux drives (its address-list arity).
     #[must_use]
     pub fn nodes(&self) -> usize {
@@ -241,7 +290,7 @@ impl Mux {
     }
 
     /// Propagates the session deadline: vetoes future (re)sends and
-    /// clamps in-flight response timeouts, like the per-client deadline.
+    /// clamps in-flight response timeouts.
     pub fn set_deadline(&self, deadline: Deadline) {
         self.shared.lock().deadline = deadline;
         self.shared.wake();
@@ -257,8 +306,7 @@ impl Mux {
     }
 
     /// Arms a one-shot fault: the next request submitted for `node` fails
-    /// with an I/O error and the node's connection is reset. Test hook,
-    /// successor of the worker-thread `panic_next` flag.
+    /// with an I/O error and the node's connection is reset. Test hook.
     pub fn arm_kill(&self, node: usize) {
         if let Some(flag) = self.shared.kill_next.get(node) {
             flag.store(true, Ordering::SeqCst);
@@ -389,8 +437,15 @@ struct NodeMux {
     /// the widened schedule is stale).
     fresh: bool,
     negotiation: Negotiation,
+    /// The peer's advertised chunk capability (`Pong.max_chunk`), learned
+    /// from the one-time probe. `None` = not yet probed; `Some(0)` = the
+    /// peer does not chunk.
     peer_max_chunk: Option<u32>,
+    /// `PF_NET_CHUNK`: `Some(0)` disables chunking, `Some(n)` caps chunk
+    /// data at `n` bytes, `None` uses the peer's advertised capability.
     chunk_override: Option<u32>,
+    /// The `(session, seq)` stamp of a chunked write that died mid-stream,
+    /// eligible for a `ResumeQuery` before its retry (protocol ≥ 4).
     resume_candidate: Option<(u64, u64)>,
     probe_inflight: bool,
     next_id: u64,
@@ -414,7 +469,11 @@ struct NodeMux {
 
 impl NodeMux {
     fn new(addr: String) -> Self {
-        let seed = NodeClient::addr_seed(&addr);
+        // FNV-1a over the address: the jitter seed that desynchronizes
+        // same-process clients of different daemons.
+        let seed = addr.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
         NodeMux {
             addr,
             seed,
@@ -422,7 +481,7 @@ impl NodeMux {
             fresh: true,
             negotiation: Negotiation::new(),
             peer_max_chunk: None,
-            chunk_override: NodeClient::env_chunk(),
+            chunk_override: std::env::var("PF_NET_CHUNK").ok().and_then(|v| v.trim().parse().ok()),
             resume_candidate: None,
             probe_inflight: false,
             next_id: 1,
@@ -442,7 +501,8 @@ impl NodeMux {
     }
 
     /// The chunk data size to use against this peer right now (`0` =
-    /// send monolithic) — same derivation as `NodeClient`.
+    /// send monolithic): the daemon's advertised cap, lowered by
+    /// `PF_NET_CHUNK`, and always small enough to fit a frame.
     fn effective_chunk(&self) -> u32 {
         if !self.negotiation.supports_chunking() || self.chunk_override == Some(0) {
             return 0;
@@ -850,7 +910,6 @@ impl Driver {
     }
 
     /// A connect attempt failed: every queued request pays one attempt
-    /// (exactly as each would have in its own `NodeClient::call` loop)
     /// and the survivors wait out the head's backoff before the next
     /// dial.
     fn connect_failed(&mut self, n: usize, why: &str) {
@@ -1159,8 +1218,8 @@ impl Driver {
             let _ = self.wheel.cancel(t);
         }
         if id != p.sent_id {
-            // Reply/request streams desynchronized — the old IdMismatch:
-            // drop the connection and retry everything it owed.
+            // Reply/request streams desynchronized: drop the connection
+            // and retry everything it owed.
             self.nodes[n].inflight.push_front(p);
             self.fail_conn(n, &format!("reply id {id} did not match the request"));
             return;
@@ -1419,11 +1478,20 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::NodeClient;
-    use crate::resilience::RetryBudget;
+    use crate::server::{serve, DaemonConfig};
     use crate::session::{spawn_loopback, Session};
     use arraydist::matrix::MatrixLayout;
     use clusterfile::StorageBackend;
+
+    fn one_node(addr: &str) -> Mux {
+        Mux::new(&[addr.to_string()], Arc::new(RetryBudget::for_session()))
+    }
+
+    /// An address nothing listens on (bound, then dropped).
+    fn dead_addr() -> String {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    }
 
     /// Spawns one daemon and registers an identity view (1 node, 16×16 =
     /// 256 bytes, physical = logical) so raw `Write { l_s, r_s }`
@@ -1460,11 +1528,11 @@ mod tests {
 
     #[test]
     fn ninety_six_in_flight_requests_match_the_serial_path_byte_for_byte() {
-        // Multiplexed half: submit 96 writes over ONE warm connection
+        // Pipelined half: submit 96 writes over ONE warm connection
         // before collecting a single reply, so the whole burst is in
         // flight (or queued behind the connection) at once.
         let (mut handles_m, addrs_m, session_m) = identity_daemon();
-        let mux = Mux::new(&addrs_m, Arc::new(RetryBudget::for_session()));
+        let mux = one_node(&addrs_m[0]);
         let slots: Vec<ReplySlot> =
             (0..96).map(|i| mux.submit(0, write_req(i)).expect("submit")).collect();
         for (i, slot) in slots.into_iter().enumerate() {
@@ -1473,27 +1541,22 @@ mod tests {
                 other => panic!("write {i}: unexpected reply {other:?}"),
             }
         }
-        let fetched = fetch_bytes(
-            mux.submit(0, Request::Fetch { file: 1 })
-                .expect("submit fetch")
-                .recv()
-                .expect("driver alive")
-                .expect("fetch reply"),
-        );
+        let fetched = fetch_bytes(mux.call(0, Request::Fetch { file: 1 }).expect("fetch"));
 
-        // Serial half: the same 96 writes through the classic one-at-a-
-        // time client against a twin daemon.
+        // Serial half: the same 96 writes one `call` at a time against a
+        // twin daemon.
         let (mut handles_s, addrs_s, session_s) = identity_daemon();
-        let mut client = NodeClient::new(addrs_s[0].clone());
+        let serial_mux = one_node(&addrs_s[0]);
         for i in 0..96 {
-            match client.call(&write_req(i)).expect("serial write") {
+            match serial_mux.call(0, write_req(i)).expect("serial write") {
                 Reply::WriteOk { written: 2, .. } => {}
                 other => panic!("serial write {i}: unexpected reply {other:?}"),
             }
         }
-        let serial = fetch_bytes(client.call(&Request::Fetch { file: 1 }).expect("serial fetch"));
+        let serial =
+            fetch_bytes(serial_mux.call(0, Request::Fetch { file: 1 }).expect("serial fetch"));
 
-        assert_eq!(fetched, serial, "multiplexed bytes must match the serial path");
+        assert_eq!(fetched, serial, "pipelined bytes must match the serial path");
         // And both match the analytically expected image.
         let mut expected = vec![0u8; 256];
         for i in 0..96u64 {
@@ -1502,7 +1565,7 @@ mod tests {
         }
         assert_eq!(fetched, expected);
 
-        drop((session_m, session_s, mux, client));
+        drop((session_m, session_s, mux, serial_mux));
         for h in handles_m.iter_mut().chain(handles_s.iter_mut()) {
             h.stop();
         }
@@ -1510,7 +1573,94 @@ mod tests {
 
     #[test]
     fn submit_after_drop_of_driver_reports_a_lost_transport() {
-        let mux = Mux::new(&["127.0.0.1:1".to_string()], Arc::new(RetryBudget::for_session()));
+        let mux = one_node("127.0.0.1:1");
         assert!(mux.submit(7, Request::Ping).is_err(), "out-of-range node is a usage error");
+    }
+
+    #[test]
+    fn retries_reconnect_after_daemon_restart() {
+        // Bind on an OS-assigned port, talk, stop the daemon, restart it on
+        // the same port, and check the retry ladder reconnects.
+        let mut handle = serve("127.0.0.1:0", DaemonConfig::default()).expect("bind");
+        let addr = handle.addr().to_string();
+        let mux = one_node(&addr);
+        let open = Request::Open { file: 1, subfile: 0, len: 8, tenant: 0 };
+        assert_eq!(mux.call(0, open.clone()).expect("first open"), Reply::Ok);
+        handle.stop();
+        let _handle2 = serve(&addr, DaemonConfig::default()).expect("rebind");
+        assert_eq!(
+            mux.call(0, open).expect("open after restart retries onto the new daemon"),
+            Reply::Ok
+        );
+    }
+
+    #[test]
+    fn connect_failure_is_io_after_retries() {
+        let mux = one_node(&dead_addr());
+        let err = mux.call(0, Request::Stat { file: 1 }).unwrap_err();
+        assert!(matches!(err, NetError::Io(_)), "got {err}");
+    }
+
+    #[test]
+    fn client_downgrades_against_older_daemon() {
+        // A daemon capped at protocol 2 rejects v6 frames; the transport
+        // must negotiate down transparently, and the v2 `Pong` it then
+        // decodes carries no chunk capability.
+        let config = DaemonConfig { max_version: 2, ..DaemonConfig::default() };
+        let mut handle = serve("127.0.0.1:0", config).expect("bind");
+        let mux = one_node(handle.addr());
+        match mux.call(0, Request::Ping).expect("ping succeeds after downgrade") {
+            Reply::Pong { max_chunk, .. } => assert_eq!(max_chunk, 0, "v2 peers cannot chunk"),
+            other => panic!("expected Pong, got {other:?}"),
+        }
+        drop(mux);
+        handle.stop();
+    }
+
+    #[test]
+    fn chunk_override_zero_disables_chunking() {
+        // `PF_NET_CHUNK=0`: whatever the peer advertises, send monolithic.
+        let mut node = NodeMux::new("127.0.0.1:1".to_string());
+        node.peer_max_chunk = Some(4096);
+        node.chunk_override = None;
+        assert_eq!(node.effective_chunk(), 4096);
+        node.chunk_override = Some(0);
+        assert_eq!(node.effective_chunk(), 0);
+    }
+
+    #[test]
+    fn retry_budget_caps_retries_across_calls() {
+        // Nothing listens on this address; every attempt is a connect
+        // failure. With a 1-token budget the first call gets exactly one
+        // retry (policy would allow 3) and the second call gets none.
+        let budget = Arc::new(RetryBudget::new(1, 0));
+        let mux = Mux::new(&[dead_addr()], Arc::clone(&budget));
+        let err = mux.call(0, Request::Stat { file: 1 }).unwrap_err();
+        assert!(matches!(err, NetError::Io(_)), "got {err}");
+        assert_eq!(budget.tokens(), 0, "the single token was spent");
+        let start = std::time::Instant::now();
+        let err = mux.call(0, Request::Stat { file: 1 }).unwrap_err();
+        assert!(matches!(err, NetError::Io(_)), "got {err}");
+        assert!(
+            start.elapsed() < Duration::from_millis(250),
+            "dry budget fails fast instead of backing off through 3 retries"
+        );
+    }
+
+    #[test]
+    fn expired_deadline_fails_before_the_wire() {
+        // The address is never contacted: an already-expired deadline is a
+        // client-local typed error.
+        let mux = one_node(&dead_addr());
+        mux.set_deadline(Deadline::within(Duration::ZERO));
+        match mux.call(0, Request::Stat { file: 1 }).unwrap_err() {
+            NetError::Protocol(e) => assert_eq!(e.code, ErrCode::DeadlineExceeded),
+            other => panic!("expected DeadlineExceeded, got {other}"),
+        }
+        // Clearing the deadline restores normal behavior (here: a connect
+        // error after retries, not a deadline error).
+        mux.set_deadline(Deadline::none());
+        let err = mux.call(0, Request::Stat { file: 1 }).unwrap_err();
+        assert!(matches!(err, NetError::Io(_)), "got {err}");
     }
 }

@@ -1,9 +1,8 @@
 //! Typed per-session protocol state machines.
 //!
-//! The version-negotiation, chunk-window, and chunk-stream rules used to
-//! live as inline arithmetic in [`client`](crate::client) and
-//! [`server`](crate::server). This module lifts them into small explicit
-//! automata with value semantics (`Clone + Eq + Hash`), so that
+//! The version-negotiation, chunk-window, and chunk-stream rules that
+//! [`mux`](crate::mux) and [`server`](crate::server) follow are small
+//! explicit automata with value semantics (`Clone + Eq + Hash`), so that
 //!
 //! * the client and server *drive* their wire behavior through the same
 //!   types the `parafile-model` checker explores exhaustively — the

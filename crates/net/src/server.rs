@@ -1,12 +1,12 @@
 //! The I/O-node daemon.
 //!
 //! One daemon hosts one subfile per file behind the same
-//! [`StorageBackend`] the simulator uses. The daemon is multi-threaded
-//! (one thread per connection), enforces a per-frame size budget, a
-//! per-connection read timeout, and a bounded global in-flight request
-//! count (backpressure: excess requests block in the acceptor thread,
-//! which stops reading from the socket — flow control propagates to the
-//! client through TCP itself).
+//! [`StorageBackend`] the simulator uses. One non-blocking event-loop
+//! thread owns the listener and every connection, and a fixed pool of
+//! [`DaemonConfig::workers`] threads executes decoded frames (the
+//! `reactor_daemon` submodule, DESIGN.md §17). The daemon enforces a
+//! per-frame size budget, a per-connection idle timeout, and a bounded
+//! global in-flight request count (excess requests are shed with `Busy`).
 //!
 //! All scatter/gather arithmetic goes through the stored `PROJ_S`
 //! projection, and every interval is clipped to the subfile length before
@@ -27,11 +27,11 @@
 //! and torn scatter writes deterministically for tests and `pf chaos`.
 
 use crate::error::{ErrCode, ProtocolError};
-use crate::fault::{FaultInjector, FaultPlan, FrameFault};
+use crate::fault::{FaultInjector, FaultPlan};
 use crate::proto::{version_admitted, ChunkHeader, WriteStream};
 use crate::wire::{
-    self, op, raw_to_set, FrameReadError, Reply, Request, StatInfo, DEFAULT_MAX_FRAME,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    op, raw_to_set, Reply, Request, StatInfo, DEFAULT_MAX_FRAME, MIN_PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use clusterfile::{ChecksumMap, IntentRecord, Journal, StorageBackend, SubfileStore};
 use parafile::redist::Projection;
@@ -52,8 +52,7 @@ mod reactor_daemon;
 /// Daemon state is updated with plain stores and atomics — a panic between
 /// two related updates cannot leave half-written structures — so the
 /// poison flag carries no information the daemon can act on, and honoring
-/// it would let one panicking connection thread wedge every other
-/// connection forever.
+/// it would let one panicking worker wedge every connection forever.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -71,6 +70,9 @@ fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// Default upper bound on a streamed chunk's data length (256 KiB).
 pub const DEFAULT_MAX_CHUNK: u32 = 256 << 10;
 
+/// Default size of the frame-executing worker pool.
+pub const DEFAULT_WORKERS: usize = 2;
+
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -78,8 +80,8 @@ pub struct DaemonConfig {
     pub backend: StorageBackend,
     /// Largest accepted frame (`len` field), in bytes.
     pub max_frame: u32,
-    /// Requests allowed in flight across all connections before the
-    /// acceptor blocks (backpressure).
+    /// Requests allowed in flight across all connections; further ones are
+    /// shed with `Busy` (protocol ≥ 5 — older frames wait for a slot).
     pub max_inflight: usize,
     /// How long a connection may stall mid-request before it is dropped.
     pub read_timeout: Option<Duration>,
@@ -103,8 +105,8 @@ pub struct DaemonConfig {
     pub scrub_interval: Option<Duration>,
     /// Maximum simultaneously open client connections. Further connects
     /// have their first frame answered with `Overloaded` (protocol ≥ 5;
-    /// older frames are simply closed) and the connection dropped, instead
-    /// of piling threads onto a daemon already at capacity. `0` =
+    /// older frames are simply closed) and the connection dropped, so an
+    /// N-node session costs each daemon exactly one of these. `0` =
     /// unbounded, the pre-v5 behavior.
     pub max_connections: usize,
     /// In-flight requests one stamped session may hold across all of its
@@ -117,21 +119,18 @@ pub struct DaemonConfig {
     /// instead of growing the write-ahead journal toward ENOSPC. `None` =
     /// no watermark.
     pub journal_watermark: Option<u64>,
-    /// Connection-serving model. `0` (the default) keeps the classic
-    /// thread-per-connection daemon; `N > 0` runs the reactor daemon
-    /// (DESIGN.md §17): one non-blocking event-loop thread multiplexes
-    /// every connection and a fixed pool of `N` workers executes decoded
-    /// frames, so thousands of concurrent connections cost `N + 1`
-    /// threads instead of one each. Defaults from `PF_NET_WORKERS` when
-    /// set, so whole test suites can be re-run against the reactor path.
+    /// Size of the worker pool executing decoded frames behind the event
+    /// loop (DESIGN.md §17): thousands of concurrent connections cost
+    /// `workers + 1` threads. `0` is clamped to 1; the default is
+    /// [`DEFAULT_WORKERS`].
     pub workers: usize,
     /// In-flight requests one tenant (protocol ≥ 6 `Open` tenant id) may
     /// hold across all of its connections before further ones are shed
     /// with `Busy`, so one tenant cannot starve the rest of the daemon's
-    /// admission slots. Enforced by the reactor daemon only; `0` = no cap.
+    /// admission slots. `0` = no cap.
     pub tenant_inflight: usize,
-    /// Deficit-round-robin fair queueing between tenants in the reactor
-    /// worker pool (DESIGN.md §18): each tenant's queued connections get
+    /// Deficit-round-robin fair queueing between tenants in the worker
+    /// pool (DESIGN.md §18): each tenant's queued connections get
     /// an equal service quantum per round, whatever its connection count.
     /// `false` falls back to a single FIFO, where an aggressive tenant
     /// with many connections proportionally starves the quiet ones.
@@ -153,7 +152,7 @@ impl Default for DaemonConfig {
             max_connections: 0,
             session_inflight: 0,
             journal_watermark: None,
-            workers: std::env::var("PF_NET_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(0),
+            workers: DEFAULT_WORKERS,
             tenant_inflight: 0,
             fair: true,
         }
@@ -204,6 +203,8 @@ impl NetListener {
         }
     }
 
+    /// Accepts one connection (non-blocking: the event loop drains the
+    /// backlog until `WouldBlock`).
     fn accept(&self) -> std::io::Result<NetStream> {
         match self {
             NetListener::Tcp(l) => {
@@ -218,7 +219,6 @@ impl NetListener {
         }
     }
 
-    /// Non-blocking accept mode for the reactor daemon.
     fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
         match self {
             NetListener::Tcp(l) => l.set_nonblocking(nb),
@@ -253,13 +253,6 @@ impl NetStream {
         }
     }
 
-    pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            NetStream::Tcp(s) => s.set_read_timeout(t),
-            NetStream::Unix(s) => s.set_read_timeout(t),
-        }
-    }
-
     pub(crate) fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
         match self {
             NetStream::Tcp(s) => s.set_nonblocking(nb),
@@ -288,7 +281,7 @@ impl NetStream {
     }
 }
 
-// Shared-reference I/O so connection threads can serve through an
+// Shared-reference I/O: the event loop and the workers both hold an
 // `Arc<NetStream>` while the daemon keeps a weak handle for shutdown.
 impl Read for &NetStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
@@ -329,31 +322,6 @@ impl Write for &NetStream {
                 let mut w: &UnixStream = s;
                 w.flush()
             }
-        }
-    }
-}
-
-impl Read for NetStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            NetStream::Tcp(s) => s.read(buf),
-            NetStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for NetStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            NetStream::Tcp(s) => s.write(buf),
-            NetStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            NetStream::Tcp(s) => s.flush(),
-            NetStream::Unix(s) => s.flush(),
         }
     }
 }
@@ -465,9 +433,6 @@ struct FileSlot {
 
 struct Shared {
     config: DaemonConfig,
-    /// The daemon's own client-facing address (to self-connect and wake
-    /// the acceptor when a remote `Shutdown` arrives).
-    addr: String,
     /// Boot stamp returned by `Ping`; changes across restarts, so a client
     /// that remembers the epoch can detect that the daemon crashed and its
     /// session-visible state (views, memory stores) is gone.
@@ -482,24 +447,18 @@ struct Shared {
     /// [`DaemonConfig::session_inflight`]).
     session_inflight: Mutex<HashMap<u64, usize>>,
     /// In-flight request count per tenant (admission control:
-    /// [`DaemonConfig::tenant_inflight`], reactor mode).
+    /// [`DaemonConfig::tenant_inflight`]).
     tenant_inflight: Mutex<HashMap<u32, usize>>,
     /// Deterministic fault injection (None in production).
     fault: Option<FaultInjector>,
-    /// Reactor-mode wake handle: `stop()`/`crash()`/remote `Shutdown`
-    /// interrupt the event loop through it (None in thread-per-conn mode).
-    reactor_waker: Mutex<Option<crate::reactor::Waker>>,
+    /// `stop()`/`crash()`/remote `Shutdown` interrupt the event loop's
+    /// poll through this.
+    waker: crate::reactor::Waker,
     /// Shutdown signalling for the scrub thread: it waits here between
     /// passes instead of sleeping, so `stop()` interrupts a pause
     /// immediately and can join it before any socket teardown.
     shutdown_mu: Mutex<()>,
     shutdown_cv: Condvar,
-    /// Live connection-driver threads (thread-per-connection mode), so
-    /// `stop()` waits for in-flight drivers to drain before the listener
-    /// socket drops. Stays 0 in reactor mode (the event-loop thread joins
-    /// its own workers before it releases the listener).
-    conn_threads: Mutex<usize>,
-    conn_threads_cv: Condvar,
 }
 
 impl Shared {
@@ -515,7 +474,7 @@ impl Shared {
 
     /// Non-blocking [`acquire_slot`](Self::acquire_slot) for protocol ≥ 5
     /// connections: a saturated daemon answers `Busy` instead of parking
-    /// the connection thread (shed load, don't queue it).
+    /// a worker (shed load, don't queue it).
     fn try_acquire_slot(&self) -> bool {
         let mut n = lock(&self.inflight);
         if *n >= self.config.max_inflight {
@@ -611,6 +570,12 @@ impl Shared {
     /// (no replies, no flushes — exactly what a real crash leaves behind).
     fn crash(&self) {
         self.stopping.store(true, Ordering::SeqCst);
+        self.sever_connections();
+    }
+
+    /// Closes every open connection and wakes whatever may be parked on
+    /// the old state: admission waits, the scrub pause, the event loop.
+    fn sever_connections(&self) {
         for conn in lock(&self.conns).drain(..) {
             if let Some(stream) = conn.upgrade() {
                 stream.shutdown_both();
@@ -618,45 +583,7 @@ impl Shared {
         }
         self.inflight_cv.notify_all();
         self.shutdown_cv.notify_all();
-        self.wake_reactor();
-        // Unblock the acceptor so it observes `stopping` and exits.
-        let _ = NetStream::connect(&self.addr);
-    }
-
-    /// Interrupts the event loop's current poll (no-op in legacy mode).
-    fn wake_reactor(&self) {
-        if let Some(w) = lock(&self.reactor_waker).as_ref() {
-            w.wake();
-        }
-    }
-
-    /// Waits (bounded) for thread-per-connection drivers to drain.
-    fn wait_conn_threads(&self, timeout: Duration) {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut n = lock(&self.conn_threads);
-        while *n > 0 {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                return;
-            }
-            let (g, _) =
-                self.conn_threads_cv.wait_timeout(n, left).unwrap_or_else(|e| e.into_inner());
-            n = g;
-        }
-    }
-}
-
-/// RAII decrement of [`Shared::conn_threads`] when a connection driver
-/// exits (incremented by the acceptor before the thread spawns, so a
-/// `stop()` racing the spawn still waits for it).
-struct ConnThreadGuard<'a>(&'a Shared);
-
-impl Drop for ConnThreadGuard<'_> {
-    fn drop(&mut self) {
-        let mut n = lock(&self.0.conn_threads);
-        *n = n.saturating_sub(1);
-        drop(n);
-        self.0.conn_threads_cv.notify_all();
+        self.waker.wake();
     }
 }
 
@@ -693,36 +620,19 @@ impl DaemonHandle {
     /// Stops the daemon: refuses new connections, closes open ones
     /// (connections finish their in-flight request first — replies are
     /// written before the next frame read observes the closed socket), and
-    /// joins the acceptor thread.
+    /// joins the event-loop thread, which joins its workers before it
+    /// releases the listener.
     ///
-    /// Ordering matters: the scrub thread and in-flight connection drivers
-    /// are signalled and joined *before* the accept/reactor thread — which
-    /// owns the listener — is joined, so neither a scrub pass nor a late
-    /// reply can race the listener socket dropping.
+    /// The scrub thread is signalled and joined first: it exits promptly
+    /// (condvar wait, not a sleep) and must never observe half-torn-down
+    /// sockets or stores.
     pub fn stop(&mut self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
-        // Scrub first: it exits promptly (condvar wait, not a sleep) and
-        // must never observe half-torn-down sockets or stores.
         self.shared.shutdown_cv.notify_all();
         if let Some(t) = self.scrub_thread.take() {
             let _ = t.join();
         }
-        // Sever open connections; their drivers observe the closed socket
-        // after finishing the frame in hand. Unpark anything blocked in
-        // admission so it can observe `stopping`.
-        for conn in lock(&self.shared.conns).drain(..) {
-            if let Some(stream) = conn.upgrade() {
-                stream.shutdown_both();
-            }
-        }
-        self.shared.inflight_cv.notify_all();
-        // Unblock the acceptor (legacy: throwaway connection; reactor:
-        // waker interrupts the poll).
-        self.shared.wake_reactor();
-        let _ = NetStream::connect(&self.addr);
-        // Thread-per-connection drivers drain before the listener drops
-        // (reactor mode joins its workers inside the event-loop thread).
-        self.shared.wait_conn_threads(Duration::from_secs(5));
+        self.shared.sever_connections();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -746,18 +656,21 @@ impl Drop for DaemonHandle {
     }
 }
 
-/// Binds `addr` and runs the daemon on background threads.
+/// Binds `addr` and runs the daemon on background threads: the event
+/// loop, its [`DaemonConfig::workers`] frame executors, and (when
+/// configured) the scrub thread.
 pub fn serve(addr: &str, config: DaemonConfig) -> std::io::Result<DaemonHandle> {
     let listener = NetListener::bind(addr)?;
+    listener.set_nonblocking(true)?;
     let client_addr = listener.client_addr()?;
     let epoch = SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map_or(1, |d| d.as_nanos() as u64)
         .max(1);
     let fault = config.fault.clone().map(FaultInjector::new);
+    let reactor = crate::reactor::Reactor::new()?;
     let shared = Arc::new(Shared {
         config,
-        addr: client_addr.clone(),
         epoch,
         files: RwLock::new(HashMap::new()),
         stopping: AtomicBool::new(false),
@@ -767,75 +680,14 @@ pub fn serve(addr: &str, config: DaemonConfig) -> std::io::Result<DaemonHandle> 
         session_inflight: Mutex::new(HashMap::new()),
         tenant_inflight: Mutex::new(HashMap::new()),
         fault,
-        reactor_waker: Mutex::new(None),
+        waker: reactor.waker(),
         shutdown_mu: Mutex::new(()),
         shutdown_cv: Condvar::new(),
-        conn_threads: Mutex::new(0),
-        conn_threads_cv: Condvar::new(),
     });
-    let workers = shared.config.workers;
-    let accept_thread = if workers > 0 {
-        // Reactor mode: one event-loop thread multiplexes every
-        // connection; `workers` pool threads execute decoded frames.
-        let reactor = crate::reactor::Reactor::new()?;
-        *lock(&shared.reactor_waker) = Some(reactor.waker());
-        listener.set_nonblocking(true)?;
-        let accept_shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("pf-net-reactor".into())
-            .spawn(move || reactor_daemon::run(listener, reactor, &accept_shared, workers))?
-    } else {
-        let accept_shared = Arc::clone(&shared);
-        std::thread::Builder::new().name("pf-net-accept".into()).spawn(move || {
-            let cleanup = match &listener {
-                NetListener::Unix(_, path) => Some(path.clone()),
-                NetListener::Tcp(_) => None,
-            };
-            loop {
-                let stream = match listener.accept() {
-                    Ok(s) => s,
-                    Err(_) => break,
-                };
-                if accept_shared.stopping.load(Ordering::SeqCst) {
-                    break;
-                }
-                let stream = Arc::new(stream);
-                let overloaded = {
-                    let mut conns = lock(&accept_shared.conns);
-                    conns.retain(|w| w.strong_count() > 0);
-                    let cap = accept_shared.config.max_connections;
-                    if cap > 0 && conns.len() >= cap {
-                        true
-                    } else {
-                        conns.push(Arc::downgrade(&stream));
-                        false
-                    }
-                };
-                let conn_shared = Arc::clone(&accept_shared);
-                *lock(&conn_shared.conn_threads) += 1;
-                let spawned = if overloaded {
-                    // Accept-edge shedding: a short-lived thread answers the
-                    // connection's first frame with `Overloaded` and closes,
-                    // so the client backs off instead of hanging.
-                    std::thread::Builder::new().name("pf-net-shed".into()).spawn(move || {
-                        let _guard = ConnThreadGuard(&conn_shared);
-                        shed_connection(&stream, &conn_shared);
-                    })
-                } else {
-                    std::thread::Builder::new().name("pf-net-conn".into()).spawn(move || {
-                        let _guard = ConnThreadGuard(&conn_shared);
-                        serve_connection(&stream, &conn_shared);
-                    })
-                };
-                if spawned.is_err() {
-                    ConnThreadGuard(&accept_shared);
-                }
-            }
-            if let Some(path) = cleanup {
-                let _ = std::fs::remove_file(path);
-            }
-        })?
-    };
+    let loop_shared = Arc::clone(&shared);
+    let accept_thread = std::thread::Builder::new()
+        .name("pf-net-reactor".into())
+        .spawn(move || reactor_daemon::run(listener, reactor, &loop_shared))?;
     let scrub_thread = match shared.config.scrub_interval {
         None => None,
         Some(interval) => {
@@ -889,227 +741,8 @@ fn scrub_loop(shared: &Shared, interval: Duration) {
     }
 }
 
-/// A connection accepted over [`DaemonConfig::max_connections`]: read its
-/// first frame, answer `Overloaded` (protocol ≥ 5 — older frames are just
-/// closed, their client's transport retry will reconnect), and drop it.
-fn shed_connection(stream: &NetStream, shared: &Shared) {
-    // A short timeout: this thread exists only to deliver the shed verdict.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut stream = stream;
-    let mut scratch = Vec::new();
-    if let Ok(frame) = wire::read_frame_buf(&mut stream, shared.config.max_frame, &mut scratch) {
-        if frame.version >= 5 {
-            let reply = Reply::Overloaded { retry_after_ms: OVERLOADED_RETRY_MS };
-            let mut out = Vec::new();
-            send_reply(&mut stream, frame.version, frame.request_id, &reply, None, &mut out);
-        }
-    }
-    stream.shutdown_both();
-}
-
-/// One connection: sequential request/reply frames until close, error, or
-/// timeout.
-fn serve_connection(stream: &NetStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(shared.config.read_timeout);
-    let mut stream = stream;
-    let mut conn_frames = 0u64;
-    // Per-connection scratch buffers: every frame on this connection reads
-    // into and encodes out of the same two allocations.
-    let mut read_scratch = Vec::new();
-    let mut write_scratch = Vec::new();
-    // In-progress chunked write, if any (one per connection: chunk frames
-    // of a single logical write are sent back to back on one stream).
-    let mut chunk_write: Option<ChunkWrite> = None;
-    loop {
-        let frame =
-            match wire::read_frame_buf(&mut stream, shared.config.max_frame, &mut read_scratch) {
-                Ok(f) => f,
-                Err(FrameReadError::Closed) => return,
-                Err(FrameReadError::TooLarge(len)) => {
-                    // The frame was not consumed, so the stream is out of
-                    // sync: answer with request id 0 and close.
-                    let e = ProtocolError::new(
-                        ErrCode::FrameTooLarge,
-                        format!(
-                            "frame of {len} bytes exceeds the {} byte budget",
-                            shared.config.max_frame
-                        ),
-                    );
-                    send_reply(
-                        &mut stream,
-                        PROTOCOL_VERSION,
-                        0,
-                        &Reply::Error(e),
-                        None,
-                        &mut write_scratch,
-                    );
-                    return;
-                }
-                Err(FrameReadError::TooShort(len)) => {
-                    let e = ProtocolError::new(
-                        ErrCode::Malformed,
-                        format!("frame length {len} is shorter than the header"),
-                    );
-                    send_reply(
-                        &mut stream,
-                        PROTOCOL_VERSION,
-                        0,
-                        &Reply::Error(e),
-                        None,
-                        &mut write_scratch,
-                    );
-                    return;
-                }
-                Err(FrameReadError::Io(_)) => return,
-            };
-        let (frame_version, frame_request_id) = (frame.version, frame.request_id);
-        // The deadline clock starts at frame receipt, *before* any injected
-        // delay fault: a slow daemon burns the request's budget.
-        let received = std::time::Instant::now();
-        conn_frames += 1;
-        if let Some(fault) = &shared.fault {
-            match fault.on_frame(conn_frames) {
-                FrameFault::None => {}
-                FrameFault::Drop => {
-                    stream.shutdown_both();
-                    return;
-                }
-                FrameFault::Kill => {
-                    shared.crash();
-                    return;
-                }
-            }
-        }
-        // Admission: protocol ≥ 5 connections are shed with `Busy` when the
-        // global in-flight budget is saturated (the client fails over or
-        // backs off); older connections keep the blocking backpressure that
-        // propagates through TCP.
-        if frame_version >= 5 {
-            if !shared.try_acquire_slot() {
-                let reply = Reply::Busy { retry_after_ms: BUSY_RETRY_MS };
-                send_reply(
-                    &mut stream,
-                    frame_version,
-                    frame_request_id,
-                    &reply,
-                    None,
-                    &mut write_scratch,
-                );
-                continue;
-            }
-        } else {
-            shared.acquire_slot();
-        }
-        let handled = handle_frame(
-            shared,
-            &mut chunk_write,
-            frame.version,
-            frame.opcode,
-            frame.payload,
-            received,
-        );
-        let crashed = shared.fault_crashed();
-        let mut shutdown = false;
-        if !crashed {
-            let truncate = shared.fault.as_ref().and_then(|f| f.truncate_reply_at(conn_frames));
-            match handled {
-                Handled::One(reply, stop) => {
-                    shutdown = stop;
-                    send_reply(
-                        &mut stream,
-                        frame_version,
-                        frame_request_id,
-                        &reply,
-                        truncate,
-                        &mut write_scratch,
-                    );
-                }
-                Handled::Stream(mut gather) => {
-                    // Stream the gathered bytes as bounded DataChunk frames;
-                    // an injected truncation tears the first frame and
-                    // severs the connection, like any torn reply.
-                    let mut first = true;
-                    loop {
-                        let (reply, last) = gather.next_chunk();
-                        let t = if first { truncate } else { None };
-                        first = false;
-                        send_reply(
-                            &mut stream,
-                            frame_version,
-                            frame_request_id,
-                            &reply,
-                            t,
-                            &mut write_scratch,
-                        );
-                        if t.is_some() {
-                            shared.release_slot();
-                            stream.shutdown_both();
-                            return;
-                        }
-                        if last {
-                            break;
-                        }
-                    }
-                }
-            }
-            if truncate.is_some() {
-                shared.release_slot();
-                stream.shutdown_both();
-                return;
-            }
-        }
-        shared.release_slot();
-        if crashed {
-            // An injected kill or torn write fired while this request was
-            // in flight: the "crashed" daemon never replies.
-            shared.crash();
-            return;
-        }
-        if shutdown {
-            // Unblock the acceptor so it observes `stopping` and exits.
-            let _ = NetStream::connect(&shared.addr);
-            return;
-        }
-    }
-}
-
-/// Writes one reply frame in the requester's protocol version. With
-/// `truncate` set, only that many bytes of the encoded frame are sent —
-/// the injected torn-frame fault.
-fn send_reply(
-    stream: &mut &NetStream,
-    version: u8,
-    request_id: u64,
-    reply: &Reply,
-    truncate: Option<u64>,
-    scratch: &mut Vec<u8>,
-) {
-    reply.encode_payload_at_into(version, scratch);
-    let payload: &[u8] = scratch;
-    match truncate {
-        None => {
-            let _ = wire::write_frame_at(stream, version, reply.opcode(), request_id, payload);
-        }
-        Some(keep) => {
-            let mut buf = Vec::with_capacity(payload.len() + 16);
-            let _ = wire::write_frame_at(&mut buf, version, reply.opcode(), request_id, payload);
-            let keep = (keep as usize).min(buf.len());
-            let _ = stream.write_all(&buf[..keep]);
-            let _ = stream.flush();
-        }
-    }
-}
-
-/// How one decoded frame is answered.
-enum Handled {
-    /// A single reply, plus whether the daemon should begin shutting down.
-    One(Reply, bool),
-    /// A streamed gather: the connection loop pulls bounded `DataChunk`
-    /// replies until the last one.
-    Stream(ChunkGather),
-}
-
-/// Decodes and executes one request.
+/// Decodes and executes one request. Returns the reply and whether the
+/// daemon should begin shutting down.
 fn handle_frame(
     shared: &Shared,
     chunk_write: &mut Option<ChunkWrite>,
@@ -1117,40 +750,38 @@ fn handle_frame(
     opcode: u8,
     payload: &[u8],
     received: std::time::Instant,
-) -> Handled {
+) -> (Reply, bool) {
+    let refuse = |e: ProtocolError| (Reply::Error(e), false);
+    let busy = (Reply::Busy { retry_after_ms: BUSY_RETRY_MS }, false);
     let max_version = shared.config.max_version.min(PROTOCOL_VERSION);
     if !version_admitted(version, max_version) {
-        let e = ProtocolError::new(
+        return refuse(ProtocolError::new(
             ErrCode::UnsupportedVersion,
             format!(
                 "version {version} is not supported (this daemon speaks \
                  {MIN_PROTOCOL_VERSION}..={max_version})"
             ),
-        );
-        return Handled::One(Reply::Error(e), false);
+        ));
     }
-    if !(op::OPEN..=op::WRITE_RESUME).contains(&opcode) {
-        let e = ProtocolError::new(ErrCode::UnknownOp, format!("opcode {opcode:#04x}"));
-        return Handled::One(Reply::Error(e), false);
+    if !op::is_request(opcode) {
+        return refuse(ProtocolError::new(ErrCode::UnknownOp, format!("opcode {opcode:#04x}")));
     }
     let (request, deadline_ms) = match Request::decode_deadline_at(version, opcode, payload) {
         Ok(pair) => pair,
-        Err(e) => return Handled::One(Reply::Error(e.into()), false),
+        Err(e) => return refuse(e.into()),
     };
     if shared.stopping.load(Ordering::SeqCst) && !matches!(request, Request::Shutdown) {
-        let e = ProtocolError::new(ErrCode::ShuttingDown, "daemon is stopping");
-        return Handled::One(Reply::Error(e), false);
+        return refuse(ProtocolError::new(ErrCode::ShuttingDown, "daemon is stopping"));
     }
     // Deadline check (protocol ≥ 5): a request whose propagated budget was
     // already spent — queueing, an injected delay, a slow disk upstream —
     // is answered without executing, so nothing is applied for work the
     // client has necessarily given up on.
     if deadline_ms > 0 && received.elapsed() >= Duration::from_millis(u64::from(deadline_ms)) {
-        let e = ProtocolError::new(
+        return refuse(ProtocolError::new(
             ErrCode::DeadlineExceeded,
             format!("deadline budget of {deadline_ms} ms expired before execution"),
-        );
-        return Handled::One(Reply::Error(e), false);
+        ));
     }
     // Journal-backlog watermark: mutating requests degrade to `Busy` while
     // the un-checkpointed backlog is over the configured capacity, instead
@@ -1159,7 +790,7 @@ fn handle_frame(
     let starts_mutation = matches!(request, Request::Write { .. })
         || matches!(request, Request::WriteChunk { offset: 0, .. });
     if version >= 5 && starts_mutation && shared.over_watermark() {
-        return Handled::One(Reply::Busy { retry_after_ms: BUSY_RETRY_MS }, false);
+        return busy;
     }
     // Per-session in-flight cap: one hot stamped session cannot occupy
     // every slot of the daemon.
@@ -1171,23 +802,15 @@ fn handle_frame(
     };
     let entered = version >= 5;
     if entered && !shared.enter_session(session) {
-        return Handled::One(Reply::Busy { retry_after_ms: BUSY_RETRY_MS }, false);
+        return busy;
     }
     let handled = match request {
         Request::Shutdown => {
             shared.stopping.store(true, Ordering::SeqCst);
-            Handled::One(Reply::Ok, true)
+            (Reply::Ok, true)
         }
-        Request::WriteChunk { .. } => {
-            Handled::One(handle_write_chunk(shared, chunk_write, request), false)
-        }
-        Request::ReadChunk { file, compute, l_s, r_s, max_chunk } => {
-            match prepare_read_chunk(shared, file, compute, l_s, r_s, max_chunk) {
-                Ok(gather) => Handled::Stream(gather),
-                Err(e) => Handled::One(Reply::Error(e), false),
-            }
-        }
-        other => Handled::One(handle_request(shared, other), false),
+        Request::WriteChunk { .. } => (handle_write_chunk(shared, chunk_write, request), false),
+        other => (handle_request(shared, other), false),
     };
     if entered {
         shared.leave_session(session);
@@ -1197,8 +820,8 @@ fn handle_frame(
 
 fn handle_request(shared: &Shared, request: Request) -> Reply {
     match request {
-        // The threaded server has no fair-queueing tier; the tenant id is
-        // accepted (protocol ≥ 6) but only the reactor daemon meters it.
+        // The tenant id is a connection property: the event loop learns it
+        // when it parses the frame, before this handler runs.
         Request::Open { file, subfile, len, tenant: _ } => handle_open(shared, file, subfile, len),
         Request::SetView { file, compute, element: _, view, proj_set, proj_period } => {
             let slot = match lookup(shared, file) {
@@ -1291,8 +914,8 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
                 let scatter = if torn {
                     // Injected crash after the first applied segment: the
                     // subfile is torn, the journaled intent is not.
-                    // serve_connection suppresses the reply; recovery on the
-                    // next Open must heal the remaining segments.
+                    // the frame executor suppresses the reply; recovery on
+                    // the next Open must heal the remaining segments.
                     let first = &segs[0];
                     store.write_at(first.l(), &payload[..first.len() as usize])
                 } else {
@@ -1470,9 +1093,9 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
             }
             Err(e) => Reply::Error(e),
         },
-        // Open/SetView/Write/Read handled above; Shutdown and the chunked
-        // requests are dispatched in handle_frame.
-        Request::Shutdown | Request::WriteChunk { .. } | Request::ReadChunk { .. } => Reply::Ok,
+        // Open/SetView/Write/Read handled above; Shutdown and write chunks
+        // are dispatched in handle_frame.
+        Request::Shutdown | Request::WriteChunk { .. } => Reply::Ok,
     }
 }
 
@@ -1729,7 +1352,7 @@ fn handle_write_chunk(shared: &Shared, state: &mut Option<ChunkWrite>, request: 
     else {
         // handle_frame dispatches on the opcode, so any other variant here
         // is a daemon defect — answered as a typed error, never a panic on
-        // the connection thread.
+        // the worker.
         return Reply::Error(ProtocolError::new(
             ErrCode::Internal,
             "chunk handler invoked on a non-chunk request",
@@ -1832,7 +1455,7 @@ fn handle_write_chunk(shared: &Shared, state: &mut Option<ChunkWrite>, request: 
                 let mut store = lock(&slot.store);
                 // The injected torn-write fault fires on the stream's first
                 // chunk: apply only the first sub-run, then "crash" (the
-                // reply below is suppressed by serve_connection).
+                // reply below is suppressed by the frame executor).
                 let torn = offset == 0
                     && shared.fault.as_ref().is_some_and(FaultInjector::on_write_torn)
                     && !sub.is_empty();
@@ -1887,95 +1510,4 @@ fn handle_write_chunk(shared: &Shared, state: &mut Option<ChunkWrite>, request: 
             Reply::Error(e)
         }
     }
-}
-
-/// A streamed gather in progress: [`serve_connection`] pulls bounded
-/// `DataChunk` replies out of it until the last one, so the daemon never
-/// materializes the full gathered payload.
-struct ChunkGather {
-    slot: Arc<FileSlot>,
-    runs: Vec<(u64, u64)>,
-    run_idx: usize,
-    run_pos: u64,
-    total: u64,
-    sent: u64,
-    chunk: u64,
-}
-
-impl ChunkGather {
-    /// Gathers the next chunk. Returns the reply and whether the stream is
-    /// finished (also true when the reply is an error).
-    fn next_chunk(&mut self) -> (Reply, bool) {
-        let want = self.chunk.min(self.total - self.sent);
-        let sub = take_runs(&self.runs, &mut self.run_idx, &mut self.run_pos, want);
-        let mut data = Vec::with_capacity(want as usize);
-        if let Err(e) = lock(&self.slot.store).gather(sub.iter().copied(), &mut data) {
-            let e = ProtocolError::new(ErrCode::Internal, format!("gather read: {e}"));
-            return (Reply::Error(e), true);
-        }
-        let offset = self.sent;
-        self.sent += want;
-        let last = self.sent == self.total;
-        self.slot.stats.bytes_read.fetch_add(want, Ordering::Relaxed);
-        (Reply::DataChunk { offset, last, data }, last)
-    }
-}
-
-fn prepare_read_chunk(
-    shared: &Shared,
-    file: u64,
-    compute: u32,
-    l_s: u64,
-    r_s: u64,
-    max_chunk: u32,
-) -> Result<ChunkGather, ProtocolError> {
-    let slot = lookup(shared, file)?;
-    slot.stats.requests.fetch_add(1, Ordering::Relaxed);
-    if l_s > r_s {
-        return Err(ProtocolError::new(
-            ErrCode::BadRange,
-            format!("interval [{l_s}, {r_s}] is empty"),
-        ));
-    }
-    let proj = read(&slot.views).get(&compute).cloned().ok_or_else(|| {
-        ProtocolError::new(
-            ErrCode::NoView,
-            format!("compute node {compute} has no view on file {file}"),
-        )
-    })?;
-    // Effective chunk size: what the client asked for, capped by the
-    // daemon's own budget, and always small enough that a chunk frame
-    // (header + offset + flag + data) fits the frame budget.
-    let cap = if max_chunk == 0 { shared.config.max_chunk } else { max_chunk };
-    let frame_room = shared.config.max_frame.saturating_sub(64).max(1);
-    let chunk = u64::from(cap.min(shared.config.max_chunk).min(frame_room).max(1));
-    let mut store = lock(&slot.store);
-    let len = store.len();
-    let runs: Vec<(u64, u64)> = if len == 0 || l_s >= len {
-        Vec::new()
-    } else {
-        proj.segments_between(l_s, r_s.min(len - 1)).iter().map(|s| (s.l(), s.len())).collect()
-    };
-    // Verify the whole gather up front, before the first chunk streams: a
-    // mismatch discovered mid-stream could not be reported cleanly.
-    {
-        let sums = lock(&slot.sums);
-        let mut bad = 0u64;
-        for &(off, n) in &runs {
-            bad += sums.verify_range(&mut store, off, n).map_err(|e| {
-                ProtocolError::new(ErrCode::Internal, format!("checksum verify: {e}"))
-            })?;
-        }
-        if bad > 0 {
-            slot.stats.checksum_errors.fetch_add(bad, Ordering::Relaxed);
-            return Err(ProtocolError::new(
-                ErrCode::ChecksumMismatch,
-                format!("{bad} page(s) failed CRC32C verification"),
-            ));
-        }
-    }
-    drop(store);
-    let total: u64 = runs.iter().map(|&(_, n)| n).sum();
-    slot.stats.fragments.fetch_add(runs.len() as u64, Ordering::Relaxed);
-    Ok(ChunkGather { slot, runs, run_idx: 0, run_pos: 0, total, sent: 0, chunk })
 }

@@ -1,24 +1,23 @@
-//! The reactor-mode daemon: one non-blocking event-loop thread serving
-//! every connection, plus a fixed pool of frame-executing workers
-//! (DESIGN.md §17, enabled by [`DaemonConfig::workers`] > 0).
+//! The daemon's serving loop: one non-blocking event-loop thread serving
+//! every connection, plus a fixed pool of [`DaemonConfig::workers`]
+//! frame-executing workers (DESIGN.md §17).
 //!
 //! Division of labor:
 //!
 //! * the **reactor thread** owns the listener and every socket. It
 //!   accepts, reads, splits the byte stream into frames, stamps each
 //!   frame's `received` instant (the deadline clock starts at receipt,
-//!   exactly like the thread-per-connection daemon), and drains queued
-//!   reply bytes back out. It never executes a request, never sleeps,
-//!   and never blocks on anything but [`Reactor::poll`] — idle timeouts
-//!   ride the [`TimerWheel`] instead of per-socket `SO_RCVTIMEO`.
-//! * a **worker** executes decoded frames through the *same*
-//!   [`handle_frame`](super::handle_frame) the classic daemon uses — one
-//!   connection's frames strictly in FIFO order (an `executing` flag pins
-//!   a connection to at most one worker at a time), which preserves reply
-//!   ordering and the one-chunked-write-per-connection stream state. The
-//!   fault injector's frame hook also runs here, so an injected delay
-//!   stalls only the faulted connection's worker slot, never the event
-//!   loop.
+//!   before any queueing), and drains queued reply bytes back out. It
+//!   never executes a request, never sleeps, and never blocks on anything
+//!   but [`Reactor::poll`] — idle timeouts ride the [`TimerWheel`]
+//!   instead of per-socket `SO_RCVTIMEO`.
+//! * a **worker** executes decoded frames through
+//!   [`handle_frame`](super::handle_frame) — one connection's frames
+//!   strictly in FIFO order (an `executing` flag pins a connection to at
+//!   most one worker at a time), which preserves reply ordering and the
+//!   one-chunked-write-per-connection stream state. The fault injector's
+//!   frame hook also runs here, so an injected delay stalls only the
+//!   faulted connection's worker slot, never the event loop.
 //!
 //! Backpressure is bounded at both edges: a connection with
 //! [`FRAME_QUEUE_DEPTH`] undispatched frames has its read interest
@@ -28,11 +27,11 @@
 //!
 //! Every per-frame semantic the model checker and chaos suite pin down —
 //! admission order, `Busy`/`Overloaded` shedding, journal-before-ack,
-//! exactly-once stamps, reply truncation and kill faults — is untouched:
-//! those all live in [`handle_frame`](super::handle_frame) and the frame
-//! prologue replicated verbatim in [`execute_frame`].
+//! exactly-once stamps, reply truncation and kill faults — lives in
+//! [`handle_frame`](super::handle_frame) and the frame prologue in
+//! [`execute_frame`].
 
-use super::{lock, Handled, NetListener, NetStream, Shared, BUSY_RETRY_MS, OVERLOADED_RETRY_MS};
+use super::{lock, NetListener, NetStream, Shared, BUSY_RETRY_MS, OVERLOADED_RETRY_MS};
 use crate::error::{ErrCode, ProtocolError};
 use crate::fault::FrameFault;
 use crate::reactor::{Clock, Event, Interest, MonotonicClock, Reactor, TimerId, TimerWheel};
@@ -95,8 +94,7 @@ struct ConnQ {
     /// Accepted over `max_connections`: first frame is answered
     /// `Overloaded` (protocol ≥ 5) and the connection closed.
     shed: bool,
-    /// In-progress chunked write (the per-connection stream state the
-    /// classic daemon keeps on its thread's stack).
+    /// In-progress chunked write (one stream per connection).
     chunk: Option<super::ChunkWrite>,
     /// A framing-level protocol error (oversized/undersized frame): the
     /// worker answers it after draining queued frames, then closes.
@@ -299,7 +297,7 @@ struct ConnEntry {
 }
 
 /// Entry point: spawned as the `pf-net-reactor` thread by [`super::serve`].
-pub(super) fn run(listener: NetListener, reactor: Reactor, shared: &Arc<Shared>, workers: usize) {
+pub(super) fn run(listener: NetListener, reactor: Reactor, shared: &Arc<Shared>) {
     let cleanup = match &listener {
         NetListener::Unix(_, path) => Some(path.clone()),
         NetListener::Tcp(_) => None,
@@ -311,7 +309,7 @@ pub(super) fn run(listener: NetListener, reactor: Reactor, shared: &Arc<Shared>,
     });
     let pool = Arc::new(Pool::new(shared.config.fair));
     let mut worker_handles = Vec::new();
-    for i in 0..workers.max(1) {
+    for i in 0..shared.config.workers.max(1) {
         let shared = Arc::clone(shared);
         let pool = Arc::clone(&pool);
         let notify = Arc::clone(&notify);
@@ -412,8 +410,8 @@ impl Driver {
                 continue;
             }
             let stream = Arc::new(stream);
-            // Same accept-edge policy as the classic daemon: register the
-            // connection for shutdown severing, shed it when over cap.
+            // Accept-edge policy: register the connection for shutdown
+            // severing, shed it when over cap.
             let shed = {
                 let mut conns = lock(&self.shared.conns);
                 conns.retain(|w| w.strong_count() > 0);
@@ -539,8 +537,7 @@ impl Driver {
             );
             if len > max_frame {
                 // The frame was not consumed, so the stream is out of
-                // sync: the worker answers with request id 0 and closes —
-                // same verdict as the classic daemon's.
+                // sync: the worker answers with request id 0 and closes.
                 fatal_framing(
                     entry,
                     &pool,
@@ -680,8 +677,8 @@ impl Driver {
     }
 
     /// Reaps connections whose idle timer expired — unless frames are
-    /// queued or executing (the daemon itself is the bottleneck, which
-    /// the classic daemon never punishes the client for either).
+    /// queued or executing (the daemon itself is the bottleneck; the
+    /// client is not punished for it).
     fn fire_timers(&mut self) {
         for (_, token) in self.wheel.advance(self.clock.now_ms()) {
             let Some(entry) = self.conns.get_mut(&token) else { continue };
@@ -878,12 +875,11 @@ fn finish_dispatch(conn: &Conn, notify: &Notify, q: &mut ConnQ) {
     }
 }
 
-/// The per-frame prologue + dispatch of the classic daemon's
-/// [`serve_connection`](super::serve_connection) loop, executed on a
-/// worker. Semantics are replicated exactly: fault hook first (delays
-/// sleep *here*, stalling only this connection), then admission, then
-/// [`handle_frame`](super::handle_frame), then the reply (with injected
-/// truncation severing the connection) and crash suppression.
+/// The per-frame prologue + dispatch, executed on a worker: fault hook
+/// first (delays sleep *here*, stalling only this connection), then
+/// admission, then [`handle_frame`](super::handle_frame), then the reply
+/// (with injected truncation severing the connection) and crash
+/// suppression.
 fn execute_frame(
     shared: &Shared,
     notify: &Notify,
@@ -935,7 +931,7 @@ fn execute_frame(
         queue_reply(conn, notify, frame.version, frame.request_id, &reply, None);
         return Outcome::Continue;
     }
-    let handled = super::handle_frame(
+    let (reply, shutdown) = super::handle_frame(
         shared,
         chunk,
         frame.version,
@@ -944,28 +940,10 @@ fn execute_frame(
         frame.received,
     );
     let crashed = shared.fault_crashed();
-    let mut shutdown = false;
     let mut severed = false;
     if !crashed {
         let truncate = shared.fault.as_ref().and_then(|f| f.truncate_reply_at(frame.seqno));
-        match handled {
-            Handled::One(reply, stop) => {
-                shutdown = stop;
-                queue_reply(conn, notify, frame.version, frame.request_id, &reply, truncate);
-            }
-            Handled::Stream(mut gather) => {
-                let mut first = true;
-                loop {
-                    let (reply, last) = gather.next_chunk();
-                    let t = if first { truncate } else { None };
-                    first = false;
-                    queue_reply(conn, notify, frame.version, frame.request_id, &reply, t);
-                    if t.is_some() || last {
-                        break;
-                    }
-                }
-            }
-        }
+        queue_reply(conn, notify, frame.version, frame.request_id, &reply, truncate);
         severed = truncate.is_some();
     }
     shared.release_slot();

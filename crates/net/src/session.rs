@@ -43,11 +43,11 @@
 //! # Tail tolerance (DESIGN.md §16)
 //!
 //! Crash handling covers nodes that *die*; the resilience layer covers
-//! nodes that are merely slow or overloaded. Every node client shares one
+//! nodes that are merely slow or overloaded. Every request spends from one
 //! session-wide [`RetryBudget`], so a systemic outage runs the bucket dry
 //! and fails fast instead of amplifying load. [`Session::set_deadline`]
-//! attaches an absolute time budget that propagates to every node client
-//! (and onto the wire at protocol ≥ 5). Each node has a [`CircuitBreaker`]
+//! attaches an absolute time budget that rides every request (and the
+//! wire at protocol ≥ 5). Each node has a [`CircuitBreaker`]
 //! fed from every collected reply: an open breaker makes writes pre-skip
 //! the replica (queued dirty, exactly like a dead node) and reads prefer
 //! another rank, until a half-open probe re-closes it. Replicated reads
@@ -57,7 +57,6 @@
 //! idempotent and writes are stamp-deduplicated.
 
 use crate::backoff::Backoff;
-use crate::client::NodeClient;
 use crate::error::{ErrCode, NetError};
 use crate::resilience::{
     Admission, BreakerState, CircuitBreaker, Deadline, LatencyTracker, RetryBudget,
@@ -79,12 +78,6 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant, SystemTime};
 
-/// Locks a node client, recovering from poisoning (a panicked caller
-/// must not wedge the whole session).
-fn lock(m: &Mutex<NodeClient>) -> MutexGuard<'_, NodeClient> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Consecutive breaker-relevant failures (transport errors, `Busy` sheds)
 /// before a node's circuit breaker trips open.
 const BREAKER_THRESHOLD: u32 = 3;
@@ -102,11 +95,16 @@ const HEDGE_CEILING: Duration = Duration::from_millis(250);
 /// Poll step while racing a primary read against its hedge.
 const HEDGE_POLL: Duration = Duration::from_micros(200);
 
-/// Where a dispatched request's reply lands (re-exported from the mux so
-/// every collector keeps its existing shape: capacity-1 channel, one
-/// terminal result).
 use crate::mux::{mux_lost, ReplySlot};
 use crate::pool::MuxHandle;
+
+/// Demands a plain `Ok` reply.
+fn expect_ok(reply: Reply) -> Result<(), NetError> {
+    match reply {
+        Reply::Ok => Ok(()),
+        other => Err(NetError::BadReply(format!("expected Ok, got {other:?}"))),
+    }
+}
 
 struct ViewState {
     view: Partition,
@@ -211,18 +209,16 @@ impl RedistReport {
 /// A compute node's connection to a set of I/O-node daemons, one subfile
 /// per daemon (daemon order = subfile order).
 ///
-/// Dispatch is multiplexed: one reactor-driven [`crate::mux::Mux`] thread
-/// owns every node's warm connection, keeps many requests in flight per
-/// connection (replies matched FIFO by request id) and runs all
-/// retry/backoff/shed timing on a timer wheel — no per-node threads, no
-/// bounded queues. Recovery paths (`reopen`, `reestablish`, …) lock the
-/// shared per-node client directly between fan-outs. With
+/// Every request — fan-outs and the recovery paths' one-at-a-time calls
+/// alike — travels through one reactor-driven [`crate::mux::Mux`]: a single
+/// thread owns the session's one connection per node, keeps many requests
+/// in flight per connection (replies matched FIFO by request id) and runs
+/// all retry/backoff/shed timing on a timer wheel. With
 /// [`connect_pooled`](Session::connect_pooled) the driver is a lease on the
 /// process-wide [`crate::pool`] instead of a private thread.
 pub struct Session {
-    nodes: Vec<Arc<Mutex<NodeClient>>>,
-    /// The multiplexed transport all fan-outs dispatch through — private
-    /// driver or pooled lease, depending on the constructor.
+    /// The session's only transport — private driver or pooled lease,
+    /// depending on the constructor.
     mux: MuxHandle,
     files: HashMap<u64, FileState>,
     /// This session's retry-stamp namespace (nonzero; 0 is the unstamped
@@ -239,15 +235,15 @@ pub struct Session {
     dirty: DirtySet,
     /// Quorum-write stragglers still in flight.
     stragglers: Vec<Straggler>,
-    /// Per-node circuit breakers, index-aligned with `nodes`. Mutexed so
+    /// Per-node circuit breakers, indexed by node. Mutexed so
     /// admission checks work from shared-borrow paths (the build phase of
     /// a write holds `&self` through the plan tables).
     breakers: Vec<Mutex<CircuitBreaker>>,
     /// Recent settled read latencies; their p95 picks the hedge delay.
     read_latency: LatencyTracker,
-    /// Session-wide retry token bucket shared by every node client.
+    /// Session-wide retry token bucket every request spends from.
     retry_budget: Arc<RetryBudget>,
-    /// The deadline currently propagated to every node client.
+    /// The deadline currently attached to every request.
     deadline: Deadline,
     /// Hedged reads issued so far (observability).
     hedged_reads: u64,
@@ -385,21 +381,12 @@ impl Session {
             .map_or(0, |d| d.as_nanos() as u64)
             ^ (u64::from(std::process::id()) << 32);
         let retry_budget = Arc::new(RetryBudget::for_session());
-        let nodes: Vec<Arc<Mutex<NodeClient>>> = addrs
-            .iter()
-            .map(|a| {
-                Arc::new(Mutex::new(
-                    NodeClient::new(a).with_retry_budget(Arc::clone(&retry_budget)),
-                ))
-            })
-            .collect();
         let mux = if pooled {
             MuxHandle::pooled(addrs, Arc::clone(&retry_budget))
         } else {
             MuxHandle::dedicated(addrs, Arc::clone(&retry_budget))
         };
         Self {
-            nodes,
             mux,
             files: HashMap::new(),
             session_id: session_id.max(1),
@@ -439,13 +426,13 @@ impl Session {
     /// Number of I/O nodes this session spans.
     #[must_use]
     pub fn io_nodes(&self) -> usize {
-        self.nodes.len()
+        self.mux.nodes()
     }
 
     /// Number of subfiles per file (one per I/O node, whatever the
     /// replication factor).
     fn subfiles(&self) -> usize {
-        self.nodes.len()
+        self.mux.nodes()
     }
 
     /// Replication factor R of this session.
@@ -530,23 +517,19 @@ impl Session {
         self.hedged_reads
     }
 
-    /// The session-wide retry token bucket shared by every node client.
+    /// The session-wide retry token bucket every request spends from.
     #[must_use]
     pub fn retry_budget(&self) -> &Arc<RetryBudget> {
         &self.retry_budget
     }
 
-    /// Attaches an absolute deadline to every subsequent operation: it is
-    /// installed on every node client, clamps their socket timeouts, vetoes
-    /// their retries once spent, and rides protocol-v5 frames so daemons
-    /// refuse to start work the budget can no longer pay for. Pass
-    /// [`Deadline::none`] to remove it.
+    /// Attaches an absolute deadline to every subsequent operation: it
+    /// clamps response timeouts, vetoes retries once spent, and rides
+    /// protocol-v5 frames so daemons refuse to start work the budget can no
+    /// longer pay for. Pass [`Deadline::none`] to remove it.
     pub fn set_deadline(&mut self, deadline: Deadline) {
         self.deadline = deadline;
         self.mux.set_deadline(deadline);
-        for node in &self.nodes {
-            lock(node).set_deadline(deadline);
-        }
     }
 
     /// The deadline currently attached to this session's operations.
@@ -555,34 +538,22 @@ impl Session {
         self.deadline
     }
 
-    /// Resets `node`'s transport path after a faulted request: the mux
-    /// drops the node's warm connection (in-flight requests ride the
-    /// normal retry ladder) while the shared client — and so its own warm
-    /// connection and backoff state — carries over.
-    fn respawn(&mut self, node: usize) {
-        self.mux.reset_node(node);
-    }
-
     /// Dispatches one request for `node` into the mux. Returns the slot
     /// the reply will arrive on; never blocks (in-flight depth is bounded
     /// by the daemon's admission control, not a client queue).
-    fn submit(&mut self, node: usize, request: Request) -> Result<ReplySlot, NetError> {
+    fn submit(&self, node: usize, request: Request) -> Result<ReplySlot, NetError> {
         self.mux.submit(node, request)
     }
 
     /// Collects one submitted reply, recording its outcome on the node's
     /// breaker. A slot that closed without a message means the mux driver
     /// died under the request; it is surfaced as a lost-transport error.
-    fn collect(
-        &mut self,
-        node: usize,
-        slot: Result<ReplySlot, NetError>,
-    ) -> Result<Reply, NetError> {
+    fn collect(&self, node: usize, slot: Result<ReplySlot, NetError>) -> Result<Reply, NetError> {
         let reply = match slot {
             Ok(rx) => match rx.recv() {
                 Ok(reply) => reply,
                 Err(_) => {
-                    self.respawn(node);
+                    self.mux.reset_node(node);
                     Err(mux_lost(node))
                 }
             },
@@ -592,25 +563,23 @@ impl Session {
         reply
     }
 
+    /// One synchronous exchange with `node`: submit, then collect. The
+    /// recovery paths' one-at-a-time requests ride the same connection —
+    /// and so the same tenant, deadline, budget and FIFO order — as the
+    /// fan-outs around them.
+    fn call(&self, node: usize, request: Request) -> Result<Reply, NetError> {
+        let slot = self.submit(node, request);
+        self.collect(node, slot)
+    }
+
+    /// [`call`](Self::call), demanding a plain `Ok`.
+    fn call_ok(&self, node: usize, request: Request) -> Result<(), NetError> {
+        expect_ok(self.call(node, request)?)
+    }
+
     /// Fans `requests` out through the mux concurrently and returns the
     /// replies in the same order.
-    fn fan_out(&mut self, requests: Vec<Outgoing>) -> Vec<(usize, Result<Reply, NetError>)> {
-        // `Open` frames establish the connection's tenant at the daemon
-        // (protocol ≥ 6), so they must travel on the mux conn — the data
-        // plane all later writes share — never the side-channel client the
-        // single-target shortcut below would pick.
-        let announces_tenant = requests.iter().any(|o| matches!(o.request, Request::Open { .. }));
-        if requests.len() == 1 && !announces_tenant {
-            // Skip the queue round trip for the single-target case.
-            return match requests.into_iter().next() {
-                Some(Outgoing { node, request }) => {
-                    let reply = lock(&self.nodes[node]).call(&request);
-                    self.note_reply(node, &reply);
-                    vec![(node, reply)]
-                }
-                None => Vec::new(),
-            };
-        }
+    fn fan_out(&self, requests: Vec<Outgoing>) -> Vec<(usize, Result<Reply, NetError>)> {
         let submitted: Vec<(usize, Result<ReplySlot, NetError>)> = requests
             .into_iter()
             .map(|Outgoing { node, request }| {
@@ -628,14 +597,8 @@ impl Session {
     }
 
     /// Like [`fan_out`](Self::fan_out) but every reply must be `Ok`.
-    fn fan_out_ok(&mut self, requests: Vec<Outgoing>) -> Result<(), NetError> {
-        for (_, reply) in self.fan_out(requests) {
-            match reply? {
-                Reply::Ok => {}
-                other => return Err(NetError::BadReply(format!("expected Ok, got {other:?}"))),
-            }
-        }
-        Ok(())
+    fn fan_out_ok(&self, requests: Vec<Outgoing>) -> Result<(), NetError> {
+        self.fan_out(requests).into_iter().try_for_each(|(_, reply)| expect_ok(reply?))
     }
 
     /// Creates `file` of `len` bytes, physically partitioned by `physical`
@@ -646,14 +609,14 @@ impl Session {
         physical: Partition,
         len: u64,
     ) -> Result<(), NetError> {
-        if physical.element_count() != self.nodes.len() {
+        if physical.element_count() != self.io_nodes() {
             return Err(NetError::Usage(format!(
                 "physical partition has {} elements but the session spans {} I/O nodes",
                 physical.element_count(),
-                self.nodes.len()
+                self.io_nodes()
             )));
         }
-        let mut requests = Vec::with_capacity(self.nodes.len() * self.map.replicas());
+        let mut requests = Vec::with_capacity(self.io_nodes() * self.map.replicas());
         for s in 0..self.subfiles() {
             let sub_len = physical.element_len(s, len)?;
             for rank in 0..self.map.replicas() {
@@ -733,7 +696,7 @@ impl Session {
                     // The daemon restarted since `create_file` and forgot
                     // the subfile: re-open it and retry the view once.
                     self.reopen_copy(s, rank, file)?;
-                    lock(&self.nodes[node]).expect_ok(&retry[i])?;
+                    self.call_ok(node, retry[i].clone())?;
                 }
                 Err(NetError::Io(_) | NetError::IdMismatch { .. }) if self.map.replicas() > 1 => {
                     // A dead replica does not block the view: the copy is
@@ -1138,12 +1101,15 @@ impl Session {
     fn reopen_copy(&self, subfile: usize, rank: usize, file: u64) -> Result<(), NetError> {
         let st = self.file(file)?;
         let sub_len = st.physical.element_len(subfile, st.len)?;
-        lock(&self.nodes[self.map.node_for(subfile, rank)]).expect_ok(&Request::Open {
-            file: copy_file_id(file, rank),
-            subfile: subfile as u32,
-            len: sub_len,
-            tenant: self.tenant,
-        })
+        self.call_ok(
+            self.map.node_for(subfile, rank),
+            Request::Open {
+                file: copy_file_id(file, rank),
+                subfile: subfile as u32,
+                len: sub_len,
+                tenant: self.tenant,
+            },
+        )
     }
 
     /// Re-establishes replica `rank` of subfile `subfile` after a daemon
@@ -1163,18 +1129,20 @@ impl Session {
         // compiled when the view was first set.
         let plan = PlanEngine::global().compile_view(&vs.view, vs.element, &st.physical)?;
         let access = plan.access(subfile);
-        let mut client = lock(&self.nodes[self.map.node_for(subfile, rank)]);
         if !access.is_empty() {
             let proj_set: Vec<RawFalls> =
                 access.proj_sub.set.families().iter().map(RawFalls::from_nested).collect();
-            client.expect_ok(&Request::SetView {
-                file: copy_file_id(file, rank),
-                compute,
-                element: vs.element as u32,
-                view: RawPattern::from_partition(&vs.view),
-                proj_set,
-                proj_period: access.proj_sub.period,
-            })?;
+            self.call_ok(
+                self.map.node_for(subfile, rank),
+                Request::SetView {
+                    file: copy_file_id(file, rank),
+                    compute,
+                    element: vs.element as u32,
+                    view: RawPattern::from_partition(&vs.view),
+                    proj_set,
+                    proj_period: access.proj_sub.period,
+                },
+            )?;
         }
         Ok(())
     }
@@ -1206,8 +1174,7 @@ impl Session {
             let b = (seg.r() - lo_v) as usize;
             payload.extend_from_slice(&data[a..=b]);
         });
-        let mut client = lock(&self.nodes[self.map.node_for(subfile, rank)]);
-        match client.call(&Request::Write {
+        let request = Request::Write {
             file: copy_file_id(file, rank),
             compute,
             l_s,
@@ -1215,7 +1182,8 @@ impl Session {
             session,
             seq,
             payload,
-        })? {
+        };
+        match self.call(self.map.node_for(subfile, rank), request)? {
             Reply::WriteOk { written, .. } => Ok(written),
             other => Err(NetError::BadReply(format!("expected WriteOk, got {other:?}"))),
         }
@@ -1227,7 +1195,7 @@ impl Session {
     /// caller comparing successive probes can detect restarts.
     pub fn probe(&mut self) -> Vec<NodeHealth> {
         let replies: Vec<(usize, Result<Reply, NetError>)> = self.fan_out(
-            (0..self.nodes.len()).map(|s| Outgoing { node: s, request: Request::Ping }).collect(),
+            (0..self.io_nodes()).map(|s| Outgoing { node: s, request: Request::Ping }).collect(),
         );
         for (node, reply) in replies {
             self.health[node] = match reply {
@@ -1275,7 +1243,7 @@ impl Session {
         let (st, vs) = self.view(file, compute)?;
         let mut requests = Vec::new();
         let mut meta = Vec::new();
-        for s in 0..self.nodes.len() {
+        for s in 0..self.subfiles() {
             let replay = vs.plan.replay(s);
             if replay.is_empty() || replay.bytes_between(lo_v, hi_v) == 0 {
                 continue;
@@ -1371,7 +1339,7 @@ impl Session {
                 return (rank, reply);
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                self.respawn(node);
+                self.mux.reset_node(node);
                 self.note_node(node, false);
                 return (rank, Err(mux_lost(node)));
             }
@@ -1397,7 +1365,7 @@ impl Session {
             let reply = match rx.recv() {
                 Ok(reply) => reply,
                 Err(_) => {
-                    self.respawn(node);
+                    self.mux.reset_node(node);
                     self.note_node(node, false);
                     return (rank, Err(mux_lost(node)));
                 }
@@ -1433,7 +1401,7 @@ impl Session {
                     Err(mpsc::TryRecvError::Disconnected) => {
                         progressed = true;
                         let (k, n, _) = pending.remove(i);
-                        self.respawn(n);
+                        self.mux.reset_node(n);
                         self.note_node(n, false);
                         last = Some((k, Err(mux_lost(n))));
                     }
@@ -1479,11 +1447,7 @@ impl Session {
             let request = Request::Read { file: copy_file_id(file, rank), compute, l_s, r_s };
             let reply = match attempt.take() {
                 Some(reply) => reply,
-                None => {
-                    let reply = lock(&self.nodes[node]).call(&request);
-                    self.note_reply(node, &reply);
-                    reply
-                }
+                None => self.call(node, request.clone()),
             };
             let reply = match reply {
                 Err(NetError::Protocol(e))
@@ -1493,14 +1457,8 @@ impl Session {
                     // read: re-establish the copy and view from cached
                     // state (which also replays the daemon's journal) and
                     // retry once.
-                    match self.reestablish_copy(s, rank, compute, file) {
-                        Ok(()) => {
-                            let reply = lock(&self.nodes[node]).call(&request);
-                            self.note_reply(node, &reply);
-                            reply
-                        }
-                        Err(e) => Err(e),
-                    }
+                    self.reestablish_copy(s, rank, compute, file)
+                        .and_then(|()| self.call(node, request))
                 }
                 other => other,
             };
@@ -1590,11 +1548,7 @@ impl Session {
             let request = Request::Fetch { file: copy_file_id(file, rank) };
             let reply = match attempt.take() {
                 Some(reply) => reply,
-                None => {
-                    let reply = lock(&self.nodes[node]).call(&request);
-                    self.note_reply(node, &reply);
-                    reply
-                }
+                None => self.call(node, request.clone()),
             };
             let reply = match reply {
                 Err(NetError::Protocol(e))
@@ -1602,14 +1556,7 @@ impl Session {
                 {
                     // A restarted daemon forgot the copy: re-opening it
                     // replays the journal over the surviving bytes.
-                    match self.reopen_copy(s, rank, file) {
-                        Ok(()) => {
-                            let reply = lock(&self.nodes[node]).call(&request);
-                            self.note_reply(node, &reply);
-                            reply
-                        }
-                        Err(e) => Err(e),
-                    }
+                    self.reopen_copy(s, rank, file).and_then(|()| self.call(node, request))
                 }
                 other => other,
             };
@@ -1646,10 +1593,10 @@ impl Session {
     /// ones created by this session (the restart-recovery reopen path
     /// does require a session-created file).
     pub fn subfile(&mut self, file: u64, s: usize) -> Result<Vec<u8>, NetError> {
-        if s >= self.nodes.len() {
+        if s >= self.subfiles() {
             return Err(NetError::Usage(format!(
                 "subfile {s} out of range for {} I/O nodes",
-                self.nodes.len()
+                self.subfiles()
             )));
         }
         let rank = self.first_live_rank(s);
@@ -1660,21 +1607,21 @@ impl Session {
     /// failover, so tests and the scrub CLI can compare copies
     /// byte for byte.
     pub fn subfile_copy(&mut self, file: u64, s: usize, rank: usize) -> Result<Vec<u8>, NetError> {
-        if s >= self.nodes.len() || rank >= self.map.replicas() {
+        if s >= self.subfiles() || rank >= self.map.replicas() {
             return Err(NetError::Usage(format!(
                 "copy (subfile {s}, rank {rank}) out of range for {} nodes × {} replicas",
-                self.nodes.len(),
+                self.subfiles(),
                 self.map.replicas()
             )));
         }
         let node = self.map.node_for(s, rank);
         let request = Request::Fetch { file: copy_file_id(file, rank) };
-        let reply = match lock(&self.nodes[node]).call(&request) {
+        let reply = match self.call(node, request.clone()) {
             Err(NetError::Protocol(e))
                 if matches!(e.code, ErrCode::UnknownFile) && self.files.contains_key(&file) =>
             {
                 self.reopen_copy(s, rank, file)?;
-                lock(&self.nodes[node]).call(&request)?
+                self.call(node, request)?
             }
             other => other?,
         };
@@ -1767,7 +1714,7 @@ impl Session {
                 {
                     tries += 1;
                     backoff.sleep();
-                    reply = lock(&self.nodes[node]).call(&request);
+                    reply = self.call(node, request.clone());
                 }
                 Err(NetError::Protocol(ref e))
                     if matches!(e.code, ErrCode::UnknownFile)
@@ -1776,7 +1723,7 @@ impl Session {
                 {
                     tries += 1;
                     self.reopen_copy(s, rank, file)?;
-                    reply = lock(&self.nodes[node]).call(&request);
+                    reply = self.call(node, request.clone());
                 }
                 Err(e) => return Err(e),
             }
@@ -1786,17 +1733,17 @@ impl Session {
     /// Per-subfile statistics for `file`, one entry per I/O node. Works on
     /// any file the daemons host, not just ones created by this session.
     pub fn stat(&mut self, file: u64) -> Result<Vec<StatInfo>, NetError> {
-        let requests = (0..self.nodes.len())
+        let requests = (0..self.io_nodes())
             .map(|s| Outgoing { node: s, request: Request::Stat { file } })
             .collect();
-        let mut out = vec![StatInfo::default(); self.nodes.len()];
+        let mut out = vec![StatInfo::default(); self.io_nodes()];
         for (node, reply) in self.fan_out(requests) {
             let reply = match reply {
                 Err(NetError::Protocol(e))
                     if matches!(e.code, ErrCode::UnknownFile) && self.files.contains_key(&file) =>
                 {
                     self.reopen_copy(node, 0, file)?;
-                    lock(&self.nodes[node]).call(&Request::Stat { file })?
+                    self.call(node, Request::Stat { file })?
                 }
                 other => other?,
             };
@@ -1899,7 +1846,7 @@ impl Session {
         rank: usize,
     ) -> Result<(CopyHealth, Option<Vec<u8>>), NetError> {
         let node = self.map.node_for(s, rank);
-        match lock(&self.nodes[node]).call(&Request::Fetch { file: copy_file_id(file, rank) }) {
+        match self.call(node, Request::Fetch { file: copy_file_id(file, rank) }) {
             Ok(Reply::Data { payload }) => {
                 let crc = crc32c(&payload);
                 Ok((CopyHealth::Ok { crc, len: payload.len() as u64 }, Some(payload)))
@@ -1936,12 +1883,10 @@ impl Session {
         let node = self.map.node_for(s, rank);
         let copy = copy_file_id(file, rank);
         let len = bytes.len() as u64;
-        lock(&self.nodes[node]).expect_ok(&Request::Open {
-            file: copy,
-            subfile: s as u32,
-            len,
-            tenant: self.tenant,
-        })?;
+        self.call_ok(
+            node,
+            Request::Open { file: copy, subfile: s as u32, len, tenant: self.tenant },
+        )?;
         if len == 0 {
             return Ok(());
         }
@@ -1956,16 +1901,18 @@ impl Session {
             access.proj_sub.set.families().iter().map(RawFalls::from_nested).collect();
         let session = self.session_id;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut client = lock(&self.nodes[node]);
-        client.expect_ok(&Request::SetView {
-            file: copy,
-            compute: SCRUB_COMPUTE,
-            element: 0,
-            view: RawPattern::from_partition(&identity),
-            proj_set,
-            proj_period: access.proj_sub.period,
-        })?;
-        match client.call(&Request::Write {
+        self.call_ok(
+            node,
+            Request::SetView {
+                file: copy,
+                compute: SCRUB_COMPUTE,
+                element: 0,
+                view: RawPattern::from_partition(&identity),
+                proj_set,
+                proj_period: access.proj_sub.period,
+            },
+        )?;
+        let write = Request::Write {
             file: copy,
             compute: SCRUB_COMPUTE,
             l_s: 0,
@@ -1973,19 +1920,20 @@ impl Session {
             session,
             seq,
             payload: bytes.to_vec(),
-        })? {
+        };
+        match self.call(node, write)? {
             Reply::WriteOk { .. } => {}
             other => return Err(NetError::BadReply(format!("expected WriteOk, got {other:?}"))),
         }
-        client.expect_ok(&Request::Flush { file: copy })
+        self.call_ok(node, Request::Flush { file: copy })
     }
 
     /// Asks every daemon to shut down. Errors on unreachable daemons are
     /// reported but do not stop the sweep.
     pub fn shutdown_all(&mut self) -> Result<(), NetError> {
         let mut first_err = None;
-        for node in &self.nodes {
-            if let Err(e) = lock(node).call(&Request::Shutdown) {
+        for node in 0..self.io_nodes() {
+            if let Err(e) = self.call(node, Request::Shutdown) {
                 if first_err.is_none() {
                     first_err = Some(e);
                 }
@@ -2050,26 +1998,6 @@ mod tests {
         session.create_file(1, physical, 64).expect("create file");
         session.set_view(0, 1, &logical, 0).expect("set view");
         (handles, session)
-    }
-
-    #[test]
-    fn poisoned_node_mutex_does_not_wedge_the_session() {
-        let (mut handles, mut session) = two_node_session();
-        session.write(0, 1, 0, 31, &[0x11; 32]).expect("write before poisoning");
-        // Poison node 0's client mutex the way a panicking caller would.
-        let client = Arc::clone(&session.nodes[0]);
-        let _ = std::thread::spawn(move || {
-            let _guard = client.lock().unwrap();
-            panic!("poison the client mutex");
-        })
-        .join();
-        assert!(session.nodes[0].is_poisoned(), "the mutex must actually be poisoned");
-        session.write(0, 1, 0, 31, &[0x22; 32]).expect("write after poisoning still works");
-        assert_eq!(session.read(0, 1, 0, 31).expect("read back"), vec![0x22; 32]);
-        drop(session);
-        for h in &mut handles {
-            h.stop();
-        }
     }
 
     #[test]
@@ -2286,8 +2214,8 @@ mod tests {
     fn an_expired_deadline_fails_the_session_fast() {
         let (mut handles, mut session) = two_node_session();
         session.write(0, 1, 0, 31, &[0x11; 32]).expect("write without deadline");
-        // An already-expired deadline propagates to every node client and
-        // fails before touching the wire — and without feeding the
+        // An already-expired deadline rides every request and fails before
+        // touching the wire — and without feeding the
         // breakers (expiry says nothing about node health).
         session.set_deadline(Deadline::within(Duration::ZERO));
         let started = Instant::now();
@@ -2429,8 +2357,9 @@ mod tests {
         // copy on fast node 1. Without the drain the slow copy could still
         // be missing the write here.
         let fetch = |addr: &str, wire_id: u64| -> Vec<u8> {
-            let mut c = NodeClient::new(addr);
-            match c.call(&Request::Fetch { file: wire_id }).expect("fetch copy") {
+            let mux =
+                crate::mux::Mux::new(&[addr.to_string()], Arc::new(RetryBudget::for_session()));
+            match mux.call(0, Request::Fetch { file: wire_id }).expect("fetch copy") {
                 Reply::Data { payload } => payload,
                 other => panic!("expected Data, got {other:?}"),
             }

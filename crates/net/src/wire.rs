@@ -32,14 +32,15 @@ use std::io::{Read, Write};
 /// DESIGN.md §11 for the bump rules): a `(session, seq)` retry stamp on
 /// `Write`, a `replayed` flag on `WriteOk`, and the `Ping`/`Pong` health
 /// probe. Version 3 adds **chunked streaming** (DESIGN.md §13): the
-/// `WriteChunk`/`ReadChunk` requests, the `ChunkOk`/`DataChunk` replies,
-/// and a `max_chunk` capability field on `Pong` so clients can negotiate
-/// chunking down to monolithic frames against older daemons. Version 4 adds
-/// **resumable uploads and data checksums** (DESIGN.md §15): the
-/// `ResumeQuery` request and `ResumeAt` reply let a retried chunked write
-/// continue from the last chunk the daemon applied for a `(session, seq)`
-/// stamp instead of restarting at offset 0, and `Stat` grows a
-/// `checksum_errors` counter reporting CRC32C verification failures.
+/// `WriteChunk` request, the `ChunkOk` reply, and a `max_chunk` capability
+/// field on `Pong` so clients can negotiate chunking down to monolithic
+/// frames against older daemons (reads are always monolithic; opcodes
+/// `0x0B`/`0x86` of the retired read-side stream are refused as unknown).
+/// Version 4 adds **resumable uploads and data checksums** (DESIGN.md §15):
+/// the `ResumeQuery` request and `ResumeAt` reply let a retried chunked
+/// write continue from the last chunk the daemon applied for a
+/// `(session, seq)` stamp instead of restarting at offset 0, and `Stat`
+/// grows a `checksum_errors` counter reporting CRC32C verification failures.
 /// Version 5 adds **resilience** (DESIGN.md §16): every request payload is
 /// prefixed by a `deadline_ms` budget (`0` = none) that the daemon enforces
 /// before starting work, and the `Busy`/`Overloaded` replies let an
@@ -89,8 +90,6 @@ pub mod op {
     pub const PING: u8 = 0x09;
     /// One bounded chunk of a streamed scatter write (protocol ≥ 3).
     pub const WRITE_CHUNK: u8 = 0x0A;
-    /// Gather request answered as a stream of bounded chunks (protocol ≥ 3).
-    pub const READ_CHUNK: u8 = 0x0B;
     /// Where did my interrupted chunked write get to? (protocol ≥ 4).
     pub const WRITE_RESUME: u8 = 0x0C;
     /// Success, no payload.
@@ -105,8 +104,6 @@ pub mod op {
     pub const R_PONG: u8 = 0x84;
     /// Acknowledgment of one non-final write chunk (protocol ≥ 3).
     pub const R_CHUNK_OK: u8 = 0x85;
-    /// One bounded chunk of a streamed gather reply (protocol ≥ 3).
-    pub const R_DATA_CHUNK: u8 = 0x86;
     /// Answer to `WriteResume`: the offset a retried stream should resume
     /// from (protocol ≥ 4).
     pub const R_RESUME: u8 = 0x87;
@@ -116,6 +113,14 @@ pub mod op {
     pub const R_OVERLOADED: u8 = 0x89;
     /// Typed protocol error.
     pub const R_ERROR: u8 = 0xFF;
+
+    /// Whether `opcode` names a request. `0x0B` (the retired read-side
+    /// chunk stream) sits inside the numeric range but is refused like any
+    /// other unknown opcode.
+    #[must_use]
+    pub fn is_request(opcode: u8) -> bool {
+        matches!(opcode, OPEN..=WRITE_CHUNK | WRITE_RESUME)
+    }
 }
 
 /// Decoding failures (never panics, never reads out of bounds).
@@ -462,21 +467,6 @@ pub enum Request {
         /// This chunk's slice of the gathered payload.
         data: Vec<u8>,
     },
-    /// Gather the projected segments of `[l_s, r_s]`, streamed back as
-    /// `DataChunk` replies of at most `max_chunk` bytes each (protocol ≥ 3).
-    ReadChunk {
-        /// File identifier.
-        file: u64,
-        /// Compute node whose registered projection drives the gather.
-        compute: u32,
-        /// First subfile-linear offset.
-        l_s: u64,
-        /// Last subfile-linear offset.
-        r_s: u64,
-        /// Upper bound on each reply chunk's data length (the daemon may
-        /// answer with smaller chunks, never larger).
-        max_chunk: u32,
-    },
     /// Ask how far a previously interrupted chunked write for this
     /// `(session, seq)` stamp got (protocol ≥ 4). Answered with `ResumeAt`:
     /// offset 0 when the daemon has no partial progress recorded (including
@@ -507,7 +497,6 @@ impl Request {
             Request::Shutdown => op::SHUTDOWN,
             Request::Ping => op::PING,
             Request::WriteChunk { .. } => op::WRITE_CHUNK,
-            Request::ReadChunk { .. } => op::READ_CHUNK,
             Request::ResumeQuery { .. } => op::WRITE_RESUME,
         }
     }
@@ -623,13 +612,6 @@ impl Request {
                 out.push(u8::from(*last));
                 out.extend_from_slice(data);
             }
-            Request::ReadChunk { file, compute, l_s, r_s, max_chunk } => {
-                put_u64(out, *file);
-                put_u32(out, *compute);
-                put_u64(out, *l_s);
-                put_u64(out, *r_s);
-                put_u32(out, *max_chunk);
-            }
             Request::ResumeQuery { file, session, seq } => {
                 put_u64(out, *file);
                 put_u64(out, *session);
@@ -663,7 +645,7 @@ impl Request {
             // An unknown opcode is reported as such even when the payload is
             // shorter than the deadline prefix, so UnknownOp vs Malformed
             // diagnostics stay stable across versions.
-            if !(op::OPEN..=op::WRITE_RESUME).contains(&opcode) {
+            if !op::is_request(opcode) {
                 return Err(WireError::BadValue("opcode"));
             }
             let mut c = Cursor::new(payload);
@@ -738,13 +720,6 @@ impl Request {
                     data,
                 });
             }
-            op::READ_CHUNK if version >= 3 => Request::ReadChunk {
-                file: c.u64()?,
-                compute: c.u32()?,
-                l_s: c.u64()?,
-                r_s: c.u64()?,
-                max_chunk: c.u32()?,
-            },
             op::WRITE_RESUME if version >= 4 => {
                 Request::ResumeQuery { file: c.u64()?, session: c.u64()?, seq: c.u64()? }
             }
@@ -816,17 +791,6 @@ pub enum Reply {
         /// Echo of the acknowledged chunk's payload offset.
         offset: u64,
     },
-    /// One bounded chunk of a streamed gather (protocol ≥ 3). The daemon
-    /// answers a `ReadChunk` with one or more of these under the same
-    /// request id; `last` marks the final frame.
-    DataChunk {
-        /// Byte offset of `data` within the gathered payload.
-        offset: u64,
-        /// Whether this is the final chunk of the stream.
-        last: bool,
-        /// This chunk's slice of the gathered payload.
-        data: Vec<u8>,
-    },
     /// Answer to `ResumeQuery` (protocol ≥ 4).
     ResumeAt {
         /// Gathered-payload offset from which a retried chunked write for
@@ -864,7 +828,6 @@ impl Reply {
             Reply::Stat(_) => op::R_STAT,
             Reply::Pong { .. } => op::R_PONG,
             Reply::ChunkOk { .. } => op::R_CHUNK_OK,
-            Reply::DataChunk { .. } => op::R_DATA_CHUNK,
             Reply::ResumeAt { .. } => op::R_RESUME,
             Reply::Busy { .. } => op::R_BUSY,
             Reply::Overloaded { .. } => op::R_OVERLOADED,
@@ -910,11 +873,6 @@ impl Reply {
             Reply::ResumeAt { offset } => put_u64(out, *offset),
             Reply::Busy { retry_after_ms } | Reply::Overloaded { retry_after_ms } => {
                 put_u32(out, *retry_after_ms);
-            }
-            Reply::DataChunk { offset, last, data } => {
-                put_u64(out, *offset);
-                out.push(u8::from(*last));
-                out.extend_from_slice(data);
             }
             Reply::Stat(s) => {
                 put_u64(out, s.len);
@@ -971,15 +929,6 @@ impl Reply {
             op::R_RESUME if version >= 4 => Reply::ResumeAt { offset: c.u64()? },
             op::R_BUSY if version >= 5 => Reply::Busy { retry_after_ms: c.u32()? },
             op::R_OVERLOADED if version >= 5 => Reply::Overloaded { retry_after_ms: c.u32()? },
-            op::R_DATA_CHUNK if version >= 3 => {
-                let offset = c.u64()?;
-                let last = match c.take(1)?[0] {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::BadValue("last flag")),
-                };
-                return Ok(Reply::DataChunk { offset, last, data: c.rest() });
-            }
             op::R_DATA => return Ok(Reply::Data { payload: c.rest() }),
             op::R_STAT => Reply::Stat(StatInfo {
                 len: c.u64()?,
@@ -1066,44 +1015,11 @@ pub fn write_frame_at(
     w.flush()
 }
 
-/// A frame whose payload borrows a caller-owned scratch buffer — the
-/// allocation-free counterpart of [`Frame`] returned by [`read_frame_buf`].
-#[derive(Debug)]
-pub struct FrameView<'a> {
-    /// Protocol version byte.
-    pub version: u8,
-    /// Opcode byte.
-    pub opcode: u8,
-    /// Request id (echoed in the matching reply).
-    pub request_id: u64,
-    /// Payload bytes, borrowed from the scratch buffer.
-    pub payload: &'a [u8],
-}
-
 /// Reads one frame, enforcing the size budget.
 ///
 /// Returns [`FrameReadError::Closed`] only when the connection ends cleanly
 /// *between* frames; EOF in the middle of a frame is an I/O error.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Frame, FrameReadError> {
-    let mut scratch = Vec::new();
-    let view = read_frame_buf(r, max_frame, &mut scratch)?;
-    Ok(Frame {
-        version: view.version,
-        opcode: view.opcode,
-        request_id: view.request_id,
-        payload: view.payload.to_vec(),
-    })
-}
-
-/// [`read_frame`] into a caller-owned scratch buffer: the frame body lands
-/// in `scratch` (resized as needed, capacity retained across calls) and the
-/// returned [`FrameView`] borrows its payload from it, so a connection loop
-/// reads every frame through one recycled allocation.
-pub fn read_frame_buf<'a>(
-    r: &mut impl Read,
-    max_frame: u32,
-    scratch: &'a mut Vec<u8>,
-) -> Result<FrameView<'a>, FrameReadError> {
     let mut len_buf = [0u8; 4];
     // Distinguish "no next frame" (clean close) from "frame cut short".
     let mut got = 0usize;
@@ -1128,17 +1044,15 @@ pub fn read_frame_buf<'a>(
     if len < HEADER_LEN {
         return Err(FrameReadError::TooShort(len));
     }
-    scratch.resize(len as usize, 0);
-    r.read_exact(scratch).map_err(FrameReadError::Io)?;
-    let version = scratch[0];
-    let opcode = scratch[1];
+    let mut body = vec![0u8; len as usize];
+    r.read_exact(&mut body).map_err(FrameReadError::Io)?;
     let mut id_bytes = [0u8; 8];
-    id_bytes.copy_from_slice(&scratch[2..10]);
-    Ok(FrameView {
-        version,
-        opcode,
+    id_bytes.copy_from_slice(&body[2..10]);
+    Ok(Frame {
+        version: body[0],
+        opcode: body[1],
         request_id: u64::from_le_bytes(id_bytes),
-        payload: &scratch[10..],
+        payload: body.split_off(10),
     })
 }
 
@@ -1194,7 +1108,6 @@ mod tests {
                 last: true,
                 data: vec![9, 8, 7],
             },
-            Request::ReadChunk { file: 7, compute: 1, l_s: 0, r_s: 31, max_chunk: 4096 },
             Request::ResumeQuery { file: 7, session: 11, seq: 4 },
         ];
         for req in reqs {
@@ -1233,12 +1146,14 @@ mod tests {
     #[test]
     fn v2_frames_have_no_chunk_messages() {
         // Chunk opcodes are version-3 additions; v2 rejects them.
-        for opc in [op::WRITE_CHUNK, op::READ_CHUNK] {
-            assert_eq!(Request::decode_at(2, opc, &[0; 64]), Err(WireError::BadValue("opcode")));
-        }
-        for opc in [op::R_CHUNK_OK, op::R_DATA_CHUNK] {
-            assert_eq!(Reply::decode_at(2, opc, &[0; 16]), Err(WireError::BadValue("opcode")));
-        }
+        assert_eq!(
+            Request::decode_at(2, op::WRITE_CHUNK, &[0; 64]),
+            Err(WireError::BadValue("opcode"))
+        );
+        assert_eq!(
+            Reply::decode_at(2, op::R_CHUNK_OK, &[0; 16]),
+            Err(WireError::BadValue("opcode"))
+        );
         // A v2 Pong is just the epoch; decoding it as v2 leaves the
         // capability field at its "no chunking" default.
         let pong = Reply::Pong { epoch: 9, max_chunk: 4096 };
@@ -1346,8 +1261,6 @@ mod tests {
             Reply::WriteOk { written: 99, replayed: true },
             Reply::Pong { epoch: 77, max_chunk: 1 << 18 },
             Reply::ChunkOk { offset: 4096 },
-            Reply::DataChunk { offset: 0, last: false, data: b"xyz".to_vec() },
-            Reply::DataChunk { offset: 3, last: true, data: vec![] },
             Reply::ResumeAt { offset: 8192 },
             Reply::Busy { retry_after_ms: 25 },
             Reply::Overloaded { retry_after_ms: 100 },
@@ -1395,6 +1308,18 @@ mod tests {
     fn unknown_opcode_is_rejected() {
         assert_eq!(Request::decode(0x6F, &[]), Err(WireError::BadValue("opcode")));
         assert_eq!(Reply::decode(0x00, &[]), Err(WireError::BadValue("opcode")));
+        // The retired read-side chunk stream: inside the numeric ranges,
+        // refused at every version like any other unknown opcode.
+        for version in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
+            assert_eq!(
+                Request::decode_at(version, 0x0B, &[0; 64]),
+                Err(WireError::BadValue("opcode"))
+            );
+            assert_eq!(
+                Reply::decode_at(version, 0x86, &[0; 16]),
+                Err(WireError::BadValue("opcode"))
+            );
+        }
     }
 
     #[test]

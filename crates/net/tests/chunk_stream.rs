@@ -11,8 +11,23 @@ use arraydist::matrix::MatrixLayout;
 use parafile_audit::{RawElement, RawFalls, RawPattern};
 use parafile_net::server::{serve, DaemonConfig, DaemonHandle};
 use parafile_net::session::{BatchWrite, Session};
-use parafile_net::wire::{Reply, Request};
-use parafile_net::NodeClient;
+use parafile_net::wire::{Reply, Request, StatInfo};
+use parafile_net::{Mux, RetryBudget};
+use std::sync::Arc;
+
+/// A daemon advertising `max_chunk` as its chunk budget (`0` = no
+/// chunking: every write travels as one monolithic frame), and a
+/// one-node transport connected to it. The chunk size is the daemon's to
+/// choose; the client honours whatever `Pong` advertises.
+fn node(config: DaemonConfig) -> (DaemonHandle, Mux) {
+    let daemon = serve("127.0.0.1:0", config).expect("serve");
+    let mux = Mux::new(&[daemon.addr().to_string()], Arc::new(RetryBudget::for_session()));
+    (daemon, mux)
+}
+
+fn chunking(max_chunk: u32) -> DaemonConfig {
+    DaemonConfig { max_chunk, ..DaemonConfig::default() }
+}
 
 /// The striped view used throughout: element 0 owns bytes `[0,3]` of
 /// every 8-byte period, so transfers scatter/gather across disjoint
@@ -34,71 +49,74 @@ fn striped_view(file: u64) -> Request {
     }
 }
 
-fn open_with_view(client: &mut NodeClient, file: u64, len: u64) {
-    client.expect_ok(&Request::Open { file, subfile: 0, len, tenant: 0 }).expect("open");
-    client.expect_ok(&striped_view(file)).expect("set view");
+fn open_with_view(mux: &Mux, file: u64, len: u64) {
+    let open = Request::Open { file, subfile: 0, len, tenant: 0 };
+    assert_eq!(mux.call(0, open).expect("open"), Reply::Ok);
+    assert_eq!(mux.call(0, striped_view(file)).expect("set view"), Reply::Ok);
 }
 
-fn write(client: &mut NodeClient, file: u64, r_s: u64, stamp: (u64, u64), payload: &[u8]) -> Reply {
-    client
-        .call(&Request::Write {
-            file,
-            compute: 0,
-            l_s: 0,
-            r_s,
-            session: stamp.0,
-            seq: stamp.1,
-            payload: payload.to_vec(),
-        })
-        .expect("write")
+fn write(mux: &Mux, file: u64, r_s: u64, stamp: (u64, u64), payload: &[u8]) -> Reply {
+    let request = Request::Write {
+        file,
+        compute: 0,
+        l_s: 0,
+        r_s,
+        session: stamp.0,
+        seq: stamp.1,
+        payload: payload.to_vec(),
+    };
+    mux.call(0, request).expect("write")
 }
 
-fn read(client: &mut NodeClient, file: u64, l_s: u64, r_s: u64) -> Vec<u8> {
-    match client.call(&Request::Read { file, compute: 0, l_s, r_s }).expect("read") {
+fn read(mux: &Mux, file: u64, l_s: u64, r_s: u64) -> Vec<u8> {
+    match mux.call(0, Request::Read { file, compute: 0, l_s, r_s }).expect("read") {
         Reply::Data { payload } => payload,
         other => panic!("expected Data, got {other:?}"),
     }
 }
 
-fn fetch(client: &mut NodeClient, file: u64) -> Vec<u8> {
-    match client.call(&Request::Fetch { file }).expect("fetch") {
+fn fetch(mux: &Mux, file: u64) -> Vec<u8> {
+    match mux.call(0, Request::Fetch { file }).expect("fetch") {
         Reply::Data { payload } => payload,
         other => panic!("expected Data, got {other:?}"),
+    }
+}
+
+fn stat(mux: &Mux, file: u64) -> StatInfo {
+    match mux.call(0, Request::Stat { file }).expect("stat") {
+        Reply::Stat(s) => s,
+        other => panic!("expected Stat, got {other:?}"),
     }
 }
 
 /// A chunked write (chunk far smaller than the payload, boundaries
 /// misaligned with the 4-byte segment runs) lands the same bytes as the
-/// monolithic request, and the client's lazy capability probe records
-/// the daemon's advertised chunk budget on the way.
+/// monolithic request — and the daemon's own request counter shows the
+/// stream really was three `WriteChunk` frames, not one `Write`.
 #[test]
 fn chunked_write_matches_monolithic_byte_for_byte() {
-    let daemon = serve("127.0.0.1:0", DaemonConfig::default()).expect("serve");
-    let mut chunked = NodeClient::new(daemon.addr()).with_chunk(Some(3));
-    let mut mono = NodeClient::new(daemon.addr()).with_chunk(Some(0));
+    let (_chunked_daemon, chunked) = node(chunking(3));
+    let (_mono_daemon, mono) = node(chunking(0));
 
-    open_with_view(&mut chunked, 1, 16);
-    open_with_view(&mut mono, 2, 16);
+    open_with_view(&chunked, 1, 16);
+    open_with_view(&mono, 1, 16);
     let payload = [0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5, 0xA6, 0xA7];
     assert_eq!(
-        write(&mut chunked, 1, 15, (0, 0), &payload),
+        write(&chunked, 1, 15, (0, 0), &payload),
         Reply::WriteOk { written: 8, replayed: false }
     );
     assert_eq!(
-        write(&mut mono, 2, 15, (0, 0), &payload),
+        write(&mono, 1, 15, (0, 0), &payload),
         Reply::WriteOk { written: 8, replayed: false }
     );
 
-    assert_eq!(fetch(&mut mono, 1), fetch(&mut mono, 2), "chunked and monolithic bytes agree");
-    assert_eq!(
-        chunked.negotiated_version(),
-        parafile_net::wire::PROTOCOL_VERSION,
-        "fresh daemon speaks the current version"
-    );
-    assert!(
-        chunked.peer_max_chunk().unwrap_or(0) > 0,
-        "the probe recorded a non-zero chunk capability"
-    );
+    assert_eq!(fetch(&chunked, 1), fetch(&mono, 1), "chunked and monolithic bytes agree");
+    // Open + SetView + the write + the Fetch above (a Stat counts itself):
+    // the monolithic daemon served the write as one request, the chunked
+    // one as ⌈8/3⌉ = 3.
+    assert_eq!(stat(&mono, 1).requests, 5);
+    assert_eq!(stat(&chunked, 1).requests, 7);
+    assert_eq!(stat(&chunked, 1).bytes_written, 8, "the stream is counted as one write");
 }
 
 /// A stamped chunked write that repeats is answered from the dedup
@@ -106,71 +124,62 @@ fn chunked_write_matches_monolithic_byte_for_byte() {
 /// the stamp, so the stream replays without touching the store.
 #[test]
 fn chunked_write_replays_from_dedup_window() {
-    let daemon = serve("127.0.0.1:0", DaemonConfig::default()).expect("serve");
-    let mut client = NodeClient::new(daemon.addr()).with_chunk(Some(3));
-    open_with_view(&mut client, 5, 16);
+    let (_daemon, mux) = node(chunking(3));
+    open_with_view(&mux, 5, 16);
 
     assert_eq!(
-        write(&mut client, 5, 15, (0xC0FE, 9), &[0xAA; 8]),
+        write(&mux, 5, 15, (0xC0FE, 9), &[0xAA; 8]),
         Reply::WriteOk { written: 8, replayed: false }
     );
     // Same stamp, different bytes: the stream is acknowledged chunk by
     // chunk but the store keeps the first application.
     assert_eq!(
-        write(&mut client, 5, 15, (0xC0FE, 9), &[0xBB; 8]),
+        write(&mux, 5, 15, (0xC0FE, 9), &[0xBB; 8]),
         Reply::WriteOk { written: 8, replayed: true }
     );
-    let bytes = fetch(&mut client, 5);
+    let bytes = fetch(&mux, 5);
     for i in [0usize, 1, 2, 3, 8, 9, 10, 11] {
         assert_eq!(bytes[i], 0xAA, "replay did not overwrite byte {i}");
     }
 }
 
-/// A read whose projection is clipped at EOF, with a chunk size that
-/// puts the boundary mid-way through the EOF-partial run: the stream
-/// ends with a short final chunk and reassembles to exactly the
-/// monolithic reply.
+/// A chunked write whose projection is clipped at EOF, with a chunk size
+/// that puts the boundary mid-way through the EOF-partial run: the bytes
+/// land on the projected runs and read back whole.
 #[test]
 fn partial_read_at_eof_straddles_chunk_boundary() {
-    let daemon = serve("127.0.0.1:0", DaemonConfig::default()).expect("serve");
     // Subfile of 10 bytes under a period-8 stripe: the projection selects
     // {0,1,2,3} and the EOF-clipped {8,9} — six bytes across two runs.
-    let mut chunked = NodeClient::new(daemon.addr()).with_chunk(Some(5));
-    let mut mono = NodeClient::new(daemon.addr()).with_chunk(Some(0));
-    open_with_view(&mut chunked, 7, 10);
-
-    let payload = [1, 2, 3, 4, 5, 6];
-    assert_eq!(
-        write(&mut chunked, 7, 9, (0, 0), &payload),
-        Reply::WriteOk { written: 6, replayed: false }
-    );
-
     // Chunk 5 splits the six bytes 5+1: the first chunk swallows run
     // [0,3] plus the first byte of the EOF-partial run, the final chunk
     // is a single byte.
-    let streamed = read(&mut chunked, 7, 0, 9);
-    let whole = read(&mut mono, 7, 0, 9);
-    assert_eq!(streamed, payload, "streamed read reassembles the written bytes");
-    assert_eq!(streamed, whole, "chunked and monolithic reads agree at EOF");
+    let (_daemon, mux) = node(chunking(5));
+    open_with_view(&mux, 7, 10);
 
-    let sub = fetch(&mut mono, 7);
-    assert_eq!(sub, vec![1, 2, 3, 4, 0, 0, 0, 0, 5, 6], "bytes landed on the projected runs");
+    let payload = [1, 2, 3, 4, 5, 6];
+    assert_eq!(write(&mux, 7, 9, (0, 0), &payload), Reply::WriteOk { written: 6, replayed: false });
+    assert_eq!(read(&mux, 7, 0, 9), payload, "the read gathers the written bytes");
+    assert_eq!(
+        fetch(&mux, 7),
+        vec![1, 2, 3, 4, 0, 0, 0, 0, 5, 6],
+        "bytes landed on the projected runs"
+    );
 }
 
-/// Intervals whose projection selects nothing: the chunked read answers
-/// a single empty terminal chunk (`Data` with no payload) and an empty
-/// write acknowledges zero bytes — identical to the monolithic path.
+/// Intervals whose projection selects nothing: the read answers an empty
+/// `Data` and an empty write acknowledges zero bytes, chunking daemon or
+/// not.
 #[test]
 fn empty_projections_stream_as_a_single_terminal_chunk() {
-    let daemon = serve("127.0.0.1:0", DaemonConfig::default()).expect("serve");
-    let mut chunked = NodeClient::new(daemon.addr()).with_chunk(Some(2));
-    let mut mono = NodeClient::new(daemon.addr()).with_chunk(Some(0));
-    open_with_view(&mut chunked, 9, 16);
+    let (_chunked_daemon, chunked) = node(chunking(2));
+    let (_mono_daemon, mono) = node(chunking(0));
+    open_with_view(&chunked, 9, 16);
+    open_with_view(&mono, 9, 16);
 
     // [4,7] falls entirely in the other element's half of the period:
-    // zero projected bytes at the very start of the would-be stream.
-    assert_eq!(read(&mut chunked, 9, 4, 7), Vec::<u8>::new());
-    assert_eq!(read(&mut mono, 9, 4, 7), Vec::<u8>::new());
+    // zero projected bytes.
+    assert_eq!(read(&chunked, 9, 4, 7), Vec::<u8>::new());
+    assert_eq!(read(&mono, 9, 4, 7), Vec::<u8>::new());
     let empty_write = Request::Write {
         file: 9,
         compute: 0,
@@ -181,14 +190,14 @@ fn empty_projections_stream_as_a_single_terminal_chunk() {
         payload: Vec::new(),
     };
     assert_eq!(
-        chunked.call(&empty_write).expect("empty write"),
+        chunked.call(0, empty_write).expect("empty write"),
         Reply::WriteOk { written: 0, replayed: false }
     );
     // Reads beyond EOF clip to nothing rather than erroring.
     let past_eof = Request::Read { file: 9, compute: 0, l_s: 20, r_s: 40 };
     assert_eq!(
-        chunked.call(&past_eof).expect("chunked read past EOF"),
-        mono.call(&past_eof).expect("monolithic read past EOF"),
+        chunked.call(0, past_eof.clone()).expect("read past EOF"),
+        mono.call(0, past_eof).expect("read past EOF"),
     );
 }
 
@@ -252,21 +261,20 @@ fn session_write_batch_streams_against_small_daemon_chunk_cap() {
 /// Unstamped queries likewise answer 0.
 #[test]
 fn resume_query_after_completed_stream_answers_zero() {
-    let daemon = serve("127.0.0.1:0", DaemonConfig::default()).expect("serve");
-    let mut client = NodeClient::new(daemon.addr()).with_chunk(Some(2));
-    open_with_view(&mut client, 3, 16);
+    let (_daemon, mux) = node(chunking(2));
+    open_with_view(&mux, 3, 16);
     assert_eq!(
-        write(&mut client, 3, 15, (7, 4), &[0xD0; 8]),
+        write(&mux, 3, 15, (7, 4), &[0xD0; 8]),
         Reply::WriteOk { written: 8, replayed: false }
     );
     // The stamp completed: its progress entry is gone and the dedup
     // window holds the full write, so a resume would skip real work.
     assert_eq!(
-        client.call(&Request::ResumeQuery { file: 3, session: 7, seq: 4 }).expect("query"),
+        mux.call(0, Request::ResumeQuery { file: 3, session: 7, seq: 4 }).expect("query"),
         Reply::ResumeAt { offset: 0 }
     );
     assert_eq!(
-        client.call(&Request::ResumeQuery { file: 3, session: 0, seq: 0 }).expect("query"),
+        mux.call(0, Request::ResumeQuery { file: 3, session: 0, seq: 0 }).expect("query"),
         Reply::ResumeAt { offset: 0 }
     );
 }
@@ -279,10 +287,9 @@ fn resume_query_after_completed_stream_answers_zero() {
 #[test]
 fn mid_stream_chunk_with_mismatched_stamp_is_rejected() {
     use parafile_net::{ErrCode, NetError};
-    let daemon = serve("127.0.0.1:0", DaemonConfig::default()).expect("serve");
-    // Chunking disabled so raw WriteChunk frames pass through `call`.
-    let mut client = NodeClient::new(daemon.addr()).with_chunk(Some(0));
-    open_with_view(&mut client, 4, 16);
+    // Raw `WriteChunk` requests pass through `call` as plain frames.
+    let (_daemon, mux) = node(DaemonConfig::default());
+    open_with_view(&mux, 4, 16);
     let chunk = |session: u64, offset: u64, last: bool| Request::WriteChunk {
         file: 4,
         compute: 0,
@@ -301,49 +308,44 @@ fn mid_stream_chunk_with_mismatched_stamp_is_rejected() {
     };
     // No stream, no recorded progress: a mid-stream first frame for
     // stamp 99 cannot resume anything.
-    expect_malformed(client.call(&chunk(99, 4, false)), "unknown stamp");
+    expect_malformed(mux.call(0, chunk(99, 4, false)), "unknown stamp");
     // Start a genuine stream for stamp 9, then try to continue it with
     // stamp 88: the daemon has progress for (9,1) only, so (88,1) at the
     // matching offset is still refused.
-    assert_eq!(
-        client.call(&chunk(9, 0, false)).expect("first chunk"),
-        Reply::ChunkOk { offset: 0 }
-    );
-    expect_malformed(client.call(&chunk(88, 4, false)), "mismatched stamp");
+    assert_eq!(mux.call(0, chunk(9, 0, false)).expect("first chunk"), Reply::ChunkOk { offset: 0 });
+    expect_malformed(mux.call(0, chunk(88, 4, false)), "mismatched stamp");
     // The genuine owner finishes its stream unharmed after a reconnect
     // resume from its own recorded progress.
     assert_eq!(
-        client.call(&chunk(9, 4, true)).expect("final chunk"),
+        mux.call(0, chunk(9, 4, true)).expect("final chunk"),
         Reply::WriteOk { written: 8, replayed: false }
     );
 }
 
-/// A daemon capped at protocol v4 makes a v5 client step its ladder down
-/// transparently: calls succeed at v4, no deadline prefix or shed reply
-/// ever crosses the wire, and a bounded client deadline still works
+/// A daemon capped at protocol v4 makes a v6 client step its ladder down
+/// transparently: calls succeed (the daemon refuses every newer frame, so
+/// success *is* the downgrade), no deadline prefix or shed reply ever
+/// crosses the wire, and a bounded client deadline still works
 /// client-side (expiry is enforced locally even when it cannot be
 /// propagated).
 #[test]
 fn v5_client_falls_back_to_a_v4_daemon() {
     use parafile_net::{Deadline, ErrCode, NetError};
     use std::time::Duration;
-    let config = DaemonConfig { max_version: 4, ..DaemonConfig::default() };
-    let daemon = serve("127.0.0.1:0", config).expect("serve");
-    let mut client = NodeClient::new(daemon.addr()).with_chunk(Some(3));
-    open_with_view(&mut client, 6, 16);
+    let (_daemon, mux) = node(DaemonConfig { max_version: 4, ..chunking(3) });
+    open_with_view(&mux, 6, 16);
     let payload = [0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88];
     assert_eq!(
-        write(&mut client, 6, 15, (5, 2), &payload),
+        write(&mux, 6, 15, (5, 2), &payload),
         Reply::WriteOk { written: 8, replayed: false }
     );
-    assert_eq!(client.negotiated_version(), 4, "ladder stepped down to the daemon's cap");
-    assert_eq!(read(&mut client, 6, 0, 15), payload, "v4 data path works end to end");
+    assert_eq!(read(&mux, 6, 0, 15), payload, "v4 data path works end to end");
     // A live deadline is harmless at v4 (not propagated, not violated)…
-    client.set_deadline(Deadline::within(Duration::from_secs(30)));
-    assert_eq!(read(&mut client, 6, 0, 15), payload);
+    mux.set_deadline(Deadline::within(Duration::from_secs(30)));
+    assert_eq!(read(&mux, 6, 0, 15), payload);
     // …and an expired one still fails fast client-side.
-    client.set_deadline(Deadline::within(Duration::ZERO));
-    match client.call(&Request::Read { file: 6, compute: 0, l_s: 0, r_s: 15 }) {
+    mux.set_deadline(Deadline::within(Duration::ZERO));
+    match mux.call(0, Request::Read { file: 6, compute: 0, l_s: 0, r_s: 15 }) {
         Err(NetError::Protocol(e)) => assert_eq!(e.code, ErrCode::DeadlineExceeded),
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
@@ -361,19 +363,19 @@ fn interrupted_chunked_write_resumes_from_last_acked_chunk() {
     // capability probe, 4.. the chunk stream. Dropping frame 6 lands
     // mid-stream with two 2-byte chunks already applied and acked.
     let fault = FaultPlan { drop_once_after_frames: Some(6), ..FaultPlan::none() };
-    let config = DaemonConfig { fault: Some(fault), ..DaemonConfig::default() };
-    let daemon = serve("127.0.0.1:0", config).expect("serve");
-    let mut client = NodeClient::new(daemon.addr()).with_chunk(Some(2));
+    let (_daemon, mux) = node(DaemonConfig { fault: Some(fault), ..chunking(2) });
 
-    open_with_view(&mut client, 1, 32);
+    open_with_view(&mux, 1, 32);
     let payload: Vec<u8> = (0..16u8).map(|i| 0xB0 + i).collect();
     assert_eq!(
-        write(&mut client, 1, 31, (9, 1), &payload),
+        write(&mux, 1, 31, (9, 1), &payload),
         Reply::WriteOk { written: 16, replayed: false }
     );
-    assert!(
-        client.last_resume_offset() > 0,
-        "the retry resumed mid-stream instead of restarting at offset 0"
-    );
-    assert_eq!(read(&mut client, 1, 0, 31), payload, "resumed stream lands every byte");
+    assert_eq!(read(&mux, 1, 0, 31), payload, "resumed stream lands every byte");
+    // The daemon's request counter tells the two retry shapes apart. It
+    // served Open, SetView and chunks 0–1 before the drop (4), then the
+    // retry's ResumeQuery and the six remaining chunks (7), then the Read
+    // and this Stat (2). A retry from offset 0 would have sent all eight
+    // chunks again and no query: 14, not 13.
+    assert_eq!(stat(&mux, 1).requests, 13, "the retry resumed instead of restarting");
 }

@@ -200,6 +200,32 @@ fn wrong_version_gets_typed_error() {
     attack.assert_alive();
 }
 
+/// Opcode `0x0B` once opened a read-side chunk stream. It is retired:
+/// a well-formed old-style payload gets the standard `UnknownOp` error —
+/// not a stream, not a decode failure — and the connection stays usable.
+#[test]
+fn retired_read_stream_opcode_is_an_unknown_op() {
+    let attack = Attack::new();
+    let mut s = attack.connect();
+    // deadline prefix + (file, compute, l_s, r_s, max_chunk), as v3–v6
+    // clients used to frame it.
+    let mut payload = 0u32.to_le_bytes().to_vec();
+    payload.extend_from_slice(&7u64.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.extend_from_slice(&31u64.to_le_bytes());
+    payload.extend_from_slice(&4096u32.to_le_bytes());
+    wire::write_frame(&mut s, 0x0B, 11, &payload).expect("send retired opcode");
+    expect_error(&mut s, ErrCode::UnknownOp);
+    // Same connection, next frame: served normally.
+    let open = Request::Open { file: 6, subfile: 0, len: 8, tenant: 0 };
+    wire::write_frame(&mut s, open.opcode(), 12, &open.encode_payload()).expect("send open");
+    let frame = wire::read_frame(&mut s, DEFAULT_MAX_FRAME).expect("open reply");
+    assert_eq!(frame.request_id, 12);
+    assert!(matches!(Reply::decode(frame.opcode, &frame.payload), Ok(Reply::Ok)));
+    attack.assert_alive();
+}
+
 #[test]
 fn malicious_setview_trees_are_rejected_not_recursed() {
     use parafile_audit::RawFalls;

@@ -77,15 +77,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         (any::<u64>(), any::<u64>(), any::<u64>())
             .prop_map(|(file, session, seq)| { Request::ResumeQuery { file, session, seq } }),
         arb_write_chunk(0..64),
-        (any::<u64>(), any::<u32>(), any::<u64>(), any::<u64>(), any::<u32>()).prop_map(
-            |(file, compute, l_s, r_s, max_chunk)| Request::ReadChunk {
-                file,
-                compute,
-                l_s,
-                r_s,
-                max_chunk,
-            }
-        ),
     ]
 }
 
@@ -184,7 +175,6 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
             .prop_map(|(epoch, max_chunk)| Reply::Pong { epoch, max_chunk }),
         any::<u64>().prop_map(|offset| Reply::ChunkOk { offset }),
         any::<u64>().prop_map(|offset| Reply::ResumeAt { offset }),
-        arb_data_chunk(0..64),
         (arb_err_code(), 0usize..3, prop::collection::vec(any::<u8>(), 0..12)).prop_map(
             |(code, n_pa, msg)| Reply::Error(ProtocolError {
                 code,
@@ -193,12 +183,6 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
             })
         ),
     ]
-}
-
-/// A `DataChunk` with its data length drawn from `sizes`.
-fn arb_data_chunk(sizes: std::ops::Range<usize>) -> impl Strategy<Value = Reply> {
-    (any::<u64>(), any::<bool>(), prop::collection::vec(any::<u8>(), sizes))
-        .prop_map(|(offset, last, data)| Reply::DataChunk { offset, last, data })
 }
 
 // ---------------------------------------------------------------------------
@@ -231,16 +215,10 @@ proptest! {
     fn chunk_frames_roundtrip_at_boundary_sizes(
         req in arb_write_chunk(0..2),
         big in arb_write_chunk(4095..4098),
-        reply in arb_data_chunk(0..2),
-        big_reply in arb_data_chunk(4095..4098),
     ) {
         for r in [req, big] {
             let payload = r.encode_payload_at(3);
             prop_assert_eq!(Request::decode_at(3, r.opcode(), &payload), Ok(r));
-        }
-        for r in [reply, big_reply] {
-            let payload = r.encode_payload_at(3);
-            prop_assert_eq!(Reply::decode_at(3, r.opcode(), &payload), Ok(r));
         }
     }
 }
@@ -290,18 +268,14 @@ proptest! {
     /// bytes follow them.
     #[test]
     fn chunk_opcodes_rejected_below_v3(version in 1u8..=2, bytes in prop::collection::vec(any::<u8>(), 0..128)) {
-        for opc in [op::WRITE_CHUNK, op::READ_CHUNK] {
-            prop_assert_eq!(
-                Request::decode_at(version, opc, &bytes),
-                Err(WireError::BadValue("opcode"))
-            );
-        }
-        for opc in [op::R_CHUNK_OK, op::R_DATA_CHUNK] {
-            prop_assert_eq!(
-                Reply::decode_at(version, opc, &bytes),
-                Err(WireError::BadValue("opcode"))
-            );
-        }
+        prop_assert_eq!(
+            Request::decode_at(version, op::WRITE_CHUNK, &bytes),
+            Err(WireError::BadValue("opcode"))
+        );
+        prop_assert_eq!(
+            Reply::decode_at(version, op::R_CHUNK_OK, &bytes),
+            Err(WireError::BadValue("opcode"))
+        );
     }
 
     /// The v4-only resume opcodes are likewise rejected on v1–v3

@@ -18,12 +18,24 @@ use parafile_net::fault::Direction;
 use parafile_net::server::{serve, DaemonConfig};
 use parafile_net::session::Session;
 use parafile_net::wire::{Reply, Request};
-use parafile_net::{chaos_proxy, FaultPlan, NodeClient, NodeHealth, TruncateFault};
+use parafile_net::{chaos_proxy, FaultPlan, Mux, NodeHealth, RetryBudget, TruncateFault};
 
 use arraydist::matrix::MatrixLayout;
 use clusterfile::StorageBackend;
 use parafile_audit::{RawElement, RawFalls, RawPattern};
 use std::path::PathBuf;
+use std::sync::Arc;
+
+/// A one-node transport to `addr`.
+fn connect(addr: &str) -> Mux {
+    Mux::new(&[addr.to_string()], Arc::new(RetryBudget::for_session()))
+}
+
+fn open_with_view(mux: &Mux, file: u64) {
+    let open = Request::Open { file, subfile: 0, len: SUB_LEN, tenant: 0 };
+    assert_eq!(mux.call(0, open).expect("open"), Reply::Ok);
+    assert_eq!(mux.call(0, striped_view(file)).expect("set view"), Reply::Ok);
+}
 
 /// Subfile length used throughout: two 8-byte tiling periods.
 const SUB_LEN: u64 = 16;
@@ -72,15 +84,15 @@ fn expected_subfile(fill: u8) -> Vec<u8> {
     v
 }
 
-fn fetch(client: &mut NodeClient, file: u64) -> Vec<u8> {
-    match client.call(&Request::Fetch { file }).expect("fetch") {
+fn fetch(mux: &Mux, file: u64) -> Vec<u8> {
+    match mux.call(0, Request::Fetch { file }).expect("fetch") {
         Reply::Data { payload } => payload,
         other => panic!("expected Data, got {other:?}"),
     }
 }
 
-fn bytes_written(client: &mut NodeClient, file: u64) -> u64 {
-    match client.call(&Request::Stat { file }).expect("stat") {
+fn bytes_written(mux: &Mux, file: u64) -> u64 {
+    match mux.call(0, Request::Stat { file }).expect("stat") {
         Reply::Stat(s) => s.bytes_written,
         other => panic!("expected Stat, got {other:?}"),
     }
@@ -102,19 +114,18 @@ fn scratch_dir(name: &str) -> PathBuf {
 fn mid_frame_disconnect_during_write_upload_applies_exactly_once() {
     let file = 1u64;
     let daemon = serve("127.0.0.1:0", DaemonConfig::default()).expect("serve");
-    // Frame 3 of the first proxied connection is the Write (after Open and
-    // SetView); forward 20 bytes of it — header plus a sliver of payload —
-    // then sever.
+    // Frame 4 of the first proxied connection is the Write (after Open,
+    // SetView and the one-time Ping capability probe); forward 20 bytes of
+    // it — header plus a sliver of payload — then sever.
     let plan = FaultPlan {
-        truncate: Some(TruncateFault { frame: 3, keep: 20, dir: Direction::ClientToServer }),
+        truncate: Some(TruncateFault { frame: 4, keep: 20, dir: Direction::ClientToServer }),
         ..FaultPlan::none()
     };
     let mut proxy = chaos_proxy("127.0.0.1:0", daemon.addr(), plan).expect("proxy");
-    let mut client = NodeClient::new(proxy.addr());
+    let mux = connect(proxy.addr());
 
-    client.expect_ok(&Request::Open { file, subfile: 0, len: SUB_LEN, tenant: 0 }).expect("open");
-    client.expect_ok(&striped_view(file)).expect("set view");
-    let reply = client.call(&stamped_write(file, 77, 1, 0xAB)).expect("write survives torn frame");
+    open_with_view(&mux, file);
+    let reply = mux.call(0, stamped_write(file, 77, 1, 0xAB)).expect("write survives torn frame");
     assert_eq!(
         reply,
         Reply::WriteOk { written: 8, replayed: false },
@@ -122,7 +133,7 @@ fn mid_frame_disconnect_during_write_upload_applies_exactly_once() {
     );
 
     // Re-sending the same stamp is answered from the dedup window.
-    let reply = client.call(&stamped_write(file, 77, 1, 0xCD)).expect("replay");
+    let reply = mux.call(0, stamped_write(file, 77, 1, 0xCD)).expect("replay");
     assert_eq!(
         reply,
         Reply::WriteOk { written: 8, replayed: true },
@@ -131,8 +142,8 @@ fn mid_frame_disconnect_during_write_upload_applies_exactly_once() {
 
     // Exactly once, physically: the bytes are the first write's, and the
     // daemon counted them exactly once.
-    assert_eq!(fetch(&mut client, file), expected_subfile(0xAB));
-    assert_eq!(bytes_written(&mut client, file), 8, "stored bytes counted once");
+    assert_eq!(fetch(&mux, file), expected_subfile(0xAB));
+    assert_eq!(bytes_written(&mux, file), 8, "stored bytes counted once");
     proxy.stop();
 }
 
@@ -192,28 +203,26 @@ fn dedup_window_eviction_under_sequence_wraparound() {
     let session = 3u64;
     let config = DaemonConfig { dedup_window: 2, ..Default::default() };
     let daemon = serve("127.0.0.1:0", config).expect("serve");
-    let mut client = NodeClient::new(daemon.addr());
-    client.expect_ok(&Request::Open { file, subfile: 0, len: SUB_LEN, tenant: 0 }).expect("open");
-    client.expect_ok(&striped_view(file)).expect("set view");
+    let mux = connect(daemon.addr());
+    open_with_view(&mux, file);
 
-    let call = |client: &mut NodeClient, seq: u64, fill: u8| {
-        client.call(&stamped_write(file, session, seq, fill)).expect("write")
-    };
+    let call =
+        |seq: u64, fill: u8| mux.call(0, stamped_write(file, session, seq, fill)).expect("write");
 
     // A client at the top of the sequence space…
-    assert_eq!(call(&mut client, u64::MAX - 1, 1), Reply::WriteOk { written: 8, replayed: false });
+    assert_eq!(call(u64::MAX - 1, 1), Reply::WriteOk { written: 8, replayed: false });
     // …replays while the stamp is still in the window…
-    assert_eq!(call(&mut client, u64::MAX - 1, 2), Reply::WriteOk { written: 8, replayed: true });
-    assert_eq!(call(&mut client, u64::MAX, 3), Reply::WriteOk { written: 8, replayed: false });
+    assert_eq!(call(u64::MAX - 1, 2), Reply::WriteOk { written: 8, replayed: true });
+    assert_eq!(call(u64::MAX, 3), Reply::WriteOk { written: 8, replayed: false });
     // …then wraps around. The new stamp evicts the oldest (MAX-1).
-    assert_eq!(call(&mut client, 1, 4), Reply::WriteOk { written: 8, replayed: false });
+    assert_eq!(call(1, 4), Reply::WriteOk { written: 8, replayed: false });
     // The evicted stamp is forgotten: re-sending it applies fresh instead
     // of answering a stale replay.
-    assert_eq!(call(&mut client, u64::MAX - 1, 5), Reply::WriteOk { written: 8, replayed: false });
-    assert_eq!(fetch(&mut client, file), expected_subfile(5));
+    assert_eq!(call(u64::MAX - 1, 5), Reply::WriteOk { written: 8, replayed: false });
+    assert_eq!(fetch(&mux, file), expected_subfile(5));
     // A replay never rewrites: the store keeps the latest application.
-    assert_eq!(call(&mut client, 1, 6), Reply::WriteOk { written: 8, replayed: true });
-    assert_eq!(fetch(&mut client, file), expected_subfile(5));
+    assert_eq!(call(1, 6), Reply::WriteOk { written: 8, replayed: true });
+    assert_eq!(fetch(&mux, file), expected_subfile(5));
 
     // Unstamped writes (session 0 — what a v1 client sends) never enter
     // the window: identical repeats always re-apply.
@@ -227,15 +236,15 @@ fn dedup_window_eviction_under_sequence_wraparound() {
         payload: vec![fill; 8],
     };
     assert_eq!(
-        client.call(&unstamped(7)).expect("unstamped"),
+        mux.call(0, unstamped(7)).expect("unstamped"),
         Reply::WriteOk { written: 8, replayed: false }
     );
     assert_eq!(
-        client.call(&unstamped(8)).expect("unstamped repeat"),
+        mux.call(0, unstamped(8)).expect("unstamped repeat"),
         Reply::WriteOk { written: 8, replayed: false },
         "unstamped writes are never deduplicated"
     );
-    assert_eq!(fetch(&mut client, file), expected_subfile(8));
+    assert_eq!(fetch(&mux, file), expected_subfile(8));
 }
 
 /// Chunked streaming must not change the fault-tolerance story: under
@@ -318,7 +327,7 @@ mod chunked_chaos {
     impl Drop for ChaosNode {
         fn drop(&mut self) {
             self.stop.store(true, Ordering::SeqCst);
-            let _ = NodeClient::new(&self.addr).call(&Request::Shutdown);
+            let _ = connect(&self.addr).call(0, Request::Shutdown);
             if let Some(t) = self.supervisor.take() {
                 let _ = t.join();
             }

@@ -10,7 +10,7 @@
 //! pf plan    <a.json> <b.json> [--stats] # plan summary (+ cache counters)
 //! pf plan --stats                        # cache counters only (incl. persistent tier)
 //! pf plan --purge                        # drop the persistent plan-cache file
-//! pf serve   <addr> [--dir DIR] [--chaos SPEC] [--scrub SECS] [--workers N] [--tenant-quota N] [--no-fair]  # run an I/O-node daemon
+//! pf serve   <addr> [--dir DIR] [--chaos SPEC] [--scrub SECS] [--workers N] [--tenant-quota N] [--no-fair]  # run an I/O-node daemon (N-thread worker pool, default 2)
 //! pf chaos   <listen> <up1[,up2,…]> <SPEC> [--duration SECS] [--delay MS]  # fault proxy
 //! pf io <a1,a2,…> demo <n> [--pipeline] [--replicas R] [--tenant T]  # matrix scenario over real daemons
 //! pf io <a1,a2,…> work <reads> [--deadline MS] [--replicas R] [--tenant T]  # deadline-bounded read workload
@@ -48,11 +48,12 @@
 //! to cold compiles — never an error.
 //!
 //! `pf io … --tenant T` stamps every `Open` with tenant id `T` (protocol
-//! ≥ 6). A reactor daemon (`pf serve --workers N`) dispatches queued
-//! frames per-tenant with deficit round robin and, with
+//! ≥ 6). `pf serve` dispatches queued frames per-tenant with deficit
+//! round robin over its `--workers N` pool (default 2) and, with
 //! `--tenant-quota N`, sheds a tenant's frames beyond N in flight;
 //! `--no-fair` reverts to the single FIFO (one hot tenant can starve the
-//! rest — see the serving bench).
+//! rest — see the serving bench). Every flag applies to every daemon:
+//! there is one serving model.
 //!
 //! Partition files use the JSON forms documented in the `pf-tools` library;
 //! pass `-` to read from stdin.
@@ -317,15 +318,15 @@ fn run(args: &[String]) -> Result<(), ToolError> {
                         config.scrub_interval = Some(std::time::Duration::from_secs(secs));
                     }
                     "--workers" => {
-                        // 0 = classic thread-per-connection; N > 0 = the
-                        // epoll/poll reactor with an N-thread worker pool.
+                        // Size of the frame-executing worker pool behind
+                        // the event loop (0 is clamped to 1).
                         config.workers =
                             parse_u64(rest.next().ok_or_else(usage)?, "--workers")? as usize;
                     }
                     "--tenant-quota" => {
                         // Frames one tenant may hold in flight before its
-                        // excess is shed with Busy (reactor mode only;
-                        // tenant 0 — anonymous — is never metered).
+                        // excess is shed with Busy (tenant 0 — anonymous —
+                        // is never metered).
                         config.tenant_inflight =
                             parse_u64(rest.next().ok_or_else(usage)?, "--tenant-quota")? as usize;
                     }
@@ -470,8 +471,8 @@ fn run(args: &[String]) -> Result<(), ToolError> {
                 // onto a column-block file, every node writes its view, the
                 // reassembled file must match what was written. With
                 // `--pipeline`, each view write is issued as a batch of
-                // slices so the persistent node workers overlap the
-                // per-node transfers (DESIGN.md §13).
+                // slices so the session transport pipelines the per-node
+                // transfers (DESIGN.md §13).
                 "demo" => {
                     let n = parse_u64(rest.get(2).ok_or_else(usage)?, "matrix dim")?;
                     let pipeline = rest[2..].iter().any(|a| *a == "--pipeline");
@@ -498,7 +499,7 @@ fn run(args: &[String]) -> Result<(), ToolError> {
                         let data: Vec<u8> = (0..len).map(|y| (m.unmap(y) % 251) as u8).collect();
                         if pipeline {
                             // One slice per row block: the whole view goes
-                            // out as pipelined ops through the node workers.
+                            // out as pipelined ops on each node's connection.
                             let slice = (len / nodes).max(1);
                             let batch: Vec<parafile_net::BatchWrite<'_>> = (0..len)
                                 .step_by(slice as usize)

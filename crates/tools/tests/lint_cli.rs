@@ -132,7 +132,6 @@ fn source_mode_runs_clean_over_the_repo_hot_paths() {
     let hot_paths = [
         "net/src/server.rs",
         "net/src/session.rs",
-        "net/src/client.rs",
         "net/src/proto.rs",
         "clusterfile/src/journal.rs",
     ];

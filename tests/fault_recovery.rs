@@ -18,7 +18,7 @@ use parafile_audit::{RawElement, RawFalls, RawPattern};
 use parafile_net::server::{serve, DaemonConfig, DaemonHandle};
 use parafile_net::session::Session;
 use parafile_net::wire::{Reply, Request};
-use parafile_net::{ErrCode, FaultPlan, NetError, NodeClient, NodeHealth, SegmentOutcome};
+use parafile_net::{ErrCode, FaultPlan, Mux, NetError, NodeHealth, RetryBudget, SegmentOutcome};
 use pf_tests::file_byte;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,6 +28,11 @@ use std::time::Duration;
 
 const COMPUTE_NODES: usize = 4;
 const IO_NODES: usize = 4;
+
+/// A one-node transport to `addr`.
+fn connect(addr: &str) -> Mux {
+    Mux::new(&[addr.to_string()], Arc::new(RetryBudget::for_session()))
+}
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pf_chaos_{}_{name}", std::process::id()));
@@ -87,7 +92,7 @@ impl ChaosNode {
 
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        let _ = NodeClient::new(&self.addr).call(&Request::Shutdown);
+        let _ = connect(&self.addr).call(0, Request::Shutdown);
         if let Some(t) = self.supervisor.take() {
             let _ = t.join();
         }
@@ -228,7 +233,10 @@ fn write_retried_across_daemon_restart_applies_exactly_once() {
         .expect("some seed tears the first write");
     let dir = scratch_dir("torn_once");
     let mut node = ChaosNode::spawn(dir.clone(), FaultPlan::torn_write(seed));
-    let mut client = NodeClient::new(&node.addr);
+    let mux = connect(&node.addr);
+    let ok = |request: &Request, what: &str| {
+        assert_eq!(mux.call(0, request.clone()).expect(what), Reply::Ok, "{what}");
+    };
 
     let file = 7100u64;
     let sub_len = 16u64;
@@ -259,12 +267,12 @@ fn write_retried_across_daemon_restart_applies_exactly_once() {
         payload: vec![0x5A; 8],
     };
 
-    client.expect_ok(&open).expect("open");
-    client.expect_ok(&view).expect("set view");
+    ok(&open, "open");
+    ok(&view, "set view");
     // First attempt: journal + one segment + crash, no reply. The client's
     // transparent retry reaches the restarted daemon, which has forgotten
     // the file entirely.
-    let err = client.call(&stamped).expect_err("the restarted daemon forgot the file");
+    let err = mux.call(0, stamped.clone()).expect_err("the restarted daemon forgot the file");
     match err {
         NetError::Protocol(e) => assert_eq!(e.code, ErrCode::UnknownFile, "{e:?}"),
         other => panic!("expected UnknownFile from the restarted daemon, got {other}"),
@@ -272,9 +280,9 @@ fn write_retried_across_daemon_restart_applies_exactly_once() {
 
     // Recovery: re-open (journal replay + dedup repopulation), re-ship the
     // view, re-send the *same* stamp.
-    client.expect_ok(&open).expect("re-open recovers the journal");
-    client.expect_ok(&view).expect("re-ship view");
-    let reply = client.call(&stamped).expect("retried write");
+    ok(&open, "re-open recovers the journal");
+    ok(&view, "re-ship view");
+    let reply = mux.call(0, stamped).expect("retried write");
     assert_eq!(
         reply,
         Reply::WriteOk { written: 8, replayed: true },
@@ -283,7 +291,7 @@ fn write_retried_across_daemon_restart_applies_exactly_once() {
 
     // Exactly once, physically: both segments hold the payload (the torn
     // second segment was healed by journal replay, not by a re-apply)…
-    let bytes = match client.call(&Request::Fetch { file }).expect("fetch") {
+    let bytes = match mux.call(0, Request::Fetch { file }).expect("fetch") {
         Reply::Data { payload } => payload,
         other => panic!("expected Data, got {other:?}"),
     };
@@ -293,7 +301,7 @@ fn write_retried_across_daemon_restart_applies_exactly_once() {
     }
     assert_eq!(bytes, expect, "journal replay healed the torn write");
     // …and the restarted daemon never counted a fresh application.
-    match client.call(&Request::Stat { file }).expect("stat") {
+    match mux.call(0, Request::Stat { file }).expect("stat") {
         Reply::Stat(s) => {
             assert_eq!(s.bytes_written, 0, "the restarted daemon applied nothing anew")
         }

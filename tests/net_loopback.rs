@@ -12,10 +12,9 @@
 use arraydist::matrix::MatrixLayout;
 use clusterfile::{Clusterfile, ClusterfileConfig, StorageBackend, WritePolicy};
 use parafile::{Mapper, Partition};
-use parafile_net::client::NodeClient;
 use parafile_net::session::{spawn_loopback, Session};
 use parafile_net::wire::{Reply, Request};
-use parafile_net::{ErrCode, NetError};
+use parafile_net::{ErrCode, Mux, NetError, RetryBudget};
 use pf_tests::file_byte;
 
 const COMPUTE_NODES: usize = 4;
@@ -158,9 +157,10 @@ fn partial_reads_and_short_writes_at_subfile_boundaries() {
 fn audit_rejects_bad_view_patterns_over_the_socket() {
     use parafile_audit::{RawElement, RawFalls, RawPattern};
     let (_daemons, addrs) = nodes();
-    let mut client = NodeClient::new(&addrs[0]);
+    let mux = Mux::new(&addrs[..1], std::sync::Arc::new(RetryBudget::for_session()));
     let file = 3000u64;
-    client.expect_ok(&Request::Open { file, subfile: 0, len: 64, tenant: 0 }).expect("open");
+    let open = Request::Open { file, subfile: 0, len: 64, tenant: 0 };
+    assert!(matches!(mux.call(0, open), Ok(Reply::Ok)), "open");
 
     // Two elements claiming the same bytes: PA overlap, error severity.
     let overlapping = RawPattern {
@@ -178,7 +178,7 @@ fn audit_rejects_bad_view_patterns_over_the_socket() {
         proj_set: vec![RawFalls::leaf(0, 7, 8, 1)],
         proj_period: 8,
     };
-    let err = client.call(&req).expect_err("rejected");
+    let err = mux.call(0, req).expect_err("rejected");
     match err {
         NetError::Protocol(e) => {
             assert_eq!(e.code, ErrCode::PatternRejected);
@@ -189,8 +189,7 @@ fn audit_rejects_bad_view_patterns_over_the_socket() {
     }
 
     // The rejected view was not installed: accessing it still says NoView.
-    let err =
-        client.call(&Request::Read { file, compute: 0, l_s: 0, r_s: 7 }).expect_err("no view");
+    let err = mux.call(0, Request::Read { file, compute: 0, l_s: 0, r_s: 7 }).expect_err("no view");
     match err {
         NetError::Protocol(e) => assert_eq!(e.code, ErrCode::NoView),
         other => panic!("expected NoView, got {other}"),
@@ -212,7 +211,7 @@ fn audit_rejects_bad_view_patterns_over_the_socket() {
         proj_set: vec![RawFalls::leaf(0, 3, 8, 1)],
         proj_period: 8,
     };
-    assert!(matches!(client.call(&req), Ok(Reply::Ok)));
+    assert!(matches!(mux.call(0, req), Ok(Reply::Ok)));
 }
 
 /// Concurrent sessions (one per compute node, like the paper's concurrent
@@ -254,9 +253,12 @@ fn concurrent_sessions_write_disjoint_views() {
     }
 }
 
-/// A tenanted workload against a reactor daemon with the per-tenant
-/// inflight quota at its tightest (1): quota sheds surface as Busy, the
-/// session's retry machinery absorbs them, and every byte still lands.
+/// A tenanted workload against a daemon with the per-tenant inflight
+/// quota at its tightest (1): quota sheds surface as Busy, the session's
+/// retry machinery absorbs them, and every byte still lands. The layout is
+/// one node, so the `set_view` and the read are single-target requests:
+/// they travel on the connection whose `Open` announced tenant 42 — the
+/// session has no other — and meet the quota like the writes do.
 #[test]
 fn tenant_quota_sheds_are_absorbed_by_retries() {
     let n = 16u64;
@@ -281,6 +283,41 @@ fn tenant_quota_sheds_are_absorbed_by_retries() {
     let written = s.write(0, file, 0, file_len - 1, &data).expect("write under quota");
     assert_eq!(written, file_len);
     assert_eq!(s.read(0, file, 0, file_len - 1).expect("read back"), data);
+    drop(s);
+    daemon.stop();
+}
+
+/// One `Session` is one connection per node — pinned by the daemon's own
+/// admission limit, not a counter: with `max_connections: 1` a second
+/// connection from the same session would be shed `Overloaded` and the
+/// request riding it would burn ~750 ms of retry ladder before failing
+/// `Busy`. Single-target requests (the matching-view `set_view`, `write`
+/// and `read` of a one-node layout) are exactly the ones that used to take
+/// a side channel.
+#[test]
+fn a_session_is_one_connection_per_node() {
+    let n = 16u64;
+    let file_len = n * n;
+    let config =
+        parafile_net::DaemonConfig { max_connections: 1, ..parafile_net::DaemonConfig::default() };
+    let mut daemon = parafile_net::serve("127.0.0.1:0", config).expect("spawn daemon");
+    let addrs = vec![daemon.addr().to_string()];
+    let layout = MatrixLayout::ColumnBlocks.partition(n, n, 1, 1);
+    let file = 5200u64;
+    let started = std::time::Instant::now();
+    let mut s = Session::connect(&addrs);
+    s.create_file(file, layout.clone(), file_len).expect("create");
+    s.set_view(0, file, &layout, 0).expect("perfectly matching view");
+    let data: Vec<u8> = (0..file_len).map(file_byte).collect();
+    assert_eq!(s.write(0, file, 0, file_len - 1, &data).expect("write"), file_len);
+    assert_eq!(s.read(0, file, 0, file_len - 1).expect("read back"), data);
+    assert_eq!(s.stat(file).expect("stat")[0].bytes_written, file_len);
+    s.flush(file).expect("flush");
+    assert!(
+        started.elapsed() < std::time::Duration::from_millis(500),
+        "nothing was shed and retried: {:?}",
+        started.elapsed()
+    );
     drop(s);
     daemon.stop();
 }
