@@ -75,6 +75,7 @@ impl SourceConfig {
                 "net/src/proto.rs",
                 "clusterfile/src/journal.rs",
                 "clusterfile/src/checksum.rs",
+                "core/src/crc.rs",
                 "replica/src/lib.rs",
             ]),
             bounded_only: own(&["net/src/session.rs"]),

@@ -27,7 +27,7 @@
 
 use crate::storage::{StorageBackend, SubfileStore};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{IoSlice, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 /// Journal format version written in the header.
@@ -39,29 +39,26 @@ const MAGIC: [u8; 5] = [b'P', b'F', b'W', b'J', JOURNAL_VERSION];
 /// Marker byte opening every record.
 const RECORD_MARKER: u8 = 0xA5;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
-    let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+/// CRC-32 (IEEE 802.3 polynomial, reflected) — the journal's record
+/// checksum, computed by the workspace's shared kernel.
+pub use parafile::crc::crc32_ieee as crc32;
+
+/// Everything of a record that precedes its payload bytes: marker, body
+/// length, retry stamp, segment list and payload CRC.
+fn encode_header(session: u64, seq: u64, segments: &[(u64, u64)], payload: &[u8]) -> Vec<u8> {
+    let body_len = 8 + 8 + 4 + 16 * segments.len() + 4 + payload.len();
+    let mut out = Vec::with_capacity(1 + 4 + body_len - payload.len());
+    out.push(RECORD_MARKER);
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    out.extend_from_slice(&session.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
+    for &(off, len) in segments {
+        out.extend_from_slice(&off.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
     }
-    !c
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out
 }
 
 /// One scatter write's full intent, as journaled before application.
@@ -84,19 +81,9 @@ impl IntentRecord {
         self.segments.iter().map(|&(_, len)| len).sum()
     }
 
+    #[cfg(test)]
     fn encode(&self) -> Vec<u8> {
-        let body_len = 8 + 8 + 4 + 16 * self.segments.len() + 4 + self.payload.len();
-        let mut out = Vec::with_capacity(1 + 4 + body_len);
-        out.push(RECORD_MARKER);
-        out.extend_from_slice(&(body_len as u32).to_le_bytes());
-        out.extend_from_slice(&self.session.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
-        for &(off, len) in &self.segments {
-            out.extend_from_slice(&off.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        out.extend_from_slice(&crc32(&self.payload).to_le_bytes());
+        let mut out = encode_header(self.session, self.seq, &self.segments, &self.payload);
         out.extend_from_slice(&self.payload);
         out
     }
@@ -217,13 +204,35 @@ impl Journal {
     /// a crash at any point during the matching scatter writes is
     /// recoverable by replay.
     pub fn append(&mut self, record: &IntentRecord) -> std::io::Result<()> {
+        self.append_intent(record.session, record.seq, &record.segments, &record.payload)
+    }
+
+    /// [`append`](Journal::append) without an owned [`IntentRecord`]: the
+    /// payload is written straight from the caller's slice (a daemon's
+    /// frame buffer), so a bulk message is neither copied into a record
+    /// nor into an encode buffer. Same bytes on disk, same single sync.
+    pub fn append_intent(
+        &mut self,
+        session: u64,
+        seq: u64,
+        segments: &[(u64, u64)],
+        payload: &[u8],
+    ) -> std::io::Result<()> {
         match self {
             Journal::Disabled => Ok(()),
             Journal::File { file, len, .. } => {
-                let bytes = record.encode();
-                file.write_all(&bytes)?;
+                let header = encode_header(session, seq, segments, payload);
+                // One vectored write in the common case; a short count
+                // falls back to plain writes of what is left.
+                let n = file.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)])?;
+                if n < header.len() {
+                    file.write_all(&header[n..])?;
+                    file.write_all(payload)?;
+                } else {
+                    file.write_all(&payload[n - header.len()..])?;
+                }
                 file.sync_data()?;
-                *len += bytes.len() as u64;
+                *len += (header.len() + payload.len()) as u64;
                 Ok(())
             }
         }
@@ -444,6 +453,63 @@ mod tests {
         let second = journal.recover(&mut store).unwrap();
         assert_eq!(second.replayed, 0, "checkpointed records do not replay again");
         assert_eq!(store.read_at(2, 4).unwrap(), vec![0x5C; 4]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    /// A record as the bytewise-CRC builds wrote it, field by field.
+    fn old_format_record(session: u64, seq: u64, segs: &[(u64, u64)], payload: &[u8]) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend_from_slice(&session.to_le_bytes());
+        body.extend_from_slice(&seq.to_le_bytes());
+        body.extend_from_slice(&(segs.len() as u32).to_le_bytes());
+        for &(off, len) in segs {
+            body.extend_from_slice(&off.to_le_bytes());
+            body.extend_from_slice(&len.to_le_bytes());
+        }
+        body.extend_from_slice(
+            &crate::checksum::tests::bytewise_crc(0xEDB8_8320, payload).to_le_bytes(),
+        );
+        body.extend_from_slice(payload);
+        let mut out = vec![RECORD_MARKER];
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&body);
+        out
+    }
+
+    #[test]
+    fn journal_written_with_a_bytewise_crc_replays_and_appends_are_byte_identical() {
+        let (backend, dir) = temp_backend("fixture");
+        let mut store = SubfileStore::create(&backend, 6, 0, 64).unwrap();
+        let payload: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
+        let complete = old_format_record(3, 9, &[(0, 8), (32, 4)], &payload[..12]);
+        let torn = old_format_record(3, 10, &[(16, 8)], &payload[12..20]);
+        let mut image = MAGIC.to_vec();
+        image.extend_from_slice(&complete);
+        image.extend_from_slice(&torn[..torn.len() - 3]);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("file6_subfile0.journal"), &image).unwrap();
+
+        let mut journal = Journal::open(&backend, 6, 0).unwrap();
+        let report = journal.recover(&mut store).unwrap();
+        assert_eq!((report.replayed, report.discarded), (1, 1));
+        assert_eq!(report.dedup, vec![(3, 9, 12)]);
+        assert_eq!(store.read_at(0, 8).unwrap(), payload[..8]);
+        assert_eq!(store.read_at(32, 4).unwrap(), payload[8..12]);
+        assert_eq!(store.read_at(16, 8).unwrap(), vec![0; 8], "torn intent never applied");
+
+        // Both append entry points put exactly the old bytes on disk.
+        let big = old_format_record(1, 2, &[(0, 40)], &payload[..40]);
+        journal.append_intent(3, 9, &[(0, 8), (32, 4)], &payload[..12]).unwrap();
+        journal
+            .append(&IntentRecord {
+                session: 1,
+                seq: 2,
+                segments: vec![(0, 40)],
+                payload: payload[..40].to_vec(),
+            })
+            .unwrap();
+        assert_eq!(journal.len(), (MAGIC.len() + complete.len() + big.len()) as u64);
+        let on_disk = std::fs::read(dir.join("file6_subfile0.journal")).unwrap();
+        assert_eq!(on_disk, [&MAGIC[..], &complete, &big].concat());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

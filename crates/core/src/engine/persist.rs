@@ -31,6 +31,7 @@
 //! previous complete image or a stale temp file, never a torn cache.
 
 use super::{RedistKey, ViewKey};
+use crate::crc::crc32c;
 use crate::plan::{CopyRun, PairPlan, RedistributionPlan};
 use crate::redist::{Intersection, Projection, SubfileAccess, ViewPlan};
 use falls::{Falls, NestedFalls, NestedSet};
@@ -53,35 +54,6 @@ const MAX_TREE_NODES: usize = 65_536;
 /// runs) — far above anything a real plan produces, small enough that a
 /// corrupt length cannot drive a huge allocation.
 const MAX_ITEMS: usize = 1 << 20;
-
-// ---------------------------------------------------------------------------
-// CRC32C (Castagnoli), table-driven. The implementation in `clusterfile`
-// cannot be used here — the dependency points the other way — so the
-// store carries its own copy of the standard algorithm.
-
-fn crc32c_table() -> &'static [u32; 256] {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ 0x82F6_3B78 } else { crc >> 1 };
-            }
-            *slot = crc;
-        }
-        table
-    })
-}
-
-fn crc32c(data: &[u8]) -> u32 {
-    let table = crc32c_table();
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------------
 // Little-endian codec helpers
@@ -670,6 +642,10 @@ mod tests {
         entries.insert(key, encode_view_plan(&plan));
         let image = build_image(&entries);
         assert_eq!(parse_image(&image).expect("parse").len(), 1);
+        // The header CRC is the one a bytewise CRC32C writes: cache files
+        // from builds that predate the shared kernel load unchanged.
+        let reference = crate::crc::bytewise(crate::crc::CASTAGNOLI, &image[HEADER_LEN..]);
+        assert_eq!(image[HEADER_LEN - 4..HEADER_LEN], reference.to_le_bytes());
         // Bit flip anywhere in the payload breaks the checksum.
         let mut flipped = image.clone();
         let last = flipped.len() - 1;

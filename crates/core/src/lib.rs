@@ -26,7 +26,8 @@
 //! * [`matching`] — quantitative *matching degree* metrics between two
 //!   partitions (the paper's §9 future work);
 //! * [`ncube`] — nCube-style address-bit-permutation mappings, the related
-//!   work our general mapping functions subsume.
+//!   work our general mapping functions subsume;
+//! * [`crc`] — the CRC-32 kernel behind every checksummed on-disk format.
 //!
 //! # Quickstart
 //!
@@ -53,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod crc;
 pub mod engine;
 pub mod mapping;
 pub mod matching;

@@ -33,7 +33,7 @@ use crate::wire::{
     op, raw_to_set, Reply, Request, StatInfo, DEFAULT_MAX_FRAME, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
 };
-use clusterfile::{ChecksumMap, IntentRecord, Journal, StorageBackend, SubfileStore};
+use clusterfile::{ChecksumMap, Journal, StorageBackend, SubfileStore};
 use parafile::redist::Projection;
 use parafile_audit::{audit_pattern, AuditConfig, Severity};
 use std::collections::{HashMap, VecDeque};
@@ -702,6 +702,9 @@ pub fn serve(addr: &str, config: DaemonConfig) -> std::io::Result<DaemonHandle> 
     Ok(DaemonHandle { addr: client_addr, shared, accept_thread: Some(accept_thread), scrub_thread })
 }
 
+/// Pages the background scrub verifies per `store`/`sums` acquisition.
+const SCRUB_WINDOW_PAGES: usize = 256;
+
 /// The daemon-side scrub hook: at each interval, verify every hosted
 /// subfile against its page checksum map, counting mismatches into
 /// `Stat.checksum_errors`. Detection only — a `pf scrub` client reads the
@@ -731,11 +734,21 @@ fn scrub_loop(shared: &Shared, interval: Duration) {
             if shared.stopping.load(Ordering::SeqCst) {
                 return;
             }
-            let mut store = lock(&slot.store);
-            if let Ok(bad) = lock(&slot.sums).verify_all(&mut store) {
-                if bad > 0 {
-                    slot.stats.checksum_errors.fetch_add(bad, Ordering::Relaxed);
+            // One window per lock acquisition: a foreground read or write
+            // waits for at most SCRUB_WINDOW_PAGES pages of verification,
+            // never for the whole subfile. Writes landing between windows
+            // keep store and map consistent under the same two locks.
+            let mut page = 0usize;
+            while !shared.stopping.load(Ordering::SeqCst) {
+                let mut store = lock(&slot.store);
+                if page as u64 * clusterfile::CHECKSUM_PAGE >= store.len() {
+                    break;
                 }
+                let verdict = lock(&slot.sums).verify_pages(&mut store, page, SCRUB_WINDOW_PAGES);
+                drop(store);
+                let Ok(bad) = verdict else { break };
+                slot.stats.checksum_errors.fetch_add(bad, Ordering::Relaxed);
+                page += SCRUB_WINDOW_PAGES;
             }
         }
     }
@@ -881,26 +894,22 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
                     return Reply::WriteOk { written: 0, replayed: false };
                 }
                 let r_c = r_s.min(len - 1);
-                let segs = proj.segments_between(l_s, r_c);
-                let expect: u64 = segs.iter().map(|s| s.len()).sum();
+                let runs: Vec<(u64, u64)> =
+                    proj.segments_between(l_s, r_c).iter().map(|s| (s.l(), s.len())).collect();
+                let expect: u64 = runs.iter().map(|&(_, n)| n).sum();
                 if (payload.len() as u64) < expect {
                     return Reply::Error(ProtocolError::new(
                         ErrCode::SizeMismatch,
                         format!("payload holds {} bytes, projection needs {expect}", payload.len()),
                     ));
                 }
+                let body = &payload[..expect as usize];
                 // Journal the full intent before the first store byte moves
                 // (write-ahead): a crash mid-scatter replays from here.
                 {
                     let mut journal = lock(&slot.journal);
                     if journal.is_enabled() {
-                        let record = IntentRecord {
-                            session,
-                            seq,
-                            segments: segs.iter().map(|s| (s.l(), s.len())).collect(),
-                            payload: payload[..expect as usize].to_vec(),
-                        };
-                        if let Err(e) = journal.append(&record) {
+                        if let Err(e) = journal.append_intent(session, seq, &runs, body) {
                             return Reply::Error(ProtocolError::new(
                                 ErrCode::Internal,
                                 format!("journal append: {e}"),
@@ -910,20 +919,18 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
                     }
                 }
                 let torn = shared.fault.as_ref().is_some_and(FaultInjector::on_write_torn)
-                    && !segs.is_empty();
+                    && !runs.is_empty();
                 let scatter = if torn {
                     // Injected crash after the first applied segment: the
                     // subfile is torn, the journaled intent is not.
                     // the frame executor suppresses the reply; recovery on
                     // the next Open must heal the remaining segments.
-                    let first = &segs[0];
-                    store.write_at(first.l(), &payload[..first.len() as usize])
+                    let (off0, n0) = runs[0];
+                    store.write_at(off0, &body[..n0 as usize])
                 } else {
                     // Scatter straight from the frame payload, adjacent
                     // segment runs coalesced into single positioned writes.
-                    store
-                        .scatter(segs.iter().map(|s| (s.l(), s.len())), &payload[..expect as usize])
-                        .map(|_| ())
+                    store.scatter(runs.iter().copied(), body).map(|_| ())
                 };
                 if let Err(e) = scatter {
                     return Reply::Error(ProtocolError::new(
@@ -934,23 +941,20 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
                 if torn {
                     return Reply::WriteOk { written: expect, replayed: false };
                 }
-                // Refresh the page checksums the scatter touched (a torn
-                // write skips this: the daemon "crashed", and the next
-                // Open rebuilds the map from the recovered bytes).
-                {
-                    let mut sums = lock(&slot.sums);
-                    for s in &segs {
-                        if let Err(e) = sums.record_write(&mut store, s.l(), s.len()) {
-                            return Reply::Error(ProtocolError::new(
-                                ErrCode::Internal,
-                                format!("checksum update: {e}"),
-                            ));
-                        }
-                    }
+                // Refresh the page checksums the scatter touched, once per
+                // message: each page is recomputed once, from the frame
+                // payload where a run covers it whole (a torn write skips
+                // this: the daemon "crashed", and the next Open rebuilds
+                // the map from the recovered bytes).
+                if let Err(e) = lock(&slot.sums).record_runs(&mut store, &runs, Some(body)) {
+                    return Reply::Error(ProtocolError::new(
+                        ErrCode::Internal,
+                        format!("checksum update: {e}"),
+                    ));
                 }
                 lock(&slot.dedup).insert(session, seq, expect);
                 slot.stats.bytes_written.fetch_add(expect, Ordering::Relaxed);
-                slot.stats.fragments.fetch_add(segs.len() as u64, Ordering::Relaxed);
+                slot.stats.fragments.fetch_add(runs.len() as u64, Ordering::Relaxed);
                 Reply::WriteOk { written: expect, replayed: false }
             })
         }
@@ -962,43 +966,26 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
                     return Reply::Data { payload: Vec::new() };
                 }
                 let r_c = r_s.min(len - 1);
-                let segs = proj.segments_between(l_s, r_c);
-                // Verify the stored pages before serving them: a mismatch
-                // is answered as ChecksumMismatch so a replicated client
-                // fails over to another copy and queues this one for
-                // repair instead of propagating silent corruption.
-                {
-                    let sums = lock(&slot.sums);
-                    let mut bad = 0u64;
-                    for s in &segs {
-                        match sums.verify_range(&mut store, s.l(), s.len()) {
-                            Ok(n) => bad += n,
-                            Err(e) => {
-                                return Reply::Error(ProtocolError::new(
-                                    ErrCode::Internal,
-                                    format!("checksum verify: {e}"),
-                                ))
-                            }
-                        }
-                    }
-                    if bad > 0 {
-                        slot.stats.checksum_errors.fetch_add(bad, Ordering::Relaxed);
+                let runs: Vec<(u64, u64)> =
+                    proj.segments_between(l_s, r_c).iter().map(|s| (s.l(), s.len())).collect();
+                // Verify the stored pages and gather from them in one pass
+                // over the same bytes: a mismatch is answered as
+                // ChecksumMismatch (nothing is shipped) so a replicated
+                // client fails over to another copy and queues this one
+                // for repair instead of propagating silent corruption.
+                let mut out = Vec::new();
+                match lock(&slot.sums).read_verified(&mut store, &runs, &mut out) {
+                    Ok(0) => {}
+                    Ok(bad) => return checksum_mismatch(slot, bad),
+                    Err(e) => {
                         return Reply::Error(ProtocolError::new(
-                            ErrCode::ChecksumMismatch,
-                            format!("{bad} page(s) failed CRC32C verification"),
-                        ));
+                            ErrCode::Internal,
+                            format!("verified read: {e}"),
+                        ))
                     }
-                }
-                let mut out = Vec::with_capacity(segs.iter().map(|s| s.len() as usize).sum());
-                // Gather with adjacent runs coalesced into single reads.
-                if let Err(e) = store.gather(segs.iter().map(|s| (s.l(), s.len())), &mut out) {
-                    return Reply::Error(ProtocolError::new(
-                        ErrCode::Internal,
-                        format!("gather read: {e}"),
-                    ));
                 }
                 slot.stats.bytes_read.fetch_add(out.len() as u64, Ordering::Relaxed);
-                slot.stats.fragments.fetch_add(segs.len() as u64, Ordering::Relaxed);
+                slot.stats.fragments.fetch_add(runs.len() as u64, Ordering::Relaxed);
                 Reply::Data { payload: out }
             })
         }
@@ -1052,21 +1039,13 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
                 let mut store = lock(&slot.store);
                 // Fetch is the scrub driver's copy-health probe: a full
                 // verification failure marks this copy Corrupt remotely.
-                match lock(&slot.sums).verify_all(&mut store) {
-                    Ok(0) => {}
-                    Ok(bad) => {
-                        slot.stats.checksum_errors.fetch_add(bad, Ordering::Relaxed);
-                        return Reply::Error(ProtocolError::new(
-                            ErrCode::ChecksumMismatch,
-                            format!("{bad} page(s) failed CRC32C verification"),
-                        ));
-                    }
-                    Err(e) => {
-                        return Reply::Error(ProtocolError::new(ErrCode::Internal, e.to_string()))
-                    }
-                }
-                match store.read_all() {
-                    Ok(payload) => Reply::Data { payload },
+                // It returns the whole subfile, so it is one critical
+                // section (and one pass over the bytes), not windows.
+                let whole = [(0, store.len())];
+                let mut payload = Vec::new();
+                match lock(&slot.sums).read_verified(&mut store, &whole, &mut payload) {
+                    Ok(0) => Reply::Data { payload },
+                    Ok(bad) => checksum_mismatch(&slot, bad),
                     Err(e) => Reply::Error(ProtocolError::new(ErrCode::Internal, e.to_string())),
                 }
             }
@@ -1191,6 +1170,16 @@ fn handle_open(shared: &Shared, file: u64, subfile: u32, len: u64) -> Reply {
     slot.stats.requests.fetch_add(1, Ordering::Relaxed);
     files.insert(file, slot);
     Reply::Ok
+}
+
+/// Counts `bad` mismatching pages against the slot and builds the refusal
+/// that makes a replicated client fail over to another copy.
+fn checksum_mismatch(slot: &FileSlot, bad: u64) -> Reply {
+    slot.stats.checksum_errors.fetch_add(bad, Ordering::Relaxed);
+    Reply::Error(ProtocolError::new(
+        ErrCode::ChecksumMismatch,
+        format!("{bad} page(s) failed CRC32C verification"),
+    ))
 }
 
 fn lookup(shared: &Shared, file: u64) -> Result<Arc<FileSlot>, ProtocolError> {
@@ -1433,14 +1422,8 @@ fn handle_write_chunk(shared: &Shared, state: &mut Option<ChunkWrite>, request: 
             let journaled: Result<(), ProtocolError> = {
                 let mut journal = lock(&slot.journal);
                 if journal.is_enabled() && (!sub.is_empty() || (last && session != 0)) {
-                    let record = IntentRecord {
-                        session: stamp.0,
-                        seq: stamp.1,
-                        segments: sub.clone(),
-                        payload: data[..apply_n as usize].to_vec(),
-                    };
                     journal
-                        .append(&record)
+                        .append_intent(stamp.0, stamp.1, &sub, &data[..apply_n as usize])
                         .map(|()| {
                             slot.journal_pending.fetch_add(apply_n, Ordering::Relaxed);
                         })
@@ -1469,12 +1452,11 @@ fn handle_write_chunk(shared: &Shared, state: &mut Option<ChunkWrite>, request: 
                     ProtocolError::new(ErrCode::Internal, format!("scatter write: {e}"))
                 })?;
                 if !torn {
-                    let mut sums = lock(&slot.sums);
-                    for &(off, n) in &sub {
-                        sums.record_write(&mut store, off, n).map_err(|e| {
+                    lock(&slot.sums)
+                        .record_runs(&mut store, &sub, Some(&data[..apply_n as usize]))
+                        .map_err(|e| {
                             ProtocolError::new(ErrCode::Internal, format!("checksum update: {e}"))
                         })?;
-                    }
                 }
                 *applied += apply_n;
                 if last && !torn {

@@ -1,0 +1,165 @@
+//! The daemon's per-message integrity path, end to end over loopback: the
+//! page checksum map a fragmented write leaves behind must be the one a
+//! rebuild from the stored bytes gives, on-disk rot must still turn the
+//! next read into `ChecksumMismatch`, and the background scrub must count
+//! exactly the bad pages while walking a subfile in windows.
+
+use clusterfile::{ChecksumMap, StorageBackend, SubfileStore, CHECKSUM_PAGE};
+use parafile_audit::{RawElement, RawFalls, RawPattern};
+use parafile_net::server::{serve, DaemonConfig, DaemonHandle};
+use parafile_net::wire::{Reply, Request, StatInfo};
+use parafile_net::{ErrCode, Mux, NetError, RetryBudget};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pf_integrity_{}_{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+fn disk_node(dir: &Path, scrub_interval: Option<Duration>) -> (DaemonHandle, Mux) {
+    let config = DaemonConfig {
+        backend: StorageBackend::Directory(dir.to_path_buf()),
+        scrub_interval,
+        ..DaemonConfig::default()
+    };
+    let daemon = serve("127.0.0.1:0", config).expect("serve");
+    let mux = Mux::new(&[daemon.addr().to_string()], Arc::new(RetryBudget::for_session()));
+    (daemon, mux)
+}
+
+fn stat(mux: &Mux, file: u64) -> StatInfo {
+    match mux.call(0, Request::Stat { file }).expect("stat") {
+        Reply::Stat(s) => s,
+        other => panic!("expected Stat, got {other:?}"),
+    }
+}
+
+/// Flips one byte of the stored subfile behind the daemon's back.
+fn rot(path: &Path, at: u64) {
+    let mut bytes = std::fs::read(path).expect("read stored subfile");
+    bytes[at as usize] ^= 0x01;
+    std::fs::write(path, &bytes).expect("write rotten subfile");
+}
+
+/// A 64 KiB write through a `CYCLIC(129)` view lands as 509 fragments over
+/// 32 pages — each page touched by some 16 of them. After `Flush`, the
+/// sidecar the daemon wrote must be byte-identical to one rebuilt from the
+/// subfile bytes, and rot introduced afterwards must still be caught.
+#[test]
+fn fragmented_write_leaves_the_sidecar_a_rebuild_would() {
+    const FILE: u64 = 3;
+    const LEN: u64 = 140_000;
+    let dir = scratch_dir("cyclic129");
+    let (mut daemon, mux) = disk_node(&dir, None);
+    assert_eq!(
+        mux.call(0, Request::Open { file: FILE, subfile: 0, len: LEN, tenant: 0 }).expect("open"),
+        Reply::Ok
+    );
+    let view = Request::SetView {
+        file: FILE,
+        compute: 0,
+        element: 0,
+        view: RawPattern {
+            displacement: 0,
+            elements: vec![
+                RawElement::new(vec![RawFalls::leaf(0, 128, 258, 1)]),
+                RawElement::new(vec![RawFalls::leaf(129, 257, 258, 1)]),
+            ],
+        },
+        proj_set: vec![RawFalls::leaf(0, 128, 258, 1)],
+        proj_period: 258,
+    };
+    assert_eq!(mux.call(0, view).expect("set view"), Reply::Ok);
+
+    // 508 whole fragments and 4 bytes of the 509th: exactly 64 KiB.
+    let payload: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8 ^ 0x5A).collect();
+    let r_s = 508 * 258 + 3;
+    let write = Request::Write {
+        file: FILE,
+        compute: 0,
+        l_s: 0,
+        r_s,
+        session: 0,
+        seq: 0,
+        payload: payload.clone(),
+    };
+    assert_eq!(
+        mux.call(0, write).expect("write"),
+        Reply::WriteOk { written: 64 * 1024, replayed: false }
+    );
+    assert_eq!(stat(&mux, FILE).fragments, 509);
+    assert_eq!(mux.call(0, Request::Flush { file: FILE }).expect("flush"), Reply::Ok);
+
+    // Rebuild a sidecar from the stored bytes in a directory of its own.
+    let stored = dir.join(format!("file{FILE}_subfile0.bin"));
+    let rebuilt_dir = scratch_dir("cyclic129_rebuilt");
+    let backend = StorageBackend::Directory(rebuilt_dir.clone());
+    let mut copy = SubfileStore::create(&backend, FILE as usize, 0, LEN).expect("copy store");
+    copy.write_at(0, &std::fs::read(&stored).expect("stored bytes")).expect("copy bytes");
+    let rebuilt = ChecksumMap::for_store(&backend, FILE as usize, 0, &mut copy, false)
+        .expect("rebuild the map");
+    rebuilt.flush().expect("write the rebuilt sidecar");
+    let sidecar = format!("file{FILE}_subfile0.crc");
+    assert_eq!(
+        std::fs::read(dir.join(&sidecar)).expect("daemon sidecar"),
+        std::fs::read(rebuilt_dir.join(&sidecar)).expect("rebuilt sidecar"),
+    );
+
+    let read = |l_s, r_s| mux.call(0, Request::Read { file: FILE, compute: 0, l_s, r_s });
+    assert_eq!(read(0, r_s).expect("clean read"), Reply::Data { payload });
+    // Rot a byte of page 5 that belongs to the *other* view element: the
+    // page is verified whole, so a read through it must refuse ...
+    rot(&stored, 5 * CHECKSUM_PAGE + 300);
+    match read(0, r_s) {
+        Err(NetError::Protocol(e)) => assert_eq!(e.code, ErrCode::ChecksumMismatch, "{e:?}"),
+        other => panic!("expected ChecksumMismatch, got {other:?}"),
+    }
+    assert_eq!(stat(&mux, FILE).checksum_errors, 1, "one bad page, counted once");
+    // ... while a read that stays inside page 0 is still served.
+    assert!(matches!(read(0, 1000), Ok(Reply::Data { .. })));
+
+    drop(mux);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&rebuilt_dir);
+}
+
+/// The scrub walks a subfile 256 pages per lock acquisition. One tick over
+/// a subfile of two windows and a tail, with rot on both sides of each
+/// window seam, must add exactly the number of bad pages to
+/// `Stat.checksum_errors`.
+#[test]
+fn windowed_scrub_counts_each_bad_page_once() {
+    const FILE: u64 = 4;
+    const PAGES: u64 = 2 * 256 + 3;
+    let dir = scratch_dir("scrub");
+    // Long enough that the second tick is far away when the first is read.
+    let interval = Duration::from_millis(1500);
+    let (mut daemon, mux) = disk_node(&dir, Some(interval));
+    let len = PAGES * CHECKSUM_PAGE - 1000;
+    assert_eq!(
+        mux.call(0, Request::Open { file: FILE, subfile: 0, len, tenant: 0 }).expect("open"),
+        Reply::Ok
+    );
+    let stored = dir.join(format!("file{FILE}_subfile0.bin"));
+    let bad_pages = [0, 255, 256, 511, 512, PAGES - 1];
+    for page in bad_pages {
+        rot(&stored, page * CHECKSUM_PAGE + 17);
+    }
+    let started = Instant::now();
+    while stat(&mux, FILE).checksum_errors == 0 {
+        assert!(started.elapsed() < Duration::from_secs(20), "the scrub never ticked");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // Let the tick that was caught mid-walk finish.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(stat(&mux, FILE).checksum_errors, bad_pages.len() as u64);
+
+    drop(mux);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
