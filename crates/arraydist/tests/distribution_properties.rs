@@ -3,6 +3,8 @@
 use arraydist::datatype::Datatype;
 use arraydist::dist::{ArrayDistribution, DimDist};
 use arraydist::grid::ProcGrid;
+use falls::tiling::{prove_tiling, TilingProof, WORK_BUDGET};
+use falls::NestedSet;
 use proptest::prelude::*;
 
 fn arb_dim_dist() -> impl Strategy<Value = DimDist> {
@@ -11,6 +13,16 @@ fn arb_dim_dist() -> impl Strategy<Value = DimDist> {
         Just(DimDist::Cyclic),
         (1u64..5).prop_map(DimDist::BlockCyclic),
     ]
+}
+
+/// Whether each of `g` processors gets at least one of `n` indices.
+fn every_processor_owns(d: DimDist, n: u64, g: u64) -> bool {
+    match d {
+        DimDist::Block => (g - 1) * n.div_ceil(g) < n,
+        DimDist::Cyclic => g <= n,
+        DimDist::BlockCyclic(b) => (g - 1) * b < n,
+        DimDist::Collapsed => g == 1,
+    }
 }
 
 /// A random 1–3 dimensional distribution whose grid never exceeds the
@@ -27,17 +39,8 @@ fn arb_distribution() -> impl Strategy<Value = ArrayDistribution> {
                 // Clamp grids so no processor is left without data under
                 // BLOCK (ceil-division can starve the last processors).
                 let grid: Vec<u64> = grid.iter().zip(&shape).map(|(&g, &n)| g.min(n)).collect();
-                for ((&g, &n), d) in grid.iter().zip(&shape).zip(&dists) {
-                    let ok = match d {
-                        DimDist::Block => {
-                            let b = n.div_ceil(g);
-                            (g - 1) * b < n
-                        }
-                        DimDist::Cyclic => g <= n,
-                        DimDist::BlockCyclic(b) => (g - 1) * b < n,
-                        DimDist::Collapsed => g == 1,
-                    };
-                    if !ok {
+                for ((&g, &n), &d) in grid.iter().zip(&shape).zip(&dists) {
+                    if !every_processor_owns(d, n, g) {
                         return None;
                     }
                 }
@@ -151,4 +154,105 @@ proptest! {
 
 fn elem_size_of(d: &ArrayDistribution) -> u64 {
     d.total_bytes() / d.shape().iter().product::<u64>()
+}
+
+/// The structural tiling proof of a distribution's pattern, if there is
+/// one.
+fn proof_of(d: &ArrayDistribution) -> Option<TilingProof> {
+    let sets = d.element_sets().unwrap();
+    prove_tiling(sets.iter().flat_map(NestedSet::families), d.total_bytes(), WORK_BUDGET)
+}
+
+/// Every HPF distribution is validated by the structural proof — none
+/// falls through to the period enumeration: all four distribution kinds,
+/// ragged extents, 1–3 dimensions, grids up to 4×4.
+#[test]
+fn every_distribution_in_the_sweep_is_proven() {
+    let kinds = [
+        DimDist::Block,
+        DimDist::Cyclic,
+        DimDist::BlockCyclic(2),
+        DimDist::BlockCyclic(3),
+        DimDist::Collapsed,
+    ];
+    let dims = |extents: &[u64], max_grid: u64| -> Vec<(DimDist, u64, u64)> {
+        let mut out = Vec::new();
+        for &d in &kinds {
+            for &n in extents {
+                for g in 1..=max_grid {
+                    if every_processor_owns(d, n, g) {
+                        out.push((d, n, g));
+                    }
+                }
+            }
+        }
+        out
+    };
+    let wide = dims(&[5, 8, 13], 4);
+    let narrow = dims(&[5, 6], 3);
+    let mut shapes: Vec<Vec<(DimDist, u64, u64)>> = Vec::new();
+    for &a in &wide {
+        shapes.push(vec![a]);
+        for &b in &wide {
+            shapes.push(vec![a, b]);
+        }
+    }
+    for &a in &narrow {
+        for &b in &narrow {
+            for &c in &narrow {
+                shapes.push(vec![a, b, c]);
+            }
+        }
+    }
+    assert!(shapes.len() > 5000);
+    for shape in shapes {
+        let d = ArrayDistribution::new(
+            shape.iter().map(|x| x.1).collect(),
+            3,
+            shape.iter().map(|x| x.0).collect(),
+            ProcGrid::new(shape.iter().map(|x| x.2).collect()),
+        );
+        assert!(proof_of(&d).is_some(), "not proven: {shape:?}");
+    }
+}
+
+/// The proof's cost is a count read off the description: the same ten
+/// shape groups whether the matrix is 4 MiB or 64 MiB, and work that
+/// follows the groups and at worst their block counts — never the bytes
+/// or the leaf segments of the period.
+#[test]
+fn proof_work_follows_the_description_not_the_period() {
+    let proof = |n: u64| {
+        let d = ArrayDistribution::new(
+            vec![n, n],
+            1,
+            vec![DimDist::BlockCyclic(32), DimDist::BlockCyclic(160)],
+            ProcGrid::new(vec![2, 2]),
+        );
+        proof_of(&d).expect("HPF distributions are proven")
+    };
+    let (small, large) = (proof(2048), proof(8192));
+    assert_eq!((small.groups, large.groups), (10, 10));
+    // N = 2048: both column processors own six full blocks per row, so
+    // every class of families tiles its stride and is listed once — one
+    // unit per group.
+    assert_eq!(small.work, 10);
+    // N = 8192: the column processors own 26 and 25 full blocks, so their
+    // blocks are listed one by one, once per row group: the outer n shows,
+    // the 8192 rows and 67 million bytes do not.
+    assert_eq!(large.work, 2 + 2 + 2 * (26 + 25 + 1));
+    // The enumeration lists every leaf segment of the period.
+    assert_eq!(small.segments, 2048 * 13);
+    assert_eq!(large.segments, 8192 * 52);
+}
+
+/// A 1 TiB array is validated from its twelve-node description; listing
+/// its 2³⁰ segments could not finish.
+#[test]
+fn terabyte_array_is_validated_from_its_description() {
+    let cyclic = DimDist::BlockCyclic(1024);
+    let d = ArrayDistribution::new(vec![1 << 20; 2], 1, vec![cyclic; 2], ProcGrid::new(vec![2, 2]));
+    let partition = d.partition(0);
+    assert_eq!(partition.pattern().size(), 1 << 40);
+    assert_eq!(partition.element_count(), 4);
 }

@@ -8,32 +8,57 @@
 //!    sibling order (PA011) and element non-emptiness (PA013). All
 //!    arithmetic is checked; anything that would exceed the 64-bit offset
 //!    range is reported as PA005 instead of wrapping.
-//! 2. **Tiling** — only when phase 1 found no errors. The pattern's
-//!    segments are enumerated symbolically over a *single period* (never
-//!    byte-by-byte) and verified to cover `[0, SIZE)` exactly: holes are
-//!    PA020, double-claimed bytes are PA012 (within one element) or PA021
-//!    (across elements).
+//! 2. **Tiling** — only when phase 1 found no errors. The elements must
+//!    cover `[0, SIZE)` exactly once. This is first *proven from the
+//!    description* ([`falls::tiling`]): families are grouped by outer shape
+//!    `(l, r, s, n)`, the children of a group must tile its block (one
+//!    recursive step per group, not per repetition), and the groups' outer
+//!    segments are swept for exact cover. A proof costs one unit of work
+//!    per distinct shape for a regular distribution and `Σ n` over the
+//!    shapes at worst, whatever the period is, and a proven pattern is done.
+//!    *Not proven* is not a verdict — a broken pattern, a valid tiling whose
+//!    elements factor the same bytes differently, and an exhausted budget
+//!    all end there — so the period's segments are then *enumerated* (never
+//!    byte-by-byte), sorted and swept: that pass decides, and it alone
+//!    words the diagnostics: holes are PA020, double-claimed bytes are
+//!    PA012 (within one element) or PA021 (across elements).
 //! 3. **Pathology** — warnings for patterns that are technically valid but
-//!    operationally hostile: a period beyond the configured budget (PA030,
-//!    which also skips phase 2) and full single-byte fragmentation (PA031).
+//!    operationally hostile: a period beyond the budget that the proof did
+//!    not cover, so nothing verified its tiling (PA030), and full
+//!    single-byte fragmentation (PA031, read off the description when the
+//!    proof succeeds).
 //!
-//! Segment enumeration is bounded by the period budget: every segment holds
-//! at least one byte, so a pattern of size `SIZE` has at most `SIZE`
-//! segments and phase 2 touches at most `period_budget` of them.
+//! Both tiling passes are bounded by [`AuditConfig::period_budget`], which
+//! counts *work*, not bytes that happen to be in the period: every segment
+//! holds at least one byte, so enumerating a period of at most
+//! `period_budget` bytes lists at most that many segments, and the proof —
+//! tried first on every pattern, so a failed attempt is pure overhead — may
+//! list `period_budget / PROOF_SHARE` outer segments before it gives up.
 
 use crate::diag::{AuditReport, Code, Diagnostic, Span};
 use crate::raw::{RawElement, RawFalls, RawPattern};
+use falls::tiling::prove_tiling;
 use falls::{checked_lcm, checked_size};
 
 /// Default period budget: patterns whose period exceeds this many bytes get
-/// a PA030 warning instead of exhaustive tiling verification.
+/// a PA030 warning instead of tiling verification, unless the structural
+/// proof covers them.
 pub const DEFAULT_PERIOD_BUDGET: u64 = 1 << 22;
+
+/// The structural proof may list one outer segment per this many units of
+/// the period budget. It is tried before every enumeration, so a failed
+/// attempt is pure overhead: this share keeps it near 0.1 % of the
+/// enumeration the same budget allows, and a budget too small to afford one
+/// segment of proof leaves every over-budget period unverified (PA030).
+const PROOF_SHARE: u64 = 1024;
 
 /// Tunable limits for an audit run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditConfig {
-    /// Largest pattern period (in bytes) for which tiling is verified by
-    /// segment enumeration. Also bounds the aligned period of a pair.
+    /// Work the tiling phase may spend on one pattern, in listed segments:
+    /// the largest period (in bytes, hence in segments) that is enumerated,
+    /// and `PROOF_SHARE` times the outer segments the structural proof may
+    /// list. Also bounds the aligned period of a pair.
     pub period_budget: u64,
 }
 
@@ -65,39 +90,12 @@ struct Shape {
 #[must_use]
 pub fn audit_pattern(pattern: &RawPattern, cfg: &AuditConfig) -> AuditReport {
     let mut report = AuditReport::default();
-    if pattern.elements.is_empty() {
-        report.push(Diagnostic::new(
-            Code::EmptyElement,
-            Span::pattern(),
-            "pattern has no elements",
-        ));
-        return report;
-    }
+    let Some(total) = check_structure(pattern, &mut report) else { return report };
 
-    let mut sizes = Vec::with_capacity(pattern.elements.len());
-    for (e, elem) in pattern.elements.iter().enumerate() {
-        sizes.push(check_element(elem, e, &mut report));
-    }
-    if report.has_errors() {
-        // Sizes or bounds are unreliable; tiling verification would either
-        // repeat the structural findings or overflow.
+    let families = pattern.elements.iter().flat_map(|e| &e.families);
+    if let Some(proof) = prove_tiling(families, total, cfg.period_budget / PROOF_SHARE) {
+        check_fragmentation(proof.segments, proof.single_bytes, &mut report);
         return report;
-    }
-
-    let mut total = 0u64;
-    for size in &sizes {
-        let size = size.expect("no errors implies every element size is known");
-        total = match total.checked_add(size) {
-            Some(t) => t,
-            None => {
-                report.push(Diagnostic::new(
-                    Code::Overflow,
-                    Span::pattern(),
-                    "sum of element sizes exceeds the 64-bit offset range",
-                ));
-                return report;
-            }
-        };
     }
 
     if total > cfg.period_budget {
@@ -115,6 +113,47 @@ pub fn audit_pattern(pattern: &RawPattern, cfg: &AuditConfig) -> AuditReport {
 
     check_tiling(pattern, total, &mut report);
     report
+}
+
+/// Phase 1 over the whole pattern. Returns the period — the sum of the
+/// element sizes — when no error was found, `None` otherwise (a diagnostic
+/// has been pushed).
+fn check_structure(pattern: &RawPattern, report: &mut AuditReport) -> Option<u64> {
+    if pattern.elements.is_empty() {
+        report.push(Diagnostic::new(
+            Code::EmptyElement,
+            Span::pattern(),
+            "pattern has no elements",
+        ));
+        return None;
+    }
+
+    let mut sizes = Vec::with_capacity(pattern.elements.len());
+    for (e, elem) in pattern.elements.iter().enumerate() {
+        sizes.push(check_element(elem, e, report));
+    }
+    if report.has_errors() {
+        // Sizes or bounds are unreliable; tiling verification would either
+        // repeat the structural findings or overflow.
+        return None;
+    }
+
+    let mut total = 0u64;
+    // A missing size came with an error diagnostic and returned above.
+    for size in sizes.into_iter().flatten() {
+        total = match total.checked_add(size) {
+            Some(t) => t,
+            None => {
+                report.push(Diagnostic::new(
+                    Code::Overflow,
+                    Span::pattern(),
+                    "sum of element sizes exceeds the 64-bit offset range",
+                ));
+                return None;
+            }
+        };
+    }
+    Some(total)
 }
 
 /// Audits the *pair-level* properties of two patterns: whether their aligned
@@ -312,10 +351,7 @@ fn check_family(f: &RawFalls, span: &Span, report: &mut AuditReport) -> Option<S
         ok = false;
     }
 
-    if !ok {
-        return None;
-    }
-    let block = block.expect("ok implies the block length is known");
+    let (true, Some(block)) = (ok, block) else { return None };
 
     // Bytes per block: the block itself for a leaf, the inner selection for
     // a nested family.
@@ -379,8 +415,9 @@ struct TaggedSegment {
     element: usize,
 }
 
-/// Phase 2 + 3: enumerate every segment of one period and verify exact
-/// coverage of `[0, total)`; then scan for single-byte fragmentation.
+/// Phase 2 + 3 when the structural proof did not succeed: enumerate every
+/// segment of one period and verify exact coverage of `[0, total)`; then
+/// scan for single-byte fragmentation.
 ///
 /// Only called after the structural pass found no errors, so all offsets are
 /// known to fit in `u64` and plain arithmetic is safe.
@@ -440,17 +477,20 @@ fn check_tiling(pattern: &RawPattern, total: u64, report: &mut AuditReport) {
         ));
     }
 
-    // PA031: maximal fragmentation. Only meaningful for patterns with
-    // enough segments that per-segment overhead dominates.
-    const FRAGMENTATION_FLOOR: usize = 16;
-    if segs.len() >= FRAGMENTATION_FLOOR && segs.iter().all(|s| s.l == s.r) {
+    check_fragmentation(segs.len() as u64, segs.iter().all(|s| s.l == s.r), report);
+}
+
+/// PA031: maximal fragmentation. Only meaningful for patterns with enough
+/// segments that per-segment overhead dominates.
+fn check_fragmentation(segments: u64, single_bytes: bool, report: &mut AuditReport) {
+    const FRAGMENTATION_FLOOR: u64 = 16;
+    if segments >= FRAGMENTATION_FLOOR && single_bytes {
         report.push(Diagnostic::new(
             Code::OneByteSegments,
             Span::pattern(),
             format!(
-                "all {} segments of the period are single bytes — worst-case \
-                 fragmentation for gather/scatter",
-                segs.len()
+                "all {segments} segments of the period are single bytes — worst-case \
+                 fragmentation for gather/scatter"
             ),
         ));
     }
@@ -673,6 +713,101 @@ mod tests {
     #[test]
     fn pair_of_matching_patterns_is_clean() {
         assert!(audit_pair(&figure3(), &figure3(), &cfg()).is_clean());
+    }
+
+    /// The report of the enumeration alone, as every audit ran before the
+    /// structural proof existed.
+    fn audit_by_enumeration(p: &RawPattern) -> AuditReport {
+        let mut report = AuditReport::default();
+        if let Some(total) = check_structure(p, &mut report) {
+            check_tiling(p, total, &mut report);
+        }
+        report
+    }
+
+    /// Applies one seed-derived edit to one node of the pattern.
+    fn mutate(p: &mut RawPattern, g: &mut falls::testing::Gen) {
+        let e = g.below(p.elements.len() as u64) as usize;
+        if g.chance(1, 8) {
+            let copy = p.elements[e].clone();
+            p.elements.push(copy);
+            return;
+        }
+        let mut fams = &mut p.elements[e].families;
+        loop {
+            let i = g.below(fams.len() as u64) as usize;
+            if fams[i].inner.is_empty() || g.chance(1, 2) {
+                let f = &mut fams[i];
+                match g.below(8) {
+                    0 => f.l += 1,
+                    1 => f.l = f.l.saturating_sub(1),
+                    2 => f.r += 1,
+                    3 => f.s += 1,
+                    4 => f.s = f.s.saturating_sub(1),
+                    5 => f.n += 1,
+                    6 => f.n = f.n.saturating_sub(1),
+                    _ => {
+                        let copy = f.clone();
+                        fams.insert(i + 1, copy);
+                    }
+                }
+                return;
+            }
+            fams = &mut fams[i].inner;
+        }
+    }
+
+    /// Under the period budget the proof changes nothing anyone can see:
+    /// on valid and on broken patterns alike, the report (codes, spans,
+    /// messages) is the one the enumeration words.
+    #[test]
+    fn reports_are_those_of_the_enumeration() {
+        use arraydist::dist::{ArrayDistribution, DimDist};
+        use arraydist::grid::ProcGrid;
+        use falls::testing::{random_nested_set, Gen};
+
+        let mut g = Gen::new(0xA0D1_7000);
+        let mut bases = Vec::new();
+        for _ in 0..150 {
+            let span = g.range(8, 200);
+            let set = random_nested_set(&mut g, span, 3);
+            let comp = set.complement(span);
+            let mut elements = vec![RawElement::from_set(&set)];
+            if !comp.is_empty() {
+                elements.push(RawElement::from_set(&comp));
+            }
+            bases.push(pattern(elements));
+        }
+        for (rows, cols) in
+            [(DimDist::Cyclic, DimDist::Cyclic), (DimDist::BlockCyclic(3), DimDist::Block)]
+        {
+            let d = ArrayDistribution::new(
+                vec![10, 14],
+                1,
+                vec![rows, cols],
+                ProcGrid::new(vec![2, 2]),
+            );
+            bases.push(RawPattern::from_partition(&d.partition(0)));
+        }
+        let (mut proven, mut errors) = (0u32, 0u32);
+        for base in &bases {
+            for round in 0..12 {
+                let mut p = base.clone();
+                for _ in 0..round.min(2) {
+                    mutate(&mut p, &mut g);
+                }
+                let report = audit_pattern(&p, &cfg());
+                assert_eq!(report, audit_by_enumeration(&p), "on {p:?}");
+                errors += u32::from(report.has_errors());
+                if let Some(total) = check_structure(&p, &mut AuditReport::default()) {
+                    let families = p.elements.iter().flat_map(|e| &e.families);
+                    let budget = cfg().period_budget / PROOF_SHARE;
+                    proven += u32::from(prove_tiling(families, total, budget).is_some());
+                }
+            }
+        }
+        // Both paths were taken, on both kinds of pattern.
+        assert!(proven > 100 && errors > 100, "{proven} proven, {errors} with errors");
     }
 
     #[test]

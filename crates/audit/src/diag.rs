@@ -54,8 +54,9 @@ pub enum Code {
     Gap,
     /// PA021 — two elements claim the same byte.
     ElementOverlap,
-    /// PA030 — the pattern period (or an aligned period of a pair) exceeds
-    /// the configured budget; exhaustive tiling verification is skipped.
+    /// PA030 — the pattern period exceeds the configured budget and the
+    /// structural proof did not cover it, so its tiling is unverified; or
+    /// the aligned period of a pair exceeds the budget.
     PeriodBudget,
     /// PA031 — every segment of a non-trivial pattern is a single byte:
     /// worst-case fragmentation for gather/scatter.

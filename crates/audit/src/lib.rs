@@ -13,9 +13,15 @@
 //! period and reports every violation as a structured [`Diagnostic`] with a
 //! stable code (`PA001`–`PA032`), a severity, a [`Span`] addressing the
 //! offending element/family, and a message carrying the offending numbers.
-//! It also flags patterns that are valid but pathological: periods beyond a
-//! configurable budget (which would blow up aligned-period computations)
-//! and maximal single-byte fragmentation.
+//! Exact tiling is first *proven from the description* — `falls::tiling`
+//! groups families by outer shape and recurses once per shape, so a regular
+//! view costs microseconds whatever its period — and only a pattern the
+//! proof does not cover (broken, or tiled without hierarchical alignment)
+//! has its period's segments enumerated, which is also where every tiling
+//! diagnostic is worded. It also flags patterns that are valid but
+//! pathological: periods beyond a configurable budget that the proof did
+//! not cover (nothing verified their tiling, and they would blow up
+//! aligned-period computations) and maximal single-byte fragmentation.
 //!
 //! The analyzer consumes [`RawFalls`]/[`RawElement`]/[`RawPattern`] trees
 //! that mirror the validated types field-for-field but carry no invariants,

@@ -63,6 +63,24 @@ impl RawFalls {
     }
 }
 
+impl falls::tiling::Family for RawFalls {
+    fn l(&self) -> u64 {
+        self.l
+    }
+    fn r(&self) -> u64 {
+        self.r
+    }
+    fn stride(&self) -> u64 {
+        self.s
+    }
+    fn count(&self) -> u64 {
+        self.n
+    }
+    fn inner(&self) -> &[Self] {
+        &self.inner
+    }
+}
+
 /// One unvalidated partition element: its sibling families.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RawElement {

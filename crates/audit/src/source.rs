@@ -60,8 +60,10 @@ pub struct SourceConfig {
 
 impl SourceConfig {
     /// The workspace's canonical configuration: the daemon/session
-    /// request paths, the write-ahead journal, and the replication layer
-    /// (replica placement math, per-segment checksum map) are hot,
+    /// request paths, the write-ahead journal, the replication layer
+    /// (replica placement math, per-segment checksum map), and the
+    /// pattern audit with its tiling verifier (run on untrusted bytes in
+    /// every `SetView`) are hot,
     /// session worker queues are bounded-only, the daemon's lock
     /// order is `files < store < journal < sums < dedup`, and the
     /// reactor, mux transport, and reactor daemon are blocking-free.
@@ -77,6 +79,8 @@ impl SourceConfig {
                 "clusterfile/src/checksum.rs",
                 "core/src/crc.rs",
                 "replica/src/lib.rs",
+                "audit/src/checks.rs",
+                "falls/src/tiling.rs",
             ]),
             bounded_only: own(&["net/src/session.rs"]),
             lock_order: own(&["files", "store", "journal", "sums", "dedup"]),

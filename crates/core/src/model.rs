@@ -2,7 +2,7 @@
 //! pattern.
 
 use crate::Error;
-use falls::{LineSegment, NestedSet, Offset};
+use falls::{tiling, LineSegment, NestedSet, Offset};
 use std::fmt;
 
 /// A partitioning pattern: the union of `p` sets of nested FALLS, each of
@@ -24,6 +24,16 @@ impl PartitionPattern {
     /// Checks that element sizes sum to the covered extent and that the union
     /// of all elements is exactly `[0, size)` — which together imply both
     /// contiguity and non-overlap.
+    ///
+    /// The check runs in two steps. First [`falls::tiling::prove_tiling`]
+    /// tries to show exact cover from the trees alone, in time proportional
+    /// to the description whatever the period is; every distribution
+    /// `arraydist` builds is accepted here. Only when that proof does not
+    /// succeed — a broken pattern, a valid tiling whose elements factor the
+    /// same bytes differently, or more than [`falls::tiling::WORK_BUDGET`]
+    /// outer segments — is every segment of one period listed, sorted and
+    /// swept; that step decides, produces every error value, and is
+    /// unbounded in the period.
     pub fn new(elements: Vec<NestedSet>) -> Result<Self, Error> {
         if elements.is_empty() || elements.iter().any(NestedSet::is_empty) {
             // An element that selects no bytes has no linear space: the
@@ -38,9 +48,18 @@ impl PartitionPattern {
         if total == 0 {
             return Err(Error::EmptyPattern);
         }
-        // Union of all segments must be exactly [0, total).
+        let families = elements.iter().flat_map(NestedSet::families);
+        if tiling::prove_tiling(families, total, tiling::WORK_BUDGET).is_none() {
+            Self::enumerate_period(&elements, total)?;
+        }
+        Ok(Self { elements, size: total })
+    }
+
+    /// The not-proven path of [`new`](Self::new): the union of all segments
+    /// of one period must be exactly `[0, total)`.
+    fn enumerate_period(elements: &[NestedSet], total: u64) -> Result<(), Error> {
         let mut segs: Vec<LineSegment> = Vec::new();
-        for e in &elements {
+        for e in elements {
             segs.extend(e.absolute_segments());
         }
         segs.sort_unstable();
@@ -56,7 +75,7 @@ impl PartitionPattern {
         if covered != Some(total) {
             return Err(Error::NonTilingPattern { total, covered: covered.unwrap_or(0) });
         }
-        Ok(Self { elements, size: total })
+        Ok(())
     }
 
     /// Number of partition elements.
@@ -280,6 +299,65 @@ mod tests {
         assert_eq!(p.owner_of(2), Some(1));
         assert_eq!(p.owner_of(6), Some(0));
         assert_eq!(p.owner_of(12), Some(1));
+    }
+
+    fn nest(l: u64, r: u64, s: u64, n: u64, inner: NestedFalls) -> NestedSet {
+        let outer = Falls::new(l, r, s, n).unwrap();
+        NestedSet::singleton(NestedFalls::with_inner(outer, vec![inner]).unwrap())
+    }
+
+    /// Two elements that halve every 2048-byte row, one describing the rows
+    /// in pairs and the other one by one: a valid tiling that is not
+    /// hierarchically aligned, so the structural proof gives up and the
+    /// enumeration accepts it.
+    #[test]
+    fn unaligned_tiling_is_accepted_through_the_enumeration() {
+        let half = |l| NestedFalls::leaf(Falls::new(l, l + 1023, 2048, 1).unwrap());
+        let left_pairs =
+            nest(0, 4095, 4096, 8, NestedFalls::leaf(Falls::new(0, 1023, 2048, 2).unwrap()));
+        let left_rows = nest(0, 2047, 2048, 16, half(0));
+        let right_rows = nest(0, 2047, 2048, 16, half(1024));
+        let proof = |sets: &[NestedSet]| {
+            let families = sets.iter().flat_map(NestedSet::families);
+            tiling::prove_tiling(families, 32768, tiling::WORK_BUDGET)
+        };
+        let aligned = [left_rows, right_rows.clone()];
+        let unaligned = [left_pairs, right_rows];
+        assert!(proof(&aligned).is_some());
+        assert!(proof(&unaligned).is_none());
+        for sets in [aligned, unaligned] {
+            assert_eq!(PartitionPattern::new(sets.to_vec()).unwrap().size(), 32768);
+        }
+    }
+
+    /// `new` answers what the enumeration alone answers — same `Ok`, same
+    /// error value — and the proof never accepts what it rejects.
+    #[test]
+    fn verdicts_are_those_of_the_enumeration() {
+        use falls::testing::{random_nested_set, Gen};
+        let mut g = Gen::new(0x0DE1_0001);
+        let (mut proven, mut rejected) = (0u32, 0u32);
+        for round in 0..2000 {
+            let span = g.range(4, 160);
+            let set = random_nested_set(&mut g, span, 3);
+            let other = if round % 4 == 0 {
+                random_nested_set(&mut g, span, 2)
+            } else {
+                set.complement(span)
+            };
+            let elements: Vec<NestedSet> =
+                [set, other].into_iter().filter(|e| !e.is_empty()).collect();
+            let total: u64 = elements.iter().map(NestedSet::size).sum();
+            let oracle = PartitionPattern::enumerate_period(&elements, total);
+            let families = elements.iter().flat_map(NestedSet::families);
+            if tiling::prove_tiling(families, total, tiling::WORK_BUDGET).is_some() {
+                assert_eq!(oracle, Ok(()), "unsound on {elements:?}");
+                proven += 1;
+            }
+            rejected += u32::from(oracle.is_err());
+            assert_eq!(PartitionPattern::new(elements).map(|p| p.size()), oracle.map(|()| total));
+        }
+        assert!(proven > 100 && rejected > 100, "{proven} proven, {rejected} rejected");
     }
 
     #[test]

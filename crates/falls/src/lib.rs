@@ -19,6 +19,8 @@
 //! * [`Pitfalls`] / [`NestedPitfalls`] — *Processor Indexed Tagged* families:
 //!   a compact representation of `p` FALLS that differ only by a per-processor
 //!   shift `d`.
+//! * [`tiling`] — a proof, from the trees alone, that a set of nested FALLS
+//!   covers an extent exactly once.
 //!
 //! # Example — the paper's Figure 1 and Figure 2
 //!
@@ -53,6 +55,7 @@ mod segment;
 mod set;
 
 pub mod testing;
+pub mod tiling;
 
 pub use canon::{
     canonicalize_nested, canonicalize_set, fingerprint_nested, fingerprint_set, StructuralHasher,

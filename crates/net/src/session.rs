@@ -68,6 +68,7 @@ use falls::{Falls, NestedFalls, NestedSet};
 use parafile::engine::{CompiledView, PlanEngine};
 use parafile::mapping::Mapper;
 use parafile::model::{Partition, PartitionPattern};
+use parafile::redist::SubfileAccess;
 use parafile_audit::{RawFalls, RawPattern};
 use parafile_replica::{
     copy_file_id, plan_subfile, CopyHealth, DirtyReplica, DirtySet, ReplicaMap, ScrubVerdict,
@@ -103,6 +104,27 @@ fn expect_ok(reply: Reply) -> Result<(), NetError> {
     match reply {
         Reply::Ok => Ok(()),
         other => Err(NetError::BadReply(format!("expected Ok, got {other:?}"))),
+    }
+}
+
+/// The `SetView` that installs `view`'s element `element` on replica
+/// `rank` of one subfile: the raw view pattern for the daemon's audit plus
+/// the subfile-side projection from `access`.
+fn set_view_request(
+    file: u64,
+    rank: usize,
+    compute: u32,
+    element: usize,
+    view: &Partition,
+    access: &SubfileAccess,
+) -> Request {
+    Request::SetView {
+        file: copy_file_id(file, rank),
+        compute,
+        element: element as u32,
+        view: RawPattern::from_partition(view),
+        proj_set: access.proj_sub.set.families().iter().map(RawFalls::from_nested).collect(),
+        proj_period: access.proj_sub.period,
     }
 }
 
@@ -663,30 +685,19 @@ impl Session {
     ) -> Result<(), NetError> {
         let st = self.file(file)?;
         let plan = PlanEngine::global().compile_view(logical, element, &st.physical)?;
-        let raw_view = RawPattern::from_partition(logical);
         let mut requests = Vec::new();
         let mut meta = Vec::new();
         for (s, access) in plan.per_subfile().iter().enumerate() {
             if !access.is_empty() {
-                let proj_set: Vec<RawFalls> =
-                    access.proj_sub.set.families().iter().map(RawFalls::from_nested).collect();
                 for rank in 0..self.map.replicas() {
                     requests.push(Outgoing {
                         node: self.map.node_for(s, rank),
-                        request: Request::SetView {
-                            file: copy_file_id(file, rank),
-                            compute,
-                            element: element as u32,
-                            view: raw_view.clone(),
-                            proj_set: proj_set.clone(),
-                            proj_period: access.proj_sub.period,
-                        },
+                        request: set_view_request(file, rank, compute, element, logical, access),
                     });
                     meta.push((s, rank));
                 }
             }
         }
-        let retry: Vec<Request> = requests.iter().map(|o| o.request.clone()).collect();
         for (i, (node, reply)) in self.fan_out(requests).into_iter().enumerate() {
             let (s, rank) = meta[i];
             match reply {
@@ -696,7 +707,11 @@ impl Session {
                     // The daemon restarted since `create_file` and forgot
                     // the subfile: re-open it and retry the view once.
                     self.reopen_copy(s, rank, file)?;
-                    self.call_ok(node, retry[i].clone())?;
+                    let access = plan.access(s);
+                    self.call_ok(
+                        node,
+                        set_view_request(file, rank, compute, element, logical, access),
+                    )?;
                 }
                 Err(NetError::Io(_) | NetError::IdMismatch { .. }) if self.map.replicas() > 1 => {
                     // A dead replica does not block the view: the copy is
@@ -1130,18 +1145,9 @@ impl Session {
         let plan = PlanEngine::global().compile_view(&vs.view, vs.element, &st.physical)?;
         let access = plan.access(subfile);
         if !access.is_empty() {
-            let proj_set: Vec<RawFalls> =
-                access.proj_sub.set.families().iter().map(RawFalls::from_nested).collect();
             self.call_ok(
                 self.map.node_for(subfile, rank),
-                Request::SetView {
-                    file: copy_file_id(file, rank),
-                    compute,
-                    element: vs.element as u32,
-                    view: RawPattern::from_partition(&vs.view),
-                    proj_set,
-                    proj_period: access.proj_sub.period,
-                },
+                set_view_request(file, rank, compute, vs.element, &vs.view, access),
             )?;
         }
         Ok(())
