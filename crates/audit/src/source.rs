@@ -60,7 +60,8 @@ pub struct SourceConfig {
 
 impl SourceConfig {
     /// The workspace's canonical configuration: the daemon/session
-    /// request paths, the write-ahead journal, the replication layer
+    /// request paths, the receive buffer that splits untrusted socket
+    /// bytes into frames, the write-ahead journal, the replication layer
     /// (replica placement math, per-segment checksum map), and the
     /// pattern audit with its tiling verifier (run on untrusted bytes in
     /// every `SetView`) are hot,
@@ -75,6 +76,7 @@ impl SourceConfig {
                 "net/src/server.rs",
                 "net/src/session.rs",
                 "net/src/proto.rs",
+                "net/src/wire/framebuf.rs",
                 "clusterfile/src/journal.rs",
                 "clusterfile/src/checksum.rs",
                 "core/src/crc.rs",
@@ -511,8 +513,13 @@ mod tests {
     #[test]
     fn replica_hot_paths_inherit_unwrap_and_lock_order_checks() {
         // The replication layer is hot-path code: PA040 applies to the
-        // replica crate and the checksum map.
-        for path in ["crates/replica/src/lib.rs", "crates/clusterfile/src/checksum.rs"] {
+        // replica crate and the checksum map — and to the frame splitter,
+        // which parses bytes straight off the network.
+        for path in [
+            "crates/replica/src/lib.rs",
+            "crates/clusterfile/src/checksum.rs",
+            "crates/net/src/wire/framebuf.rs",
+        ] {
             let r = run(path, "fn f() { x.unwrap(); }\n");
             assert!(r.has_code(Code::UnwrapOnHotPath), "{path}: {:?}", r.diagnostics);
         }

@@ -14,7 +14,7 @@
 
 use clusterfile::PaperScenario;
 use jsonlite::{obj, Json, ToJson};
-use pf_bench::{dump_json, paper_table1_row, ratio, TableArgs};
+use pf_bench::{dump_json, paper_table1_row, ratio, shape_checks, TableArgs};
 
 struct Row {
     size: u64,
@@ -137,23 +137,21 @@ fn main() {
                 && r.t_w_disk_us > r.t_w_bc_us,
         ));
     }
-    println!("shape checks:");
-    for (name, ok) in &checks {
-        println!("  [{}] {}", if *ok { "ok" } else { "FAIL" }, name);
-    }
     if args.sizes.len() >= 2 {
         let lo = find(args.sizes[0], "c").t_i_us;
         let hi = find(*args.sizes.last().expect("size sweep is non-empty"), "c").t_i_us;
-        println!(
-            "  [{}] t_i roughly size-independent (c: {:.1} → {:.1} µs across the sweep)",
-            if ratio(hi, lo) < 8.0 { "ok" } else { "FAIL" },
-            lo,
-            hi
-        );
+        checks.push((
+            format!("t_i roughly size-independent (c: {lo:.1} → {hi:.1} µs across the sweep)"),
+            ratio(hi, lo) < 8.0,
+        ));
     }
+    let held = shape_checks(&checks);
 
     match dump_json("table1", &rows) {
         Ok(path) => println!("\nresults written to {}", path.display()),
         Err(e) => eprintln!("could not persist results: {e}"),
+    }
+    if !held {
+        std::process::exit(1);
     }
 }

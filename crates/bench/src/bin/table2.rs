@@ -8,7 +8,7 @@
 
 use clusterfile::PaperScenario;
 use jsonlite::{obj, Json, ToJson};
-use pf_bench::{dump_json, paper_table2_row, TableArgs};
+use pf_bench::{dump_json, paper_table2_row, shape_checks, TableArgs};
 
 struct Row {
     size: u64,
@@ -84,33 +84,38 @@ fn main() {
     let find = |size: u64, l: &str| {
         rows.iter().find(|r| r.size == size && r.layout == l).expect("swept row exists")
     };
-    println!("shape checks:");
+    let mut checks: Vec<(String, bool)> = Vec::new();
     for &size in &args.sizes {
         let (c, r) = (find(size, "c"), find(size, "r"));
-        println!(
-            "  [{}] {size}: fragmented layouts cost at least as much to scatter (c ≥ r)",
-            if c.t_s_bc_us >= r.t_s_bc_us * 0.95 { "ok" } else { "FAIL" }
-        );
-        println!(
-            "  [{}] {size}: disk writes dominate cache writes",
-            if c.t_s_disk_us > 2.0 * c.t_s_bc_us { "ok" } else { "FAIL" }
-        );
+        checks.push((
+            format!("{size}: fragmented layouts cost at least as much to scatter (c ≥ r)"),
+            c.t_s_bc_us >= r.t_s_bc_us * 0.95,
+        ));
+        checks.push((
+            format!("{size}: disk writes dominate cache writes"),
+            c.t_s_disk_us > 2.0 * c.t_s_bc_us,
+        ));
     }
     if args.sizes.len() >= 2 {
         let small = args.sizes[0];
         let big = *args.sizes.last().expect("size sweep is non-empty");
         let conv_small = find(small, "c").t_s_bc_us / find(small, "r").t_s_bc_us;
         let conv_big = find(big, "c").t_s_bc_us / find(big, "r").t_s_bc_us;
-        println!(
-            "  [{}] layouts converge for big messages (c/r: {:.2} at {small} → {:.2} at {big})",
-            if conv_big < conv_small || conv_big < 1.15 { "ok" } else { "FAIL" },
-            conv_small,
-            conv_big
-        );
+        checks.push((
+            format!(
+                "layouts converge for big messages (c/r: {conv_small:.2} at {small} → \
+                 {conv_big:.2} at {big})"
+            ),
+            conv_big < conv_small || conv_big < 1.15,
+        ));
     }
+    let held = shape_checks(&checks);
 
     match dump_json("table2", &rows) {
         Ok(path) => println!("\nresults written to {}", path.display()),
         Err(e) => eprintln!("could not persist results: {e}"),
+    }
+    if !held {
+        std::process::exit(1);
     }
 }

@@ -139,6 +139,17 @@ impl TableArgs {
     }
 }
 
+/// Prints the shape checks of a table binary, one `[ok]`/`[FAIL]` line
+/// each, and returns whether all of them held — the binary exits 1
+/// otherwise, so a script or CI step can gate on the paper's orderings.
+pub fn shape_checks(checks: &[(String, bool)]) -> bool {
+    println!("shape checks:");
+    for (name, ok) in checks {
+        println!("  [{}] {}", if *ok { "ok" } else { "FAIL" }, name);
+    }
+    checks.iter().all(|&(_, ok)| ok)
+}
+
 /// Relative deviation helper used in table footers: `ours / paper`.
 #[must_use]
 pub fn ratio(ours: f64, paper: f64) -> f64 {

@@ -47,6 +47,7 @@ pub const WALK_WINDOW_PAGES: usize = 256;
 /// pages, computed by the workspace's shared kernel; journal records use
 /// the independent CRC-32 (IEEE) in [`crate::journal`].
 pub use parafile::crc::crc32c;
+use parafile::crc::crc32c_pages;
 
 /// Sidecar path for `file<fid>_subfile<idx>.crc` under `dir`.
 #[must_use]
@@ -307,11 +308,11 @@ impl ChecksumMap {
     /// with the map; a page past the map's end has no checksum to agree
     /// with.
     fn mismatches(&self, first: usize, bytes: &[u8]) -> u64 {
-        bytes
-            .chunks(self.page as usize)
-            .enumerate()
-            .filter(|&(k, chunk)| self.sums.get(first + k) != Some(&crc32c(chunk)))
-            .count() as u64
+        let mut bad = 0u64;
+        crc32c_pages(bytes, self.page as usize, |k, crc| {
+            bad += u64::from(self.sums.get(first + k) != Some(&crc));
+        });
+        bad
     }
 
     /// Persist the map to its sidecar (no-op for memory-backed stores).
@@ -371,9 +372,7 @@ impl ChecksumMap {
 
 /// Stores the checksums of the pages in `bytes` (page `first` onwards).
 fn refresh(sums: &mut [u32], page: u64, first: usize, bytes: &[u8]) {
-    for (k, chunk) in bytes.chunks(page as usize).enumerate() {
-        sums[first + k] = crc32c(chunk);
-    }
+    crc32c_pages(bytes, page as usize, |k, crc| sums[first + k] = crc);
 }
 
 /// One run of a message: store bytes `[off, end)`, whose first byte sits

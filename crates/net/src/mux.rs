@@ -45,10 +45,11 @@ use crate::reactor::{Clock, Event, Interest, MonotonicClock, Reactor, TimerId, T
 use crate::resilience::{Deadline, RetryBudget};
 use crate::server::NetStream;
 use crate::wire::{
-    self, Reply, Request, DEFAULT_MAX_FRAME, HEADER_LEN, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    self, Filled, FrameBuf, Lent, Reply, Request, DEFAULT_MAX_FRAME, MIN_PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -94,9 +95,6 @@ impl RetryPolicy {
 /// How long a sent request may wait for its reply before the connection
 /// is declared dead.
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Socket read granularity.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// The receive half a submitter blocks on: a capacity-1 channel carrying
 /// one terminal result.
@@ -335,8 +333,9 @@ impl Drop for Mux {
 
 /// Why a frame was sent: decides how its reply (or its loss) is handled.
 enum Kind {
-    /// An ordinary submitted request; its terminal result settles a slot.
-    Plain,
+    /// An ordinary submitted request, kept for re-sending; its terminal
+    /// result settles a slot.
+    Plain(Request),
     /// The one-time `Ping` capability probe; stalls the queue until
     /// answered, failures land on the queue head that wanted it.
     Probe,
@@ -352,7 +351,6 @@ enum Kind {
 /// One request the driver owes an answer for (queued or on the wire).
 struct Pending {
     serial: u64,
-    request: Request,
     tx: Option<SyncSender<Result<Reply, NetError>>>,
     kind: Kind,
     /// Attempts consumed so far; the request fails at `attempts_max`.
@@ -369,12 +367,20 @@ struct Pending {
 }
 
 impl Pending {
+    /// The request a plain pending (re)sends; internal frames are encoded
+    /// once, when sent, and keep nothing.
+    fn request(&self) -> Option<&Request> {
+        match &self.kind {
+            Kind::Plain(request) => Some(request),
+            Kind::Probe | Kind::Resume | Kind::Chunk { .. } => None,
+        }
+    }
+
     /// An internal frame (probe / resume / chunk): no slot, no retries of
     /// its own — failures are charged to the request it serves, whose
     /// deadline and budget it inherits.
     fn internal(
         serial: u64,
-        request: Request,
         kind: Kind,
         backoff: Backoff,
         deadline: Option<Deadline>,
@@ -382,7 +388,6 @@ impl Pending {
     ) -> Self {
         Pending {
             serial,
-            request,
             tx: None,
             kind,
             attempt: 0,
@@ -459,12 +464,10 @@ struct NodeMux {
     /// the matching `Resend` timer un-parks it.
     park: Option<u64>,
     park_seq: u64,
-    rbuf: Vec<u8>,
-    rpos: usize,
+    rx: FrameBuf,
     wbuf: Vec<u8>,
     wstart: usize,
     interest: Interest,
-    scratch: Vec<u8>,
 }
 
 impl NodeMux {
@@ -491,12 +494,10 @@ impl NodeMux {
             stream: None,
             park: None,
             park_seq: 0,
-            rbuf: Vec::new(),
-            rpos: 0,
+            rx: FrameBuf::new(DEFAULT_MAX_FRAME),
             wbuf: Vec::new(),
             wstart: 0,
             interest: Interest::READ,
-            scratch: Vec::new(),
         }
     }
 
@@ -648,9 +649,8 @@ impl Driver {
             let backoff = self.policy.backoff(self.nodes[n].seed ^ serial);
             self.nodes[n].queue.push_back(Pending {
                 serial,
-                request: job.request,
                 tx: Some(job.tx),
-                kind: Kind::Plain,
+                kind: Kind::Plain(job.request),
                 attempt: 0,
                 attempts_max,
                 backoff,
@@ -685,11 +685,9 @@ impl Driver {
                         ConnState::Idle => Act::Connect,
                         ConnState::Connecting => Act::Done,
                         ConnState::Ready(_) => {
-                            let head = &node.queue[0];
-                            let chunkable = matches!(
-                                head.request,
-                                Request::Write { .. } | Request::Read { .. }
-                            );
+                            let head = node.queue[0].request();
+                            let chunkable =
+                                matches!(head, Some(Request::Write { .. } | Request::Read { .. }));
                             if chunkable
                                 && node.negotiation.supports_chunking()
                                 && node.chunk_override != Some(0)
@@ -702,8 +700,8 @@ impl Driver {
                                 }
                             } else {
                                 let chunk = node.effective_chunk() as usize;
-                                match &head.request {
-                                    Request::Write { payload, .. }
+                                match head {
+                                    Some(Request::Write { payload, .. })
                                         if chunk > 0 && payload.len() > chunk =>
                                     {
                                         Act::StartStream(chunk)
@@ -734,9 +732,9 @@ impl Driver {
                         let head = &self.nodes[n].queue[0];
                         (head.deadline, head.budget.clone())
                     };
-                    let p = Pending::internal(serial, Request::Ping, Kind::Probe, backoff, dl, bg);
+                    let p = Pending::internal(serial, Kind::Probe, backoff, dl, bg);
                     self.nodes[n].probe_inflight = true;
-                    self.send_frame(n, p);
+                    self.send_frame(n, p, &Request::Ping);
                     break; // the queue stalls until the probe resolves
                 }
                 Act::StartStream(chunk) => {
@@ -746,7 +744,12 @@ impl Driver {
                 }
                 Act::SendHead => {
                     let p = self.nodes[n].queue.pop_front().expect("pump saw a head");
-                    self.send_frame(n, p);
+                    if let Some(request) = p.request() {
+                        let sent = self.encode_frame(n, &p, request.opcode(), |v, d, out| {
+                            request.append_payload(v, d, out);
+                        });
+                        self.track(n, p, sent);
+                    }
                 }
                 Act::DropExpiredHead => {
                     let p = self.nodes[n].queue.pop_front().expect("pump saw a head");
@@ -757,27 +760,47 @@ impl Driver {
         self.flush_node(n);
     }
 
-    /// Encodes `p`'s request into the node's write buffer, arms its
-    /// response timer and moves it to the in-flight queue.
-    fn send_frame(&mut self, n: usize, mut p: Pending) {
-        let deadline = self.deadline_of(&p);
-        let expire_at = self.clock.now_ms() + dur_ms(deadline.clamp_timeout(RESPONSE_TIMEOUT));
-        let tid = self.wheel.schedule(expire_at, Timed::Expire { node: n, serial: p.serial });
+    /// Encodes one frame for `p` in place into the node's write buffer —
+    /// `body(version, deadline_ms, out)` appends its payload — and returns
+    /// the `(request id, version)` it went out under.
+    fn encode_frame(
+        &mut self,
+        n: usize,
+        p: &Pending,
+        opcode: u8,
+        body: impl FnOnce(u8, u32, &mut Vec<u8>),
+    ) -> (u64, u8) {
+        let deadline = self.deadline_of(p);
         let node = &mut self.nodes[n];
         let version = node.negotiation.version();
         let deadline_ms =
             if node.negotiation.supports_deadlines() { deadline.wire_ms() } else { 0 };
         let id = node.next_id;
         node.next_id += 1;
-        let mut scratch = std::mem::take(&mut node.scratch);
-        p.request.encode_payload_deadline_into(version, deadline_ms, &mut scratch);
-        // A Vec<u8> sink is infallible.
-        let _ = wire::write_frame_at(&mut node.wbuf, version, p.request.opcode(), id, &scratch);
-        node.scratch = scratch;
-        p.sent_id = id;
-        p.sent_version = version;
+        wire::append_frame(&mut node.wbuf, version, opcode, id, |out| {
+            body(version, deadline_ms, out);
+        });
+        (id, version)
+    }
+
+    /// Arms the response timer of `p`, just encoded as `sent`, and moves
+    /// it to the in-flight queue.
+    fn track(&mut self, n: usize, mut p: Pending, sent: (u64, u8)) {
+        let deadline = self.deadline_of(&p);
+        let expire_at = self.clock.now_ms() + dur_ms(deadline.clamp_timeout(RESPONSE_TIMEOUT));
+        let tid = self.wheel.schedule(expire_at, Timed::Expire { node: n, serial: p.serial });
+        (p.sent_id, p.sent_version) = sent;
         p.expire = Some(tid);
-        node.inflight.push_back(p);
+        self.nodes[n].inflight.push_back(p);
+    }
+
+    /// [`encode_frame`](Self::encode_frame) + [`track`](Self::track) for an
+    /// internal frame, whose small `request` lives outside its pending.
+    fn send_frame(&mut self, n: usize, p: Pending, request: &Request) {
+        let sent = self.encode_frame(n, &p, request.opcode(), |v, d, out| {
+            request.append_payload(v, d, out);
+        });
+        self.track(n, p, sent);
     }
 
     /// Pops the queue head into a chunked write stream, issuing a
@@ -785,7 +808,7 @@ impl Driver {
     /// mid-stream.
     fn start_stream(&mut self, n: usize, chunk: usize) {
         let p = self.nodes[n].queue.pop_front().expect("stream starts from a head");
-        let Request::Write { file, session, seq, ref payload, .. } = p.request else {
+        let Some(&Request::Write { file, session, seq, ref payload, .. }) = p.request() else {
             // Unreachable by construction; settle rather than wedge.
             settle(&mut self.wheel, p, Err(NetError::BadReply("stream over a non-write".into())));
             return;
@@ -805,50 +828,52 @@ impl Driver {
             let serial = self.next_serial();
             let backoff = self.policy.backoff(self.nodes[n].seed ^ serial);
             let rq = Request::ResumeQuery { file, session, seq };
-            self.send_frame(n, Pending::internal(serial, rq, Kind::Resume, backoff, dl, bg));
+            self.send_frame(n, Pending::internal(serial, Kind::Resume, backoff, dl, bg), &rq);
         }
     }
 
-    /// Feeds the active write stream's send window.
+    /// Feeds the active write stream's send window, encoding each chunk
+    /// straight from its slice of the parent request's payload.
     fn pump_stream(&mut self, n: usize) {
-        loop {
-            let built = {
-                let node = &mut self.nodes[n];
-                let Some(st) = node.stream.as_mut() else { return };
-                let Some(sender) = st.sender.as_mut() else { return };
-                match sender.next_to_send() {
-                    None => None,
-                    Some(plan) => {
-                        let Request::Write { file, compute, l_s, r_s, session, seq, ref payload } =
-                            st.req.request
-                        else {
-                            return;
-                        };
-                        let off = (plan.index + st.skip) as usize * st.chunk;
-                        let end = (off + st.chunk).min(payload.len());
-                        let req = Request::WriteChunk {
-                            file,
-                            compute,
-                            l_s,
-                            r_s,
-                            session,
-                            seq,
-                            offset: off as u64,
-                            total: st.total,
-                            last: plan.last,
-                            data: payload[off..end].to_vec(),
-                        };
-                        sender.record_send();
-                        Some((req, plan.last, st.req.deadline, st.req.budget.clone()))
-                    }
-                }
+        // The stream steps out of its node while frames are encoded from
+        // the payload it owns; nothing below looks for it there.
+        let Some(mut st) = self.nodes[n].stream.take() else { return };
+        while let Some(plan) = st.sender.as_ref().and_then(ChunkSender::next_to_send) {
+            let Some(&Request::Write { file, compute, l_s, r_s, session, seq, ref payload }) =
+                st.req.request()
+            else {
+                break;
             };
-            let Some((req, last, dl, bg)) = built else { break };
+            let off = (plan.index + st.skip) as usize * st.chunk;
+            let bulk = &payload[off..(off + st.chunk).min(payload.len())];
+            let (offset, total, last) = (off as u64, st.total, plan.last);
+            let data = Vec::new();
+            let head = Request::WriteChunk {
+                file,
+                compute,
+                l_s,
+                r_s,
+                session,
+                seq,
+                offset,
+                total,
+                last,
+                data,
+            };
+            let chunk = Lent { head, bulk };
             let serial = self.next_serial();
             let backoff = self.policy.backoff(self.nodes[n].seed ^ serial);
-            let p = Pending::internal(serial, req, Kind::Chunk { last }, backoff, dl, bg);
-            self.send_frame(n, p);
+            let (dl, bg) = (st.req.deadline, st.req.budget.clone());
+            let p = Pending::internal(serial, Kind::Chunk { last }, backoff, dl, bg);
+            let sent = self.encode_frame(n, &p, chunk.head.opcode(), |v, d, out| {
+                chunk.append_payload(v, d, out);
+            });
+            self.track(n, p, sent);
+            if let Some(sender) = st.sender.as_mut() {
+                sender.record_send();
+            }
         }
+        self.nodes[n].stream = Some(st);
         self.flush_node(n);
     }
 
@@ -896,8 +921,7 @@ impl Driver {
                 node.conn = ConnState::Ready(stream);
                 node.fresh = true;
                 node.interest = Interest::READ;
-                node.rbuf.clear();
-                node.rpos = 0;
+                node.rx.clear();
                 node.wbuf.clear();
                 node.wstart = 0;
                 self.pump(n);
@@ -966,8 +990,7 @@ impl Driver {
         }
         let (was_fresh, inflight, stream) = {
             let node = &mut self.nodes[n];
-            node.rbuf.clear();
-            node.rpos = 0;
+            node.rx.clear();
             node.wbuf.clear();
             node.wstart = 0;
             node.probe_inflight = false;
@@ -977,7 +1000,7 @@ impl Driver {
         let mut survivors = Vec::new();
         for mut p in inflight {
             match p.kind {
-                Kind::Plain => {
+                Kind::Plain(_) => {
                     if let Some(p) = self.charge_attempt(n, p, was_fresh, why) {
                         survivors.push(p);
                     }
@@ -990,11 +1013,7 @@ impl Driver {
             }
         }
         if let Some(st) = stream {
-            if let Request::Write { session, seq, .. } = st.req.request {
-                if session != 0 {
-                    self.nodes[n].resume_candidate = Some((session, seq));
-                }
-            }
+            self.note_stream_resume(n, &st.req);
             if let Some(p) = self.charge_attempt(n, st.req, was_fresh, why) {
                 survivors.push(p);
             }
@@ -1110,30 +1129,26 @@ impl Driver {
                 let node = &mut self.nodes[n];
                 let ConnState::Ready(stream) = &node.conn else { return };
                 let mut sref = stream;
-                let len = node.rbuf.len();
-                node.rbuf.resize(len + READ_CHUNK, 0);
-                let r = sref.read(&mut node.rbuf[len..]);
-                let got = match &r {
-                    Ok(k) => *k,
-                    Err(_) => 0,
-                };
-                node.rbuf.truncate(len + got);
-                r
+                node.rx.read_from(&mut sref)
             };
             match read {
-                Ok(0) => {
+                Ok(Filled::Eof) => {
                     // With nothing owed this is the daemon's idle timeout
                     // reaping a warm connection — fail_conn settles
                     // nothing and the node just goes Idle.
                     self.fail_conn(n, "daemon closed the connection before replying");
                     return;
                 }
-                Ok(_) => {
-                    if !self.drain_frames(n) {
+                Ok(filled) => {
+                    // A short read drained the socket: the poll is
+                    // level-triggered, so anything arriving later is
+                    // reported again and a further read now could only
+                    // answer WouldBlock.
+                    if !self.drain_frames(n) || filled == Filled::Drained {
                         return;
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => {
                     self.fail_conn(n, &format!("read failed: {e}"));
@@ -1141,69 +1156,38 @@ impl Driver {
                 }
             }
         }
-        // Opportunistically compact the consumed prefix.
-        let node = &mut self.nodes[n];
-        if node.rpos == node.rbuf.len() {
-            node.rbuf.clear();
-            node.rpos = 0;
-        } else if node.rpos > READ_CHUNK {
-            node.rbuf.drain(..node.rpos);
-            node.rpos = 0;
-        }
     }
 
-    /// Parses every complete frame in the read buffer. Returns `false`
+    /// Handles every complete frame the splitter holds. Returns `false`
     /// when the connection died while handling a reply.
     fn drain_frames(&mut self, n: usize) -> bool {
         loop {
             if !matches!(self.nodes[n].conn, ConnState::Ready(_)) {
                 return false;
             }
-            let parsed = {
-                let node = &self.nodes[n];
-                let buf = &node.rbuf[node.rpos..];
-                if buf.len() < 4 {
-                    None
-                } else {
-                    let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-                    if len > node.max_frame {
-                        Some(Err(format!("reply frame of {len} bytes")))
-                    } else if len < HEADER_LEN {
-                        Some(Err(format!("reply frame length {len}")))
-                    } else if buf.len() < 4 + len as usize {
-                        None
+            let (id, decoded) = match self.nodes[n].rx.next_frame() {
+                Ok(None) => return true,
+                Ok(Some(f)) => {
+                    let decoded = if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&f.version)
+                    {
+                        Reply::decode_owned_at(f.version, f.opcode, f.payload)
+                            .map_err(|e| e.to_string())
                     } else {
-                        let version = buf[4];
-                        let opcode = buf[5];
-                        let id = u64::from_le_bytes(buf[6..14].try_into().expect("8 bytes"));
-                        let payload = &buf[14..4 + len as usize];
-                        let decoded = if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION)
-                            .contains(&version)
-                        {
-                            Err(format!("reply version {version}"))
-                        } else {
-                            Reply::decode_at(version, opcode, payload).map_err(|e| e.to_string())
-                        };
-                        Some(Ok((id, decoded, 4 + len as usize)))
-                    }
+                        Err(format!("reply version {}", f.version))
+                    };
+                    (f.request_id, decoded)
                 }
-            };
-            match parsed {
-                None => return true,
-                Some(Err(why)) => {
+                Err(e) => {
                     // Framing is broken: the waiting request gets the
                     // specific error; the connection is beyond resync.
                     if let Some(p) = self.nodes[n].inflight.pop_front() {
-                        self.finish_bad(n, p, why);
+                        self.finish_bad(n, p, format!("reply {e}"));
                     }
                     self.fail_conn(n, "malformed reply frame");
                     return false;
                 }
-                Some(Ok((id, decoded, consumed))) => {
-                    self.nodes[n].rpos += consumed;
-                    self.on_reply(n, id, decoded);
-                }
-            }
+            };
+            self.on_reply(n, id, decoded);
         }
     }
 
@@ -1237,7 +1221,7 @@ impl Driver {
             self.nodes[n].peer_max_chunk = Some(*max_chunk);
         }
         match p.kind {
-            Kind::Plain => self.finish_plain(n, p, reply),
+            Kind::Plain(_) => self.finish_plain(n, p, reply),
             Kind::Probe => self.finish_probe(n, p.sent_version, reply),
             Kind::Resume => self.finish_resume(n, reply),
             Kind::Chunk { last } => self.finish_chunk(n, last, p.sent_version, reply),
@@ -1248,7 +1232,7 @@ impl Driver {
     /// request it answers (never retried), scoped by what that frame was.
     fn finish_bad(&mut self, n: usize, p: Pending, why: String) {
         match p.kind {
-            Kind::Plain => {
+            Kind::Plain(_) => {
                 settle(&mut self.wheel, p, Err(NetError::BadReply(why)));
             }
             Kind::Probe => {
@@ -1388,7 +1372,7 @@ impl Driver {
             }
             Reply::WriteOk { .. } if last => {
                 let Some(st) = self.nodes[n].stream.take() else { return };
-                if let Request::Write { session, seq, .. } = st.req.request {
+                if let Some(&Request::Write { session, seq, .. }) = st.req.request() {
                     if self.nodes[n].resume_candidate == Some((session, seq)) {
                         self.nodes[n].resume_candidate = None;
                     }
@@ -1404,7 +1388,7 @@ impl Driver {
                 // The daemon terminated the stream; downgrade and
                 // re-issue the whole write over a resynced connection.
                 let Some(st) = self.nodes[n].stream.take() else { return };
-                self.note_stream_resume(n, &st.req.request);
+                self.note_stream_resume(n, &st.req);
                 let node = &mut self.nodes[n];
                 if sent_version == node.negotiation.version() {
                     let _ = node.negotiation.downgrade();
@@ -1414,13 +1398,13 @@ impl Driver {
             }
             Reply::Error(e) => {
                 let Some(st) = self.nodes[n].stream.take() else { return };
-                self.note_stream_resume(n, &st.req.request);
+                self.note_stream_resume(n, &st.req);
                 settle(&mut self.wheel, st.req, Err(NetError::Protocol(e)));
                 self.fail_conn(n, "chunk stream answered with an error");
             }
             Reply::Busy { retry_after_ms } | Reply::Overloaded { retry_after_ms } => {
                 let Some(st) = self.nodes[n].stream.take() else { return };
-                self.note_stream_resume(n, &st.req.request);
+                self.note_stream_resume(n, &st.req);
                 self.retry_shed(n, st.req, retry_after_ms, true);
             }
             other => {
@@ -1433,10 +1417,10 @@ impl Driver {
     }
 
     /// Remembers an interrupted stamped stream for `ResumeQuery` on retry.
-    fn note_stream_resume(&mut self, n: usize, request: &Request) {
-        if let Request::Write { session, seq, .. } = request {
-            if *session != 0 {
-                self.nodes[n].resume_candidate = Some((*session, *seq));
+    fn note_stream_resume(&mut self, n: usize, head: &Pending) {
+        if let Some(&Request::Write { session, seq, .. }) = head.request() {
+            if session != 0 {
+                self.nodes[n].resume_candidate = Some((session, seq));
             }
         }
     }
@@ -1445,7 +1429,7 @@ impl Driver {
     /// (now desynchronized) connection.
     fn abort_stream(&mut self, n: usize, err: NetError) {
         if let Some(st) = self.nodes[n].stream.take() {
-            self.note_stream_resume(n, &st.req.request);
+            self.note_stream_resume(n, &st.req);
             settle(&mut self.wheel, st.req, Err(err));
         }
         self.fail_conn(n, "chunk stream aborted");

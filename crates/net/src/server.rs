@@ -30,7 +30,7 @@ use crate::error::{ErrCode, ProtocolError};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::proto::{version_admitted, ChunkHeader, WriteStream};
 use crate::wire::{
-    op, raw_to_set, Reply, Request, StatInfo, DEFAULT_MAX_FRAME, MIN_PROTOCOL_VERSION,
+    op, raw_to_set, Lent, Reply, Request, StatInfo, DEFAULT_MAX_FRAME, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
 };
 use clusterfile::{ChecksumMap, Journal, StorageBackend, SubfileStore};
@@ -754,7 +754,9 @@ fn scrub_loop(shared: &Shared, interval: Duration) {
     }
 }
 
-/// Decodes and executes one request. Returns the reply and whether the
+/// Decodes and executes one request; a `Write`'s or `WriteChunk`'s bytes
+/// are lent from `payload`, so they are journaled, scattered and
+/// checksummed from the frame itself. Returns the reply and whether the
 /// daemon should begin shutting down.
 fn handle_frame(
     shared: &Shared,
@@ -779,10 +781,11 @@ fn handle_frame(
     if !op::is_request(opcode) {
         return refuse(ProtocolError::new(ErrCode::UnknownOp, format!("opcode {opcode:#04x}")));
     }
-    let (request, deadline_ms) = match Request::decode_deadline_at(version, opcode, payload) {
-        Ok(pair) => pair,
-        Err(e) => return refuse(e.into()),
-    };
+    let (Lent { head: request, bulk }, deadline_ms) =
+        match Lent::decode_deadline_at(version, opcode, payload) {
+            Ok(pair) => pair,
+            Err(e) => return refuse(e.into()),
+        };
     if shared.stopping.load(Ordering::SeqCst) && !matches!(request, Request::Shutdown) {
         return refuse(ProtocolError::new(ErrCode::ShuttingDown, "daemon is stopping"));
     }
@@ -822,8 +825,10 @@ fn handle_frame(
             shared.stopping.store(true, Ordering::SeqCst);
             (Reply::Ok, true)
         }
-        Request::WriteChunk { .. } => (handle_write_chunk(shared, chunk_write, request), false),
-        other => (handle_request(shared, other), false),
+        Request::WriteChunk { .. } => {
+            (handle_write_chunk(shared, chunk_write, request, bulk), false)
+        }
+        other => (handle_request(shared, other, bulk), false),
     };
     if entered {
         shared.leave_session(session);
@@ -831,7 +836,9 @@ fn handle_frame(
     handled
 }
 
-fn handle_request(shared: &Shared, request: Request) -> Reply {
+/// Executes `request`; `bulk` holds a `Write`'s payload (lent from its
+/// frame, the field itself is empty).
+fn handle_request(shared: &Shared, request: Request, bulk: &[u8]) -> Reply {
     match request {
         // The tenant id is a connection property: the event loop learns it
         // when it parses the frame, before this handler runs.
@@ -875,7 +882,8 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
             write(&slot.views).insert(compute, Projection { set, period: proj_period });
             Reply::Ok
         }
-        Request::Write { file, compute, l_s, r_s, session, seq, payload } => {
+        Request::Write { file, compute, l_s, r_s, session, seq, payload: _ } => {
+            let payload = bulk;
             with_projection(shared, file, compute, l_s, r_s, |slot, proj| {
                 // A stamped retry of a write already in the dedup window is
                 // acknowledged with the original result, not re-applied.
@@ -1335,8 +1343,13 @@ fn start_chunk_mode(shared: &Shared, h: &ChunkHeader) -> ChunkMode {
     ChunkMode::Apply { slot, runs, expect, applied: 0, run_idx: 0, run_pos: 0 }
 }
 
-fn handle_write_chunk(shared: &Shared, state: &mut Option<ChunkWrite>, request: Request) -> Reply {
-    let Request::WriteChunk { file, compute, l_s, r_s, session, seq, offset, total, last, data } =
+fn handle_write_chunk(
+    shared: &Shared,
+    state: &mut Option<ChunkWrite>,
+    request: Request,
+    data: &[u8],
+) -> Reply {
+    let Request::WriteChunk { file, compute, l_s, r_s, session, seq, offset, total, last, data: _ } =
         request
     else {
         // handle_frame dispatches on the opcode, so any other variant here

@@ -32,12 +32,12 @@
 //! [`execute_frame`].
 
 use super::{lock, NetListener, NetStream, Shared, BUSY_RETRY_MS, OVERLOADED_RETRY_MS};
-use crate::error::{ErrCode, ProtocolError};
+use crate::error::ProtocolError;
 use crate::fault::FrameFault;
 use crate::reactor::{Clock, Event, Interest, MonotonicClock, Reactor, TimerId, TimerWheel};
-use crate::wire::{self, Reply, HEADER_LEN, PROTOCOL_VERSION};
+use crate::wire::{self, Filled, FrameBuf, Reply, PROTOCOL_VERSION};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -63,9 +63,6 @@ const WORKER_BURST: usize = 16;
 /// How long a shed (over-capacity) connection may sit before it is
 /// reaped without delivering its `Overloaded` verdict.
 const SHED_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Bytes per non-blocking read call.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// One frame decoded off a connection, queued for a worker.
 struct QueuedFrame {
@@ -284,9 +281,8 @@ impl Pool {
 /// Reactor-private per-connection state (read buffer, timers, interest).
 struct ConnEntry {
     conn: Arc<Conn>,
-    /// Raw inbound bytes; frames are parsed out from `rpos`.
-    rbuf: Vec<u8>,
-    rpos: usize,
+    /// Inbound bytes and the frames split out of them.
+    rx: FrameBuf,
     frames_seen: u64,
     idle_timer: Option<TimerId>,
     /// Idle budget (read timeout; [`SHED_TIMEOUT`] for shed connections).
@@ -452,8 +448,7 @@ impl Driver {
                 token,
                 ConnEntry {
                     conn,
-                    rbuf: Vec::new(),
-                    rpos: 0,
+                    rx: FrameBuf::new(self.shared.config.max_frame),
                     frames_seen: 0,
                     idle_timer,
                     timeout,
@@ -468,47 +463,32 @@ impl Driver {
     /// allow. Returns true when the connection was closed.
     fn conn_readable(&mut self, token: usize) -> bool {
         loop {
-            let mut eof = false;
-            let mut n_read = 0usize;
-            {
+            let filled = {
                 let Some(entry) = self.conns.get_mut(&token) else { return true };
-                let mut tmp = [0u8; READ_CHUNK];
                 let mut stream: &NetStream = &entry.conn.stream;
-                loop {
-                    match stream.read(&mut tmp) {
-                        Ok(0) => {
-                            eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            if !entry.draining {
-                                entry.rbuf.extend_from_slice(&tmp[..n]);
-                            }
-                            n_read = n;
-                            break;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            eof = true;
-                            break;
-                        }
-                    }
+                let filled = match entry.rx.read_from(&mut stream) {
+                    Ok(filled) => Some(filled),
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(_) => Some(Filled::Eof),
+                };
+                if entry.draining {
+                    entry.rx.clear();
                 }
-            }
-            if n_read > 0 {
-                self.reset_idle_timer(token);
-                self.parse_frames(token);
-            }
-            if eof {
+                filled
+            };
+            if filled == Some(Filled::Eof) {
                 self.close_conn(token);
                 return true;
             }
-            let stop = {
-                let Some(entry) = self.conns.get(&token) else { return true };
-                n_read == 0 || entry.draining || lock(&entry.conn.q).paused
-            };
-            if stop {
+            if filled.is_some() {
+                self.reset_idle_timer(token);
+                self.parse_frames(token);
+            }
+            // A short read drained the socket (the poll is level-triggered:
+            // later bytes are reported again), so only a full one goes round.
+            let Some(entry) = self.conns.get(&token) else { return true };
+            if filled != Some(Filled::More) || entry.draining || lock(&entry.conn.q).paused {
                 break;
             }
         }
@@ -518,7 +498,6 @@ impl Driver {
 
     /// Splits buffered bytes into frames and hands them to the pool.
     fn parse_frames(&mut self, token: usize) {
-        let max_frame = self.shared.config.max_frame;
         let pool = Arc::clone(&self.pool);
         let Some(entry) = self.conns.get_mut(&token) else { return };
         // The pool push is deferred to the end of the parse batch so the
@@ -527,50 +506,23 @@ impl Driver {
         // rest of a burst behind the queued connection would let a fat
         // batch ride a singleton's charge.
         let mut enqueue = false;
-        loop {
-            let avail = entry.rbuf.len() - entry.rpos;
-            if avail < 4 {
-                break;
-            }
-            let len = u32::from_le_bytes(
-                entry.rbuf[entry.rpos..entry.rpos + 4].try_into().expect("4-byte slice"),
-            );
-            if len > max_frame {
-                // The frame was not consumed, so the stream is out of
-                // sync: the worker answers with request id 0 and closes.
-                fatal_framing(
-                    entry,
-                    &pool,
-                    ProtocolError::new(
-                        ErrCode::FrameTooLarge,
-                        format!("frame of {len} bytes exceeds the {max_frame} byte budget"),
-                    ),
-                );
-                break;
-            }
-            if len < HEADER_LEN {
-                fatal_framing(
-                    entry,
-                    &pool,
-                    ProtocolError::new(
-                        ErrCode::Malformed,
-                        format!("frame length {len} is shorter than the header"),
-                    ),
-                );
-                break;
-            }
-            let need = 4 + len as usize;
-            if avail < need {
-                break;
-            }
-            let f = &entry.rbuf[entry.rpos + 4..entry.rpos + need];
-            let frame = QueuedFrame {
-                version: f[0],
-                opcode: f[1],
-                request_id: u64::from_le_bytes(f[2..10].try_into().expect("8-byte slice")),
-                payload: f[10..].to_vec(),
-                received: Instant::now(),
-                seqno: entry.frames_seen + 1,
+        while !entry.draining {
+            let frame = match entry.rx.next_frame() {
+                Ok(None) => break,
+                Ok(Some(f)) => QueuedFrame {
+                    version: f.version,
+                    opcode: f.opcode,
+                    request_id: f.request_id,
+                    payload: f.payload.into_owned(),
+                    received: Instant::now(),
+                    seqno: entry.frames_seen + 1,
+                },
+                Err(e) => {
+                    // The frame was not consumed, so the stream is out of
+                    // sync: the worker answers with request id 0 and closes.
+                    fatal_framing(entry, &pool, e.into());
+                    break;
+                }
             };
             // Learn the connection's tenant as soon as an `Open` is parsed
             // (protocol ≥ 6; older frames decode to the anonymous tenant),
@@ -584,7 +536,6 @@ impl Driver {
                     entry.conn.tenant.store(tenant, Ordering::Relaxed);
                 }
             }
-            entry.rpos += need;
             entry.frames_seen += 1;
             let mut q = lock(&entry.conn.q);
             if !q.open {
@@ -609,14 +560,6 @@ impl Driver {
         if enqueue {
             let cost = lock(&entry.conn.q).frames.len() as u64;
             pool.push(Arc::clone(&entry.conn), cost);
-        }
-        // Compact the consumed prefix once it dominates the buffer.
-        if entry.rpos == entry.rbuf.len() {
-            entry.rbuf.clear();
-            entry.rpos = 0;
-        } else if entry.rpos > READ_CHUNK {
-            entry.rbuf.drain(..entry.rpos);
-            entry.rpos = 0;
         }
     }
 
@@ -973,10 +916,11 @@ fn execute_frame(
     Outcome::Continue
 }
 
-/// Encodes one reply frame into the connection's write buffer (applying
-/// an injected truncation), attempts an immediate non-blocking drain, and
-/// leaves the reactor to finish the rest. Parks when the buffer is over
-/// [`WRITE_BUF_CAP`] — slow-reader backpressure bounded per connection.
+/// Encodes one reply frame in place at the end of the connection's write
+/// buffer (an injected truncation cuts it `keep` bytes in), attempts an
+/// immediate non-blocking drain, and leaves the reactor to finish the rest.
+/// Parks when the buffer is over [`WRITE_BUF_CAP`] — slow-reader
+/// backpressure bounded per connection.
 fn queue_reply(
     conn: &Conn,
     notify: &Notify,
@@ -985,13 +929,6 @@ fn queue_reply(
     reply: &Reply,
     truncate: Option<u64>,
 ) {
-    let mut payload = Vec::new();
-    reply.encode_payload_at_into(version, &mut payload);
-    let mut frame = Vec::with_capacity(payload.len() + 16);
-    let _ = wire::write_frame_at(&mut frame, version, reply.opcode(), request_id, &payload);
-    if let Some(keep) = truncate {
-        frame.truncate((keep as usize).min(frame.len()));
-    }
     let mut wq = lock(&conn.wq);
     while wq.buf.len() - wq.start > WRITE_BUF_CAP && !wq.closed {
         wq = conn.wq_cv.wait(wq).unwrap_or_else(|e| e.into_inner());
@@ -999,7 +936,13 @@ fn queue_reply(
     if wq.closed {
         return;
     }
-    wq.buf.extend_from_slice(&frame);
+    let start = wire::append_frame(&mut wq.buf, version, reply.opcode(), request_id, |out| {
+        reply.append_payload(version, out);
+    });
+    if let Some(keep) = truncate {
+        let frame_len = wq.buf.len() - start;
+        wq.buf.truncate(start + (keep as usize).min(frame_len));
+    }
     try_flush(&conn.stream, &mut wq);
     let leftover = wq.start < wq.buf.len();
     drop(wq);

@@ -903,6 +903,7 @@ impl Session {
             });
             let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
             let mut group = BuiltGroup { subfile: s, targets: Vec::new(), pre_dirty: Vec::new() };
+            let mut admitted = Vec::new();
             for rank in 0..self.map.replicas() {
                 let node = self.map.node_for(s, rank);
                 if self.health[node] == NodeHealth::Dead || !self.breaker_admits(node) {
@@ -911,21 +912,19 @@ impl Session {
                     // retry schedule); the copy is queued dirty instead of
                     // blocking the quorum, and scrub repairs it later.
                     group.pre_dirty.push((rank, node));
-                    continue;
+                } else {
+                    admitted.push((rank, node));
                 }
-                group.targets.push((
-                    rank,
-                    node,
-                    Request::Write {
-                        file: copy_file_id(file, rank),
-                        compute,
-                        l_s,
-                        r_s,
-                        session,
-                        seq,
-                        payload: payload.clone(),
-                    },
-                ));
+            }
+            // The gathered payload moves into the last copy's message;
+            // only the earlier ranks of a replicated file clone it.
+            if let Some((&last, earlier)) = admitted.split_last() {
+                let message = |(rank, node), payload| {
+                    let file = copy_file_id(file, rank);
+                    (rank, node, Request::Write { file, compute, l_s, r_s, session, seq, payload })
+                };
+                group.targets.extend(earlier.iter().map(|&copy| message(copy, payload.clone())));
+                group.targets.push(message(last, payload));
             }
             groups.push(group);
         }

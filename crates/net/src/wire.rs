@@ -24,7 +24,11 @@ use crate::error::{ErrCode, ProtocolError};
 use falls::{Falls, NestedFalls, NestedSet};
 use parafile::model::{Partition, PartitionPattern};
 use parafile_audit::{RawElement, RawFalls, RawPattern};
+use std::borrow::Cow;
 use std::io::{Read, Write};
+
+mod framebuf;
+pub use framebuf::{Filled, FrameBuf, RawFrame, READ_CHUNK};
 
 /// Protocol version this crate speaks by default.
 ///
@@ -58,6 +62,9 @@ pub const MIN_PROTOCOL_VERSION: u8 = 1;
 
 /// Bytes of the fixed header after the length prefix.
 pub const HEADER_LEN: u32 = 1 + 1 + 8;
+
+/// Length prefix plus fixed header: the bytes in front of every payload.
+const PREFIX_LEN: usize = 4 + HEADER_LEN as usize;
 
 /// Default upper bound on a frame's `len` field (64 MiB).
 pub const DEFAULT_MAX_FRAME: u32 = 64 << 20;
@@ -136,6 +143,16 @@ pub enum WireError {
     TooDeep,
     /// A pattern or set carried more than [`MAX_TREE_NODES`] nodes.
     TooManyNodes,
+    /// A frame's length prefix exceeds the receiver's budget; the frame
+    /// was not read.
+    FrameTooLarge {
+        /// The refused length prefix.
+        len: u32,
+        /// The receiver's `max_frame`.
+        max: u32,
+    },
+    /// A frame's length prefix is shorter than the fixed header.
+    FrameTooShort(u32),
 }
 
 impl std::fmt::Display for WireError {
@@ -146,13 +163,23 @@ impl std::fmt::Display for WireError {
             WireError::BadValue(what) => write!(f, "invalid value for {what}"),
             WireError::TooDeep => f.write_str("FALLS tree nested too deep"),
             WireError::TooManyNodes => f.write_str("FALLS tree has too many nodes"),
+            WireError::FrameTooLarge { len, max } => {
+                write!(f, "frame of {len} bytes exceeds the {max} byte budget")
+            }
+            WireError::FrameTooShort(len) => {
+                write!(f, "frame length {len} is shorter than the header")
+            }
         }
     }
 }
 
 impl From<WireError> for ProtocolError {
     fn from(e: WireError) -> Self {
-        ProtocolError::new(ErrCode::Malformed, e.to_string())
+        let code = match e {
+            WireError::FrameTooLarge { .. } => ErrCode::FrameTooLarge,
+            _ => ErrCode::Malformed,
+        };
+        ProtocolError::new(code, e.to_string())
     }
 }
 
@@ -194,8 +221,8 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    pub(crate) fn rest(&mut self) -> Vec<u8> {
-        let out = self.buf[self.pos..].to_vec();
+    pub(crate) fn rest(&mut self) -> &'a [u8] {
+        let out = &self.buf[self.pos..];
         self.pos = self.buf.len();
         out
     }
@@ -544,6 +571,13 @@ impl Request {
     /// and silently drop it (the daemon then enforces nothing).
     pub fn encode_payload_deadline_into(&self, version: u8, deadline_ms: u32, out: &mut Vec<u8>) {
         out.clear();
+        self.append_payload(version, deadline_ms, out);
+    }
+
+    /// [`encode_payload_deadline_into`](Self::encode_payload_deadline_into)
+    /// without the clear: the payload lands behind whatever `out` already
+    /// holds, which is how a frame is encoded in place in a write buffer.
+    pub(crate) fn append_payload(&self, version: u8, deadline_ms: u32, out: &mut Vec<u8>) {
         if version >= 5 {
             put_u32(out, deadline_ms);
         }
@@ -641,6 +675,47 @@ impl Request {
         opcode: u8,
         payload: &[u8],
     ) -> Result<(Self, u32), WireError> {
+        Lent::decode_deadline_at(version, opcode, payload)
+            .map(|(req, deadline_ms)| (req.into_owned(), deadline_ms))
+    }
+}
+
+/// A request whose bulk bytes — `Write::payload` or `WriteChunk::data`,
+/// always the tail of the payload encoding — stay where they are: `head`
+/// carries that field empty and `bulk` lends the bytes. The daemon decodes
+/// this way, so it journals, scatters and checksums from the frame it
+/// received; the client encodes each chunk this way, from a slice of the
+/// parent `Write`. [`Request`]'s own decoders are this parse plus
+/// [`into_owned`](Self::into_owned).
+#[derive(Debug)]
+pub(crate) struct Lent<'a> {
+    pub head: Request,
+    pub bulk: &'a [u8],
+}
+
+impl<'a> Lent<'a> {
+    pub(crate) fn into_owned(self) -> Request {
+        let mut head = self.head;
+        if let Request::Write { payload: tail, .. } | Request::WriteChunk { data: tail, .. } =
+            &mut head
+        {
+            *tail = self.bulk.to_vec();
+        }
+        head
+    }
+
+    /// [`Request::append_payload`] with the bulk bytes from `bulk`.
+    pub(crate) fn append_payload(&self, version: u8, deadline_ms: u32, out: &mut Vec<u8>) {
+        self.head.append_payload(version, deadline_ms, out);
+        out.extend_from_slice(self.bulk);
+    }
+
+    /// See [`Request::decode_deadline_at`].
+    pub(crate) fn decode_deadline_at(
+        version: u8,
+        opcode: u8,
+        payload: &'a [u8],
+    ) -> Result<(Self, u32), WireError> {
         if version >= 5 {
             // An unknown opcode is reported as such even when the payload is
             // shorter than the deadline prefix, so UnknownOp vs Malformed
@@ -656,7 +731,7 @@ impl Request {
         }
     }
 
-    fn decode_body_at(version: u8, opcode: u8, payload: &[u8]) -> Result<Self, WireError> {
+    fn decode_body_at(version: u8, opcode: u8, payload: &'a [u8]) -> Result<Self, WireError> {
         let mut c = Cursor::new(payload);
         let req = match opcode {
             op::OPEN => {
@@ -681,8 +756,9 @@ impl Request {
                 let l_s = c.u64()?;
                 let r_s = c.u64()?;
                 let (session, seq) = if version >= 2 { (c.u64()?, c.u64()?) } else { (0, 0) };
-                let payload = c.rest();
-                return Ok(Request::Write { file, compute, l_s, r_s, session, seq, payload });
+                let head =
+                    Request::Write { file, compute, l_s, r_s, session, seq, payload: Vec::new() };
+                return Ok(Lent { head, bulk: c.rest() });
             }
             op::READ => {
                 Request::Read { file: c.u64()?, compute: c.u32()?, l_s: c.u64()?, r_s: c.u64()? }
@@ -706,8 +782,7 @@ impl Request {
                     1 => true,
                     _ => return Err(WireError::BadValue("last flag")),
                 };
-                let data = c.rest();
-                return Ok(Request::WriteChunk {
+                let head = Request::WriteChunk {
                     file,
                     compute,
                     l_s,
@@ -717,8 +792,9 @@ impl Request {
                     offset,
                     total,
                     last,
-                    data,
-                });
+                    data: Vec::new(),
+                };
+                return Ok(Lent { head, bulk: c.rest() });
             }
             op::WRITE_RESUME if version >= 4 => {
                 Request::ResumeQuery { file: c.u64()?, session: c.u64()?, seq: c.u64()? }
@@ -726,7 +802,7 @@ impl Request {
             _ => return Err(WireError::BadValue("opcode")),
         };
         c.finish()?;
-        Ok(req)
+        Ok(Lent { head: req, bulk: &[] })
     }
 }
 
@@ -854,6 +930,12 @@ impl Reply {
     /// allocation across frames.
     pub fn encode_payload_at_into(&self, version: u8, out: &mut Vec<u8>) {
         out.clear();
+        self.append_payload(version, out);
+    }
+
+    /// [`encode_payload_at_into`](Self::encode_payload_at_into) without the
+    /// clear, for encoding a frame in place in a write buffer.
+    pub(crate) fn append_payload(&self, version: u8, out: &mut Vec<u8>) {
         match self {
             Reply::Ok => {}
             Reply::WriteOk { written, replayed } => {
@@ -904,7 +986,21 @@ impl Reply {
 
     /// Decodes a reply as protocol version `version` would frame it.
     pub fn decode_at(version: u8, opcode: u8, payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(payload);
+        Self::decode_owned_at(version, opcode, Cow::Borrowed(payload))
+    }
+
+    /// [`decode_at`](Self::decode_at) for a payload that may already be
+    /// its own allocation (a frame the splitter received in place): `Data`
+    /// takes it over instead of copying it.
+    pub(crate) fn decode_owned_at(
+        version: u8,
+        opcode: u8,
+        payload: Cow<'_, [u8]>,
+    ) -> Result<Self, WireError> {
+        if opcode == op::R_DATA {
+            return Ok(Reply::Data { payload: payload.into_owned() });
+        }
+        let mut c = Cursor::new(&payload);
         let reply = match opcode {
             op::R_OK => Reply::Ok,
             op::R_WRITE_OK => {
@@ -929,7 +1025,6 @@ impl Reply {
             op::R_RESUME if version >= 4 => Reply::ResumeAt { offset: c.u64()? },
             op::R_BUSY if version >= 5 => Reply::Busy { retry_after_ms: c.u32()? },
             op::R_OVERLOADED if version >= 5 => Reply::Overloaded { retry_after_ms: c.u32()? },
-            op::R_DATA => return Ok(Reply::Data { payload: c.rest() }),
             op::R_STAT => Reply::Stat(StatInfo {
                 len: c.u64()?,
                 views: c.u64()?,
@@ -1004,15 +1099,38 @@ pub fn write_frame_at(
     request_id: u64,
     payload: &[u8],
 ) -> std::io::Result<()> {
-    let len = HEADER_LEN + payload.len() as u32;
-    let mut head = [0u8; 14];
-    head[0..4].copy_from_slice(&len.to_le_bytes());
+    w.write_all(&frame_head(payload.len(), version, opcode, request_id))?;
+    w.write_all(payload)?;
+    w.flush()
+}
+
+/// Length prefix and fixed header of a frame carrying `payload_len` bytes.
+fn frame_head(payload_len: usize, version: u8, opcode: u8, request_id: u64) -> [u8; PREFIX_LEN] {
+    let mut head = [0u8; PREFIX_LEN];
+    head[0..4].copy_from_slice(&(HEADER_LEN + payload_len as u32).to_le_bytes());
     head[4] = version;
     head[5] = opcode;
     head[6..14].copy_from_slice(&request_id.to_le_bytes());
-    w.write_all(&head)?;
-    w.write_all(payload)?;
-    w.flush()
+    head
+}
+
+/// Appends one frame to `out`, its payload encoded in place by `body`:
+/// room for the prefix and header is reserved first and filled in once
+/// the length is known, so the payload is written once, where it is sent
+/// from. Returns the offset in `out` at which the frame starts.
+pub(crate) fn append_frame(
+    out: &mut Vec<u8>,
+    version: u8,
+    opcode: u8,
+    request_id: u64,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; PREFIX_LEN]);
+    body(out);
+    let head = frame_head(out.len() - start - PREFIX_LEN, version, opcode, request_id);
+    out[start..start + PREFIX_LEN].copy_from_slice(&head);
+    start
 }
 
 /// Reads one frame, enforcing the size budget.
@@ -1114,6 +1232,44 @@ mod tests {
             let payload = req.encode_payload();
             let back = Request::decode(req.opcode(), &payload).expect("round trip");
             assert_eq!(back, req);
+            // The lending decode is the same parse — at full length and at
+            // every truncation — and its bulk bytes are the frame's own.
+            for cut in 0..=payload.len() {
+                let frame = &payload[..cut];
+                let owned = Request::decode_deadline_at(PROTOCOL_VERSION, req.opcode(), frame);
+                let lent = Lent::decode_deadline_at(PROTOCOL_VERSION, req.opcode(), frame);
+                if let Ok((Lent { bulk, .. }, _)) = &lent {
+                    assert!(bulk.is_empty() || bulk.as_ptr_range().end == frame.as_ptr_range().end);
+                }
+                assert_eq!(lent.map(|(r, ms)| (r.into_owned(), ms)), owned, "cut {cut}");
+            }
+            // A request encoded around lent bulk bytes is the owned encoding.
+            let Ok((lent, _)) = Lent::decode_deadline_at(PROTOCOL_VERSION, req.opcode(), &payload)
+            else {
+                panic!("decoded above");
+            };
+            let mut appended = vec![0xEE];
+            lent.append_payload(PROTOCOL_VERSION, 0, &mut appended);
+            assert_eq!(appended[1..], payload);
+        }
+    }
+
+    #[test]
+    fn frames_encoded_in_place_equal_write_frame() {
+        let reply = Reply::Data { payload: b"gathered".to_vec() };
+        let mut want = b"earlier frame".to_vec();
+        write_frame_at(&mut want, 4, reply.opcode(), 77, &reply.encode_payload_at(4)).unwrap();
+        let mut got = b"earlier frame".to_vec();
+        let start =
+            append_frame(&mut got, 4, reply.opcode(), 77, |out| reply.append_payload(4, out));
+        assert_eq!(start, b"earlier frame".len());
+        assert_eq!(got, want);
+        // A received frame's own allocation becomes the Data payload.
+        let owned = b"gathered".to_vec();
+        let at = owned.as_ptr();
+        match Reply::decode_owned_at(4, op::R_DATA, Cow::Owned(owned)).unwrap() {
+            Reply::Data { payload } => assert_eq!(payload.as_ptr(), at),
+            other => panic!("unexpected reply {other:?}"),
         }
     }
 
