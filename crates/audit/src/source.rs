@@ -62,9 +62,10 @@ impl SourceConfig {
     /// The workspace's canonical configuration: the daemon/session
     /// request paths, the receive buffer that splits untrusted socket
     /// bytes into frames, the write-ahead journal, the replication layer
-    /// (replica placement math, per-segment checksum map), and the
-    /// pattern audit with its tiling verifier (run on untrusted bytes in
-    /// every `SetView`) are hot,
+    /// (replica placement math, per-segment checksum map), the pattern
+    /// audit with its tiling verifier (run on untrusted bytes in every
+    /// `SetView`), and the projection walk (run on wire bounds in every
+    /// `Write`/`Read`) are hot,
     /// session worker queues are bounded-only, the daemon's lock
     /// order is `files < store < journal < sums < dedup`, and the
     /// reactor, mux transport, and reactor daemon are blocking-free.
@@ -83,6 +84,7 @@ impl SourceConfig {
                 "replica/src/lib.rs",
                 "audit/src/checks.rs",
                 "falls/src/tiling.rs",
+                "core/src/redist/project.rs",
             ]),
             bounded_only: own(&["net/src/session.rs"]),
             lock_order: own(&["files", "store", "journal", "sums", "dedup"]),

@@ -142,7 +142,7 @@ fn main() {
         let hi = find(*args.sizes.last().expect("size sweep is non-empty"), "c").t_i_us;
         checks.push((
             format!("t_i roughly size-independent (c: {lo:.1} → {hi:.1} µs across the sweep)"),
-            ratio(hi, lo) < 8.0,
+            ratio(hi, lo) < 2.0,
         ));
     }
     let held = shape_checks(&checks);

@@ -67,6 +67,7 @@ impl PaperScenario {
         let logical = self.logical.partition(n, n, 1, self.compute_nodes as u64);
 
         let mut acc = ScenarioResult::new(self);
+        let mut t_i_samples = Vec::new();
         for _ in 0..self.repetitions.max(1) {
             let mut fs = Clusterfile::new(ClusterfileConfig {
                 compute_nodes: self.compute_nodes,
@@ -82,12 +83,10 @@ impl PaperScenario {
 
             // View set: every compute node sets its row-block view; t_i is
             // the measured intersection + projection cost.
-            let mut t_i_us = 0.0;
             for c in 0..self.compute_nodes {
                 let t = fs.set_view(c, file, &logical, c);
-                t_i_us += t.t_i.as_secs_f64() * 1e6;
+                t_i_samples.push(t.t_i.as_secs_f64() * 1e6);
             }
-            t_i_us /= self.compute_nodes as f64;
 
             // Concurrent full-view writes.
             let ops: Vec<(usize, u64, u64, Vec<u8>)> = (0..self.compute_nodes)
@@ -99,9 +98,13 @@ impl PaperScenario {
                 })
                 .collect();
             let timings = fs.write_group(file, &ops);
-            acc.absorb_round(t_i_us, &timings, &fs);
+            acc.absorb_round(&timings, &fs);
         }
         acc.finish(self.repetitions.max(1));
+        // A view-set takes microseconds, so one preempted sample would move
+        // a mean; the median does not.
+        t_i_samples.sort_by(f64::total_cmp);
+        acc.t_i_us = t_i_samples[t_i_samples.len() / 2];
         acc
     }
 }
@@ -120,8 +123,8 @@ pub struct ScenarioResult {
     pub write_through: bool,
     /// Replication factor the scenario was configured with.
     pub replicas: usize,
-    /// Mean view-set (intersection + projection) time per compute node, µs.
-    /// Real measured wall-clock (paper: `t_i`).
+    /// Median view-set (intersection + projection) time per compute node,
+    /// µs. Real measured wall-clock (paper: `t_i`).
     pub t_i_us: f64,
     /// Mean extremity-mapping time per compute node, µs (paper: `t_m`).
     pub t_m_us: f64,
@@ -158,8 +161,7 @@ impl ScenarioResult {
         }
     }
 
-    fn absorb_round(&mut self, t_i_us: f64, timings: &[WriteTimings], fs: &Clusterfile) {
-        self.t_i_us += t_i_us;
+    fn absorb_round(&mut self, timings: &[WriteTimings], fs: &Clusterfile) {
         let nc = timings.len() as f64;
         self.t_m_us += timings.iter().map(|t| t.t_m.as_secs_f64() * 1e6).sum::<f64>() / nc;
         self.t_g_us += timings.iter().map(|t| t.t_g.as_secs_f64() * 1e6).sum::<f64>() / nc;
@@ -175,7 +177,6 @@ impl ScenarioResult {
     fn finish(&mut self, rounds: usize) {
         let r = rounds as f64;
         for v in [
-            &mut self.t_i_us,
             &mut self.t_m_us,
             &mut self.t_g_us,
             &mut self.t_w_us,

@@ -15,86 +15,46 @@ use falls::LineSegment;
 /// overhead would dominate the copy itself.
 const PARALLEL_THRESHOLD_BYTES: u64 = 64 * 1024;
 
-/// A projection lowered for repeated windowed replay.
+/// A projection prepared for repeated windowed replay.
 ///
-/// [`Projection::segments_between`] re-derives the window-0 segment list
-/// from the FALLS tree and materializes a `Vec` on every access; this type
-/// derives that list once at compile time and streams clipped segments to a
-/// callback per access, allocating nothing on the common path.
+/// Streams [`Projection::segments_between`] to a callback per access. When
+/// the projection's tree walks its segments in byte order — no interleaved
+/// siblings, window 0 within one period — the clipped walk feeds the
+/// callback directly and allocates nothing; otherwise each access collects
+/// and sorts, as `segments_between` does.
 #[derive(Debug, Clone)]
 pub struct SegmentReplay {
-    base: Vec<LineSegment>,
-    period: u64,
-    min_pos: u64,
-    max_pos: u64,
-    /// Whether window k's segments all precede window k+1's, so streaming
-    /// in (window, segment) order is already globally sorted. False only
-    /// when window 0 spans more than one period (tree order diverging from
-    /// byte order under a displacement mismatch).
-    streamable: bool,
+    proj: Projection,
+    in_order: bool,
 }
 
 impl SegmentReplay {
-    /// Lowers `proj` for replay.
+    /// Prepares `proj` for replay: one pass over its nodes, not its segments.
     #[must_use]
     pub fn new(proj: &Projection) -> Self {
-        let base = proj.set.absolute_segments();
-        let (min_pos, max_pos) = match (base.first(), base.last()) {
-            (Some(f), Some(l)) => (f.l(), l.r()),
-            _ => (0, 0),
-        };
-        let streamable = base.is_empty() || max_pos - min_pos < proj.period;
-        Self { base, period: proj.period.max(1), min_pos, max_pos, streamable }
+        Self { proj: proj.clone(), in_order: proj.walks_in_order() }
     }
 
     /// Whether the projection selects no bytes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.base.is_empty()
+        self.proj.is_empty()
     }
 
     /// Selected bytes per aligned window.
     #[must_use]
     pub fn bytes_per_period(&self) -> u64 {
-        self.base.iter().map(LineSegment::len).sum()
+        self.proj.bytes_per_period()
     }
 
     /// Streams the projection's segments clipped to `[lo, hi]` (inclusive,
-    /// element-linear), in increasing offset order, without allocating —
-    /// except in the rare non-streamable window-overlap case, where the
-    /// segments are collected and sorted first to keep the order contract of
-    /// [`Projection::segments_between`].
+    /// element-linear), in increasing offset order, without allocating
+    /// unless the tree's walk order is not byte order.
     pub fn for_each_between(&self, lo: u64, hi: u64, mut f: impl FnMut(LineSegment)) {
-        if self.is_empty() || lo > hi || self.min_pos > hi {
-            return;
-        }
-        let k_lo = lo.saturating_sub(self.max_pos) / self.period;
-        let k_hi = (hi - self.min_pos) / self.period;
-        if self.streamable {
-            for k in k_lo..=k_hi {
-                let shift = k * self.period;
-                for seg in &self.base {
-                    let abs = seg.shift_up(shift).expect("fits in u64");
-                    if let Some(clipped) = abs.clip(lo, hi) {
-                        f(clipped);
-                    }
-                }
-            }
-            return;
-        }
-        let mut out = Vec::new();
-        for k in k_lo..=k_hi {
-            let shift = k * self.period;
-            for seg in &self.base {
-                let abs = seg.shift_up(shift).expect("fits in u64");
-                if let Some(clipped) = abs.clip(lo, hi) {
-                    out.push(clipped);
-                }
-            }
-        }
-        out.sort_unstable();
-        for seg in out {
-            f(seg);
+        if self.in_order {
+            self.proj.stream_between(lo, hi, f);
+        } else {
+            self.proj.segments_between(lo, hi).into_iter().for_each(&mut f);
         }
     }
 
@@ -524,11 +484,10 @@ mod tests {
 
     #[test]
     fn segment_replay_matches_segments_between() {
-        use crate::redist::intersect_elements;
+        use crate::redist::intersect_and_project;
         let a = stripes(2, 8, 0);
         let b = cyclic(2, 0);
-        let inter = intersect_elements(&a, 0, &b, 0).unwrap();
-        let proj = Projection::compute(&inter, &a, 0);
+        let (_, proj, _) = intersect_and_project(&a, 0, &b, 0).unwrap();
         let replay = SegmentReplay::new(&proj);
         for (lo, hi) in [(0u64, 31u64), (3, 9), (5, 5), (7, 3), (100, 200)] {
             let mut got = Vec::new();

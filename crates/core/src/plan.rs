@@ -9,8 +9,9 @@
 //! exactly how the paper amortizes the view-setting cost over accesses.
 
 use crate::model::Partition;
-use crate::redist::{element_window, intersect_elements, Intersection, Projection};
+use crate::redist::{intersect_and_project, Intersection, Projection};
 use crate::Error;
+use falls::LineSegment;
 
 /// One maximal copy run within the first aligned window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,14 +81,13 @@ impl RedistributionPlan {
         let mut period = 0;
         for i in 0..src.element_count() {
             for j in 0..dst.element_count() {
-                let intersection = intersect_elements(src, i, dst, j)?;
+                let (intersection, src_projection, dst_projection) =
+                    intersect_and_project(src, i, dst, j)?;
                 displacement = intersection.displacement;
                 period = intersection.period;
                 if intersection.is_empty() {
                     continue;
                 }
-                let src_projection = Projection::compute(&intersection, src, i);
-                let dst_projection = Projection::compute(&intersection, dst, j);
                 let runs = build_runs(&intersection, src, i, dst, j);
                 pairs.push(PairPlan {
                     src_element: i,
@@ -194,6 +194,75 @@ impl RedistributionPlan {
         }
         copied
     }
+}
+
+/// The segments of one partition element within one aligned window
+/// `[D + k·period, D + (k+1)·period)` of the file, annotated with their
+/// element-linear offsets.
+///
+/// This is the bridge between file space and element space that copy-run
+/// construction (and the enumerating projection oracle) walks: entry
+/// `(seg, off)` says that
+/// file bytes `D + seg.l() ..= D + seg.r()` occupy element offsets
+/// `off .. off + seg.len()` (for window 0; window `k` adds `k · period_elem`
+/// to the element offsets and `k · period` to the file offsets).
+#[derive(Debug, Clone)]
+pub(crate) struct ElementWindow {
+    /// `(file segment relative to the window start, element-linear offset)`
+    /// pairs, sorted by file offset.
+    pub(crate) entries: Vec<(LineSegment, u64)>,
+    /// Element-linear bytes per window: `(period / SIZE(P)) · SIZE(S)`.
+    pub(crate) period_elem: u64,
+}
+
+/// Computes the [`ElementWindow`] of `element` of `partition` for windows of
+/// `period` bytes starting at absolute file offset `displacement`.
+///
+/// `displacement` must be at or past the partition's own displacement and
+/// `period` a multiple of the pattern size (both hold for the values carried
+/// by an [`Intersection`]).
+#[must_use]
+pub(crate) fn element_window(
+    partition: &Partition,
+    element: usize,
+    displacement: u64,
+    period: u64,
+) -> ElementWindow {
+    let d = partition.displacement();
+    assert!(
+        displacement >= d,
+        "window start {displacement} precedes the partition displacement {d}"
+    );
+    let psize = partition.pattern().size();
+    assert_eq!(period % psize, 0, "window period must be a multiple of the pattern size");
+    let set = partition.pattern().element(element).expect("element index in range");
+    let esize = set.size();
+
+    // Tree segments of one pattern tile with their linear offsets.
+    let mut tile_entries: Vec<(LineSegment, u64)> = Vec::new();
+    let mut linear = 0u64;
+    for seg in set.tree_segments() {
+        tile_entries.push((seg, linear));
+        linear += seg.len();
+    }
+
+    let win_lo = displacement;
+    let win_hi = displacement + period - 1;
+    let t_start = (win_lo - d) / psize;
+    let t_end = (win_hi - d) / psize;
+    let mut entries = Vec::with_capacity(tile_entries.len() * (t_end - t_start + 1) as usize);
+    for t in t_start..=t_end {
+        let tile_base = d + t * psize;
+        for (seg, off) in &tile_entries {
+            let abs = seg.shift_up(tile_base).expect("fits in u64");
+            let Some(clipped) = abs.clip(win_lo, win_hi) else { continue };
+            let elem_off = t * esize + off + (clipped.l() - abs.l());
+            let rel = clipped.shift_down(win_lo).expect("clipped to the window");
+            entries.push((rel, elem_off));
+        }
+    }
+    entries.sort_unstable_by_key(|(seg, _)| seg.l());
+    ElementWindow { entries, period_elem: (period / psize) * esize }
 }
 
 /// Splits the intersection's file segments at every source- and

@@ -9,7 +9,7 @@
 //! computation, so it lives here instead of being duplicated per transport.
 
 use crate::model::Partition;
-use crate::redist::{intersect_elements, Projection};
+use crate::redist::{intersect_and_project, Projection};
 use crate::Error;
 
 /// The compiled access information for one (view element, subfile) pair.
@@ -21,9 +21,10 @@ pub struct SubfileAccess {
     /// `PROJ_S(V ∩ S)` — the intersection in the subfile's linear space
     /// (shipped to the I/O node; drives scatters).
     pub proj_sub: Projection,
-    /// Whether view and subfile describe the same byte set, so view offsets
+    /// Whether both projections select the same bytes, so view offsets
     /// equal subfile offsets and mapping extremities is free (§6.2: identical
-    /// parameters make each view map exactly on a subfile).
+    /// parameters make each view map exactly on a subfile). Decided on the
+    /// byte set, not on how the two trees nest it.
     pub perfect_match: bool,
 }
 
@@ -56,15 +57,12 @@ impl ViewPlan {
     pub fn compile(view: &Partition, element: usize, physical: &Partition) -> Result<Self, Error> {
         let mut per_subfile = Vec::with_capacity(physical.element_count());
         for s in 0..physical.element_count() {
-            let inter = intersect_elements(view, element, physical, s)?;
+            let (inter, proj_view, proj_sub) = intersect_and_project(view, element, physical, s)?;
             if inter.is_empty() {
                 per_subfile.push(SubfileAccess::empty());
                 continue;
             }
-            let proj_view = Projection::compute(&inter, view, element);
-            let proj_sub = Projection::compute(&inter, physical, s);
-            let perfect_match =
-                proj_view.period == proj_sub.period && proj_view.set == proj_sub.set;
+            let perfect_match = proj_view.same_bytes(&proj_sub);
             per_subfile.push(SubfileAccess { proj_view, proj_sub, perfect_match });
         }
         Ok(Self { per_subfile })
@@ -140,6 +138,48 @@ mod tests {
             assert_eq!(a.proj_view.bytes_per_period(), 2);
             assert_eq!(a.proj_sub.bytes_per_period(), 2);
         }
+    }
+
+    #[test]
+    fn a_view_equal_to_the_layout_stays_a_perfect_match() {
+        for p in [stripes(4, 8), cyclic(4)] {
+            let plan = ViewPlan::compile(&p, 2, &p).unwrap();
+            assert!(plan.per_subfile[2].perfect_match);
+            assert_eq!(plan.intersecting_subfiles(), 1);
+        }
+        // The same bytes nested differently: the view's element 0 is one
+        // 4-byte block wrapped in an outer family, the layout's two leaves.
+        let view = Partition::new(
+            0,
+            PartitionPattern::new(vec![
+                NestedSet::singleton(
+                    NestedFalls::with_inner(
+                        Falls::new(0, 7, 8, 1).unwrap(),
+                        vec![NestedFalls::leaf(Falls::new(0, 3, 4, 1).unwrap())],
+                    )
+                    .unwrap(),
+                ),
+                NestedSet::singleton(NestedFalls::leaf(Falls::new(4, 7, 8, 1).unwrap())),
+            ])
+            .unwrap(),
+        );
+        let layout = Partition::new(
+            0,
+            PartitionPattern::new(vec![
+                NestedSet::new(vec![
+                    NestedFalls::leaf(Falls::new(0, 1, 2, 1).unwrap()),
+                    NestedFalls::leaf(Falls::new(2, 3, 2, 1).unwrap()),
+                ])
+                .unwrap(),
+                NestedSet::singleton(NestedFalls::leaf(Falls::new(4, 7, 8, 1).unwrap())),
+            ])
+            .unwrap(),
+        );
+        let plan = ViewPlan::compile(&view, 0, &layout).unwrap();
+        assert!(plan.per_subfile[0].perfect_match);
+        assert!(
+            !ViewPlan::compile(&stripes(4, 8), 0, &cyclic(4)).unwrap().per_subfile[0].perfect_match
+        );
     }
 
     #[test]

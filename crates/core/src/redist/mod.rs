@@ -12,11 +12,14 @@ mod baseline;
 mod cut;
 mod flat;
 mod nested;
+pub mod oracle;
 mod project;
 
 pub use access::{SubfileAccess, ViewPlan};
 pub use baseline::redistribute_bytewise;
 pub use cut::cut_falls;
 pub use flat::{intersect_falls, intersect_falls_merge};
-pub use nested::{cut_set, intersect_elements, intersect_sets, Intersection};
-pub use project::{element_window, ElementWindow, Projection};
+pub use nested::{
+    cut_set, intersect_and_project, intersect_elements, intersect_sets, Intersection,
+};
+pub use project::Projection;

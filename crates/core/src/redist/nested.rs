@@ -1,8 +1,9 @@
 //! Intersection of sets of nested FALLS (§7): `INTERSECT` with its
-//! PREPROCESS phase, and the recursive `INTERSECT-AUX`.
+//! PREPROCESS phase, and the recursive `INTERSECT-AUX`, which also emits
+//! `PROJ` of every node it builds.
 
 use crate::model::Partition;
-use crate::redist::{cut_falls, intersect_falls};
+use crate::redist::{cut_falls, intersect_falls, Projection};
 use crate::Error;
 use falls::{checked_lcm, Falls, LineSegment, NestedFalls, NestedSet};
 
@@ -71,30 +72,46 @@ impl Intersection {
 /// Intersects element `e1` of partition `p1` with element `e2` of partition
 /// `p2` — the paper's `INTERSECT`, PREPROCESS included.
 ///
-/// PREPROCESS extends both partitioning patterns over
-/// `lcm(SIZE(P₁), SIZE(P₂))` and aligns them at `max(d₁, d₂)` by rotating
-/// the earlier-displaced pattern with two nested cuts (structure-preserving,
-/// per "cutting and extending the partitioning pattern starting at the
-/// lowest displacement").
+/// PREPROCESS aligns both elements on the window
+/// `[max(d₁, d₂), max(d₁, d₂) + lcm(SIZE(P₁), SIZE(P₂)))`: each side lists
+/// its families over the pattern tiles that meet the window, and the
+/// top-level cut of `INTERSECT-AUX` trims them to it — "cutting and
+/// extending the partitioning pattern starting at the lowest displacement",
+/// structure-preserving.
 pub fn intersect_elements(
     p1: &Partition,
     e1: usize,
     p2: &Partition,
     e2: usize,
 ) -> Result<Intersection, Error> {
+    intersect_and_project(p1, e1, p2, e2).map(|(inter, _, _)| inter)
+}
+
+/// [`intersect_elements`] plus `PROJ` of the intersection onto both
+/// elements' linear spaces, computed in the same `INTERSECT-AUX` walk: each
+/// intersection node is emitted with its image under `MAP` of either
+/// element, so a projection has at most as many nodes as the intersection
+/// and never lists the period.
+pub fn intersect_and_project(
+    p1: &Partition,
+    e1: usize,
+    p2: &Partition,
+    e2: usize,
+) -> Result<(Intersection, Projection, Projection), Error> {
     let s1 = p1.pattern().element(e1)?;
     let s2 = p2.pattern().element(e2)?;
     let (sz1, sz2) = (p1.pattern().size(), p2.pattern().size());
-    let period = checked_lcm(sz1, sz2).ok_or(Error::PeriodOverflow { size1: sz1, size2: sz2 })?;
+    let overflow = || Error::PeriodOverflow { size1: sz1, size2: sz2 };
+    let period = checked_lcm(sz1, sz2).ok_or_else(overflow)?;
     let displacement = p1.displacement().max(p2.displacement());
-
-    let ext1 = extend_set(s1, sz1, period);
-    let ext2 = extend_set(s2, sz2, period);
-    let ext1 = align_set(&ext1, period, displacement - p1.displacement());
-    let ext2 = align_set(&ext2, period, displacement - p2.displacement());
-
-    let set = intersect_sets(&ext1, period, &ext2, period);
-    Ok(Intersection { set, displacement, period })
+    let (l1, lo1, hi1, pe1) = window(p1, s1, displacement, period).ok_or_else(overflow)?;
+    let (l2, lo2, hi2, pe2) = window(p2, s2, displacement, period).ok_or_else(overflow)?;
+    let [set, proj1, proj2] = assemble(intersect_siblings(&l1, lo1, hi1, &l2, lo2, hi2));
+    Ok((
+        Intersection { set, displacement, period },
+        Projection { set: proj1, period: pe1 },
+        Projection { set: proj2, period: pe2 },
+    ))
 }
 
 /// Intersects two sets of nested FALLS living in the same linear space —
@@ -105,46 +122,12 @@ pub fn intersect_elements(
 /// [`intersect_elements`] does).
 #[must_use]
 pub fn intersect_sets(s1: &NestedSet, span1: u64, s2: &NestedSet, span2: u64) -> NestedSet {
-    let span = span1.max(span2);
-    let mut families = intersect_siblings(s1.families(), 0, span - 1, s2.families(), 0, span - 1);
-    families.sort_by_key(|f| (f.falls().l(), f.falls().r()));
-    NestedSet::new(families).expect("intersection families are disjoint")
-}
-
-/// Replicates a pattern-element set over `period` (a multiple of `size`).
-fn extend_set(set: &NestedSet, size: u64, period: u64) -> NestedSet {
-    debug_assert_eq!(period % size, 0);
-    let copies = period / size;
-    if copies == 1 {
-        return set.clone();
-    }
-    let mut families = Vec::with_capacity(set.families().len() * copies as usize);
-    for k in 0..copies {
-        let shifted = set.shift_up(k * size).expect("extension fits in u64");
-        families.extend(shifted.families().iter().cloned());
-    }
-    NestedSet::new(families).expect("replicated tiles are disjoint")
-}
-
-/// Rotates a period-`period` set left by `shift` bytes: the returned set
-/// selects byte `p` iff the input selects `(p + shift) mod period`.
-///
-/// Used to re-express a pattern relative to a later displacement. Built
-/// from two nested cuts, so nesting structure is preserved.
-fn align_set(set: &NestedSet, period: u64, shift: u64) -> NestedSet {
-    let shift = shift % period;
-    if shift == 0 {
-        return set.clone();
-    }
-    let mut families: Vec<NestedFalls> = cut_set(set, shift, period - 1).families().to_vec();
-    if shift > 0 {
-        let left = cut_set(set, 0, shift - 1);
-        for f in left.families() {
-            families.push(f.shift_up(period - shift).expect("fits in u64"));
-        }
-    }
-    families.sort_by_key(|f| (f.falls().l(), f.falls().r()));
-    NestedSet::new(families).expect("rotation keeps families disjoint")
+    let hi = span1.max(span2) - 1;
+    let (mut l1, mut l2) = (Vec::new(), Vec::new());
+    push_sources(&mut l1, s1.families(), 0, 0);
+    push_sources(&mut l2, s2.families(), 0, 0);
+    let [set, ..] = assemble(intersect_siblings(&l1, 0, hi, &l2, 0, hi));
+    set
 }
 
 /// Cuts a whole set of nested FALLS between `lo` and `hi` (inclusive),
@@ -186,69 +169,265 @@ fn cut_siblings(sibs: &[NestedFalls], lo: u64, hi: u64) -> Vec<NestedFalls> {
     out
 }
 
+/// One family of a sibling list as `INTERSECT-AUX` sees it: its FALLS in
+/// the list's coordinates, its children, and where `MAP` puts it in the
+/// list's linear space.
+#[derive(Debug, Clone, Copy)]
+struct Src<'a> {
+    falls: Falls,
+    /// Children relative to a block's start; empty for a leaf.
+    inner: &'a [NestedFalls],
+    /// Linear offset of the first block's first selected byte.
+    lin: u64,
+    /// Bytes one block selects: the linear distance between repetitions.
+    per_block: u64,
+}
+
+impl<'a> Src<'a> {
+    /// The sibling list one block holds, relative to the block: the
+    /// children, or for a leaf the whole block, on which `MAP` is the
+    /// identity.
+    fn children(&self) -> Vec<Src<'a>> {
+        if self.is_leaf() {
+            let len = self.falls.block_len();
+            let falls = Falls::new(0, len - 1, len, 1).expect("block length ≥ 1");
+            return vec![Src { falls, inner: &[], lin: 0, per_block: len }];
+        }
+        let mut list = Vec::new();
+        push_sources(&mut list, self.inner, 0, 0);
+        list
+    }
+
+    fn is_leaf(&self) -> bool {
+        self.inner.is_empty()
+    }
+}
+
+/// Lists `nodes` (shifted up by `at`) as sources, in tree order from linear
+/// offset `lin`.
+fn push_sources<'a>(out: &mut Vec<Src<'a>>, nodes: &'a [NestedFalls], at: u64, mut lin: u64) {
+    for nf in nodes {
+        let falls = nf.falls().shift_up(at).expect("window offsets fit in u64");
+        let per_block = nf.block_size();
+        out.push(Src { falls, inner: nf.inner(), lin, per_block });
+        lin += falls.count() * per_block;
+    }
+}
+
+/// One element's side of PREPROCESS: its families over the pattern tiles
+/// that meet the aligned window, in the coordinates of the first such tile;
+/// the window's limits in those coordinates; and the element-linear bytes
+/// per window, `(period / SIZE(P)) · SIZE(S)`. `None` when an offset leaves
+/// `u64`.
+fn window<'a>(
+    p: &Partition,
+    set: &'a NestedSet,
+    displacement: u64,
+    period: u64,
+) -> Option<(Vec<Src<'a>>, u64, u64, u64)> {
+    let (psize, esize) = (p.pattern().size(), set.size());
+    let rel = displacement - p.displacement();
+    let (first_tile, lo) = (rel / psize, rel % psize);
+    let hi = lo.checked_add(period - 1)?;
+    let mut sources = Vec::new();
+    for t in 0..=hi / psize {
+        let lin = first_tile.checked_add(t)?.checked_mul(esize)?;
+        push_sources(&mut sources, set.families(), t * psize, lin);
+    }
+    Some((sources, lo, hi, (period / psize).checked_mul(esize)?))
+}
+
+/// One node of `INTERSECT-AUX`'s output: the intersection node and its
+/// images in the two sibling lists' linear spaces.
+type Triple = (NestedFalls, [NestedFalls; 2]);
+
+/// A level of triples as the intersection's sibling list and the two
+/// projections' sibling lists, each sorted by left index.
+fn split(nodes: Vec<Triple>) -> [Vec<NestedFalls>; 3] {
+    let mut lists = [(); 3].map(|()| Vec::with_capacity(nodes.len()));
+    for (inter, [p1, p2]) in nodes {
+        lists[0].push(inter);
+        lists[1].push(p1);
+        lists[2].push(p2);
+    }
+    for list in &mut lists {
+        list.sort_unstable_by_key(|f| (f.falls().l(), f.falls().r()));
+    }
+    lists
+}
+
+/// The top level of `INTERSECT-AUX`'s output as the intersection set and
+/// the two projection sets.
+fn assemble(nodes: Vec<Triple>) -> [NestedSet; 3] {
+    split(nodes).map(|list| NestedSet::new(list).expect("INTERSECT-AUX emits disjoint nodes"))
+}
+
 /// `INTERSECT-AUX`: intersects two sibling lists after cutting them to
-/// `[lo, hi]` limits expressed in each list's own coordinates; results are
-/// relative to the cut inferior limits (which denote the same absolute
-/// position in both spaces).
+/// `[lo, hi]` limits expressed in each list's own coordinates; intersection
+/// nodes are relative to the cut inferior limits (which denote the same
+/// absolute position in both spaces), projected nodes are in each list's
+/// linear space.
 fn intersect_siblings(
-    s1: &[NestedFalls],
+    s1: &[Src<'_>],
     lo1: u64,
     hi1: u64,
-    s2: &[NestedFalls],
+    s2: &[Src<'_>],
     lo2: u64,
     hi2: u64,
-) -> Vec<NestedFalls> {
-    let mut out: Vec<NestedFalls> = Vec::new();
-    for f1 in s1 {
-        let cut1 = cut_falls(f1.falls(), lo1, hi1);
+) -> Vec<Triple> {
+    let cuts2: Vec<Vec<Falls>> = s2.iter().map(|b| cut_falls(&b.falls, lo2, hi2)).collect();
+    let mut out = Vec::new();
+    for a in s1 {
+        let cut1 = cut_falls(&a.falls, lo1, hi1);
         if cut1.is_empty() {
             continue;
         }
-        for f2 in s2 {
-            let cut2 = cut_falls(f2.falls(), lo2, hi2);
+        for (b, cut2) in s2.iter().zip(&cuts2) {
             for g1 in &cut1 {
-                for g2 in &cut2 {
-                    for f in intersect_falls(g1, g2) {
-                        if let Some(node) = build_node(f, f1, lo1, f2, lo2) {
-                            out.push(node);
-                        }
+                for g2 in cut2 {
+                    for f in intersect_pieces(a, lo1, g1, b, lo2, g2) {
+                        out.extend(build_node(f, a, lo1, b, lo2));
                     }
                 }
             }
         }
     }
-    out.sort_by_key(|f| (f.falls().l(), f.falls().r()));
     out
 }
 
-/// Builds the intersection node for outer FALLS `f`, recursing into the
-/// inner families of its two sources (line 10 of INTERSECT-AUX).
-fn build_node(
-    f: Falls,
-    f1: &NestedFalls,
+/// `INTERSECT-FALLS` of two cut pieces. Against a single block that
+/// selects alike wherever the other piece's repetitions fall in it (see
+/// [`cut_to_block`]), the other piece is just cut to the block — at most
+/// three families — where the periodic scan over `lcm` of the strides would
+/// emit one single-block family per repetition.
+fn intersect_pieces(
+    a: &Src<'_>,
     lo1: u64,
-    f2: &NestedFalls,
+    g1: &Falls,
+    b: &Src<'_>,
     lo2: u64,
-) -> Option<NestedFalls> {
-    if f1.is_leaf() && f2.is_leaf() {
-        return Some(NestedFalls::leaf(f));
+    g2: &Falls,
+) -> Vec<Falls> {
+    (g1.count() == 1)
+        .then(|| cut_to_block(a, lo1, g1, g2))
+        .flatten()
+        .or_else(|| (g2.count() == 1).then(|| cut_to_block(b, lo2, g2, g1)).flatten())
+        .unwrap_or_else(|| intersect_falls(g1, g2))
+}
+
+/// `other` cut to `block`, one block of `src`, if every repetition of each
+/// piece meets the same selection there: `src` is a leaf, or its one child
+/// family repeats with a stride dividing the piece's and has repetitions
+/// on both sides of every piece block (so no block sees its ends).
+/// `INTERSECT-AUX` below a piece then descends once for all its
+/// repetitions, as it does for a common multiple of the strides.
+fn cut_to_block(src: &Src<'_>, lo: u64, block: &Falls, other: &Falls) -> Option<Vec<Falls>> {
+    let pieces: Vec<Falls> = cut_falls(other, block.l(), block.r())
+        .into_iter()
+        .map(|p| p.shift_up(block.l()).expect("the cut lies inside the block"))
+        .collect();
+    if src.is_leaf() {
+        return Some(pieces);
     }
-    // Offset of f's first block within the original blocks of f1 and f2.
-    // Every repetition of f sits at the same relative offsets because f's
-    // stride is a common multiple of both sources' strides.
-    let off1 = (lo1 + f.l() - f1.falls().l()) % f1.falls().stride();
-    let off2 = (lo2 + f.l() - f2.falls().l()) % f2.falls().stride();
+    let [child] = src.inner else { return None };
+    let c = child.falls();
+    let alike = |f: &Falls| {
+        let first = (lo + f.l() - src.falls.l()) % src.falls.stride();
+        let last = first + (f.count() - 1) * f.stride() + f.block_len() - 1;
+        let end = c.count().checked_mul(c.stride()).and_then(|x| x.checked_add(c.l()));
+        f.stride() % c.stride() == 0
+            && first + c.stride() > c.r()
+            && end.is_none_or(|end| last < end)
+    };
+    pieces.iter().all(|f| f.count() == 1 || alike(f)).then_some(pieces)
+}
+
+/// Where intersection node `f` sits in one source.
+struct Anchor {
+    /// Linear offset of the source block holding `f`'s first block.
+    block_lin: u64,
+    /// Offset of `f`'s first block inside that source block.
+    off: u64,
+    /// Linear distance between `f`'s repetitions.
+    lin_stride: u64,
+}
+
+impl Anchor {
+    fn new(src: &Src<'_>, lo: u64, f: &Falls) -> Self {
+        let s = src.falls.stride();
+        let rel = lo + f.l() - src.falls.l();
+        let (block, off) = (rel / s, rel % s);
+        let last = rel + (f.count() - 1) * f.stride();
+        let lin_stride = match src.inner {
+            _ if f.count() == 1 => f.stride(),
+            // Every repetition in one block of a leaf, where MAP is the
+            // identity.
+            [] if last / s == block => f.stride(),
+            // Every repetition in one block, whose one child family puts
+            // `f.s / c.s` of its blocks between them (see `cut_to_block`).
+            [c] if last / s == block => f.stride() / c.falls().stride() * c.block_size(),
+            // `f.s` is a common multiple of the sources' strides, so every
+            // repetition sits at the same offset `f.s / s` blocks later.
+            _ => {
+                debug_assert_eq!(f.stride() % s, 0);
+                f.stride() / s * src.per_block
+            }
+        };
+        Self { block_lin: src.lin + block * src.per_block, off, lin_stride }
+    }
+
+    /// The image of `f` given its children's images, which are in the
+    /// source block's linear space: the block runs from the first child to
+    /// the end of the last, rebased children inside.
+    fn image(&self, f: &Falls, children: Vec<NestedFalls>) -> NestedFalls {
+        let lo = children.iter().map(|c| c.falls().l()).min().expect("non-empty children");
+        let hi = children.iter().map(NestedFalls::extent_end).max().expect("non-empty children");
+        let l = self.block_lin + lo;
+        if let [c] = &children[..] {
+            if c.is_leaf() && c.falls().count() == 1 {
+                return self.leaf(l, hi - lo + 1, f.count());
+            }
+        }
+        let inner = children.iter().map(|c| c.shift_down(lo).expect("inside the block")).collect();
+        let falls = Falls::new(l, l + hi - lo, self.lin_stride, f.count())
+            .expect("a projected block fits in its stride");
+        NestedFalls::with_inner(falls, inner).expect("images of disjoint nodes are disjoint")
+    }
+
+    /// A leaf image of `n` blocks of `len` bytes from linear offset `l`;
+    /// abutting blocks merge into one.
+    fn leaf(&self, l: u64, len: u64, n: u64) -> NestedFalls {
+        let falls = if self.lin_stride == len {
+            Falls::new(l, l + n * len - 1, n * len, 1)
+        } else {
+            Falls::new(l, l + len - 1, self.lin_stride, n)
+        };
+        NestedFalls::leaf(falls.expect("a projected block fits in its stride"))
+    }
+}
+
+/// Builds the intersection node for outer FALLS `f` and its two images,
+/// recursing into the inner families of its sources (line 10 of
+/// INTERSECT-AUX).
+fn build_node(f: Falls, a: &Src<'_>, lo1: u64, b: &Src<'_>, lo2: u64) -> Option<Triple> {
     let span = f.block_len();
-    let full = [NestedFalls::leaf(Falls::new(0, span - 1, span, 1).expect("span ≥ 1"))];
-    let (in1, o1): (&[NestedFalls], u64) =
-        if f1.is_leaf() { (&full, 0) } else { (f1.inner(), off1) };
-    let (in2, o2): (&[NestedFalls], u64) =
-        if f2.is_leaf() { (&full, 0) } else { (f2.inner(), off2) };
-    let children = intersect_siblings(in1, o1, o1 + span - 1, in2, o2, o2 + span - 1);
-    if children.is_empty() {
+    let anchors = [Anchor::new(a, lo1, &f), Anchor::new(b, lo2, &f)];
+    if a.is_leaf() && b.is_leaf() {
+        let proj = anchors.map(|at| at.leaf(at.block_lin + at.off, span, f.count()));
+        return Some((NestedFalls::leaf(f), proj));
+    }
+    let [o1, o2] = [anchors[0].off, anchors[1].off];
+    let nodes =
+        intersect_siblings(&a.children(), o1, o1 + span - 1, &b.children(), o2, o2 + span - 1);
+    if nodes.is_empty() {
         return None;
     }
-    Some(NestedFalls::with_inner(f, children).expect("children are disjoint and in-block"))
+    let [inter, p1, p2] = split(nodes);
+    let [i1, i2] = &anchors;
+    Some((
+        NestedFalls::with_inner(f, inter).expect("children are disjoint and in-block"),
+        [i1.image(&f, p1), i2.image(&f, p2)],
+    ))
 }
 
 #[cfg(test)]
@@ -447,12 +626,17 @@ mod tests {
 
     #[test]
     fn alignment_preserves_nesting() {
-        // Rotating a nested set must keep inner structure for the unsplit
-        // families (no flattening to byte-granular leaves).
+        // Aligning on a later displacement must keep inner structure for
+        // the unsplit families (no flattening to byte-granular leaves).
         let v = NestedSet::singleton(nested(0, 7, 16, 2, vec![leaf(0, 1, 4, 2)]));
-        let rotated = super::align_set(&v, 32, 16);
-        assert_eq!(rotated.absolute_offsets(), vec![0, 1, 4, 5, 16, 17, 20, 21]);
-        assert_eq!(rotated.height(), 2, "rotation keeps the FALLS trees");
+        let pat = PartitionPattern::new(vec![v.clone(), v.complement(32)]).unwrap();
+        let (early, late) = (Partition::new(0, pat.clone()), Partition::new(16, pat));
+        let inter = intersect_elements(&late, 0, &early, 1).unwrap();
+        assert!(inter.is_empty(), "a 16-byte shift of a 16-periodic element is itself");
+        let inter = intersect_elements(&late, 0, &early, 0).unwrap();
+        assert_eq!(inter.displacement, 16);
+        assert_eq!(inter.set.absolute_offsets(), vec![0, 1, 4, 5, 16, 17, 20, 21]);
+        assert_eq!(inter.set.height(), 2, "alignment keeps the FALLS trees");
     }
 
     #[test]

@@ -1,77 +1,14 @@
-//! Intersection projections (§7): re-expressing an intersection in the
-//! linear space of one of the intersected partition elements.
+//! Intersection projections (§7): an intersection re-expressed in the
+//! linear space of one of the intersected partition elements, and the
+//! range-clipped walk the I/O path reads it through.
+//!
+//! Projections are built inside `INTERSECT-AUX`
+//! ([`intersect_and_project`](crate::redist::intersect_and_project)) as
+//! FALLS trees; [`oracle`](crate::redist::oracle) keeps the enumerating
+//! construction they are tested against. The daemon runs this file on every
+//! request with bounds taken from the wire, so nothing here may panic.
 
-use crate::model::Partition;
-use crate::redist::Intersection;
-use falls::{segments_to_falls, LineSegment, NestedSet};
-
-/// The segments of one partition element within one aligned window
-/// `[D + k·period, D + (k+1)·period)` of the file, annotated with their
-/// element-linear offsets.
-///
-/// This is the bridge between file space and element space used by
-/// projections and by copy-run construction: entry `(seg, off)` says that
-/// file bytes `D + seg.l() ..= D + seg.r()` occupy element offsets
-/// `off .. off + seg.len()` (for window 0; window `k` adds `k · period_elem`
-/// to the element offsets and `k · period` to the file offsets).
-#[derive(Debug, Clone)]
-pub struct ElementWindow {
-    /// `(file segment relative to the window start, element-linear offset)`
-    /// pairs, sorted by file offset.
-    pub entries: Vec<(LineSegment, u64)>,
-    /// Element-linear bytes per window: `(period / SIZE(P)) · SIZE(S)`.
-    pub period_elem: u64,
-}
-
-/// Computes the [`ElementWindow`] of `element` of `partition` for windows of
-/// `period` bytes starting at absolute file offset `displacement`.
-///
-/// `displacement` must be at or past the partition's own displacement and
-/// `period` a multiple of the pattern size (both hold for the values carried
-/// by an [`Intersection`]).
-#[must_use]
-pub fn element_window(
-    partition: &Partition,
-    element: usize,
-    displacement: u64,
-    period: u64,
-) -> ElementWindow {
-    let d = partition.displacement();
-    assert!(
-        displacement >= d,
-        "window start {displacement} precedes the partition displacement {d}"
-    );
-    let psize = partition.pattern().size();
-    assert_eq!(period % psize, 0, "window period must be a multiple of the pattern size");
-    let set = partition.pattern().element(element).expect("element index in range");
-    let esize = set.size();
-
-    // Tree segments of one pattern tile with their linear offsets.
-    let mut tile_entries: Vec<(LineSegment, u64)> = Vec::new();
-    let mut linear = 0u64;
-    for seg in set.tree_segments() {
-        tile_entries.push((seg, linear));
-        linear += seg.len();
-    }
-
-    let win_lo = displacement;
-    let win_hi = displacement + period - 1;
-    let t_start = (win_lo - d) / psize;
-    let t_end = (win_hi - d) / psize;
-    let mut entries = Vec::with_capacity(tile_entries.len() * (t_end - t_start + 1) as usize);
-    for t in t_start..=t_end {
-        let tile_base = d + t * psize;
-        for (seg, off) in &tile_entries {
-            let abs = seg.shift_up(tile_base).expect("fits in u64");
-            let Some(clipped) = abs.clip(win_lo, win_hi) else { continue };
-            let elem_off = t * esize + off + (clipped.l() - abs.l());
-            let rel = clipped.shift_down(win_lo).expect("clipped to the window");
-            entries.push((rel, elem_off));
-        }
-    }
-    entries.sort_unstable_by_key(|(seg, _)| seg.l());
-    ElementWindow { entries, period_elem: (period / psize) * esize }
-}
+use falls::{LineSegment, NestedFalls, NestedSet};
 
 /// A projection of an intersection onto the linear space of one of the two
 /// intersected partition elements (the paper's `PROJ`).
@@ -87,40 +24,6 @@ pub struct Projection {
 }
 
 impl Projection {
-    /// Projects `intersection` onto `element` of `partition`, which must be
-    /// one of the two elements the intersection was computed from.
-    #[must_use]
-    pub fn compute(intersection: &Intersection, partition: &Partition, element: usize) -> Self {
-        let window =
-            element_window(partition, element, intersection.displacement, intersection.period);
-        let mut runs: Vec<LineSegment> = Vec::new();
-        // Merge join: both lists are sorted by file offset and the
-        // intersection is a subset of the element's bytes.
-        let inter_segs = intersection.set.absolute_segments();
-        let mut wi = 0usize;
-        for iseg in &inter_segs {
-            let mut pos = iseg.l();
-            while pos <= iseg.r() {
-                while wi < window.entries.len() && window.entries[wi].0.r() < pos {
-                    wi += 1;
-                }
-                let (eseg, eoff) = window.entries.get(wi).unwrap_or_else(|| {
-                    panic!("intersection byte {pos} not covered by the element")
-                });
-                assert!(eseg.l() <= pos, "intersection byte {pos} not covered by the element");
-                let end = iseg.r().min(eseg.r());
-                let start_off = eoff + (pos - eseg.l());
-                runs.push(
-                    LineSegment::new(start_off, start_off + (end - pos))
-                        .expect("run is well-formed"),
-                );
-                pos = end + 1;
-            }
-        }
-        runs.sort_unstable();
-        Self { set: segments_to_falls(&runs), period: window.period_elem }
-    }
-
     /// An empty projection (of an empty intersection).
     #[must_use]
     pub fn empty() -> Self {
@@ -141,37 +44,121 @@ impl Projection {
 
     /// Element-linear segments of the projection clipped to `[lo, hi]`
     /// (inclusive), across however many windows that range spans, in
-    /// increasing element-offset order.
+    /// increasing element-offset order; abutting segments of one window are
+    /// merged, segments of different windows are not.
+    ///
+    /// The walk descends only into the repetitions of each node that meet
+    /// the range, so its cost is the tree's depth plus the output, not the
+    /// window's segment count.
     #[must_use]
     pub fn segments_between(&self, lo: u64, hi: u64) -> Vec<LineSegment> {
-        if self.is_empty() || lo > hi {
-            return Vec::new();
-        }
-        let base = self.set.absolute_segments();
-        let min_pos = base.first().expect("non-empty").l();
-        let max_pos = base.last().expect("non-empty").r();
-        let k_lo = lo.saturating_sub(max_pos) / self.period;
-        if min_pos > hi {
-            return Vec::new();
-        }
-        let k_hi = (hi - min_pos) / self.period;
         let mut out = Vec::new();
+        let Some((k_lo, k_hi)) = self.windows(lo, hi) else { return out };
+        for k in k_lo..=k_hi {
+            // k·p ≤ hi − first: neither this nor `hi - shift` can wrap.
+            let shift = k * self.period;
+            let start = out.len();
+            walk(self.set.families(), 0, lo.saturating_sub(shift), hi - shift, &mut |seg| {
+                out.push(seg);
+            });
+            settle(&mut out, start, shift);
+        }
+        if k_hi > k_lo {
+            // Window 0 can span more than one period when the element's tree
+            // order differs from byte order under a displacement mismatch.
+            out.sort_unstable();
+        }
+        out
+    }
+
+    /// Windows `k_lo..=k_hi` whose copy of the selection,
+    /// `[first + k·p, last + k·p]`, meets `[lo, hi]`; `None` if none does. A
+    /// zero period (only a hostile peer sends one) is one window.
+    fn windows(&self, lo: u64, hi: u64) -> Option<(u64, u64)> {
+        let first = self.set.families().first()?.falls().l();
+        let last = self.set.extent_end()?;
+        if lo > hi || first > hi {
+            return None;
+        }
+        Some(match self.period {
+            0 => (0, 0),
+            p => (lo.saturating_sub(last).div_ceil(p), (hi - first) / p),
+        })
+    }
+
+    /// Whether the walk meets the segments in increasing order, window
+    /// after window: no siblings interleave and window 0 spans less than a
+    /// period. [`Projection::stream_between`] relies on it.
+    pub(crate) fn walks_in_order(&self) -> bool {
+        fn separated(nodes: &[NestedFalls]) -> bool {
+            nodes.windows(2).all(|w| w[0].extent_end() < w[1].falls().l())
+                && nodes.iter().all(|n| separated(n.inner()))
+        }
+        let span = match (self.set.families().first(), self.set.extent_end()) {
+            (Some(first), Some(last)) => last - first.falls().l(),
+            _ => 0,
+        };
+        (self.period == 0 || span < self.period) && separated(self.set.families())
+    }
+
+    /// [`Projection::segments_between`] streamed to `emit` without
+    /// allocating, for a projection that [walks in
+    /// order](Projection::walks_in_order).
+    pub(crate) fn stream_between(&self, lo: u64, hi: u64, mut emit: impl FnMut(LineSegment)) {
+        let Some((k_lo, k_hi)) = self.windows(lo, hi) else { return };
         for k in k_lo..=k_hi {
             let shift = k * self.period;
-            for seg in &base {
-                let abs = seg.shift_up(shift).expect("fits in u64");
-                if let Some(clipped) = abs.clip(lo, hi) {
-                    out.push(clipped);
-                }
+            let mut pending: Option<LineSegment> = None;
+            let mut flush = |seg: LineSegment| emit(seg.shift_up(shift).unwrap_or(seg));
+            walk(self.set.families(), 0, lo.saturating_sub(shift), hi - shift, &mut |seg| {
+                pending = match pending {
+                    Some(p) if p.r().checked_add(1) == Some(seg.l()) => {
+                        Some(LineSegment::new(p.l(), seg.r()).unwrap_or(p))
+                    }
+                    Some(p) => {
+                        flush(p);
+                        Some(seg)
+                    }
+                    None => Some(seg),
+                };
+            });
+            if let Some(p) = pending {
+                flush(p);
             }
         }
-        // Window 0's offsets can span more than one period when the element's
-        // tree order differs from byte order under a displacement mismatch;
-        // the per-window concatenation is then not globally sorted. The
-        // offsets are still unique (MAP is injective), so sorting yields the
-        // canonical disjoint ordering the derived queries rely on.
-        out.sort_unstable();
-        out
+    }
+
+    /// Whether two projections select the same bytes in every window,
+    /// however their trees nest them: equal periods, and equal window-0
+    /// segments, compared over doubling ranges so that a mismatch stops the
+    /// walk early.
+    #[must_use]
+    pub fn same_bytes(&self, other: &Self) -> bool {
+        if self.period != other.period || self.bytes_per_period() != other.bytes_per_period() {
+            return false;
+        }
+        let (Some(a_end), Some(b_end)) = (self.set.extent_end(), other.set.extent_end()) else {
+            return false;
+        };
+        let end = a_end.max(b_end);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let (mut lo, mut width) = (0u64, 64u64);
+        loop {
+            let hi = lo.saturating_add(width - 1).min(end);
+            for (proj, segs) in [(self, &mut a), (other, &mut b)] {
+                segs.clear();
+                walk(proj.set.families(), 0, lo, hi, &mut |seg| segs.push(seg));
+                settle(segs, 0, 0);
+            }
+            if a != b {
+                return false;
+            }
+            if hi == end {
+                return true;
+            }
+            lo = hi + 1;
+            width = width.saturating_mul(2);
+        }
     }
 
     /// Number of projected bytes within `[lo, hi]`.
@@ -199,7 +186,7 @@ impl Projection {
         let mut run = iter.next()?;
         for seg in iter {
             if run.abuts(&seg) {
-                run = LineSegment::new(run.l(), seg.r()).expect("ordered run");
+                run = LineSegment::new(run.l(), seg.r()).ok()?;
             } else {
                 return None;
             }
@@ -225,11 +212,64 @@ impl Projection {
     }
 }
 
+/// Emits the segments `nodes` select (relative to `base`) that meet
+/// `[lo, hi]`, clipped to it, in tree order, visiting only the repetitions
+/// that meet it. Siblings are sorted by left index, so the first one past
+/// `hi` ends the level.
+fn walk(nodes: &[NestedFalls], base: u64, lo: u64, hi: u64, emit: &mut impl FnMut(LineSegment)) {
+    for nf in nodes {
+        let f = nf.falls();
+        let Some(first) = base.checked_add(f.l()) else { return };
+        if first > hi {
+            return;
+        }
+        let (len, stride) = (f.block_len(), f.stride());
+        let first_end = first.saturating_add(len - 1);
+        // Repetitions k with [first + k·s, first_end + k·s] ∩ [lo, hi] ≠ ∅.
+        let k_lo = if lo > first_end { (lo - first_end).div_ceil(stride) } else { 0 };
+        let k_hi = ((hi - first) / stride).min(f.count() - 1);
+        for k in k_lo..=k_hi {
+            let start = first + k * stride; // ≤ hi
+            if nf.is_leaf() {
+                let end = start.saturating_add(len - 1);
+                if let Ok(seg) = LineSegment::new(start.max(lo), end.min(hi)) {
+                    emit(seg);
+                }
+            } else {
+                walk(nf.inner(), start, lo, hi, emit);
+            }
+        }
+    }
+}
+
+/// Sorts `out[start..]` (one window's walk), merges abutting segments and
+/// shifts them up by `shift` — which cannot wrap, the walk having clipped
+/// them to `hi − shift`.
+fn settle(out: &mut Vec<LineSegment>, start: usize, shift: u64) {
+    out[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..out.len() {
+        let seg = out[i];
+        if kept > start && out[kept - 1].r().checked_add(1) == Some(seg.l()) {
+            let prev = out[kept - 1];
+            out[kept - 1] = LineSegment::new(prev.l(), seg.r()).unwrap_or(prev);
+        } else {
+            out[kept] = seg;
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+    for seg in &mut out[start..] {
+        *seg = seg.shift_up(shift).unwrap_or(*seg);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::PartitionPattern;
-    use crate::redist::intersect_elements;
+    use crate::model::{Partition, PartitionPattern};
+    use crate::redist::{intersect_and_project, oracle};
+    use falls::testing::{random_nested_set, Gen};
     use falls::{Falls, NestedFalls, NestedSet};
 
     fn leaf(l: u64, r: u64, s: u64, n: u64) -> NestedFalls {
@@ -252,11 +292,9 @@ mod tests {
         let s_rest = s_set.complement(32);
         let pv = Partition::new(0, PartitionPattern::new(vec![v_set, v_rest]).unwrap());
         let ps = Partition::new(0, PartitionPattern::new(vec![s_set, s_rest]).unwrap());
-        let inter = intersect_elements(&pv, 0, &ps, 0).unwrap();
+        let (inter, proj_v, proj_s) = intersect_and_project(&pv, 0, &ps, 0).unwrap();
         assert_eq!(inter.set.absolute_offsets(), vec![0, 16]);
 
-        let proj_v = Projection::compute(&inter, &pv, 0);
-        let proj_s = Projection::compute(&inter, &ps, 0);
         assert_eq!(proj_v.set.absolute_offsets(), vec![0, 4]);
         assert_eq!(proj_s.set.absolute_offsets(), vec![0, 4]);
         assert_eq!(proj_v.period, 8);
@@ -271,8 +309,7 @@ mod tests {
         ])
         .unwrap();
         let p = Partition::new(0, pat);
-        let inter = intersect_elements(&p, 0, &p, 0).unwrap();
-        let proj = Projection::compute(&inter, &p, 0);
+        let (_, proj, _) = intersect_and_project(&p, 0, &p, 0).unwrap();
         assert_eq!(proj.set.absolute_offsets(), vec![0, 1, 2, 3]);
         assert!(proj.covers_interval(0, 3));
         assert!(proj.covers_interval(0, 100));
@@ -282,7 +319,6 @@ mod tests {
     #[test]
     fn projection_round_trips_through_mapping() {
         use crate::mapping::Mapper;
-        use falls::testing::{random_nested_set, Gen};
         // Random single-element-of-interest partitions: element 0 random,
         // element 1 the complement.
         let mut g = Gen::new(0x5EED);
@@ -294,11 +330,10 @@ mod tests {
                 (Some(pa), Some(pb)) => (pa, pb),
                 _ => continue,
             };
-            let inter = intersect_elements(&pa, 0, &pb, 0).unwrap();
+            let (inter, proj_a, _) = intersect_and_project(&pa, 0, &pb, 0).unwrap();
             if inter.is_empty() {
                 continue;
             }
-            let proj_a = Projection::compute(&inter, &pa, 0);
             let ma = Mapper::new(&pa, 0);
             // Every intersection byte's MAP value appears in the projection.
             let want: Vec<u64> = inter
@@ -330,8 +365,7 @@ mod tests {
         ])
         .unwrap();
         let p = Partition::new(0, pat);
-        let inter = intersect_elements(&p, 0, &p, 0).unwrap();
-        let proj = Projection::compute(&inter, &p, 0);
+        let (_, proj, _) = intersect_and_project(&p, 0, &p, 0).unwrap();
         assert_eq!(proj.period, 2);
         // The projection is the identity on element 0's space.
         let segs = proj.segments_between(3, 9);
@@ -356,8 +390,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let inter = intersect_elements(&rows, 0, &cols, 0).unwrap();
-        let proj_r = Projection::compute(&inter, &rows, 0);
+        let (_, proj_r, _) = intersect_and_project(&rows, 0, &cols, 0).unwrap();
         // Row 0's bytes [0,8) keep columns {0,1,4,5} → two fragments.
         assert_eq!(proj_r.set.absolute_offsets(), vec![0, 1, 4, 5]);
         assert_eq!(proj_r.fragments_between(0, 7), 2);
@@ -374,5 +407,135 @@ mod tests {
         assert!(p.segments_between(0, 100).is_empty());
         assert!(!p.covers_interval(0, 0));
         assert_eq!(p.fragments_between(0, 10), 0);
+    }
+
+    /// A random element of `span` bytes (mixed depths) plus its complement,
+    /// at displacement `disp`.
+    fn random_partition(g: &mut Gen, span: u64, disp: u64) -> Option<Partition> {
+        let set = random_nested_set(g, span, 3);
+        complement_ok(&set, span).map(|p| Partition::new(disp, p.pattern().clone()))
+    }
+
+    /// Random probe ranges over the first few windows, plus the edges.
+    fn probes(g: &mut Gen, proj: &Projection) -> Vec<(u64, u64)> {
+        let reach = proj.set.extent_end().unwrap_or(0) + 3 * proj.period + 2;
+        let mut out = vec![(0, reach), (reach, 0), (0, 0), (1, 1)];
+        for _ in 0..12 {
+            let lo = g.below(reach);
+            out.push((lo, lo + g.below(reach)));
+        }
+        out
+    }
+
+    /// The structural projections against the enumerating oracle, over
+    /// random element pairs with unequal pattern sizes and unequal non-zero
+    /// displacements: identical segments in window 0 and identical clipped
+    /// walks across windows.
+    #[test]
+    fn structural_projection_matches_the_enumerating_oracle() {
+        let mut g = Gen::new(0x9407);
+        let (mut checked, mut in_order) = (0, 0);
+        for round in 0..400 {
+            let (s1, s2) = (g.range(4, 72), g.range(4, 72));
+            let d1 = g.range(1, 40);
+            let d2 = (d1 - 1 + g.range(1, 39)) % 40 + 1; // in 1..=40, never d1
+            let (Some(p1), Some(p2)) =
+                (random_partition(&mut g, s1, d1), random_partition(&mut g, s2, d2))
+            else {
+                continue;
+            };
+            for (e1, e2) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                if e1 >= p1.element_count() || e2 >= p2.element_count() {
+                    continue;
+                }
+                let (inter, a, b) = intersect_and_project(&p1, e1, &p2, e2).unwrap();
+                if inter.is_empty() {
+                    continue;
+                }
+                for (proj, p, e) in [(&a, &p1, e1), (&b, &p2, e2)] {
+                    let want = oracle::project(&inter, p, e);
+                    let ctx = format!("round {round}: {inter:?} on {e} → {}", proj.set);
+                    assert_eq!(proj.period, want.period, "{ctx}");
+                    assert_eq!(proj.set.absolute_segments(), want.set.absolute_segments(), "{ctx}");
+                    assert!(proj.set.node_count() <= inter.set.node_count(), "{ctx}");
+                    for (lo, hi) in probes(&mut g, proj) {
+                        let segs = proj.segments_between(lo, hi);
+                        assert_eq!(
+                            segs,
+                            oracle::segments_between(&want, lo, hi),
+                            "{ctx} [{lo}, {hi}]"
+                        );
+                        if proj.walks_in_order() {
+                            let mut streamed = Vec::new();
+                            proj.stream_between(lo, hi, |seg| streamed.push(seg));
+                            assert_eq!(streamed, segs, "{ctx} streamed [{lo}, {hi}]");
+                            in_order += 1;
+                        }
+                    }
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 300, "only {checked} non-empty pairs");
+        assert!(in_order > 1000, "only {in_order} streamed probes");
+    }
+
+    /// The clipped walk on hostile bounds: ranges at the top of `u64`, past
+    /// the data, inverted, one byte wide, and a zero period. It must not
+    /// panic or wrap, and it must agree with the oracle.
+    #[test]
+    fn clipped_walk_survives_wire_bounds() {
+        let mut g = Gen::new(0xB0B);
+        for _ in 0..300 {
+            let span = g.range(4, 96);
+            let set = random_nested_set(&mut g, span, 3);
+            let period = match g.below(5) {
+                0 => 0,
+                1 => 1,
+                2 => u64::MAX - g.below(span),
+                _ => g.range(span, 4 * span),
+            };
+            let proj = Projection { set, period };
+            let top = u64::MAX - g.below(3 * span);
+            let x = g.below(8 * span);
+            for (lo, hi) in [
+                (top, u64::MAX),
+                (u64::MAX, u64::MAX),
+                (top - x, top),
+                (x, u64::MAX),
+                (8 * span + x, 16 * span),
+                (x + 1, x),
+                (x, x),
+                (0, u64::MAX),
+            ] {
+                if period > 0 && hi.saturating_sub(lo) / period > 1 << 12 {
+                    continue; // one pass per window, in both walks
+                }
+                assert_eq!(
+                    proj.segments_between(lo, hi),
+                    oracle::segments_between(&proj, lo, hi),
+                    "{} / {period} over [{lo}, {hi}]",
+                    proj.set
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn same_bytes_ignores_nesting() {
+        let flat = Projection { set: NestedSet::singleton(leaf(0, 15, 16, 1)), period: 32 };
+        let nested_form = Projection {
+            set: NestedSet::singleton(nested(0, 15, 16, 1, vec![leaf(0, 7, 8, 2)])),
+            period: 32,
+        };
+        let split = Projection {
+            set: NestedSet::new(vec![leaf(0, 3, 4, 1), leaf(4, 15, 12, 1)]).unwrap(),
+            period: 32,
+        };
+        assert!(flat.same_bytes(&nested_form));
+        assert!(nested_form.same_bytes(&split));
+        let shifted = Projection { set: NestedSet::singleton(leaf(1, 16, 16, 1)), period: 32 };
+        assert!(!flat.same_bytes(&shifted));
+        assert!(!flat.same_bytes(&Projection { period: 16, ..flat.clone() }));
     }
 }

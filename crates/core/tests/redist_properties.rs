@@ -6,8 +6,8 @@ use falls::{Falls, NestedSet};
 use parafile::model::{Partition, PartitionPattern};
 use parafile::plan::RedistributionPlan;
 use parafile::redist::{
-    cut_falls, intersect_elements, intersect_falls, intersect_falls_merge, intersect_sets,
-    Projection,
+    cut_falls, intersect_and_project, intersect_elements, intersect_falls, intersect_falls_merge,
+    intersect_sets,
 };
 use parafile::{Mapper, PlanEngine};
 use proptest::prelude::*;
@@ -119,8 +119,7 @@ proptest! {
     /// intersection byte.
     #[test]
     fn projections_are_faithful(a in arb_partition(64), b in arb_partition(48)) {
-        let inter = intersect_elements(&a, 0, &b, 0).unwrap();
-        let proj_a = Projection::compute(&inter, &a, 0);
+        let (inter, proj_a, _) = intersect_and_project(&a, 0, &b, 0).unwrap();
         prop_assert_eq!(proj_a.bytes_per_period(), inter.bytes_per_period());
         if inter.is_empty() {
             return Ok(());
@@ -279,13 +278,12 @@ fn projection_segments_between_sorted_across_windows() {
         let (Some(pa), Some(pb)) = (mk(&s1, span1, d1), mk(&s2, span2, d2)) else {
             continue;
         };
-        let inter = intersect_elements(&pa, 0, &pb, 0).unwrap();
+        let (inter, proj_a, proj_b) = intersect_and_project(&pa, 0, &pb, 0).unwrap();
         if inter.is_empty() {
             continue;
         }
         exercised += 1;
-        for (p, e) in [(&pa, 0usize), (&pb, 0usize)] {
-            let proj = Projection::compute(&inter, p, e);
+        for proj in [&proj_a, &proj_b] {
             let lo = g.below(3 * proj.period.max(1));
             let hi = lo + g.below(3 * proj.period.max(1) + 1);
             let segs = proj.segments_between(lo, hi);

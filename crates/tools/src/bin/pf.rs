@@ -60,7 +60,7 @@
 
 use arraydist::matrix::MatrixLayout;
 use parafile::matching::MatchingDegree;
-use parafile::redist::{intersect_elements, Projection};
+use parafile::redist::intersect_and_project;
 use parafile::{Mapper, PlanEngine};
 use pf_tools::{load_partition, PartitionSpec, ToolError};
 use std::process::ExitCode;
@@ -222,7 +222,7 @@ fn run(args: &[String]) -> Result<(), ToolError> {
             let ea = parse_elem(args.get(2).ok_or_else(usage)?, &a)?;
             let b = load_partition(args.get(3).ok_or_else(usage)?)?;
             let eb = parse_elem(args.get(4).ok_or_else(usage)?, &b)?;
-            let inter = intersect_elements(&a, ea, &b, eb)?;
+            let (inter, pa, pb) = intersect_and_project(&a, ea, &b, eb)?;
             if inter.is_empty() {
                 println!("elements share no data");
                 return Ok(());
@@ -234,8 +234,6 @@ fn run(args: &[String]) -> Result<(), ToolError> {
                 inter.displacement
             );
             println!("  V ∩ S = {}", inter.set);
-            let pa = Projection::compute(&inter, &a, ea);
-            let pb = Projection::compute(&inter, &b, eb);
             println!("  PROJ on first  element: {} (period {})", pa.set, pa.period);
             println!("  PROJ on second element: {} (period {})", pb.set, pb.period);
             Ok(())

@@ -6,7 +6,7 @@
 
 use falls::{render_falls, render_nested_set, Falls, NestedFalls, NestedSet};
 use parafile::model::{Partition, PartitionPattern};
-use parafile::redist::{cut_falls, intersect_falls, intersect_sets, Projection};
+use parafile::redist::{cut_falls, intersect_and_project, intersect_falls, intersect_sets};
 
 fn main() {
     // Figure 1: FALLS (3,5,6,5) on a 32-byte file.
@@ -79,9 +79,7 @@ fn main() {
 
     // Projections via full partitions (complement elements fill the rest).
     let (pv, ps) = (fig4_partition(&v), fig4_partition(&s));
-    let inter = parafile::redist::intersect_elements(&pv, 0, &ps, 0).unwrap();
-    let proj_v = Projection::compute(&inter, &pv, 0);
-    let proj_s = Projection::compute(&inter, &ps, 0);
+    let (_, proj_v, proj_s) = intersect_and_project(&pv, 0, &ps, 0).unwrap();
     println!(
         "PROJ_V(V∩S) positions {:?}, PROJ_S(V∩S) positions {:?}",
         proj_v.set.absolute_offsets(),

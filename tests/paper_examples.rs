@@ -3,7 +3,7 @@
 use falls::{Falls, NestedFalls, NestedSet};
 use parafile::mapping::Mapper;
 use parafile::model::{Partition, PartitionPattern};
-use parafile::redist::{cut_falls, intersect_elements, intersect_falls, Projection};
+use parafile::redist::{cut_falls, intersect_and_project, intersect_falls};
 
 /// Figure 1: the FALLS (3,5,6,5) covers exactly {3..5, 9..11, …, 27..29}.
 #[test]
@@ -105,11 +105,9 @@ fn figure4_nested_intersection_and_projections() {
     );
     let pv = with_complement(v, 32);
     let ps = with_complement(s, 32);
-    let inter = intersect_elements(&pv, 0, &ps, 0).unwrap();
+    let (inter, proj_v, proj_s) = intersect_and_project(&pv, 0, &ps, 0).unwrap();
     assert_eq!(inter.set.absolute_offsets(), vec![0, 16]);
     assert_eq!(inter.period, 32);
-    let proj_v = Projection::compute(&inter, &pv, 0);
-    let proj_s = Projection::compute(&inter, &ps, 0);
     assert_eq!(proj_v.set.absolute_offsets(), vec![0, 4]);
     assert_eq!(proj_s.set.absolute_offsets(), vec![0, 4]);
 }

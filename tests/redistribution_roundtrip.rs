@@ -4,7 +4,7 @@
 
 use parafile::model::{Partition, PartitionPattern};
 use parafile::plan::RedistributionPlan;
-use parafile::redist::{intersect_elements, redistribute_bytewise, Projection};
+use parafile::redist::{intersect_and_project, redistribute_bytewise};
 use parafile::sg::{gather, scatter};
 use parafile::Mapper;
 use pf_tests::{assert_element_buffers, cyclic, file_byte, fill_element_buffers, stripes};
@@ -89,10 +89,8 @@ proptest! {
         hi_frac in 0u64..100,
     ) {
         let file_len = 160u64;
-        let inter = intersect_elements(&a, 0, &b, 0).unwrap();
+        let (inter, proj_a, proj_b) = intersect_and_project(&a, 0, &b, 0).unwrap();
         prop_assume!(!inter.is_empty());
-        let proj_a = Projection::compute(&inter, &a, 0);
-        let proj_b = Projection::compute(&inter, &b, 0);
 
         let a_len = a.element_len(0, file_len).unwrap();
         prop_assume!(a_len > 0);
