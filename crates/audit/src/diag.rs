@@ -89,6 +89,11 @@ pub enum Code {
     /// reactor or a reactor-driven state machine, where one blocked
     /// thread stalls every multiplexed connection behind it.
     BlockingInReactor,
+    /// PA047 — an `unsafe` block, `fn` or `impl` not directly preceded by
+    /// a `// SAFETY:` comment or a `# Safety` doc section, or
+    /// `allow(unsafe_code)` in a file not on the list of files allowed
+    /// `unsafe`.
+    UnjustifiedUnsafe,
 }
 
 impl Code {
@@ -117,6 +122,7 @@ impl Code {
             Code::MissingMustUse => "PA044",
             Code::StaleWaiver => "PA045",
             Code::BlockingInReactor => "PA046",
+            Code::UnjustifiedUnsafe => "PA047",
         }
     }
 
@@ -315,6 +321,7 @@ mod tests {
             Code::MissingMustUse,
             Code::StaleWaiver,
             Code::BlockingInReactor,
+            Code::UnjustifiedUnsafe,
         ];
         let mut strs: Vec<&str> = all.iter().map(|c| c.as_str()).collect();
         strs.sort_unstable();

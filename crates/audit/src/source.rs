@@ -28,6 +28,11 @@
 //!   connection over a few threads, so one blocked thread stalls them
 //!   all. Deliberate off-loop blocking (e.g. a connect helper thread)
 //!   carries a `pa:allow(PA046)` waiver.
+//! * **PA047** — every `unsafe` block, `fn` or `impl` is directly
+//!   preceded by its safety argument (a `// SAFETY:` comment, or a
+//!   `# Safety` doc section), and `allow(unsafe_code)` appears only in the
+//!   files allowed `unsafe` at all, so the crates' `deny(unsafe_code)`
+//!   cannot be opened quietly somewhere else.
 //!
 //! The pass is deliberately token-level (comments and string literals
 //! are stripped, `#[cfg(test)]` modules are skipped), not a full parse:
@@ -56,6 +61,9 @@ pub struct SourceConfig {
     /// blocking calls (`thread::sleep`, blocking `std::net` connects,
     /// read/write-timeout dials) that would stall the event loop.
     pub reactor_files: Vec<String>,
+    /// The only files allowed `allow(unsafe_code)`: PA047 flags it
+    /// anywhere else.
+    pub unsafe_files: Vec<String>,
 }
 
 impl SourceConfig {
@@ -67,8 +75,10 @@ impl SourceConfig {
     /// `SetView`), and the projection walk (run on wire bounds in every
     /// `Write`/`Read`) are hot,
     /// session worker queues are bounded-only, the daemon's lock
-    /// order is `files < store < journal < sums < dedup`, and the
-    /// reactor, mux transport, and reactor daemon are blocking-free.
+    /// order is `files < store < journal < sums < dedup`, the
+    /// reactor, mux transport, and reactor daemon are blocking-free, and
+    /// `unsafe` is allowed only in the reactor's syscall shim and the CRC
+    /// kernel's instruction path.
     #[must_use]
     pub fn parafile_defaults() -> Self {
         let own = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect();
@@ -96,6 +106,7 @@ impl SourceConfig {
                 "net/src/mux.rs",
                 "net/src/server/reactor_daemon.rs",
             ]),
+            unsafe_files: own(&["net/src/reactor/sys.rs", "core/src/crc.rs"]),
         }
     }
 
@@ -269,6 +280,7 @@ pub fn audit_source(path: &str, text: &str, cfg: &SourceConfig) -> AuditReport {
     let bounded = SourceConfig::applies(&cfg.bounded_only, path);
     let must_use = SourceConfig::applies(&cfg.must_use_files, path);
     let reactor = SourceConfig::applies(&cfg.reactor_files, path);
+    let may_allow_unsafe = SourceConfig::applies(&cfg.unsafe_files, path);
 
     // Held lock guards: (brace depth at acquisition, rank, binding name).
     let mut held: Vec<(i64, usize, String)> = Vec::new();
@@ -324,6 +336,28 @@ pub fn audit_source(path: &str, text: &str, cfg: &SourceConfig) -> AuditReport {
                     });
                 }
             }
+        }
+        if let Some(what) = unsafe_item(line) {
+            if !has_safety_comment(&raw_lines, &lines, i) {
+                findings.push(Finding {
+                    line: lineno,
+                    code: Code::UnjustifiedUnsafe,
+                    message: format!(
+                        "{path}:{lineno}: `unsafe` {what} without a `// SAFETY:` comment or \
+                         `# Safety` section directly above it"
+                    ),
+                });
+            }
+        }
+        if line.contains("allow(unsafe_code)") && !may_allow_unsafe {
+            findings.push(Finding {
+                line: lineno,
+                code: Code::UnjustifiedUnsafe,
+                message: format!(
+                    "{path}:{lineno}: `allow(unsafe_code)` outside the files allowed `unsafe` ({})",
+                    cfg.unsafe_files.join(", ")
+                ),
+            });
         }
         if bounded && line.contains("mpsc::channel") {
             findings.push(Finding {
@@ -445,6 +479,49 @@ fn acquisition_rank(line: &str, order: &[String]) -> Option<usize> {
         .filter(|(_, name)| word_match(line, name).is_some())
         .map(|(rank, _)| rank)
         .max()
+}
+
+/// If the (stripped) `line` opens an `unsafe` block, `fn` or `impl`,
+/// which of the three.
+fn unsafe_item(line: &str) -> Option<&'static str> {
+    let at = word_match(line, "unsafe")?;
+    let rest = line[at + "unsafe".len()..].trim_start();
+    if rest.starts_with('{') {
+        Some("block")
+    } else if word_match(rest, "fn") == Some(0) {
+        Some("fn")
+    } else if word_match(rest, "impl") == Some(0) {
+        Some("impl")
+    } else {
+        None
+    }
+}
+
+/// Whether the comment block directly above the statement that line `i`
+/// belongs to carries a `SAFETY:` comment or a `# Safety` section.
+/// Attributes may interleave; a statement continued from the lines above
+/// (`let rc =` then `unsafe { … }`) is climbed to its first line.
+fn has_safety_comment(raw: &[&str], stripped: &[String], i: usize) -> bool {
+    let continues = |code: &str| {
+        let code = code.trim_end();
+        !code.trim().is_empty() && !code.ends_with([';', '{', '}', ','])
+    };
+    let mut j = i;
+    while j > 0 && continues(&stripped[j - 1]) && !raw[j - 1].trim_start().starts_with("#[") {
+        j -= 1;
+    }
+    while j > 0 {
+        j -= 1;
+        let t = raw[j].trim_start();
+        if t.starts_with("//") {
+            if t.contains("SAFETY:") || t.contains("# Safety") {
+                return true;
+            }
+        } else if !t.starts_with("#[") {
+            return false;
+        }
+    }
+    false
 }
 
 /// Whether an attribute block immediately above line `i` carries
@@ -665,6 +742,45 @@ fn f() {
         let r = run("crates/net/src/server.rs", stale);
         assert!(r.has_code(Code::StaleWaiver), "{:?}", r.diagnostics);
         assert_eq!(r.error_count(), 0, "stale waivers warn, not error");
+    }
+
+    #[test]
+    fn pa047_wants_a_safety_argument_directly_above_every_unsafe() {
+        let sys = "crates/net/src/reactor/sys.rs";
+        let bare = "fn f() {\n    let n = unsafe { poll(p, 1, 0) };\n}\n";
+        assert!(run(sys, bare).has_code(Code::UnjustifiedUnsafe));
+        for documented in [
+            // A comment on the line above, also across a continued statement.
+            "fn f() {\n    // SAFETY: `p` is live.\n    let n = unsafe { poll(p, 1, 0) };\n}\n",
+            "fn f() {\n    // SAFETY: `p` is live;\n    // n is 1.\n    let n =\n        unsafe { poll(p, 1, 0) };\n}\n",
+            // A `# Safety` section on an `unsafe fn`, attributes between.
+            "/// Steps.\n///\n/// # Safety\n///\n/// SSE4.2.\n#[target_feature(enable = \"sse4.2\")]\nunsafe fn step() {}\n",
+        ] {
+            let r = run(sys, documented);
+            assert!(!r.has_code(Code::UnjustifiedUnsafe), "{documented}: {:?}", r.diagnostics);
+        }
+        for undocumented in [
+            "/// Steps.\n#[inline]\nunsafe fn step() {}\n",
+            "unsafe impl Send for Cell {}\n",
+            // A safety comment that belongs to an earlier statement.
+            "fn f() {\n    // SAFETY: closing our fd.\n    let a = 1;\n    unsafe { close(a) };\n}\n",
+        ] {
+            let r = run(sys, undocumented);
+            assert!(r.has_code(Code::UnjustifiedUnsafe), "{undocumented}: {:?}", r.diagnostics);
+        }
+        // Identifiers that merely contain the word pass.
+        let r = run(sys, "#![deny(unsafe_code)]\nfn unsafe_len() -> usize { 0 }\n");
+        assert!(!r.has_code(Code::UnjustifiedUnsafe), "{:?}", r.diagnostics);
+    }
+
+    #[test]
+    fn pa047_confines_allow_unsafe_code_to_the_listed_files() {
+        let text = "#![allow(unsafe_code)]\n";
+        for allowed in ["crates/net/src/reactor/sys.rs", "crates/core/src/crc.rs"] {
+            assert!(!run(allowed, text).has_code(Code::UnjustifiedUnsafe), "{allowed}");
+        }
+        let r = run("crates/net/src/server.rs", "#[allow(unsafe_code)]\nmod fast {}\n");
+        assert!(r.has_code(Code::UnjustifiedUnsafe), "{:?}", r.diagnostics);
     }
 
     #[test]

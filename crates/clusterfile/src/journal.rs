@@ -278,7 +278,9 @@ impl Journal {
                         let store_len = store.len();
                         for &(seg_off, seg_len) in &rec.segments {
                             let n = seg_len as usize;
-                            if seg_off + seg_len <= store_len {
+                            // The CRC covers the payload only: a damaged
+                            // offset is skipped like any past-the-end one.
+                            if seg_off.checked_add(seg_len).is_some_and(|end| end <= store_len) {
                                 store.write_at(seg_off, &rec.payload[off..off + n])?;
                             }
                             off += n;
@@ -510,6 +512,25 @@ mod tests {
         assert_eq!(journal.len(), (MAGIC.len() + complete.len() + big.len()) as u64);
         let on_disk = std::fs::read(dir.join("file6_subfile0.journal")).unwrap();
         assert_eq!(on_disk, [&MAGIC[..], &complete, &big].concat());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_segment_offset_past_u64_max_is_skipped_not_wrapped() {
+        // The payload verifies, but the segment's offset is damaged so
+        // that `offset + len` overflows.
+        let (backend, dir) = temp_backend("overflow");
+        let mut store = SubfileStore::create(&backend, 7, 0, 32).unwrap();
+        let before: Vec<u8> = (0..32).collect();
+        store.write_at(0, &before).unwrap();
+        let rec = old_format_record(4, 1, &[(u64::MAX - 2, 4)], &[0xEE; 4]);
+        std::fs::write(dir.join("file7_subfile0.journal"), [&MAGIC[..], &rec].concat()).unwrap();
+
+        let mut journal = Journal::open(&backend, 7, 0).unwrap();
+        let report = journal.recover(&mut store).unwrap();
+        assert_eq!((report.replayed, report.discarded), (1, 0));
+        assert_eq!(store.read_at(0, 32).unwrap(), before, "the store is untouched");
+        assert!(journal.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

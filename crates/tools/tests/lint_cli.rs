@@ -125,6 +125,40 @@ fn source_mode_passes_clean_files_and_non_hot_paths() {
 }
 
 #[test]
+fn source_mode_wants_a_safety_comment_on_every_unsafe_block() {
+    let dir = TempDir::new("unsafe-block");
+    // A file allowed `unsafe`, but the block has no argument above it.
+    let sys = dir.write(
+        "net/src/reactor/sys.rs",
+        "#![allow(unsafe_code)]\nfn close_fd(fd: i32) {\n    unsafe { close(fd) };\n}\n",
+    );
+    let out = lint(&["--json", "--source", &sys]);
+    assert_eq!(out.status.code(), Some(1), "an undocumented unsafe block exits 1");
+    let json = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON output");
+    let codes = check_target_schema(&json.as_array().expect("top-level array")[0]);
+    assert_eq!(codes, ["PA047"], "only the block fires");
+    let documented = dir.write(
+        "net/src/reactor/sys.rs",
+        "#![allow(unsafe_code)]\nfn close_fd(fd: i32) {\n    // SAFETY: `fd` is ours.\n    \
+         unsafe { close(fd) };\n}\n",
+    );
+    assert_eq!(lint(&["--source", &documented]).status.code(), Some(0));
+}
+
+#[test]
+fn source_mode_confines_allow_unsafe_code_to_its_two_files() {
+    let dir = TempDir::new("unsafe-allow");
+    let elsewhere = dir.write("net/src/wire.rs", "#[allow(unsafe_code)]\nmod fast {}\n");
+    let out = lint(&["--json", "--source", &elsewhere]);
+    assert_eq!(out.status.code(), Some(1), "allow(unsafe_code) outside the list exits 1");
+    let json = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON output");
+    let codes = check_target_schema(&json.as_array().expect("top-level array")[0]);
+    assert_eq!(codes, ["PA047"]);
+    let listed = dir.write("core/src/crc.rs", "#[allow(unsafe_code)]\nmod hw {}\n");
+    assert_eq!(lint(&["--source", &listed]).status.code(), Some(0));
+}
+
+#[test]
 fn source_mode_runs_clean_over_the_repo_hot_paths() {
     // The seed tree itself must satisfy the source lints: this is the
     // same invocation CI runs.
@@ -134,6 +168,7 @@ fn source_mode_runs_clean_over_the_repo_hot_paths() {
         "net/src/session.rs",
         "net/src/proto.rs",
         "net/src/wire/framebuf.rs",
+        "net/src/reactor/sys.rs",
         "clusterfile/src/journal.rs",
         "clusterfile/src/checksum.rs",
         "core/src/crc.rs",
