@@ -69,7 +69,8 @@ pub struct SourceConfig {
 impl SourceConfig {
     /// The workspace's canonical configuration: the daemon/session
     /// request paths, the receive buffer that splits untrusted socket
-    /// bytes into frames, the write-ahead journal, the replication layer
+    /// bytes into frames and the codec that decodes them, the write-ahead
+    /// journal, the replication layer
     /// (replica placement math, per-segment checksum map), the pattern
     /// audit with its tiling verifier (run on untrusted bytes in every
     /// `SetView`), and the projection walk (run on wire bounds in every
@@ -87,6 +88,7 @@ impl SourceConfig {
                 "net/src/server.rs",
                 "net/src/session.rs",
                 "net/src/proto.rs",
+                "net/src/wire.rs",
                 "net/src/wire/framebuf.rs",
                 "clusterfile/src/journal.rs",
                 "clusterfile/src/checksum.rs",

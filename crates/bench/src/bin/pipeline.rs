@@ -1,5 +1,5 @@
 //! **Ablation G** (extension): the pipelined multi-node data path —
-//! persistent per-node session workers, batched pipelined writes and v3
+//! persistent per-node session workers, batched pipelined writes and
 //! chunked streaming — against the PR 4 `net_throughput` baseline.
 //!
 //! The workload is the paper's worst-matching layout pair (row-block

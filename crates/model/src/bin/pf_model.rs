@@ -44,12 +44,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             "--list" => {
                 for sc in standard_scenarios() {
                     println!(
-                        "{:<20} chunked={} n_chunks={} window={} server_max=v{} fault={:?}",
+                        "{:<20} chunked={} n_chunks={} window={} client=v{} fault={:?}",
                         sc.name,
                         sc.chunked,
                         sc.n_chunks,
                         sc.window,
-                        sc.server_max_version,
+                        sc.client_version,
                         sc.perturbation
                     );
                 }

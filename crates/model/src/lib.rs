@@ -1,13 +1,13 @@
 //! Bounded exhaustive model checking for the parafile wire protocol.
 //!
 //! The daemon/client pair in `parafile-net` drives its wire behavior
-//! through the typed automata in [`parafile_net::proto`] — version
-//! negotiation, the chunk in-flight window, and the server's chunk-stream
-//! discipline. This crate closes the loop: it embeds those *same* automata
-//! in a small abstract world (one client, one daemon, two FIFO message
-//! queues) and explores every interleaving of sends, receives, daemon
-//! steps, and injected faults up to a bounded depth, checking the
-//! protocol's safety invariants on every reachable state:
+//! through the typed automata in [`parafile_net::proto`] — the chunk
+//! in-flight window and the server's chunk-stream discipline. This crate
+//! closes the loop: it embeds those *same* automata in a small abstract
+//! world (one client, one daemon, two FIFO message queues) and explores
+//! every interleaving of sends, receives, daemon steps, and injected faults
+//! up to a bounded depth, checking the protocol's safety invariants on
+//! every reachable state:
 //!
 //! * **exactly-once** — a stamped logical write is applied fresh at most
 //!   once, across retries, daemon crashes, and journal recovery;
@@ -15,8 +15,9 @@
 //!   consumed) unless the stamped journal intent is durable;
 //! * **chunk window** — the client never exceeds `CHUNK_WINDOW` frames in
 //!   flight;
-//! * **fallback safety** — no chunk frame is ever emitted below protocol
-//!   v3, and a v3 client completes against a v2-capped daemon;
+//! * **version refusal** — a frame whose version byte is not
+//!   [`parafile_net::PROTOCOL_VERSION`] is never applied, journaled or
+//!   acknowledged, and its client terminates;
 //! * **liveness (bounded)** — no reachable non-terminal state is stuck.
 //!
 //! Faults are not invented here: each scenario perturbs the interleaving
@@ -52,13 +53,13 @@ pub use quorum::{check_quorum, explore_quorum, quorum_scenarios, QuorumScenario}
 
 use std::collections::{HashSet, VecDeque};
 
-use parafile_net::proto::{version_admitted, StreamProgress};
-use parafile_net::{ChunkHeader, ChunkSender, FaultPlan, Negotiation, WriteStream};
+use parafile_net::proto::StreamProgress;
+use parafile_net::{ChunkHeader, ChunkSender, FaultPlan, WriteStream, PROTOCOL_VERSION};
 
 /// Bytes per modeled chunk (the concrete value is irrelevant to the
 /// invariants; it only has to make the stream arithmetic non-trivial).
 const CHUNK_LEN: u64 = 4;
-/// The modeled session id (non-zero = stamped, like a real v2+ session).
+/// The modeled session id (non-zero = stamped, like a real session).
 const SESSION: u64 = 7;
 /// The modeled sequence number of the single logical write.
 const SEQ: u64 = 1;
@@ -198,20 +199,21 @@ impl Mutations {
 // ---------------------------------------------------------------------------
 // Scenarios
 
-/// One bounded world to explore: a client shape, a daemon version cap,
-/// and at most one fault perturbation.
+/// One bounded world to explore: a client shape, the version byte its
+/// frames carry, and at most one fault perturbation.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Scenario name for reports.
     pub name: &'static str,
-    /// Whether the client attempts the chunked (v3) write path.
+    /// Whether the client attempts the chunked write path.
     pub chunked: bool,
     /// Number of chunks in the modeled stream (chunked scenarios).
     pub n_chunks: u64,
     /// Client in-flight window.
     pub window: u64,
-    /// Highest protocol version the daemon admits.
-    pub server_max_version: u8,
+    /// The version byte of every frame the client sends: the daemon
+    /// admits only [`PROTOCOL_VERSION`].
+    pub client_version: u8,
     /// Client retry attempts before giving up.
     pub attempts: u8,
     /// The fault family perturbing this scenario, if any.
@@ -219,7 +221,7 @@ pub struct Scenario {
 }
 
 /// The standard scenario battery: clean runs, every fault family against
-/// the chunked path, and the v3→v2 fallback with and without faults.
+/// the chunked path, and a client whose frames carry a refused version.
 ///
 /// Fault scenarios are derived from real chaos specs via
 /// [`Perturbation::from_spec`], so this list cannot drift from the
@@ -231,7 +233,7 @@ pub fn standard_scenarios() -> Vec<Scenario> {
         chunked: true,
         n_chunks: 3,
         window: 2,
-        server_max_version: 3,
+        client_version: PROTOCOL_VERSION,
         attempts: 3,
         perturbation: None,
     };
@@ -241,25 +243,24 @@ pub fn standard_scenarios() -> Vec<Scenario> {
         ..base.clone()
     };
     vec![
-        Scenario { name: "v3-mono-clean", chunked: false, ..base.clone() },
-        Scenario { name: "v3-chunk-clean", ..base.clone() },
-        fault("v3-chunk-drop", "drop:1"),
-        fault("v3-chunk-truncate", "truncate:1"),
-        fault("v3-chunk-flush", "flush:1"),
-        fault("v3-chunk-kill", "kill:1"),
-        fault("v3-chunk-torn", "torn:1"),
-        fault("v3-chunk-delay", "delay:1"),
-        Scenario { name: "v2-fallback-clean", server_max_version: 2, ..base.clone() },
+        Scenario { name: "mono-clean", chunked: false, ..base.clone() },
+        Scenario { name: "chunk-clean", ..base.clone() },
+        fault("chunk-drop", "drop:1"),
+        fault("chunk-truncate", "truncate:1"),
+        fault("chunk-flush", "flush:1"),
+        fault("chunk-kill", "kill:1"),
+        fault("chunk-torn", "torn:1"),
+        fault("chunk-delay", "delay:1"),
         Scenario {
-            name: "v2-fallback-drop",
-            server_max_version: 2,
-            perturbation: Perturbation::from_spec("drop:1").expect("static chaos spec parses"),
+            name: "mono-kill",
+            chunked: false,
+            perturbation: Perturbation::from_spec("kill:1").expect("static chaos spec parses"),
             ..base.clone()
         },
         Scenario {
-            name: "v3-mono-kill",
+            name: "version-refused",
             chunked: false,
-            perturbation: Perturbation::from_spec("kill:1").expect("static chaos spec parses"),
+            client_version: PROTOCOL_VERSION - 1,
             ..base
         },
     ]
@@ -277,7 +278,7 @@ enum Msg {
     Pong,
     /// Monolithic stamped write.
     Write { version: u8 },
-    /// One chunk of a v3 streamed write.
+    /// One chunk of a streamed write.
     WriteChunk { version: u8, h: ChunkHeader },
     /// Ack for a non-final chunk.
     ChunkOk,
@@ -294,7 +295,7 @@ enum Msg {
 enum Phase {
     /// Deciding how to issue the write (probe or monolithic).
     Start,
-    /// Probe sent, waiting for `Pong` (or a version rejection).
+    /// Probe sent, waiting for `Pong`.
     AwaitPong,
     /// Chunk stream in progress, driven by the [`ChunkSender`] window.
     Streaming,
@@ -308,7 +309,8 @@ enum Phase {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Client {
-    neg: Negotiation,
+    /// The version byte of every frame this client sends.
+    version: u8,
     phase: Phase,
     sender: Option<ChunkSender>,
     attempts_left: u8,
@@ -351,7 +353,7 @@ impl World {
     fn init(sc: &Scenario) -> Self {
         Self {
             client: Client {
-                neg: Negotiation::new(),
+                version: sc.client_version,
                 phase: Phase::Start,
                 sender: None,
                 attempts_left: sc.attempts.max(1),
@@ -425,7 +427,7 @@ fn successors(w: &World, sc: &Scenario, mu: &Mutations) -> Vec<World> {
     let mut out = Vec::new();
     client_send(w, sc, mu, &mut out);
     client_recv(w, sc, &mut out);
-    server_step(w, sc, mu, &mut out);
+    server_step(w, mu, &mut out);
     if !w.server.alive {
         out.push(server_restart(w));
     }
@@ -441,8 +443,8 @@ fn client_send(w: &World, sc: &Scenario, mu: &Mutations, out: &mut Vec<World>) {
     match w.client.phase {
         Phase::Start => {
             let mut n = w.clone();
-            let version = n.client.neg.version();
-            if sc.chunked && n.client.neg.supports_chunking() {
+            let version = n.client.version;
+            if sc.chunked {
                 n.c2s.push_back(Msg::Ping { version });
                 n.client.phase = Phase::AwaitPong;
             } else {
@@ -463,7 +465,7 @@ fn client_send(w: &World, sc: &Scenario, mu: &Mutations, out: &mut Vec<World>) {
                 let mut n = w.clone();
                 let sender = n.client.sender.as_mut().expect("checked above");
                 let h = chunk_header(sc, plan.index, plan.last);
-                n.c2s.push_back(Msg::WriteChunk { version: n.client.neg.version(), h });
+                n.c2s.push_back(Msg::WriteChunk { version: n.client.version, h });
                 sender.record_send();
                 out.push(n);
             }
@@ -488,18 +490,9 @@ fn client_recv(w: &World, sc: &Scenario, out: &mut Vec<World>) {
             out.push(n);
         }
         Msg::ErrUnsupportedVersion => {
-            // Step the ladder down and reissue; at the floor the write
-            // fails outright. The daemon's per-connection state is gone
-            // either way (the real client reopens the request).
-            n.c2s.clear();
-            n.server.stream = None;
-            n.server.replaying = false;
+            // A protocol error is never retried: the write fails.
             n.client.sender = None;
-            if n.client.neg.downgrade() {
-                n.client.phase = Phase::Start;
-            } else {
-                n.client.phase = Phase::Failed;
-            }
+            n.client.phase = Phase::Failed;
             out.push(n);
         }
         Msg::ChunkOk => {
@@ -534,7 +527,7 @@ fn client_recv(w: &World, sc: &Scenario, out: &mut Vec<World>) {
 }
 
 /// Daemon consumes the head of the client→daemon queue.
-fn server_step(w: &World, sc: &Scenario, mu: &Mutations, out: &mut Vec<World>) {
+fn server_step(w: &World, mu: &Mutations, out: &mut Vec<World>) {
     if !w.server.alive {
         return;
     }
@@ -543,14 +536,14 @@ fn server_step(w: &World, sc: &Scenario, mu: &Mutations, out: &mut Vec<World>) {
     n.c2s.pop_front();
     match msg {
         Msg::Ping { version } => {
-            if version_admitted(version, sc.server_max_version) {
+            if version == PROTOCOL_VERSION {
                 n.s2c.push_back(Msg::Pong);
             } else {
                 n.s2c.push_back(Msg::ErrUnsupportedVersion);
             }
         }
         Msg::Write { version } => {
-            if !version_admitted(version, sc.server_max_version) {
+            if version != PROTOCOL_VERSION {
                 n.s2c.push_back(Msg::ErrUnsupportedVersion);
             } else if n.server.fail_next {
                 n.server.fail_next = false;
@@ -563,7 +556,7 @@ fn server_step(w: &World, sc: &Scenario, mu: &Mutations, out: &mut Vec<World>) {
             }
         }
         Msg::WriteChunk { version, h } => {
-            if !version_admitted(version, sc.server_max_version) {
+            if version != PROTOCOL_VERSION {
                 n.server.stream = None;
                 n.s2c.push_back(Msg::ErrUnsupportedVersion);
             } else if n.server.fail_next {
@@ -752,8 +745,14 @@ fn check_invariants(w: &World) -> Option<&'static str> {
     if fresh_ack_visible && !w.server.journal_stamped {
         return Some("write-before-ack violated: fresh WriteOk without a durable journal intent");
     }
-    if w.c2s.iter().any(|m| matches!(m, Msg::WriteChunk { version, .. } if *version < 3)) {
-        return Some("fallback safety violated: chunk frame emitted below protocol v3");
+    if w.client.version != PROTOCOL_VERSION {
+        let acked = matches!(w.client.phase, Phase::Done)
+            || w.s2c.iter().any(|m| matches!(m, Msg::Pong | Msg::ChunkOk | Msg::WriteOk { .. }));
+        let touched =
+            w.server.applied_fresh > 0 || w.server.journal_chunks > 0 || w.server.journal_stamped;
+        if acked || touched {
+            return Some("version refusal violated: a refused frame was applied or acknowledged");
+        }
     }
     if w.server.protocol_error {
         return Some("daemon rejected a frame produced by the verified client");
@@ -974,16 +973,23 @@ mod tests {
     }
 
     #[test]
-    fn fallback_scenario_completes_at_v2_without_chunks() {
-        // The v2-capped daemon forces the ladder down; the clean fallback
-        // run must terminate violation-free, which (per the fallback
-        // invariant) proves no chunk frame was emitted below v3.
+    fn version_refused_scenario_applies_nothing_and_terminates() {
+        // A client framing at another version: the run must end
+        // violation-free, which (per the refusal invariant) proves the
+        // refused write was never applied, journaled or acknowledged, and
+        // (per the stuck check) that the client reached a terminal state.
         let sc = standard_scenarios()
             .into_iter()
-            .find(|s| s.name == "v2-fallback-clean")
+            .find(|s| s.name == "version-refused")
             .expect("scenario exists");
+        assert_ne!(sc.client_version, PROTOCOL_VERSION);
         let r = explore(&sc, &Mutations::none(), &Limits::default());
         assert!(r.violation.is_none(), "{:?}", r.violation);
         assert!(!r.truncated);
+        // Under every seeded bug the refused write still never lands.
+        for (name, mu) in Mutations::all_named() {
+            let r = explore(&sc, &mu, &Limits::default());
+            assert!(r.violation.is_none(), "{name}: {:?}", r.violation);
+        }
     }
 }

@@ -45,7 +45,7 @@ pub enum ErrCode {
     /// read from another copy and queued for repair.
     ChecksumMismatch,
     /// The request's propagated deadline budget was already spent when the
-    /// daemon was about to execute it; nothing was applied (protocol ≥ 5).
+    /// daemon was about to execute it; nothing was applied.
     DeadlineExceeded,
 }
 
@@ -164,7 +164,7 @@ pub enum NetError {
     },
     /// The daemon shed the request before executing it (admission control:
     /// `Busy` means this request was declined, `Overloaded` means the whole
-    /// connection was; protocol ≥ 5). Nothing was applied either way, so
+    /// connection was). Nothing was applied either way, so
     /// retrying after the hinted delay is always safe — this variant
     /// surfaces only when the retry budget or deadline forbids the client
     /// from retrying itself.

@@ -378,15 +378,14 @@ impl FaultInjector {
 /// What a chaos-proxy run observed, for distinguishing "the planned fault
 /// fired" from "the protocol broke in a way the plan does not explain".
 ///
-/// An error reply flowing back to the client is only *unexpected* when its
-/// code is not `UnsupportedVersion` — version rejection is the legitimate
-/// first step of the v3→v2 fallback handshake, not a failure.
+/// Every error reply flowing back to the client is *unexpected*: a client
+/// and daemon of one protocol version have no error exchange a clean run
+/// needs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosOutcome {
     /// Transport faults (drop / truncate / kill) the proxy injected.
     pub planned_faults: u64,
-    /// Error replies other than `UnsupportedVersion` seen flowing back to
-    /// the client.
+    /// Error replies seen flowing back to the client.
     pub unexpected_errors: u64,
     /// Frames the proxy held back with an injected delay. Delays never
     /// sever or corrupt, so they count separately from `planned_faults`:
@@ -556,6 +555,8 @@ enum PumpEnd {
 /// error replies it forwards are tallied in `shared`.
 fn pump(mut src: TcpStream, mut dst: TcpStream, shared: &ProxyShared, dir: Direction) -> PumpEnd {
     let plan = &shared.plan;
+    // Tallied before the sever, so a client that sees the connection die
+    // can never read a verdict that has not counted it yet.
     let fault_fired = || {
         shared.planned_faults.fetch_add(1, Ordering::SeqCst);
     };
@@ -576,14 +577,9 @@ fn pump(mut src: TcpStream, mut dst: TcpStream, shared: &ProxyShared, dir: Direc
 
         if dir == Direction::ServerToClient {
             // Sniff replies for protocol errors the plan does not explain.
-            // Reply body: ver:u8 | op:u8 | request:u64 | payload, with an
-            // error payload leading with its u16 code. `UnsupportedVersion`
-            // (wire id 1) is the legitimate fallback handshake, not a bug.
-            if body.len() >= 12 && body[1] == crate::wire::op::R_ERROR {
-                let code = u16::from_le_bytes([body[10], body[11]]);
-                if code != 1 {
-                    shared.unexpected_errors.fetch_add(1, Ordering::SeqCst);
-                }
+            // Reply body: ver:u8 | op:u8 | request:u64 | payload.
+            if body.len() >= 2 && body[1] == crate::wire::op::R_ERROR {
+                shared.unexpected_errors.fetch_add(1, Ordering::SeqCst);
             }
         }
         if dir == Direction::ClientToServer {
@@ -595,25 +591,25 @@ fn pump(mut src: TcpStream, mut dst: TcpStream, shared: &ProxyShared, dir: Direc
             }
             if let Some(kill_at) = plan.kill_after_frames {
                 if frames >= kill_at {
+                    fault_fired();
                     let _ = src.shutdown(std::net::Shutdown::Both);
                     let _ = dst.shutdown(std::net::Shutdown::Both);
-                    fault_fired();
                     return PumpEnd::Killed;
                 }
             }
             if let Some(drop_at) = plan.drop_after_frames {
                 if frames >= drop_at {
+                    fault_fired();
                     let _ = src.shutdown(std::net::Shutdown::Both);
                     let _ = dst.shutdown(std::net::Shutdown::Both);
-                    fault_fired();
                     return PumpEnd::Faulted;
                 }
             }
             if let Some(drop_at) = plan.drop_once_after_frames {
                 if frames >= drop_at && !shared.dropped_once.swap(true, Ordering::SeqCst) {
+                    fault_fired();
                     let _ = src.shutdown(std::net::Shutdown::Both);
                     let _ = dst.shutdown(std::net::Shutdown::Both);
-                    fault_fired();
                     return PumpEnd::Faulted;
                 }
             }
@@ -626,9 +622,9 @@ fn pump(mut src: TcpStream, mut dst: TcpStream, shared: &ProxyShared, dir: Direc
                 let _ = dst.write_all(&len_buf);
                 let _ = dst.write_all(&body[..keep]);
                 let _ = dst.flush();
+                fault_fired();
                 let _ = src.shutdown(std::net::Shutdown::Both);
                 let _ = dst.shutdown(std::net::Shutdown::Both);
-                fault_fired();
                 return PumpEnd::Faulted;
             }
         }
@@ -763,7 +759,7 @@ mod tests {
 
     /// A minimal reply body: ver | op | request:u64 | payload.
     fn reply_body(op_byte: u8, payload: &[u8]) -> Vec<u8> {
-        let mut b = vec![3u8, op_byte];
+        let mut b = vec![crate::wire::PROTOCOL_VERSION, op_byte];
         b.extend_from_slice(&7u64.to_le_bytes());
         b.extend_from_slice(payload);
         b
@@ -783,22 +779,20 @@ mod tests {
     }
 
     #[test]
-    fn chaos_outcome_counts_unexpected_errors_but_not_version_fallback() {
-        // An error reply with code 9 (not UnsupportedVersion) is unexpected…
-        let upstream = canned_upstream(reply_body(crate::wire::op::R_ERROR, &9u16.to_le_bytes()));
-        let mut proxy = chaos_proxy("127.0.0.1:0", &upstream, FaultPlan::none()).expect("proxy");
-        assert!(send_frame(proxy.addr(), &reply_body(0x01, &[])).is_some());
-        proxy.stop();
-        let outcome = proxy.outcome();
-        assert_eq!(outcome.planned_faults, 0, "{outcome:?}");
-        assert_eq!(outcome.unexpected_errors, 1, "{outcome:?}");
-
-        // …while code 1 (UnsupportedVersion) is the fallback handshake.
-        let upstream = canned_upstream(reply_body(crate::wire::op::R_ERROR, &1u16.to_le_bytes()));
-        let mut proxy = chaos_proxy("127.0.0.1:0", &upstream, FaultPlan::none()).expect("proxy");
-        assert!(send_frame(proxy.addr(), &reply_body(0x01, &[])).is_some());
-        proxy.stop();
-        assert_eq!(proxy.outcome(), ChaosOutcome::default());
+    fn chaos_outcome_counts_every_error_reply_as_unexpected() {
+        // Code 9 and code 1 (UnsupportedVersion) alike: with one wire
+        // version there is no fallback handshake to excuse a refusal.
+        for code in [9u16, 1] {
+            let upstream =
+                canned_upstream(reply_body(crate::wire::op::R_ERROR, &code.to_le_bytes()));
+            let mut proxy =
+                chaos_proxy("127.0.0.1:0", &upstream, FaultPlan::none()).expect("proxy");
+            assert!(send_frame(proxy.addr(), &reply_body(0x01, &[])).is_some());
+            proxy.stop();
+            let outcome = proxy.outcome();
+            assert_eq!(outcome.planned_faults, 0, "code {code}: {outcome:?}");
+            assert_eq!(outcome.unexpected_errors, 1, "code {code}: {outcome:?}");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use fault::{
 };
 pub use mux::{Mux, RetryPolicy, CHUNK_WINDOW};
 pub use pool::{evict_idle, pool_stats, MuxHandle};
-pub use proto::{ChunkHeader, ChunkPlan, ChunkSender, Negotiation, ProtoViolation, WriteStream};
+pub use proto::{ChunkHeader, ChunkPlan, ChunkSender, ProtoViolation, WriteStream};
 pub use reactor::{Clock, ManualClock, MonotonicClock, Reactor, TimerId, TimerWheel};
 pub use resilience::{
     Admission, BreakerCore, BreakerState, CircuitBreaker, Deadline, LatencyTracker, RetryBudget,
@@ -54,6 +54,4 @@ pub use server::{
 pub use session::{
     spawn_loopback, BatchWrite, NodeHealth, RedistReport, ScrubReport, SegmentOutcome, Session,
 };
-pub use wire::{
-    Reply, Request, StatInfo, DEFAULT_MAX_FRAME, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
-};
+pub use wire::{Reply, Request, StatInfo, DEFAULT_MAX_FRAME, PROTOCOL_VERSION};

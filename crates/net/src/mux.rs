@@ -16,14 +16,12 @@
 //! spending from the session [`RetryBudget`]; a request that dies on a
 //! fresh connection resets its backoff (the peer is back). Protocol
 //! errors are never retried: the daemon meant them. A [`Deadline`] vetoes
-//! every (re)send that would start after expiry, `Busy`/`Overloaded`
-//! sheds are retried after their hinted delay, and `UnsupportedVersion`
-//! steps the negotiated version down transparently (guarded so a burst of
-//! pipelined rejections downgrades once).
+//! every (re)send that would start after expiry, and `Busy`/`Overloaded`
+//! sheds are retried after their hinted delay.
 //!
 //! # Chunking
 //!
-//! On protocol ≥ 3 peers a `Write` larger than the daemon's advertised
+//! A `Write` larger than the daemon's advertised
 //! `max_chunk` (learned from a one-time `Ping` probe) is streamed as
 //! `WriteChunk` frames with [`CHUNK_WINDOW`] in flight; a stream that died
 //! mid-way asks `ResumeQuery` how far it got before retrying. Callers see
@@ -40,14 +38,11 @@
 
 use crate::backoff::Backoff;
 use crate::error::{ErrCode, NetError, ProtocolError};
-use crate::proto::{ChunkSender, Negotiation};
+use crate::proto::ChunkSender;
 use crate::reactor::{Clock, Event, Interest, MonotonicClock, Reactor, TimerId, TimerWheel, Waker};
 use crate::resilience::{Deadline, RetryBudget};
 use crate::server::NetStream;
-use crate::wire::{
-    self, Filled, FrameBuf, Lent, Reply, Request, DEFAULT_MAX_FRAME, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
+use crate::wire::{self, Filled, FrameBuf, Lent, Reply, Request, DEFAULT_MAX_FRAME};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -358,7 +353,6 @@ struct Pending {
     attempts_max: u32,
     backoff: Backoff,
     sent_id: u64,
-    sent_version: u8,
     expire: Option<TimerId>,
     /// This request's own deadline; `None` follows the mux-wide one.
     deadline: Option<Deadline>,
@@ -394,7 +388,6 @@ impl Pending {
             attempts_max: 1,
             backoff,
             sent_id: 0,
-            sent_version: 0,
             expire: None,
             deadline,
             budget,
@@ -441,7 +434,6 @@ struct NodeMux {
     /// dying on a fresh connection resets its backoff (the peer is back;
     /// the widened schedule is stale).
     fresh: bool,
-    negotiation: Negotiation,
     /// The peer's advertised chunk capability (`Pong.max_chunk`), learned
     /// from the one-time probe. `None` = not yet probed; `Some(0)` = the
     /// peer does not chunk.
@@ -450,7 +442,7 @@ struct NodeMux {
     /// data at `n` bytes, `None` uses the peer's advertised capability.
     chunk_override: Option<u32>,
     /// The `(session, seq)` stamp of a chunked write that died mid-stream,
-    /// eligible for a `ResumeQuery` before its retry (protocol ≥ 4).
+    /// eligible for a `ResumeQuery` before its retry.
     resume_candidate: Option<(u64, u64)>,
     probe_inflight: bool,
     next_id: u64,
@@ -482,7 +474,6 @@ impl NodeMux {
             seed,
             conn: ConnState::Idle,
             fresh: true,
-            negotiation: Negotiation::new(),
             peer_max_chunk: None,
             chunk_override: std::env::var("PF_NET_CHUNK").ok().and_then(|v| v.trim().parse().ok()),
             resume_candidate: None,
@@ -505,7 +496,7 @@ impl NodeMux {
     /// send monolithic): the daemon's advertised cap, lowered by
     /// `PF_NET_CHUNK`, and always small enough to fit a frame.
     fn effective_chunk(&self) -> u32 {
-        if !self.negotiation.supports_chunking() || self.chunk_override == Some(0) {
+        if self.chunk_override == Some(0) {
             return 0;
         }
         let cap = self.peer_max_chunk.unwrap_or(0);
@@ -655,7 +646,6 @@ impl Driver {
                 attempts_max,
                 backoff,
                 sent_id: 0,
-                sent_version: 0,
                 expire: None,
                 deadline: job.deadline,
                 budget: job.budget,
@@ -689,7 +679,6 @@ impl Driver {
                             let chunkable =
                                 matches!(head, Some(Request::Write { .. } | Request::Read { .. }));
                             if chunkable
-                                && node.negotiation.supports_chunking()
                                 && node.chunk_override != Some(0)
                                 && node.peer_max_chunk.is_none()
                             {
@@ -745,8 +734,8 @@ impl Driver {
                 Act::SendHead => {
                     let p = self.nodes[n].queue.pop_front().expect("pump saw a head");
                     if let Some(request) = p.request() {
-                        let sent = self.encode_frame(n, &p, request.opcode(), |v, d, out| {
-                            request.append_payload(v, d, out);
+                        let sent = self.encode_frame(n, &p, request.opcode(), |d, out| {
+                            request.append_payload(d, out);
                         });
                         self.track(n, p, sent);
                     }
@@ -761,35 +750,30 @@ impl Driver {
     }
 
     /// Encodes one frame for `p` in place into the node's write buffer —
-    /// `body(version, deadline_ms, out)` appends its payload — and returns
-    /// the `(request id, version)` it went out under.
+    /// `body(deadline_ms, out)` appends its payload — and returns the
+    /// request id it went out under.
     fn encode_frame(
         &mut self,
         n: usize,
         p: &Pending,
         opcode: u8,
-        body: impl FnOnce(u8, u32, &mut Vec<u8>),
-    ) -> (u64, u8) {
-        let deadline = self.deadline_of(p);
+        body: impl FnOnce(u32, &mut Vec<u8>),
+    ) -> u64 {
+        let deadline_ms = self.deadline_of(p).wire_ms();
         let node = &mut self.nodes[n];
-        let version = node.negotiation.version();
-        let deadline_ms =
-            if node.negotiation.supports_deadlines() { deadline.wire_ms() } else { 0 };
         let id = node.next_id;
         node.next_id += 1;
-        wire::append_frame(&mut node.wbuf, version, opcode, id, |out| {
-            body(version, deadline_ms, out);
-        });
-        (id, version)
+        wire::append_frame(&mut node.wbuf, opcode, id, |out| body(deadline_ms, out));
+        id
     }
 
     /// Arms the response timer of `p`, just encoded as `sent`, and moves
     /// it to the in-flight queue.
-    fn track(&mut self, n: usize, mut p: Pending, sent: (u64, u8)) {
+    fn track(&mut self, n: usize, mut p: Pending, sent_id: u64) {
         let deadline = self.deadline_of(&p);
         let expire_at = self.clock.now_ms() + dur_ms(deadline.clamp_timeout(RESPONSE_TIMEOUT));
         let tid = self.wheel.schedule(expire_at, Timed::Expire { node: n, serial: p.serial });
-        (p.sent_id, p.sent_version) = sent;
+        p.sent_id = sent_id;
         p.expire = Some(tid);
         self.nodes[n].inflight.push_back(p);
     }
@@ -797,8 +781,8 @@ impl Driver {
     /// [`encode_frame`](Self::encode_frame) + [`track`](Self::track) for an
     /// internal frame, whose small `request` lives outside its pending.
     fn send_frame(&mut self, n: usize, p: Pending, request: &Request) {
-        let sent = self.encode_frame(n, &p, request.opcode(), |v, d, out| {
-            request.append_payload(v, d, out);
+        let sent = self.encode_frame(n, &p, request.opcode(), |d, out| {
+            request.append_payload(d, out);
         });
         self.track(n, p, sent);
     }
@@ -816,9 +800,7 @@ impl Driver {
         let total = payload.len() as u64;
         let n_chunks = payload.len().div_ceil(chunk).max(1) as u64;
         let node = &self.nodes[n];
-        let want_resume = session != 0
-            && node.negotiation.supports_resume()
-            && node.resume_candidate == Some((session, seq));
+        let want_resume = session != 0 && node.resume_candidate == Some((session, seq));
         let sender =
             if want_resume { None } else { Some(ChunkSender::new(n_chunks, CHUNK_WINDOW as u64)) };
         let (dl, bg) = (p.deadline, p.budget.clone());
@@ -865,8 +847,8 @@ impl Driver {
             let backoff = self.policy.backoff(self.nodes[n].seed ^ serial);
             let (dl, bg) = (st.req.deadline, st.req.budget.clone());
             let p = Pending::internal(serial, Kind::Chunk { last }, backoff, dl, bg);
-            let sent = self.encode_frame(n, &p, chunk.head.opcode(), |v, d, out| {
-                chunk.append_payload(v, d, out);
+            let sent = self.encode_frame(n, &p, chunk.head.opcode(), |d, out| {
+                chunk.append_payload(d, out);
             });
             self.track(n, p, sent);
             if let Some(sender) = st.sender.as_mut() {
@@ -1168,13 +1150,8 @@ impl Driver {
             let (id, decoded) = match self.nodes[n].rx.next_frame() {
                 Ok(None) => return true,
                 Ok(Some(f)) => {
-                    let decoded = if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&f.version)
-                    {
-                        Reply::decode_owned_at(f.version, f.opcode, f.payload)
-                            .map_err(|e| e.to_string())
-                    } else {
-                        Err(format!("reply version {}", f.version))
-                    };
+                    let decoded = Reply::decode_owned_at(f.version, f.opcode, f.payload)
+                        .map_err(|e| e.to_string());
                     (f.request_id, decoded)
                 }
                 Err(e) => {
@@ -1222,9 +1199,9 @@ impl Driver {
         }
         match p.kind {
             Kind::Plain(_) => self.finish_plain(n, p, reply),
-            Kind::Probe => self.finish_probe(n, p.sent_version, reply),
+            Kind::Probe => self.finish_probe(n, reply),
             Kind::Resume => self.finish_resume(n, reply),
-            Kind::Chunk { last } => self.finish_chunk(n, last, p.sent_version, reply),
+            Kind::Chunk { last } => self.finish_chunk(n, last, reply),
         }
     }
 
@@ -1250,12 +1227,6 @@ impl Driver {
 
     fn finish_plain(&mut self, n: usize, p: Pending, reply: Reply) {
         match reply {
-            Reply::Error(e)
-                if e.code == ErrCode::UnsupportedVersion
-                    && self.nodes[n].negotiation.can_downgrade() =>
-            {
-                self.downgrade_and_requeue(n, p);
-            }
             Reply::Error(e) => {
                 settle(&mut self.wheel, p, Err(NetError::Protocol(e)));
             }
@@ -1266,18 +1237,6 @@ impl Driver {
                 settle(&mut self.wheel, p, Ok(other));
             }
         }
-    }
-
-    /// Steps the negotiated version down (guarded so a burst of pipelined
-    /// `UnsupportedVersion` replies downgrades once, not once per reply)
-    /// and re-issues the request without consuming an attempt.
-    fn downgrade_and_requeue(&mut self, n: usize, p: Pending) {
-        let node = &mut self.nodes[n];
-        if p.sent_version == node.negotiation.version() {
-            let _ = node.negotiation.downgrade();
-        }
-        node.queue.push_front(p);
-        self.pump(n);
     }
 
     /// A `Busy`/`Overloaded` shed: retry after the hinted delay if the
@@ -1297,20 +1256,10 @@ impl Driver {
         }
     }
 
-    fn finish_probe(&mut self, n: usize, sent_version: u8, reply: Reply) {
+    fn finish_probe(&mut self, n: usize, reply: Reply) {
         self.nodes[n].probe_inflight = false;
         match reply {
             Reply::Pong { .. } => self.pump(n), // capability recorded in on_reply
-            Reply::Error(e)
-                if e.code == ErrCode::UnsupportedVersion
-                    && self.nodes[n].negotiation.can_downgrade() =>
-            {
-                let node = &mut self.nodes[n];
-                if sent_version == node.negotiation.version() {
-                    let _ = node.negotiation.downgrade();
-                }
-                self.pump(n); // re-probe or proceed unchunked at the lower version
-            }
             Reply::Error(e) => {
                 if let Some(head) = self.nodes[n].queue.pop_front() {
                     settle(&mut self.wheel, head, Err(NetError::Protocol(e)));
@@ -1357,7 +1306,7 @@ impl Driver {
         self.pump_stream(n);
     }
 
-    fn finish_chunk(&mut self, n: usize, last: bool, sent_version: u8, reply: Reply) {
+    fn finish_chunk(&mut self, n: usize, last: bool, reply: Reply) {
         match reply {
             Reply::ChunkOk { .. } if !last => {
                 let ack = self.nodes[n]
@@ -1380,21 +1329,6 @@ impl Driver {
                 self.budget_of(&st.req).record_success();
                 settle(&mut self.wheel, st.req, Ok(reply));
                 self.pump(n);
-            }
-            Reply::Error(e)
-                if e.code == ErrCode::UnsupportedVersion
-                    && self.nodes[n].negotiation.can_downgrade() =>
-            {
-                // The daemon terminated the stream; downgrade and
-                // re-issue the whole write over a resynced connection.
-                let Some(st) = self.nodes[n].stream.take() else { return };
-                self.note_stream_resume(n, &st.req);
-                let node = &mut self.nodes[n];
-                if sent_version == node.negotiation.version() {
-                    let _ = node.negotiation.downgrade();
-                }
-                node.queue.push_front(st.req);
-                self.fail_conn(n, "chunk stream rejected for version");
             }
             Reply::Error(e) => {
                 let Some(st) = self.nodes[n].stream.take() else { return };
@@ -1583,22 +1517,6 @@ mod tests {
         let mux = one_node(&dead_addr());
         let err = mux.call(0, Request::Stat { file: 1 }).unwrap_err();
         assert!(matches!(err, NetError::Io(_)), "got {err}");
-    }
-
-    #[test]
-    fn client_downgrades_against_older_daemon() {
-        // A daemon capped at protocol 2 rejects v6 frames; the transport
-        // must negotiate down transparently, and the v2 `Pong` it then
-        // decodes carries no chunk capability.
-        let config = DaemonConfig { max_version: 2, ..DaemonConfig::default() };
-        let mut handle = serve("127.0.0.1:0", config).expect("bind");
-        let mux = one_node(handle.addr());
-        match mux.call(0, Request::Ping).expect("ping succeeds after downgrade") {
-            Reply::Pong { max_chunk, .. } => assert_eq!(max_chunk, 0, "v2 peers cannot chunk"),
-            other => panic!("expected Pong, got {other:?}"),
-        }
-        drop(mux);
-        handle.stop();
     }
 
     #[test]

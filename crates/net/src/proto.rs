@@ -1,6 +1,6 @@
 //! Typed per-session protocol state machines.
 //!
-//! The version-negotiation, chunk-window, and chunk-stream rules that
+//! The chunk-window and chunk-stream rules that
 //! [`mux`](crate::mux) and [`server`](crate::server) follow are small
 //! explicit automata with value semantics (`Clone + Eq + Hash`), so that
 //!
@@ -12,16 +12,12 @@
 //!   their side of the wire (client: broken connection; server: typed
 //!   `Malformed` reply).
 //!
-//! Three automata cover the session lifecycle (DESIGN.md §14):
+//! Two automata cover a chunked write (DESIGN.md §14):
 //!
-//! * [`Negotiation`] — the client's protocol-version ladder (start at
-//!   [`PROTOCOL_VERSION`], step down one on `UnsupportedVersion`);
 //! * [`ChunkSender`] — the client's bounded in-flight window over a
 //!   `WriteChunk` stream;
 //! * [`WriteStream`] — the server's continuation/consistency discipline
 //!   over an incoming chunk stream.
-
-use crate::wire::{MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 
 /// An illegal protocol-automaton transition.
 ///
@@ -52,107 +48,6 @@ impl std::fmt::Display for ProtoViolation {
             ProtoViolation::ShortFinal => f.write_str("final chunk leaves the stream short"),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Version negotiation (client side)
-
-/// The client's protocol-version ladder.
-///
-/// A client opens every peer optimistically at [`PROTOCOL_VERSION`]. Each
-/// `UnsupportedVersion` answer steps the ladder down one rung; the floor
-/// is [`MIN_PROTOCOL_VERSION`]. The negotiated version is sticky for the
-/// client's lifetime — the automaton only ever moves down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Negotiation {
-    version: u8,
-}
-
-impl Negotiation {
-    /// Starts at the newest protocol version this build speaks.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { version: PROTOCOL_VERSION }
-    }
-
-    /// Starts at a specific version (tests and model scenarios), clamped
-    /// into the supported range.
-    #[must_use]
-    pub fn at(version: u8) -> Self {
-        Self { version: version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION) }
-    }
-
-    /// The version currently negotiated with the peer.
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
-    /// Whether another downgrade step is available.
-    #[must_use]
-    pub fn can_downgrade(&self) -> bool {
-        self.version > MIN_PROTOCOL_VERSION
-    }
-
-    /// Steps down one version. Returns `false` (and stays put) at the
-    /// floor — the caller must surface the peer's rejection instead of
-    /// retrying forever.
-    #[must_use]
-    pub fn downgrade(&mut self) -> bool {
-        if self.can_downgrade() {
-            self.version -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the negotiated version streams chunked transfers (v3+).
-    #[must_use]
-    pub fn supports_chunking(&self) -> bool {
-        self.version >= 3
-    }
-
-    /// Whether the negotiated version carries `(session, seq)` retry
-    /// stamps (v2+).
-    #[must_use]
-    pub fn supports_stamps(&self) -> bool {
-        self.version >= 2
-    }
-
-    /// Whether the negotiated version answers `ResumeQuery`, letting a
-    /// retried chunked write continue mid-stream (v4+).
-    #[must_use]
-    pub fn supports_resume(&self) -> bool {
-        self.version >= 4
-    }
-
-    /// Whether the negotiated version carries the per-request deadline
-    /// prefix and the `Busy`/`Overloaded` shed replies (v5+).
-    #[must_use]
-    pub fn supports_deadlines(&self) -> bool {
-        self.version >= 5
-    }
-
-    /// Whether the negotiated version carries the tenant id on `Open`,
-    /// enabling per-tenant quotas and fair queueing at the daemon (v6+).
-    #[must_use]
-    pub fn supports_tenancy(&self) -> bool {
-        self.version >= 6
-    }
-}
-
-impl Default for Negotiation {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Whether a daemon bounded at `max_version` admits a frame at `version`
-/// (the server side of the negotiation ladder).
-#[must_use]
-pub fn version_admitted(version: u8, max_version: u8) -> bool {
-    (MIN_PROTOCOL_VERSION..=max_version.min(PROTOCOL_VERSION)).contains(&version)
 }
 
 // ---------------------------------------------------------------------------
@@ -394,31 +289,6 @@ impl WriteStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn negotiation_walks_down_to_the_floor() {
-        let mut neg = Negotiation::new();
-        assert_eq!(neg.version(), PROTOCOL_VERSION);
-        assert!(neg.supports_chunking() && neg.supports_stamps());
-        let mut steps = 0;
-        while neg.downgrade() {
-            steps += 1;
-            assert!(steps < 16, "ladder must terminate");
-        }
-        assert_eq!(neg.version(), MIN_PROTOCOL_VERSION);
-        assert!(!neg.can_downgrade());
-        assert!(!neg.downgrade(), "floor is sticky");
-        assert!(!neg.supports_stamps());
-    }
-
-    #[test]
-    fn version_admission_matches_the_ladder() {
-        assert!(version_admitted(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION));
-        assert!(version_admitted(PROTOCOL_VERSION, PROTOCOL_VERSION));
-        assert!(!version_admitted(PROTOCOL_VERSION, 2), "capped daemon rejects v3");
-        assert!(!version_admitted(0, PROTOCOL_VERSION));
-        assert!(!version_admitted(PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 5), "cap clamps");
-    }
 
     #[test]
     fn window_blocks_at_capacity_and_drains() {

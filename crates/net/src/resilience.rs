@@ -7,7 +7,7 @@
 //!
 //! * [`Deadline`] — an absolute time budget attached to a logical
 //!   operation, decremented at every propagation hop (session → worker →
-//!   daemon) and carried on the wire as the protocol-v5 `deadline_ms`
+//!   daemon) and carried on the wire as the `deadline_ms`
 //!   payload prefix;
 //! * [`RetryBudget`] — a session-wide token bucket replacing unbounded
 //!   per-call retries: every retry spends a token, every success refills a

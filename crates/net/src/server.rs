@@ -28,11 +28,8 @@
 
 use crate::error::{ErrCode, ProtocolError};
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::proto::{version_admitted, ChunkHeader, WriteStream};
-use crate::wire::{
-    op, raw_to_set, Lent, Reply, Request, StatInfo, DEFAULT_MAX_FRAME, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
+use crate::proto::{ChunkHeader, WriteStream};
+use crate::wire::{op, raw_to_set, Lent, Reply, Request, StatInfo, DEFAULT_MAX_FRAME};
 use clusterfile::{ChecksumMap, Journal, StorageBackend, SubfileStore};
 use parafile::redist::Projection;
 use parafile_audit::{audit_pattern, AuditConfig, Severity};
@@ -81,7 +78,7 @@ pub struct DaemonConfig {
     /// Largest accepted frame (`len` field), in bytes.
     pub max_frame: u32,
     /// Requests allowed in flight across all connections; further ones are
-    /// shed with `Busy` (protocol ≥ 5 — older frames wait for a slot).
+    /// shed with `Busy`.
     pub max_inflight: usize,
     /// How long a connection may stall mid-request before it is dropped.
     pub read_timeout: Option<Duration>,
@@ -90,13 +87,8 @@ pub struct DaemonConfig {
     /// Deterministic fault plan to inject (tests, `pf serve --chaos`).
     pub fault: Option<FaultPlan>,
     /// Largest chunk data length accepted/advertised for streamed
-    /// transfers (protocol ≥ 3); `Pong` carries this as the chunking
-    /// capability.
+    /// transfers; `Pong` carries this as the chunking capability.
     pub max_chunk: u32,
-    /// Highest protocol version this daemon admits. Production daemons
-    /// leave this at [`PROTOCOL_VERSION`]; tests lower it to emulate an
-    /// older daemon and exercise the client's downgrade negotiation.
-    pub max_version: u8,
     /// When set, a background scrub thread walks every hosted subfile at
     /// this cadence and verifies its bytes against the per-page CRC32C
     /// map, counting mismatches into `Stat.checksum_errors` (`pf serve
@@ -104,27 +96,25 @@ pub struct DaemonConfig {
     /// client compiling a redistribution plan from a healthy replica.
     pub scrub_interval: Option<Duration>,
     /// Maximum simultaneously open client connections. Further connects
-    /// have their first frame answered with `Overloaded` (protocol ≥ 5;
-    /// older frames are simply closed) and the connection dropped, so an
-    /// N-node session costs each daemon exactly one of these. `0` =
-    /// unbounded, the pre-v5 behavior.
+    /// have their first frame answered with `Overloaded` and the connection
+    /// dropped, so an N-node session costs each daemon exactly one of
+    /// these. `0` = unbounded.
     pub max_connections: usize,
     /// In-flight requests one stamped session may hold across all of its
-    /// connections before further ones are shed with `Busy` (protocol ≥ 5),
-    /// so one hot client cannot starve the rest. `0` = no cap.
+    /// connections before further ones are shed with `Busy`, so one hot
+    /// client cannot starve the rest. `0` = no cap.
     pub session_inflight: usize,
     /// Un-checkpointed journal backlog (bytes appended across all hosted
     /// subfiles since their last checkpoint, process-local accounting)
-    /// beyond which mutating requests degrade to `Busy` (protocol ≥ 5)
-    /// instead of growing the write-ahead journal toward ENOSPC. `None` =
-    /// no watermark.
+    /// beyond which mutating requests degrade to `Busy` instead of growing
+    /// the write-ahead journal toward ENOSPC. `None` = no watermark.
     pub journal_watermark: Option<u64>,
     /// Size of the worker pool executing decoded frames behind the event
     /// loop (DESIGN.md §17): thousands of concurrent connections cost
     /// `workers + 1` threads. `0` is clamped to 1; the default is
     /// [`DEFAULT_WORKERS`].
     pub workers: usize,
-    /// In-flight requests one tenant (protocol ≥ 6 `Open` tenant id) may
+    /// In-flight requests one tenant (the `Open` tenant id) may
     /// hold across all of its connections before further ones are shed
     /// with `Busy`, so one tenant cannot starve the rest of the daemon's
     /// admission slots. `0` = no cap.
@@ -147,7 +137,6 @@ impl Default for DaemonConfig {
             dedup_window: 1024,
             fault: None,
             max_chunk: DEFAULT_MAX_CHUNK,
-            max_version: PROTOCOL_VERSION,
             scrub_interval: None,
             max_connections: 0,
             session_inflight: 0,
@@ -343,7 +332,7 @@ struct Stats {
 ///
 /// A retried `Write` whose stamp is still in the window is acknowledged
 /// with the original byte count instead of re-applied. Session 0 is the
-/// unstamped (v1) sentinel and is never inserted. Eviction is strictly
+/// unstamped sentinel and is never inserted. Eviction is strictly
 /// insertion-ordered, so a sequence number reused after wraparound is
 /// deduplicated only while its first occurrence is still resident.
 struct DedupWindow {
@@ -352,7 +341,7 @@ struct DedupWindow {
     stamps: HashMap<(u64, u64), u64>,
     /// Volatile chunked-upload progress `(session, seq) → acked offset`,
     /// bounded by the same capacity. `ResumeQuery` answers from here so a
-    /// retried v3/v4 stream restarts at the last applied chunk instead of
+    /// retried stream restarts at the last applied chunk instead of
     /// offset 0. Completing a stream clears its entry; the map is never
     /// journaled, so after a restart the answer is 0 and the client starts
     /// over (the journal already covers the applied chunks).
@@ -440,7 +429,6 @@ struct Shared {
     files: RwLock<HashMap<u64, Arc<FileSlot>>>,
     stopping: AtomicBool,
     inflight: Mutex<usize>,
-    inflight_cv: Condvar,
     /// Weak handles to open connections, so shutdown can unblock them.
     conns: Mutex<Vec<std::sync::Weak<NetStream>>>,
     /// In-flight request count per stamped session (admission control:
@@ -462,19 +450,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn acquire_slot(&self) {
-        let mut n = lock(&self.inflight);
-        // Stopping breaks the wait so a saturated daemon can still shut
-        // down: the admitted request is answered `ShuttingDown` downstream.
-        while *n >= self.config.max_inflight && !self.stopping.load(Ordering::SeqCst) {
-            n = self.inflight_cv.wait(n).unwrap_or_else(|e| e.into_inner());
-        }
-        *n += 1;
-    }
-
-    /// Non-blocking [`acquire_slot`](Self::acquire_slot) for protocol ≥ 5
-    /// connections: a saturated daemon answers `Busy` instead of parking
-    /// a worker (shed load, don't queue it).
+    /// Takes one of the [`DaemonConfig::max_inflight`] admission slots;
+    /// `false` = the daemon is saturated and answers `Busy` instead of
+    /// parking a worker (shed load, don't queue it).
     fn try_acquire_slot(&self) -> bool {
         let mut n = lock(&self.inflight);
         if *n >= self.config.max_inflight {
@@ -515,7 +493,7 @@ impl Shared {
 
     /// Enters a tenant's in-flight accounting; `false` = the tenant is at
     /// its [`DaemonConfig::tenant_inflight`] cap and this request must be
-    /// shed with `Busy`. Tenant 0 (anonymous / pre-v6 peers) is unmetered.
+    /// shed with `Busy`. Tenant 0 (anonymous) is unmetered.
     fn enter_tenant(&self, tenant: u32) -> bool {
         let cap = self.config.tenant_inflight;
         if cap == 0 || tenant == 0 {
@@ -557,8 +535,6 @@ impl Shared {
     fn release_slot(&self) {
         let mut n = lock(&self.inflight);
         *n = n.saturating_sub(1);
-        drop(n);
-        self.inflight_cv.notify_one();
     }
 
     /// Whether an injected kill/torn-write fault has "crashed" the daemon.
@@ -574,14 +550,13 @@ impl Shared {
     }
 
     /// Closes every open connection and wakes whatever may be parked on
-    /// the old state: admission waits, the scrub pause, the event loop.
+    /// the old state: the scrub pause and the event loop.
     fn sever_connections(&self) {
         for conn in lock(&self.conns).drain(..) {
             if let Some(stream) = conn.upgrade() {
                 stream.shutdown_both();
             }
         }
-        self.inflight_cv.notify_all();
         self.shutdown_cv.notify_all();
         self.waker.wake();
     }
@@ -675,7 +650,6 @@ pub fn serve(addr: &str, config: DaemonConfig) -> std::io::Result<DaemonHandle> 
         files: RwLock::new(HashMap::new()),
         stopping: AtomicBool::new(false),
         inflight: Mutex::new(0),
-        inflight_cv: Condvar::new(),
         conns: Mutex::new(Vec::new()),
         session_inflight: Mutex::new(HashMap::new()),
         tenant_inflight: Mutex::new(HashMap::new()),
@@ -761,35 +735,23 @@ fn scrub_loop(shared: &Shared, interval: Duration) {
 fn handle_frame(
     shared: &Shared,
     chunk_write: &mut Option<ChunkWrite>,
-    version: u8,
     opcode: u8,
     payload: &[u8],
     received: std::time::Instant,
 ) -> (Reply, bool) {
     let refuse = |e: ProtocolError| (Reply::Error(e), false);
     let busy = (Reply::Busy { retry_after_ms: BUSY_RETRY_MS }, false);
-    let max_version = shared.config.max_version.min(PROTOCOL_VERSION);
-    if !version_admitted(version, max_version) {
-        return refuse(ProtocolError::new(
-            ErrCode::UnsupportedVersion,
-            format!(
-                "version {version} is not supported (this daemon speaks \
-                 {MIN_PROTOCOL_VERSION}..={max_version})"
-            ),
-        ));
-    }
     if !op::is_request(opcode) {
         return refuse(ProtocolError::new(ErrCode::UnknownOp, format!("opcode {opcode:#04x}")));
     }
-    let (Lent { head: request, bulk }, deadline_ms) =
-        match Lent::decode_deadline_at(version, opcode, payload) {
-            Ok(pair) => pair,
-            Err(e) => return refuse(e.into()),
-        };
+    let (Lent { head: request, bulk }, deadline_ms) = match Lent::decode_deadline(opcode, payload) {
+        Ok(pair) => pair,
+        Err(e) => return refuse(e.into()),
+    };
     if shared.stopping.load(Ordering::SeqCst) && !matches!(request, Request::Shutdown) {
         return refuse(ProtocolError::new(ErrCode::ShuttingDown, "daemon is stopping"));
     }
-    // Deadline check (protocol ≥ 5): a request whose propagated budget was
+    // Deadline check: a request whose propagated budget was
     // already spent — queueing, an injected delay, a slow disk upstream —
     // is answered without executing, so nothing is applied for work the
     // client has necessarily given up on.
@@ -805,7 +767,7 @@ fn handle_frame(
     // their first frame — a stream already admitted runs to completion.
     let starts_mutation = matches!(request, Request::Write { .. })
         || matches!(request, Request::WriteChunk { offset: 0, .. });
-    if version >= 5 && starts_mutation && shared.over_watermark() {
+    if starts_mutation && shared.over_watermark() {
         return busy;
     }
     // Per-session in-flight cap: one hot stamped session cannot occupy
@@ -816,8 +778,7 @@ fn handle_frame(
         | Request::ResumeQuery { session, .. } => *session,
         _ => 0,
     };
-    let entered = version >= 5;
-    if entered && !shared.enter_session(session) {
+    if !shared.enter_session(session) {
         return busy;
     }
     let handled = match request {
@@ -830,9 +791,7 @@ fn handle_frame(
         }
         other => (handle_request(shared, other, bulk), false),
     };
-    if entered {
-        shared.leave_session(session);
-    }
+    shared.leave_session(session);
     handled
 }
 
@@ -1232,7 +1191,7 @@ fn with_projection(
 }
 
 // ---------------------------------------------------------------------------
-// Chunked streaming (protocol ≥ 3, DESIGN.md §13)
+// Chunked streaming (DESIGN.md §13)
 
 /// Walks `runs` from a `(run_idx, run_pos)` cursor, taking at most `want`
 /// bytes of `(offset, len)` sub-runs and advancing the cursor.

@@ -35,7 +35,7 @@ use super::{lock, NetListener, NetStream, Shared, BUSY_RETRY_MS, OVERLOADED_RETR
 use crate::error::ProtocolError;
 use crate::fault::FrameFault;
 use crate::reactor::{Clock, Event, Interest, MonotonicClock, Reactor, TimerId, TimerWheel};
-use crate::wire::{self, Filled, FrameBuf, Reply, PROTOCOL_VERSION};
+use crate::wire::{self, Filled, FrameBuf, Reply, WireError, PROTOCOL_VERSION};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -89,7 +89,7 @@ struct ConnQ {
     /// The reactor stopped reading because the queue hit its depth cap.
     paused: bool,
     /// Accepted over `max_connections`: first frame is answered
-    /// `Overloaded` (protocol ≥ 5) and the connection closed.
+    /// `Overloaded` and the connection closed.
     shed: bool,
     /// In-progress chunked write (one stream per connection).
     chunk: Option<super::ChunkWrite>,
@@ -119,8 +119,8 @@ struct Conn {
     wq: Mutex<WriteBuf>,
     /// Signalled by the reactor after draining `wq` (backpressure release).
     wq_cv: Condvar,
-    /// Tenant id learned from the connection's last protocol ≥ 6 `Open`
-    /// frame (0 until one arrives): the DRR dispatch key and the
+    /// Tenant id learned from the connection's last `Open` frame (0
+    /// until one arrives): the DRR dispatch key and the
     /// per-tenant quota key.
     tenant: AtomicU32,
 }
@@ -524,14 +524,13 @@ impl Driver {
                     break;
                 }
             };
-            // Learn the connection's tenant as soon as an `Open` is parsed
-            // (protocol ≥ 6; older frames decode to the anonymous tenant),
+            // Learn the connection's tenant as soon as an `Open` is parsed,
             // so the very first dispatch already lands in the right DRR
-            // queue. Malformed frames stay tenantless — the worker answers
-            // them with a typed error anyway.
+            // queue. Malformed frames and frames of another version stay
+            // tenantless — the worker refuses them with a typed error.
             if frame.opcode == wire::op::OPEN {
-                if let Ok((wire::Request::Open { tenant, .. }, _)) =
-                    wire::Request::decode_deadline_at(frame.version, frame.opcode, &frame.payload)
+                if let Ok(wire::Request::Open { tenant, .. }) =
+                    wire::Request::decode_at(frame.version, frame.opcode, &frame.payload)
                 {
                     entry.conn.tenant.store(tenant, Ordering::Relaxed);
                 }
@@ -754,7 +753,7 @@ fn process_conn(shared: &Shared, pool: &Pool, notify: &Notify, conn: &Arc<Conn>)
                 None => {
                     if let Some(fatal) = q.fatal.take() {
                         drop(q);
-                        queue_reply(conn, notify, PROTOCOL_VERSION, 0, &Reply::Error(fatal), None);
+                        queue_reply(conn, notify, 0, &Reply::Error(fatal), None);
                         flush_and_close(conn, notify);
                         lock(&conn.q).executing = false;
                         return;
@@ -819,10 +818,10 @@ fn finish_dispatch(conn: &Conn, notify: &Notify, q: &mut ConnQ) {
 }
 
 /// The per-frame prologue + dispatch, executed on a worker: fault hook
-/// first (delays sleep *here*, stalling only this connection), then
-/// admission, then [`handle_frame`](super::handle_frame), then the reply
-/// (with injected truncation severing the connection) and crash
-/// suppression.
+/// first (delays sleep *here*, stalling only this connection), then the
+/// version refusal, then admission, then
+/// [`handle_frame`](super::handle_frame), then the reply (with injected
+/// truncation severing the connection) and crash suppression.
 fn execute_frame(
     shared: &Shared,
     notify: &Notify,
@@ -832,10 +831,8 @@ fn execute_frame(
     shed: bool,
 ) -> Outcome {
     if shed {
-        if frame.version >= 5 {
-            let reply = Reply::Overloaded { retry_after_ms: OVERLOADED_RETRY_MS };
-            queue_reply(conn, notify, frame.version, frame.request_id, &reply, None);
-        }
+        let reply = Reply::Overloaded { retry_after_ms: OVERLOADED_RETRY_MS };
+        queue_reply(conn, notify, frame.request_id, &reply, None);
         flush_and_close(conn, notify);
         return Outcome::CloseConn;
     }
@@ -849,44 +846,38 @@ fn execute_frame(
             FrameFault::Kill => return Outcome::DaemonCrashed,
         }
     }
-    // Per-tenant quota first (cheapest check): a tenant over its
-    // inflight cap is shed with `Busy` before it can consume one of the
-    // daemon-wide admission slots. Pre-v5 frames cannot carry a shed
-    // verdict, and pre-v6 connections are the anonymous tenant anyway.
-    let tenant = conn.tenant.load(Ordering::Relaxed);
-    let tenant_entered = frame.version >= 5 && tenant != 0;
-    if tenant_entered && !shared.enter_tenant(tenant) {
-        let reply = Reply::Busy { retry_after_ms: BUSY_RETRY_MS };
-        queue_reply(conn, notify, frame.version, frame.request_id, &reply, None);
+    // A frame of any other version is refused before it is admitted or
+    // decoded: nothing it carries is applied.
+    if frame.version != PROTOCOL_VERSION {
+        let reply = Reply::Error(WireError::UnsupportedVersion(frame.version).into());
+        queue_reply(conn, notify, frame.request_id, &reply, None);
         return Outcome::Continue;
     }
-    let admitted = if frame.version >= 5 {
-        shared.try_acquire_slot()
-    } else {
-        shared.acquire_slot();
-        true
-    };
-    if !admitted {
+    // Per-tenant quota first (cheapest check): a tenant over its
+    // inflight cap is shed with `Busy` before it can consume one of the
+    // daemon-wide admission slots. The anonymous tenant is unmetered.
+    let tenant = conn.tenant.load(Ordering::Relaxed);
+    let tenant_entered = tenant != 0;
+    if tenant_entered && !shared.enter_tenant(tenant) {
+        let reply = Reply::Busy { retry_after_ms: BUSY_RETRY_MS };
+        queue_reply(conn, notify, frame.request_id, &reply, None);
+        return Outcome::Continue;
+    }
+    if !shared.try_acquire_slot() {
         if tenant_entered {
             shared.leave_tenant(tenant);
         }
         let reply = Reply::Busy { retry_after_ms: BUSY_RETRY_MS };
-        queue_reply(conn, notify, frame.version, frame.request_id, &reply, None);
+        queue_reply(conn, notify, frame.request_id, &reply, None);
         return Outcome::Continue;
     }
-    let (reply, shutdown) = super::handle_frame(
-        shared,
-        chunk,
-        frame.version,
-        frame.opcode,
-        &frame.payload,
-        frame.received,
-    );
+    let (reply, shutdown) =
+        super::handle_frame(shared, chunk, frame.opcode, &frame.payload, frame.received);
     let crashed = shared.fault_crashed();
     let mut severed = false;
     if !crashed {
         let truncate = shared.fault.as_ref().and_then(|f| f.truncate_reply_at(frame.seqno));
-        queue_reply(conn, notify, frame.version, frame.request_id, &reply, truncate);
+        queue_reply(conn, notify, frame.request_id, &reply, truncate);
         severed = truncate.is_some();
     }
     shared.release_slot();
@@ -905,10 +896,8 @@ fn execute_frame(
     if shutdown {
         // `handle_frame` set `stopping`; deliver the `Ok`, close this
         // connection, and wake everything that might be parked on the
-        // old state — the reactor's poll, blocked admission waits, and
-        // the scrub thread's pause.
+        // old state — the reactor's poll and the scrub thread's pause.
         flush_and_close(conn, notify);
-        shared.inflight_cv.notify_all();
         shared.shutdown_cv.notify_all();
         notify.waker.wake();
         return Outcome::CloseConn;
@@ -924,7 +913,6 @@ fn execute_frame(
 fn queue_reply(
     conn: &Conn,
     notify: &Notify,
-    version: u8,
     request_id: u64,
     reply: &Reply,
     truncate: Option<u64>,
@@ -936,8 +924,8 @@ fn queue_reply(
     if wq.closed {
         return;
     }
-    let start = wire::append_frame(&mut wq.buf, version, reply.opcode(), request_id, |out| {
-        reply.append_payload(version, out);
+    let start = wire::append_frame(&mut wq.buf, reply.opcode(), request_id, |out| {
+        reply.append_payload(out)
     });
     if let Some(keep) = truncate {
         let frame_len = wq.buf.len() - start;

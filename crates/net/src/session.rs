@@ -46,8 +46,8 @@
 //! nodes that are merely slow or overloaded. Every request spends from one
 //! session-wide [`RetryBudget`], so a systemic outage runs the bucket dry
 //! and fails fast instead of amplifying load. [`Session::set_deadline`]
-//! attaches an absolute time budget that rides every request (and the
-//! wire at protocol ≥ 5). Each node has a [`CircuitBreaker`]
+//! attaches an absolute time budget that rides every request on the
+//! wire. Each node has a [`CircuitBreaker`]
 //! fed from every collected reply: an open breaker makes writes pre-skip
 //! the replica (queued dirty, exactly like a dead node) and reads prefer
 //! another rank, until a half-open probe re-closes it. Replicated reads
@@ -147,8 +147,8 @@ struct FileState {
 pub enum NodeHealth {
     /// Never probed.
     Unknown,
-    /// Answered the last probe; `epoch` is its boot stamp (0 for a v1
-    /// daemon that does not speak `Ping`). A changed epoch between probes
+    /// Answered the last probe; `epoch` is its boot stamp (0 when the
+    /// probe was answered with an error). A changed epoch between probes
     /// means the daemon restarted and lost its session-visible state.
     Alive {
         /// The daemon's boot epoch.
@@ -272,7 +272,7 @@ pub struct Session {
     /// Hedge losers still in flight; their outcomes are owed to the
     /// breakers, drained alongside the write stragglers.
     read_stragglers: Vec<(usize, ReplySlot)>,
-    /// Tenant id stamped on every `Open` (protocol ≥ 6) so daemons can
+    /// Tenant id stamped on every `Open` so daemons can
     /// meter per-tenant quotas; 0 = anonymous.
     tenant: u32,
 }
@@ -429,9 +429,9 @@ impl Session {
         }
     }
 
-    /// Sets the tenant id stamped on every subsequent `Open` (protocol ≥ 6
-    /// daemons meter per-tenant inflight quotas and fair-queue dispatch by
-    /// it; older daemons ignore it). Builder-style so connection chains
+    /// Sets the tenant id stamped on every subsequent `Open` (daemons
+    /// meter per-tenant inflight quotas and fair-queue dispatch by it).
+    /// Builder-style so connection chains
     /// read naturally.
     #[must_use]
     pub fn with_tenant(mut self, tenant: u32) -> Self {
@@ -547,7 +547,7 @@ impl Session {
 
     /// Attaches an absolute deadline to every subsequent operation: it
     /// clamps response timeouts, vetoes retries once spent, and rides
-    /// protocol-v5 frames so daemons refuse to start work the budget can no
+    /// every frame so daemons refuse to start work the budget can no
     /// longer pay for. Pass [`Deadline::none`] to remove it.
     pub fn set_deadline(&mut self, deadline: Deadline) {
         self.deadline = deadline;
@@ -1205,8 +1205,8 @@ impl Session {
         for (node, reply) in replies {
             self.health[node] = match reply {
                 Ok(Reply::Pong { epoch, .. }) => NodeHealth::Alive { epoch },
-                // A daemon that answers at all is alive, even a v1 one that
-                // rejects Ping as malformed.
+                // A daemon that answers at all is alive, even one that
+                // refuses the probe with an error.
                 Ok(_) | Err(NetError::Protocol(_)) => NodeHealth::Alive { epoch: 0 },
                 Err(_) => NodeHealth::Dead,
             };

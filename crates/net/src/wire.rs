@@ -30,35 +30,17 @@ use std::io::{Read, Write};
 mod framebuf;
 pub use framebuf::{Filled, FrameBuf, RawFrame, READ_CHUNK};
 
-/// Protocol version this crate speaks by default.
+/// The one protocol version this crate speaks.
 ///
-/// Version 2 is version 1 plus **additive** fault-tolerance fields (see
-/// DESIGN.md §11 for the bump rules): a `(session, seq)` retry stamp on
-/// `Write`, a `replayed` flag on `WriteOk`, and the `Ping`/`Pong` health
-/// probe. Version 3 adds **chunked streaming** (DESIGN.md §13): the
-/// `WriteChunk` request, the `ChunkOk` reply, and a `max_chunk` capability
-/// field on `Pong` so clients can negotiate chunking down to monolithic
-/// frames against older daemons (reads are always monolithic; opcodes
-/// `0x0B`/`0x86` of the retired read-side stream are refused as unknown).
-/// Version 4 adds **resumable uploads and data checksums** (DESIGN.md §15):
-/// the `ResumeQuery` request and `ResumeAt` reply let a retried chunked
-/// write continue from the last chunk the daemon applied for a
-/// `(session, seq)` stamp instead of restarting at offset 0, and `Stat`
-/// grows a `checksum_errors` counter reporting CRC32C verification failures.
-/// Version 5 adds **resilience** (DESIGN.md §16): every request payload is
-/// prefixed by a `deadline_ms` budget (`0` = none) that the daemon enforces
-/// before starting work, and the `Busy`/`Overloaded` replies let an
-/// admission-controlled daemon shed load instead of queueing without bound.
-/// Version 6 adds **tenancy** (DESIGN.md §18): `Open` carries the client's
-/// `tenant` id so the daemon can meter per-tenant inflight quotas and run
-/// deficit-round-robin dispatch between tenants; versions below 6 decode to
-/// tenant 0 (the anonymous tenant).
-/// Daemons keep speaking every version down to [`MIN_PROTOCOL_VERSION`] and
-/// always answer in the version the request arrived with.
+/// Every request payload leads with a `u32` `deadline_ms` budget (`0` =
+/// none), then the opcode's fields: `Open` carries the client's `tenant`,
+/// `Write` and `WriteChunk` a `(session, seq)` retry stamp ahead of their
+/// bytes, `Pong` the daemon's `max_chunk`, `WriteOk` a `replayed` flag and
+/// `Stat` a `checksum_errors` counter (DESIGN.md §10). Any change to a
+/// frame's layout bumps this number, and a daemon refuses every frame whose
+/// version byte is not this one with `UnsupportedVersion`, before decoding
+/// or admitting it.
 pub const PROTOCOL_VERSION: u8 = 6;
-
-/// Oldest protocol version daemons still accept.
-pub const MIN_PROTOCOL_VERSION: u8 = 1;
 
 /// Bytes of the fixed header after the length prefix.
 pub const HEADER_LEN: u32 = 1 + 1 + 8;
@@ -93,11 +75,11 @@ pub mod op {
     pub const FETCH: u8 = 0x07;
     /// Stop the daemon.
     pub const SHUTDOWN: u8 = 0x08;
-    /// Liveness/health probe (protocol ≥ 2).
+    /// Liveness/health probe.
     pub const PING: u8 = 0x09;
-    /// One bounded chunk of a streamed scatter write (protocol ≥ 3).
+    /// One bounded chunk of a streamed scatter write.
     pub const WRITE_CHUNK: u8 = 0x0A;
-    /// Where did my interrupted chunked write get to? (protocol ≥ 4).
+    /// Where did my interrupted chunked write get to?
     pub const WRITE_RESUME: u8 = 0x0C;
     /// Success, no payload.
     pub const R_OK: u8 = 0x80;
@@ -107,16 +89,16 @@ pub mod op {
     pub const R_DATA: u8 = 0x82;
     /// Statistics payload.
     pub const R_STAT: u8 = 0x83;
-    /// Health probe answer with the daemon's boot epoch (protocol ≥ 2).
+    /// Health probe answer with the daemon's boot epoch.
     pub const R_PONG: u8 = 0x84;
-    /// Acknowledgment of one non-final write chunk (protocol ≥ 3).
+    /// Acknowledgment of one non-final write chunk.
     pub const R_CHUNK_OK: u8 = 0x85;
     /// Answer to `WriteResume`: the offset a retried stream should resume
-    /// from (protocol ≥ 4).
+    /// from.
     pub const R_RESUME: u8 = 0x87;
-    /// The daemon shed this request under admission control (protocol ≥ 5).
+    /// The daemon shed this request under admission control.
     pub const R_BUSY: u8 = 0x88;
-    /// The daemon refused the whole connection under overload (protocol ≥ 5).
+    /// The daemon refused the whole connection under overload.
     pub const R_OVERLOADED: u8 = 0x89;
     /// Typed protocol error.
     pub const R_ERROR: u8 = 0xFF;
@@ -153,6 +135,9 @@ pub enum WireError {
     },
     /// A frame's length prefix is shorter than the fixed header.
     FrameTooShort(u32),
+    /// A frame's version byte is not [`PROTOCOL_VERSION`]; its payload was
+    /// not decoded.
+    UnsupportedVersion(u8),
 }
 
 impl std::fmt::Display for WireError {
@@ -169,6 +154,12 @@ impl std::fmt::Display for WireError {
             WireError::FrameTooShort(len) => {
                 write!(f, "frame length {len} is shorter than the header")
             }
+            WireError::UnsupportedVersion(version) => {
+                write!(
+                    f,
+                    "version {version} is not supported (this build speaks {PROTOCOL_VERSION})"
+                )
+            }
         }
     }
 }
@@ -177,6 +168,7 @@ impl From<WireError> for ProtocolError {
     fn from(e: WireError) -> Self {
         let code = match e {
             WireError::FrameTooLarge { .. } => ErrCode::FrameTooLarge,
+            WireError::UnsupportedVersion(_) => ErrCode::UnsupportedVersion,
             _ => ErrCode::Malformed,
         };
         ProtocolError::new(code, e.to_string())
@@ -392,8 +384,8 @@ pub enum Request {
         subfile: u32,
         /// Subfile length in bytes (zero-filled on creation).
         len: u64,
-        /// Tenant id for fair-queueing and quota accounting (protocol ≥ 6;
-        /// 0 = anonymous tenant on older peers).
+        /// Tenant id for fair-queueing and quota accounting (0 = the
+        /// anonymous tenant).
         tenant: u32,
     },
     /// Register a compute node's view on `file`.
@@ -422,8 +414,8 @@ pub enum Request {
         l_s: u64,
         /// Last subfile-linear offset of the access interval.
         r_s: u64,
-        /// Retry-dedup session stamp (protocol ≥ 2; 0 = unstamped, the
-        /// daemon applies without dedup tracking).
+        /// Retry-dedup session stamp (0 = unstamped, the daemon applies
+        /// without dedup tracking).
         session: u64,
         /// Retry-dedup sequence number within `session`.
         seq: u64,
@@ -458,10 +450,10 @@ pub enum Request {
     },
     /// Stop the daemon gracefully.
     Shutdown,
-    /// Liveness/health probe (protocol ≥ 2). Answered with `Pong` carrying
+    /// Liveness/health probe. Answered with `Pong` carrying
     /// the daemon's boot epoch, so clients can detect restarts.
     Ping,
-    /// One bounded chunk of a streamed scatter write (protocol ≥ 3).
+    /// One bounded chunk of a streamed scatter write.
     ///
     /// A chunked write is the same logical operation as [`Request::Write`]:
     /// the gathered payload of `[l_s, r_s]` is split into frames of at most
@@ -495,7 +487,7 @@ pub enum Request {
         data: Vec<u8>,
     },
     /// Ask how far a previously interrupted chunked write for this
-    /// `(session, seq)` stamp got (protocol ≥ 4). Answered with `ResumeAt`:
+    /// `(session, seq)` stamp got. Answered with `ResumeAt`:
     /// offset 0 when the daemon has no partial progress recorded (including
     /// after a daemon restart — progress is volatile, the journal covers the
     /// applied chunks), so a conservative client can always restart cleanly.
@@ -541,14 +533,14 @@ impl Request {
         !matches!(self, Request::Shutdown)
     }
 
-    /// Encodes the payload bytes (everything after the frame header) in
-    /// the current protocol version.
+    /// Encodes the payload bytes (everything after the frame header).
     #[must_use]
     pub fn encode_payload(&self) -> Vec<u8> {
         self.encode_payload_at(PROTOCOL_VERSION)
     }
 
-    /// Encodes the payload bytes for protocol version `version`.
+    /// [`encode_payload`](Self::encode_payload); `version` must be
+    /// [`PROTOCOL_VERSION`], the only layout there is.
     #[must_use]
     pub fn encode_payload_at(&self, version: u8) -> Vec<u8> {
         let mut out = Vec::new();
@@ -560,39 +552,31 @@ impl Request {
     /// scratch buffer (cleared first), so per-connection encoders reuse one
     /// allocation across frames.
     pub fn encode_payload_at_into(&self, version: u8, out: &mut Vec<u8>) {
-        self.encode_payload_deadline_into(version, 0, out);
+        debug_assert_eq!(version, PROTOCOL_VERSION, "there is one wire layout");
+        self.encode_payload_deadline_into(0, out);
     }
 
-    /// Encodes the payload for protocol `version` carrying a `deadline_ms`
-    /// budget (0 = no deadline). The deadline is a version-5 payload prefix
-    /// shared by every request opcode — the remaining milliseconds of the
-    /// caller's budget at send time, decremented at every propagation hop
-    /// (session → worker → daemon). Versions below 5 cannot carry the field
-    /// and silently drop it (the daemon then enforces nothing).
-    pub fn encode_payload_deadline_into(&self, version: u8, deadline_ms: u32, out: &mut Vec<u8>) {
+    /// Encodes the payload carrying a `deadline_ms` budget (0 = no
+    /// deadline). The deadline is a payload prefix shared by every request
+    /// opcode — the remaining milliseconds of the caller's budget at send
+    /// time, decremented at every propagation hop (session → worker →
+    /// daemon).
+    pub fn encode_payload_deadline_into(&self, deadline_ms: u32, out: &mut Vec<u8>) {
         out.clear();
-        self.append_payload(version, deadline_ms, out);
+        self.append_payload(deadline_ms, out);
     }
 
     /// [`encode_payload_deadline_into`](Self::encode_payload_deadline_into)
     /// without the clear: the payload lands behind whatever `out` already
     /// holds, which is how a frame is encoded in place in a write buffer.
-    pub(crate) fn append_payload(&self, version: u8, deadline_ms: u32, out: &mut Vec<u8>) {
-        if version >= 5 {
-            put_u32(out, deadline_ms);
-        }
-        self.encode_body(out, version);
-    }
-
-    fn encode_body(&self, out: &mut Vec<u8>, version: u8) {
+    pub(crate) fn append_payload(&self, deadline_ms: u32, out: &mut Vec<u8>) {
+        put_u32(out, deadline_ms);
         match self {
             Request::Open { file, subfile, len, tenant } => {
                 put_u64(out, *file);
                 put_u32(out, *subfile);
                 put_u64(out, *len);
-                if version >= 6 {
-                    put_u32(out, *tenant);
-                }
+                put_u32(out, *tenant);
             }
             Request::SetView { file, compute, element, view, proj_set, proj_period } => {
                 put_u64(out, *file);
@@ -607,10 +591,8 @@ impl Request {
                 put_u32(out, *compute);
                 put_u64(out, *l_s);
                 put_u64(out, *r_s);
-                if version >= 2 {
-                    put_u64(out, *session);
-                    put_u64(out, *seq);
-                }
+                put_u64(out, *session);
+                put_u64(out, *seq);
                 out.extend_from_slice(payload);
             }
             Request::Read { file, compute, l_s, r_s } => {
@@ -654,28 +636,27 @@ impl Request {
         }
     }
 
-    /// Decodes a request from its opcode and payload bytes in the current
-    /// protocol version.
+    /// Decodes a request from its opcode and payload bytes, dropping the
+    /// deadline prefix (see [`decode_deadline`](Self::decode_deadline) to
+    /// keep it).
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Self, WireError> {
-        Self::decode_at(PROTOCOL_VERSION, opcode, payload)
+        Self::decode_deadline(opcode, payload).map(|(req, _)| req)
     }
 
-    /// Decodes a request as protocol version `version` would frame it,
-    /// dropping the v5 deadline prefix (see [`decode_deadline_at`]
-    /// (Self::decode_deadline_at) to keep it).
+    /// [`decode`](Self::decode) for a frame whose version byte is
+    /// `version`: anything but [`PROTOCOL_VERSION`] is
+    /// [`WireError::UnsupportedVersion`], with the payload left unread.
     pub fn decode_at(version: u8, opcode: u8, payload: &[u8]) -> Result<Self, WireError> {
-        Self::decode_deadline_at(version, opcode, payload).map(|(req, _)| req)
+        if version != PROTOCOL_VERSION {
+            return Err(WireError::UnsupportedVersion(version));
+        }
+        Self::decode(opcode, payload)
     }
 
-    /// Decodes a request together with its deadline budget. At protocol ≥ 5
-    /// every request payload starts with a `deadline_ms` prefix (0 = no
-    /// deadline); older versions carry none and decode to 0.
-    pub fn decode_deadline_at(
-        version: u8,
-        opcode: u8,
-        payload: &[u8],
-    ) -> Result<(Self, u32), WireError> {
-        Lent::decode_deadline_at(version, opcode, payload)
+    /// Decodes a request together with its `deadline_ms` prefix (0 = no
+    /// deadline).
+    pub fn decode_deadline(opcode: u8, payload: &[u8]) -> Result<(Self, u32), WireError> {
+        Lent::decode_deadline(opcode, payload)
             .map(|(req, deadline_ms)| (req.into_owned(), deadline_ms))
     }
 }
@@ -705,41 +686,24 @@ impl<'a> Lent<'a> {
     }
 
     /// [`Request::append_payload`] with the bulk bytes from `bulk`.
-    pub(crate) fn append_payload(&self, version: u8, deadline_ms: u32, out: &mut Vec<u8>) {
-        self.head.append_payload(version, deadline_ms, out);
+    pub(crate) fn append_payload(&self, deadline_ms: u32, out: &mut Vec<u8>) {
+        self.head.append_payload(deadline_ms, out);
         out.extend_from_slice(self.bulk);
     }
 
-    /// See [`Request::decode_deadline_at`].
-    pub(crate) fn decode_deadline_at(
-        version: u8,
-        opcode: u8,
-        payload: &'a [u8],
-    ) -> Result<(Self, u32), WireError> {
-        if version >= 5 {
-            // An unknown opcode is reported as such even when the payload is
-            // shorter than the deadline prefix, so UnknownOp vs Malformed
-            // diagnostics stay stable across versions.
-            if !op::is_request(opcode) {
-                return Err(WireError::BadValue("opcode"));
-            }
-            let mut c = Cursor::new(payload);
-            let deadline_ms = c.u32()?;
-            Ok((Self::decode_body_at(version, opcode, &payload[4..])?, deadline_ms))
-        } else {
-            Ok((Self::decode_body_at(version, opcode, payload)?, 0))
+    /// See [`Request::decode_deadline`].
+    pub(crate) fn decode_deadline(opcode: u8, payload: &'a [u8]) -> Result<(Self, u32), WireError> {
+        // An unknown opcode is reported as such even when the payload is
+        // shorter than the deadline prefix, so UnknownOp vs Malformed
+        // diagnostics do not depend on the payload length.
+        if !op::is_request(opcode) {
+            return Err(WireError::BadValue("opcode"));
         }
-    }
-
-    fn decode_body_at(version: u8, opcode: u8, payload: &'a [u8]) -> Result<Self, WireError> {
         let mut c = Cursor::new(payload);
+        let deadline_ms = c.u32()?;
         let req = match opcode {
             op::OPEN => {
-                let file = c.u64()?;
-                let subfile = c.u32()?;
-                let len = c.u64()?;
-                let tenant = if version >= 6 { c.u32()? } else { 0 };
-                Request::Open { file, subfile, len, tenant }
+                Request::Open { file: c.u64()?, subfile: c.u32()?, len: c.u64()?, tenant: c.u32()? }
             }
             op::SET_VIEW => {
                 let file = c.u64()?;
@@ -755,10 +719,11 @@ impl<'a> Lent<'a> {
                 let compute = c.u32()?;
                 let l_s = c.u64()?;
                 let r_s = c.u64()?;
-                let (session, seq) = if version >= 2 { (c.u64()?, c.u64()?) } else { (0, 0) };
+                let session = c.u64()?;
+                let seq = c.u64()?;
                 let head =
                     Request::Write { file, compute, l_s, r_s, session, seq, payload: Vec::new() };
-                return Ok(Lent { head, bulk: c.rest() });
+                return Ok((Lent { head, bulk: c.rest() }, deadline_ms));
             }
             op::READ => {
                 Request::Read { file: c.u64()?, compute: c.u32()?, l_s: c.u64()?, r_s: c.u64()? }
@@ -767,8 +732,8 @@ impl<'a> Lent<'a> {
             op::STAT => Request::Stat { file: c.u64()? },
             op::FETCH => Request::Fetch { file: c.u64()? },
             op::SHUTDOWN => Request::Shutdown,
-            op::PING if version >= 2 => Request::Ping,
-            op::WRITE_CHUNK if version >= 3 => {
+            op::PING => Request::Ping,
+            op::WRITE_CHUNK => {
                 let file = c.u64()?;
                 let compute = c.u32()?;
                 let l_s = c.u64()?;
@@ -794,15 +759,15 @@ impl<'a> Lent<'a> {
                     last,
                     data: Vec::new(),
                 };
-                return Ok(Lent { head, bulk: c.rest() });
+                return Ok((Lent { head, bulk: c.rest() }, deadline_ms));
             }
-            op::WRITE_RESUME if version >= 4 => {
+            op::WRITE_RESUME => {
                 Request::ResumeQuery { file: c.u64()?, session: c.u64()?, seq: c.u64()? }
             }
             _ => return Err(WireError::BadValue("opcode")),
         };
         c.finish()?;
-        Ok(Lent { head: req, bulk: &[] })
+        Ok((Lent { head: req, bulk: &[] }, deadline_ms))
     }
 }
 
@@ -824,8 +789,7 @@ pub struct StatInfo {
     pub bytes_read: u64,
     /// Scatter/gather fragments touched.
     pub fragments: u64,
-    /// CRC32C verification failures detected on this subfile (protocol ≥ 4;
-    /// always 0 on older connections).
+    /// CRC32C verification failures detected on this subfile.
     pub checksum_errors: u64,
 }
 
@@ -840,8 +804,7 @@ pub enum Reply {
         /// Bytes stored.
         written: u64,
         /// This acknowledgment came from the retry-dedup window: the write
-        /// had already been applied and was **not** re-applied (protocol
-        /// ≥ 2; always `false` on version-1 connections).
+        /// had already been applied and was **not** re-applied.
         replayed: bool,
     },
     /// Gathered bytes.
@@ -852,38 +815,38 @@ pub enum Reply {
     },
     /// Statistics.
     Stat(StatInfo),
-    /// Health probe answer (protocol ≥ 2).
+    /// Health probe answer.
     Pong {
         /// Daemon boot epoch: changes on every daemon (re)start, letting a
         /// client distinguish "same daemon, slow" from "daemon restarted
         /// and lost its volatile state".
         epoch: u64,
         /// Largest chunk data length the daemon accepts per streamed frame
-        /// (protocol ≥ 3; `0` on older connections = chunking unsupported).
+        /// (`0` = the daemon does not chunk).
         max_chunk: u32,
     },
-    /// Acknowledgment of one non-final write chunk (protocol ≥ 3).
+    /// Acknowledgment of one non-final write chunk.
     ChunkOk {
         /// Echo of the acknowledged chunk's payload offset.
         offset: u64,
     },
-    /// Answer to `ResumeQuery` (protocol ≥ 4).
+    /// Answer to `ResumeQuery`.
     ResumeAt {
         /// Gathered-payload offset from which a retried chunked write for
         /// the queried `(session, seq)` should resume; 0 means "start over"
         /// (no partial progress on record).
         offset: u64,
     },
-    /// The daemon shed this one request under admission control (protocol
-    /// ≥ 5): its queue, per-session in-flight cap, or disk-capacity
+    /// The daemon shed this one request under admission control: its
+    /// queue, per-session in-flight cap, tenant quota or disk-capacity
     /// watermark left no room. The request was **not** executed; a stamped
     /// retry after the hinted delay is safe.
     Busy {
         /// Daemon's backoff hint in milliseconds (0 = caller's choice).
         retry_after_ms: u32,
     },
-    /// The daemon refused the whole connection under overload (protocol
-    /// ≥ 5): the accept-side connection budget is exhausted. Sent with
+    /// The daemon refused the whole connection under overload: the
+    /// accept-side connection budget is exhausted. Sent with
     /// request id 0 before the connection closes.
     Overloaded {
         /// Daemon's backoff hint in milliseconds (0 = caller's choice).
@@ -911,13 +874,14 @@ impl Reply {
         }
     }
 
-    /// Encodes the payload bytes in the current protocol version.
+    /// Encodes the payload bytes (everything after the frame header).
     #[must_use]
     pub fn encode_payload(&self) -> Vec<u8> {
         self.encode_payload_at(PROTOCOL_VERSION)
     }
 
-    /// Encodes the payload bytes for protocol version `version`.
+    /// [`encode_payload`](Self::encode_payload); `version` must be
+    /// [`PROTOCOL_VERSION`], the only layout there is.
     #[must_use]
     pub fn encode_payload_at(&self, version: u8) -> Vec<u8> {
         let mut out = Vec::new();
@@ -929,27 +893,24 @@ impl Reply {
     /// scratch buffer (cleared first), so per-connection encoders reuse one
     /// allocation across frames.
     pub fn encode_payload_at_into(&self, version: u8, out: &mut Vec<u8>) {
+        debug_assert_eq!(version, PROTOCOL_VERSION, "there is one wire layout");
         out.clear();
-        self.append_payload(version, out);
+        self.append_payload(out);
     }
 
     /// [`encode_payload_at_into`](Self::encode_payload_at_into) without the
     /// clear, for encoding a frame in place in a write buffer.
-    pub(crate) fn append_payload(&self, version: u8, out: &mut Vec<u8>) {
+    pub(crate) fn append_payload(&self, out: &mut Vec<u8>) {
         match self {
             Reply::Ok => {}
             Reply::WriteOk { written, replayed } => {
                 put_u64(out, *written);
-                if version >= 2 {
-                    out.push(u8::from(*replayed));
-                }
+                out.push(u8::from(*replayed));
             }
             Reply::Data { payload } => out.extend_from_slice(payload),
             Reply::Pong { epoch, max_chunk } => {
                 put_u64(out, *epoch);
-                if version >= 3 {
-                    put_u32(out, *max_chunk);
-                }
+                put_u32(out, *max_chunk);
             }
             Reply::ChunkOk { offset } => put_u64(out, *offset),
             Reply::ResumeAt { offset } => put_u64(out, *offset),
@@ -963,9 +924,7 @@ impl Reply {
                 put_u64(out, s.bytes_written);
                 put_u64(out, s.bytes_read);
                 put_u64(out, s.fragments);
-                if version >= 4 {
-                    put_u64(out, s.checksum_errors);
-                }
+                put_u64(out, s.checksum_errors);
             }
             Reply::Error(e) => {
                 put_u16(out, e.code.as_u16());
@@ -978,13 +937,14 @@ impl Reply {
         }
     }
 
-    /// Decodes a reply from its opcode and payload bytes in the current
-    /// protocol version.
+    /// Decodes a reply from its opcode and payload bytes.
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Self, WireError> {
         Self::decode_at(PROTOCOL_VERSION, opcode, payload)
     }
 
-    /// Decodes a reply as protocol version `version` would frame it.
+    /// [`decode`](Self::decode) for a frame whose version byte is
+    /// `version`: anything but [`PROTOCOL_VERSION`] is
+    /// [`WireError::UnsupportedVersion`], with the payload left unread.
     pub fn decode_at(version: u8, opcode: u8, payload: &[u8]) -> Result<Self, WireError> {
         Self::decode_owned_at(version, opcode, Cow::Borrowed(payload))
     }
@@ -997,6 +957,9 @@ impl Reply {
         opcode: u8,
         payload: Cow<'_, [u8]>,
     ) -> Result<Self, WireError> {
+        if version != PROTOCOL_VERSION {
+            return Err(WireError::UnsupportedVersion(version));
+        }
         if opcode == op::R_DATA {
             return Ok(Reply::Data { payload: payload.into_owned() });
         }
@@ -1005,26 +968,18 @@ impl Reply {
             op::R_OK => Reply::Ok,
             op::R_WRITE_OK => {
                 let written = c.u64()?;
-                let replayed = if version >= 2 {
-                    match c.take(1)?[0] {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(WireError::BadValue("replayed flag")),
-                    }
-                } else {
-                    false
+                let replayed = match c.take(1)?[0] {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(WireError::BadValue("replayed flag")),
                 };
                 Reply::WriteOk { written, replayed }
             }
-            op::R_PONG if version >= 2 => {
-                let epoch = c.u64()?;
-                let max_chunk = if version >= 3 { c.u32()? } else { 0 };
-                Reply::Pong { epoch, max_chunk }
-            }
-            op::R_CHUNK_OK if version >= 3 => Reply::ChunkOk { offset: c.u64()? },
-            op::R_RESUME if version >= 4 => Reply::ResumeAt { offset: c.u64()? },
-            op::R_BUSY if version >= 5 => Reply::Busy { retry_after_ms: c.u32()? },
-            op::R_OVERLOADED if version >= 5 => Reply::Overloaded { retry_after_ms: c.u32()? },
+            op::R_PONG => Reply::Pong { epoch: c.u64()?, max_chunk: c.u32()? },
+            op::R_CHUNK_OK => Reply::ChunkOk { offset: c.u64()? },
+            op::R_RESUME => Reply::ResumeAt { offset: c.u64()? },
+            op::R_BUSY => Reply::Busy { retry_after_ms: c.u32()? },
+            op::R_OVERLOADED => Reply::Overloaded { retry_after_ms: c.u32()? },
             op::R_STAT => Reply::Stat(StatInfo {
                 len: c.u64()?,
                 views: c.u64()?,
@@ -1032,7 +987,7 @@ impl Reply {
                 bytes_written: c.u64()?,
                 bytes_read: c.u64()?,
                 fragments: c.u64()?,
-                checksum_errors: if version >= 4 { c.u64()? } else { 0 },
+                checksum_errors: c.u64()?,
             }),
             op::R_ERROR => {
                 let code = ErrCode::from_u16(c.u16()?).ok_or(WireError::BadValue("error code"))?;
@@ -1090,8 +1045,8 @@ pub fn write_frame(
     write_frame_at(w, PROTOCOL_VERSION, opcode, request_id, payload)
 }
 
-/// Writes one frame carrying an explicit version byte (daemons answer in
-/// the version the request arrived with).
+/// Writes one frame carrying an explicit version byte — how a test or
+/// probe frames what a peer of another version would send.
 pub fn write_frame_at(
     w: &mut impl Write,
     version: u8,
@@ -1120,7 +1075,6 @@ fn frame_head(payload_len: usize, version: u8, opcode: u8, request_id: u64) -> [
 /// from. Returns the offset in `out` at which the frame starts.
 pub(crate) fn append_frame(
     out: &mut Vec<u8>,
-    version: u8,
     opcode: u8,
     request_id: u64,
     body: impl FnOnce(&mut Vec<u8>),
@@ -1128,7 +1082,7 @@ pub(crate) fn append_frame(
     let start = out.len();
     out.extend_from_slice(&[0; PREFIX_LEN]);
     body(out);
-    let head = frame_head(out.len() - start - PREFIX_LEN, version, opcode, request_id);
+    let head = frame_head(out.len() - start - PREFIX_LEN, PROTOCOL_VERSION, opcode, request_id);
     out[start..start + PREFIX_LEN].copy_from_slice(&head);
     start
 }
@@ -1236,20 +1190,19 @@ mod tests {
             // every truncation — and its bulk bytes are the frame's own.
             for cut in 0..=payload.len() {
                 let frame = &payload[..cut];
-                let owned = Request::decode_deadline_at(PROTOCOL_VERSION, req.opcode(), frame);
-                let lent = Lent::decode_deadline_at(PROTOCOL_VERSION, req.opcode(), frame);
+                let owned = Request::decode_deadline(req.opcode(), frame);
+                let lent = Lent::decode_deadline(req.opcode(), frame);
                 if let Ok((Lent { bulk, .. }, _)) = &lent {
                     assert!(bulk.is_empty() || bulk.as_ptr_range().end == frame.as_ptr_range().end);
                 }
                 assert_eq!(lent.map(|(r, ms)| (r.into_owned(), ms)), owned, "cut {cut}");
             }
             // A request encoded around lent bulk bytes is the owned encoding.
-            let Ok((lent, _)) = Lent::decode_deadline_at(PROTOCOL_VERSION, req.opcode(), &payload)
-            else {
+            let Ok((lent, _)) = Lent::decode_deadline(req.opcode(), &payload) else {
                 panic!("decoded above");
             };
             let mut appended = vec![0xEE];
-            lent.append_payload(PROTOCOL_VERSION, 0, &mut appended);
+            lent.append_payload(0, &mut appended);
             assert_eq!(appended[1..], payload);
         }
     }
@@ -1258,155 +1211,18 @@ mod tests {
     fn frames_encoded_in_place_equal_write_frame() {
         let reply = Reply::Data { payload: b"gathered".to_vec() };
         let mut want = b"earlier frame".to_vec();
-        write_frame_at(&mut want, 4, reply.opcode(), 77, &reply.encode_payload_at(4)).unwrap();
+        write_frame(&mut want, reply.opcode(), 77, &reply.encode_payload()).unwrap();
         let mut got = b"earlier frame".to_vec();
-        let start =
-            append_frame(&mut got, 4, reply.opcode(), 77, |out| reply.append_payload(4, out));
+        let start = append_frame(&mut got, reply.opcode(), 77, |out| reply.append_payload(out));
         assert_eq!(start, b"earlier frame".len());
         assert_eq!(got, want);
         // A received frame's own allocation becomes the Data payload.
         let owned = b"gathered".to_vec();
         let at = owned.as_ptr();
-        match Reply::decode_owned_at(4, op::R_DATA, Cow::Owned(owned)).unwrap() {
+        match Reply::decode_owned_at(PROTOCOL_VERSION, op::R_DATA, Cow::Owned(owned)).unwrap() {
             Reply::Data { payload } => assert_eq!(payload.as_ptr(), at),
             other => panic!("unexpected reply {other:?}"),
         }
-    }
-
-    #[test]
-    fn v1_frames_still_round_trip_without_the_additive_fields() {
-        // A version-1 Write has no (session, seq); decoding it as v1 fills
-        // the unstamped sentinel and keeps every payload byte.
-        let req = Request::Write {
-            file: 7,
-            compute: 1,
-            l_s: 3,
-            r_s: 90,
-            session: 0,
-            seq: 0,
-            payload: vec![1, 2, 3],
-        };
-        let v1 = req.encode_payload_at(1);
-        assert_eq!(v1.len() + 16, req.encode_payload_at(2).len());
-        assert_eq!(Request::decode_at(1, op::WRITE, &v1).unwrap(), req);
-        // v1 has no Ping/Pong opcodes.
-        assert_eq!(Request::decode_at(1, op::PING, &[]), Err(WireError::BadValue("opcode")));
-        assert_eq!(Reply::decode_at(1, op::R_PONG, &[0; 8]), Err(WireError::BadValue("opcode")));
-        // A v1 WriteOk is just the count; the replayed flag defaults off.
-        let ack = Reply::WriteOk { written: 5, replayed: false };
-        let v1 = ack.encode_payload_at(1);
-        assert_eq!(v1.len(), 8);
-        assert_eq!(Reply::decode_at(1, op::R_WRITE_OK, &v1).unwrap(), ack);
-    }
-
-    #[test]
-    fn v2_frames_have_no_chunk_messages() {
-        // Chunk opcodes are version-3 additions; v2 rejects them.
-        assert_eq!(
-            Request::decode_at(2, op::WRITE_CHUNK, &[0; 64]),
-            Err(WireError::BadValue("opcode"))
-        );
-        assert_eq!(
-            Reply::decode_at(2, op::R_CHUNK_OK, &[0; 16]),
-            Err(WireError::BadValue("opcode"))
-        );
-        // A v2 Pong is just the epoch; decoding it as v2 leaves the
-        // capability field at its "no chunking" default.
-        let pong = Reply::Pong { epoch: 9, max_chunk: 4096 };
-        let v2 = pong.encode_payload_at(2);
-        assert_eq!(v2.len(), 8);
-        assert_eq!(
-            Reply::decode_at(2, op::R_PONG, &v2).unwrap(),
-            Reply::Pong { epoch: 9, max_chunk: 0 }
-        );
-        // v3 carries it through.
-        let v3 = pong.encode_payload_at(3);
-        assert_eq!(v3.len(), 12);
-        assert_eq!(Reply::decode_at(3, op::R_PONG, &v3).unwrap(), pong);
-    }
-
-    #[test]
-    fn v3_frames_have_no_resume_messages() {
-        // Resume opcodes and the checksum counter are version-4 additions;
-        // v3 rejects the former and never carries the latter.
-        assert_eq!(
-            Request::decode_at(3, op::WRITE_RESUME, &[0; 24]),
-            Err(WireError::BadValue("opcode"))
-        );
-        assert_eq!(Reply::decode_at(3, op::R_RESUME, &[0; 8]), Err(WireError::BadValue("opcode")));
-        let stat = Reply::Stat(StatInfo {
-            len: 10,
-            views: 2,
-            requests: 5,
-            bytes_written: 100,
-            bytes_read: 50,
-            fragments: 7,
-            checksum_errors: 9,
-        });
-        let v3 = stat.encode_payload_at(3);
-        assert_eq!(v3.len(), 48);
-        match Reply::decode_at(3, op::R_STAT, &v3).unwrap() {
-            Reply::Stat(s) => {
-                assert_eq!(s.fragments, 7);
-                assert_eq!(s.checksum_errors, 0, "v3 leaves the additive field defaulted");
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-        let v4 = stat.encode_payload_at(4);
-        assert_eq!(v4.len(), 56);
-        assert_eq!(Reply::decode_at(4, op::R_STAT, &v4).unwrap(), stat);
-    }
-
-    #[test]
-    fn v4_frames_have_no_resilience_messages() {
-        // The deadline prefix and the shed replies are version-5 additions;
-        // v4 rejects the opcodes and carries no prefix.
-        assert_eq!(Reply::decode_at(4, op::R_BUSY, &[0; 4]), Err(WireError::BadValue("opcode")));
-        assert_eq!(
-            Reply::decode_at(4, op::R_OVERLOADED, &[0; 4]),
-            Err(WireError::BadValue("opcode"))
-        );
-        let req = Request::Read { file: 7, compute: 1, l_s: 0, r_s: 31 };
-        let v4 = req.encode_payload_at(4);
-        let v5 = req.encode_payload_at(5);
-        assert_eq!(v4.len() + 4, v5.len(), "v5 adds exactly the u32 deadline prefix");
-        assert_eq!(Request::decode_at(4, op::READ, &v4).unwrap(), req);
-        assert_eq!(Request::decode_deadline_at(4, op::READ, &v4).unwrap(), (req.clone(), 0));
-        // The prefix carries the budget; 0 means "no deadline".
-        let mut stamped = Vec::new();
-        req.encode_payload_deadline_into(5, 1500, &mut stamped);
-        assert_eq!(Request::decode_deadline_at(5, op::READ, &stamped).unwrap(), (req, 1500));
-        // A truncated prefix is a typed error, not a panic.
-        assert_eq!(
-            Request::decode_deadline_at(5, op::READ, &stamped[..3]),
-            Err(WireError::Truncated)
-        );
-        // Shed replies round-trip at v5.
-        for reply in [Reply::Busy { retry_after_ms: 40 }, Reply::Overloaded { retry_after_ms: 0 }] {
-            let payload = reply.encode_payload_at(5);
-            assert_eq!(payload.len(), 4);
-            assert_eq!(Reply::decode_at(5, reply.opcode(), &payload).unwrap(), reply);
-        }
-    }
-
-    #[test]
-    fn v5_open_frames_have_no_tenant_field() {
-        // The tenant id on Open is a version-6 addition; v5 frames carry
-        // none and decode to the anonymous tenant.
-        let req = Request::Open { file: 7, subfile: 2, len: 4096, tenant: 31 };
-        let v5 = req.encode_payload_at(5);
-        let v6 = req.encode_payload_at(6);
-        assert_eq!(v5.len() + 4, v6.len(), "v6 adds exactly the u32 tenant field");
-        // Both versions start with the deadline prefix; strip it for the
-        // body-level decode used here.
-        assert_eq!(
-            Request::decode_at(5, op::OPEN, &v5).unwrap(),
-            Request::Open { file: 7, subfile: 2, len: 4096, tenant: 0 },
-            "v5 decodes to the anonymous tenant"
-        );
-        assert_eq!(Request::decode_at(6, op::OPEN, &v6).unwrap(), req, "v6 carries it through");
-        // A v6 Open truncated inside the tenant field is a typed error.
-        assert_eq!(Request::decode_at(6, op::OPEN, &v6[..v6.len() - 2]), Err(WireError::Truncated));
     }
 
     #[test]
@@ -1465,17 +1281,9 @@ mod tests {
         assert_eq!(Request::decode(0x6F, &[]), Err(WireError::BadValue("opcode")));
         assert_eq!(Reply::decode(0x00, &[]), Err(WireError::BadValue("opcode")));
         // The retired read-side chunk stream: inside the numeric ranges,
-        // refused at every version like any other unknown opcode.
-        for version in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
-            assert_eq!(
-                Request::decode_at(version, 0x0B, &[0; 64]),
-                Err(WireError::BadValue("opcode"))
-            );
-            assert_eq!(
-                Reply::decode_at(version, 0x86, &[0; 16]),
-                Err(WireError::BadValue("opcode"))
-            );
-        }
+        // refused like any other unknown opcode.
+        assert_eq!(Request::decode(0x0B, &[0; 64]), Err(WireError::BadValue("opcode")));
+        assert_eq!(Reply::decode(0x86, &[0; 16]), Err(WireError::BadValue("opcode")));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Chunk-boundary semantics of the v3 streamed data path: a chunked
+//! Chunk-boundary semantics of the streamed data path: a chunked
 //! transfer must be byte-for-byte the same logical operation as its
 //! monolithic counterpart, at every awkward boundary the framing can
 //! produce — chunk edges that straddle projected segment runs, final
@@ -322,37 +322,34 @@ fn mid_stream_chunk_with_mismatched_stamp_is_rejected() {
     );
 }
 
-/// A daemon capped at protocol v4 makes a v6 client step its ladder down
-/// transparently: calls succeed (the daemon refuses every newer frame, so
-/// success *is* the downgrade), no deadline prefix or shed reply ever
-/// crosses the wire, and a bounded client deadline still works
-/// client-side (expiry is enforced locally even when it cannot be
-/// propagated).
+/// A live client deadline rides every frame of a chunked write and a
+/// read without tripping the daemon, and an expired one fails fast on the
+/// client: the request never reaches the wire.
 #[test]
-fn v5_client_falls_back_to_a_v4_daemon() {
+fn client_deadline_rides_the_stream_and_expires_locally() {
     use parafile_net::{Deadline, ErrCode, NetError};
     use std::time::Duration;
-    let (_daemon, mux) = node(DaemonConfig { max_version: 4, ..chunking(3) });
+    let (_daemon, mux) = node(chunking(3));
     open_with_view(&mux, 6, 16);
     let payload = [0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88];
+    mux.set_deadline(Deadline::within(Duration::from_secs(30)));
     assert_eq!(
         write(&mux, 6, 15, (5, 2), &payload),
         Reply::WriteOk { written: 8, replayed: false }
     );
-    assert_eq!(read(&mux, 6, 0, 15), payload, "v4 data path works end to end");
-    // A live deadline is harmless at v4 (not propagated, not violated)…
-    mux.set_deadline(Deadline::within(Duration::from_secs(30)));
     assert_eq!(read(&mux, 6, 0, 15), payload);
-    // …and an expired one still fails fast client-side.
+    let served = stat(&mux, 6).requests;
     mux.set_deadline(Deadline::within(Duration::ZERO));
     match mux.call(0, Request::Read { file: 6, compute: 0, l_s: 0, r_s: 15 }) {
         Err(NetError::Protocol(e)) => assert_eq!(e.code, ErrCode::DeadlineExceeded),
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
+    mux.set_deadline(Deadline::none());
+    assert_eq!(stat(&mux, 6).requests, served + 1, "only this Stat reached the daemon");
 }
 
 /// A stamped chunked write severed mid-stream by a one-shot connection
-/// drop resumes on retry from the last acknowledged chunk (protocol ≥ 4):
+/// drop resumes on retry from the last acknowledged chunk:
 /// the client queries the daemon's recorded partial progress with
 /// `ResumeQuery` and fast-forwards past the chunks an earlier attempt
 /// already applied and journaled — instead of restarting at offset 0.

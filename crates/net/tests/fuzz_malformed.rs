@@ -185,18 +185,65 @@ fn truncated_frame_then_close_does_not_wedge_the_daemon() {
     attack.assert_alive();
 }
 
+/// Every version byte but [`PROTOCOL_VERSION`] is refused with
+/// `UnsupportedVersion` before the frame is admitted or decoded: a `Stat`
+/// and a `Write` framed at each of them get the typed error on a
+/// connection that stays usable, and the `Write`'s bytes never reach the
+/// subfile.
 #[test]
 fn wrong_version_gets_typed_error() {
+    use parafile_audit::{RawElement, RawFalls, RawPattern};
     let attack = Attack::new();
     let mut s = attack.connect();
-    let payload = Request::Stat { file: 1 }.encode_payload();
-    // Hand-build a frame with a bad version byte.
-    let len = 10 + payload.len() as u32;
-    s.write_all(&len.to_le_bytes()).expect("len");
-    s.write_all(&[PROTOCOL_VERSION + 9, Request::Stat { file: 1 }.opcode()]).expect("header");
-    s.write_all(&5u64.to_le_bytes()).expect("id");
-    s.write_all(&payload).expect("payload");
-    expect_error(&mut s, ErrCode::UnsupportedVersion);
+    let mut id = 0u64;
+    let mut call = |s: &mut TcpStream, version: u8, req: &Request| {
+        id += 1;
+        wire::write_frame_at(s, version, req.opcode(), id, &req.encode_payload()).expect("send");
+        let frame = wire::read_frame(s, DEFAULT_MAX_FRAME).expect("reply arrives");
+        assert_eq!(frame.request_id, id, "reply matches the request");
+        Reply::decode(frame.opcode, &frame.payload).expect("decodable reply")
+    };
+    // A 16-byte subfile behind a view that owns all of it, so `Write` and
+    // `Read` address subfile bytes directly.
+    let open = Request::Open { file: 8, subfile: 0, len: 16, tenant: 0 };
+    assert_eq!(call(&mut s, PROTOCOL_VERSION, &open), Reply::Ok);
+    let whole = RawFalls::leaf(0, 15, 16, 1);
+    let view = Request::SetView {
+        file: 8,
+        compute: 0,
+        element: 0,
+        view: RawPattern { displacement: 0, elements: vec![RawElement::new(vec![whole.clone()])] },
+        proj_set: vec![whole],
+        proj_period: 16,
+    };
+    assert_eq!(call(&mut s, PROTOCOL_VERSION, &view), Reply::Ok);
+    let write = |seq| Request::Write {
+        file: 8,
+        compute: 0,
+        l_s: 0,
+        r_s: 15,
+        session: 1,
+        seq,
+        payload: vec![0xAB; 16],
+    };
+    let read = Request::Read { file: 8, compute: 0, l_s: 0, r_s: 15 };
+    for version in (0..=5).chain([7, 255]) {
+        assert_ne!(version, PROTOCOL_VERSION);
+        for req in [Request::Stat { file: 8 }, write(u64::from(version) + 1)] {
+            match call(&mut s, version, &req) {
+                Reply::Error(e) => assert_eq!(e.code, ErrCode::UnsupportedVersion, "{e}"),
+                other => panic!("v{version} {req:?}: expected a refusal, got {other:?}"),
+            }
+        }
+        // Same connection: served, and the refused write left no byte.
+        let unchanged = call(&mut s, PROTOCOL_VERSION, &read);
+        assert_eq!(unchanged, Reply::Data { payload: vec![0; 16] }, "after v{version}");
+    }
+    // The same write at the protocol version lands, so the read above
+    // would have seen it.
+    let landed = call(&mut s, PROTOCOL_VERSION, &write(1000));
+    assert_eq!(landed, Reply::WriteOk { written: 16, replayed: false });
+    assert_eq!(call(&mut s, PROTOCOL_VERSION, &read), Reply::Data { payload: vec![0xAB; 16] });
     attack.assert_alive();
 }
 
@@ -207,8 +254,8 @@ fn wrong_version_gets_typed_error() {
 fn retired_read_stream_opcode_is_an_unknown_op() {
     let attack = Attack::new();
     let mut s = attack.connect();
-    // deadline prefix + (file, compute, l_s, r_s, max_chunk), as v3–v6
-    // clients used to frame it.
+    // deadline prefix + (file, compute, l_s, r_s, max_chunk), as clients
+    // used to frame it.
     let mut payload = 0u32.to_le_bytes().to_vec();
     payload.extend_from_slice(&7u64.to_le_bytes());
     payload.extend_from_slice(&0u32.to_le_bytes());

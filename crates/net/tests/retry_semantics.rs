@@ -196,7 +196,7 @@ fn daemon_restart_between_set_view_and_read_recovers() {
 
 /// Dedup-window churn: stamps inside the window replay without touching
 /// the store, evicted stamps are forgotten and re-apply, and unstamped
-/// (v1-style, session 0) writes never deduplicate.
+/// (session 0) writes never deduplicate.
 #[test]
 fn dedup_window_eviction_under_sequence_wraparound() {
     let file = 9u64;
@@ -224,7 +224,7 @@ fn dedup_window_eviction_under_sequence_wraparound() {
     assert_eq!(call(1, 6), Reply::WriteOk { written: 8, replayed: true });
     assert_eq!(fetch(&mux, file), expected_subfile(5));
 
-    // Unstamped writes (session 0 — what a v1 client sends) never enter
+    // Unstamped writes (session 0) never enter
     // the window: identical repeats always re-apply.
     let unstamped = |fill: u8| Request::Write {
         file,

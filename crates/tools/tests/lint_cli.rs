@@ -167,6 +167,7 @@ fn source_mode_runs_clean_over_the_repo_hot_paths() {
         "net/src/server.rs",
         "net/src/session.rs",
         "net/src/proto.rs",
+        "net/src/wire.rs",
         "net/src/wire/framebuf.rs",
         "net/src/reactor/sys.rs",
         "clusterfile/src/journal.rs",

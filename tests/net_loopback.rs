@@ -321,30 +321,3 @@ fn a_session_is_one_connection_per_node() {
     drop(s);
     daemon.stop();
 }
-
-/// A v6 client with a tenant id against a daemon capped at protocol v5:
-/// the negotiation steps down, the Open loses its tenant field on the
-/// wire (decoded as the anonymous tenant), and I/O works untouched.
-#[test]
-fn tenant_field_degrades_gracefully_against_a_v5_daemon() {
-    let n = 16u64;
-    let file_len = n * n;
-    let config = parafile_net::DaemonConfig {
-        backend: StorageBackend::Memory,
-        max_version: 5,
-        ..parafile_net::DaemonConfig::default()
-    };
-    let mut daemon = parafile_net::serve("127.0.0.1:0", config).expect("spawn v5 daemon");
-    let addrs = vec![daemon.addr().to_string()];
-    let physical = MatrixLayout::ColumnBlocks.partition(n, n, 1, 1);
-    let logical = MatrixLayout::RowBlocks.partition(n, n, 1, 1);
-    let file = 5100u64;
-    let mut s = Session::connect(&addrs).with_tenant(7);
-    s.create_file(file, physical, file_len).expect("create against v5 daemon");
-    s.set_view(0, file, &logical, 0).expect("view");
-    let data: Vec<u8> = (0..file_len).map(file_byte).collect();
-    assert_eq!(s.write(0, file, 0, file_len - 1, &data).expect("write"), file_len);
-    assert_eq!(s.read(0, file, 0, file_len - 1).expect("read back"), data);
-    drop(s);
-    daemon.stop();
-}
