@@ -92,6 +92,7 @@ impl SourceConfig {
                 "net/src/wire/framebuf.rs",
                 "clusterfile/src/journal.rs",
                 "clusterfile/src/checksum.rs",
+                "clusterfile/src/storage.rs",
                 "core/src/crc.rs",
                 "replica/src/lib.rs",
                 "audit/src/checks.rs",

@@ -7,8 +7,7 @@
 //! fail over from, rather than as silently corrupt data.
 //!
 //! The checksums use the Castagnoli polynomial (`0x1EDC6F41`, reflected
-//! `0x82F63B78`) — deliberately distinct from the CRC-32 (IEEE) protecting
-//! journal records, so a unit test mixing the two fails loudly.
+//! `0x82F63B78`), the same CRC32C that guards journal records.
 //!
 //! The map is maintained and consulted *per message*, not per segment: the
 //! `(offset, len)` runs of one scatter or gather are folded into ascending
@@ -25,10 +24,11 @@
 //! intent journal, so after a crash recovery the map is rebuilt from the
 //! replayed bytes instead of trusted from disk.
 
-use std::io::{self, Read, Write};
+use std::fs::OpenOptions;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
-use crate::storage::{StorageBackend, SubfileStore};
+use crate::storage::{positioned_write, StorageBackend, SubfileStore};
 
 /// Default checksum granularity in bytes.
 pub const CHECKSUM_PAGE: u64 = 4096;
@@ -44,8 +44,7 @@ const SIDECAR_VERSION: u8 = 1;
 pub const WALK_WINDOW_PAGES: usize = 256;
 
 /// CRC32C (Castagnoli) of `data` — the checksum guarding stored *data*
-/// pages, computed by the workspace's shared kernel; journal records use
-/// the independent CRC-32 (IEEE) in [`crate::journal`].
+/// pages and journal records, computed by the workspace's shared kernel.
 pub use parafile::crc::crc32c;
 use parafile::crc::crc32c_pages;
 
@@ -316,21 +315,30 @@ impl ChecksumMap {
     }
 
     /// Persist the map to its sidecar (no-op for memory-backed stores).
+    ///
+    /// The sidecar is overwritten in place and cut only when its size
+    /// changes, so a flush of an unchanged-size map reuses the file's
+    /// blocks and syncs data alone. A crash mid-overwrite leaves a file
+    /// whose trailer CRC fails, which the next open rebuilds from the
+    /// store, exactly as it does a truncated or missing sidecar.
     pub fn flush(&self) -> io::Result<()> {
         let Some(path) = &self.path else { return Ok(()) };
-        let mut body = Vec::with_capacity(17 + self.sums.len() * 4);
-        body.push(SIDECAR_VERSION);
-        body.extend_from_slice(&self.page.to_le_bytes());
-        body.extend_from_slice(&(self.sums.len() as u64).to_le_bytes());
+        let mut image = Vec::with_capacity(4 + 17 + self.sums.len() * 4 + 4);
+        image.extend_from_slice(SIDECAR_MAGIC);
+        image.push(SIDECAR_VERSION);
+        image.extend_from_slice(&self.page.to_le_bytes());
+        image.extend_from_slice(&(self.sums.len() as u64).to_le_bytes());
         for sum in &self.sums {
-            body.extend_from_slice(&sum.to_le_bytes());
+            image.extend_from_slice(&sum.to_le_bytes());
         }
-        let trailer = crc32c(&body);
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(SIDECAR_MAGIC)?;
-        file.write_all(&body)?;
-        file.write_all(&trailer.to_le_bytes())?;
-        file.sync_all()
+        let trailer = crc32c(&image[SIDECAR_MAGIC.len()..]);
+        image.extend_from_slice(&trailer.to_le_bytes());
+        let mut file = OpenOptions::new().write(true).create(true).truncate(false).open(path)?;
+        positioned_write(&mut file, 0, &image)?;
+        if file.metadata()?.len() != image.len() as u64 {
+            file.set_len(image.len() as u64)?;
+        }
+        file.sync_data()
     }
 
     /// Load the sidecar if it exists, parses, and matches `store_len`.
@@ -531,8 +539,6 @@ pub(crate) mod tests {
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
         assert_eq!(crc32c(b""), 0);
         assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        // Distinct from the journal's CRC-32 (IEEE).
-        assert_ne!(crc32c(b"123456789"), crate::journal::crc32(b"123456789"));
     }
 
     #[test]
@@ -582,6 +588,45 @@ pub(crate) mod tests {
         std::fs::write(sidecar_path(&dir, 5, 2), b"PFCSgarbage").unwrap();
         let map5 = ChecksumMap::for_store(&backend, 5, 2, &mut store, true).unwrap();
         assert_eq!(map5.verify_all(&mut store).unwrap(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sidecar_is_overwritten_in_place_and_a_torn_overwrite_is_rebuilt() {
+        let (backend, dir) = scratch_backend("inplace");
+        let mut store = SubfileStore::create(&backend, 3, 0, 3 * 4096).unwrap();
+        let mut map = ChecksumMap::for_store(&backend, 3, 0, &mut store, true).unwrap();
+        map.flush().unwrap();
+        let path = sidecar_path(&dir, 3, 0);
+        let old = std::fs::read(&path).unwrap();
+        store.write_at(5000, &[9; 100]).unwrap();
+        map.record_write(&mut store, 5000, 100).unwrap();
+        map.flush().unwrap();
+        let new = std::fs::read(&path).unwrap();
+        assert_eq!(new.len(), old.len(), "same map size, same file size");
+        assert_ne!(new, old);
+        // A crash part-way through the overwrite: any mix of the two images
+        // fails the trailer CRC and is rebuilt from the store, never
+        // trusted, so it verifies against the bytes it was rebuilt from.
+        for cut in 1..new.len() {
+            let mut torn = new[..cut].to_vec();
+            torn.extend_from_slice(&old[cut..]);
+            if torn == new || torn == old {
+                continue;
+            }
+            std::fs::write(&path, &torn).unwrap();
+            let reloaded = ChecksumMap::for_store(&backend, 3, 0, &mut store, true).unwrap();
+            assert_eq!(reloaded.load_sidecar(store.len()).unwrap(), None, "cut {cut}");
+            assert_eq!(reloaded.sums, map.sums, "cut {cut}");
+        }
+        // A map that shrinks cuts the file to the new image: no stale tail
+        // follows the trailer.
+        let mut small = SubfileStore::create(&StorageBackend::Memory, 0, 0, 4096).unwrap();
+        let mut shrunk = ChecksumMap::for_store(&backend, 3, 0, &mut small, false).unwrap();
+        shrunk.record_write(&mut small, 0, 1).unwrap();
+        shrunk.flush().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap().len(), 4 + 17 + 4 + 4);
+        assert_eq!(shrunk.load_sidecar(4096).unwrap().as_ref(), Some(&shrunk.sums));
         std::fs::remove_dir_all(&dir).ok();
     }
 

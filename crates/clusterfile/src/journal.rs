@@ -8,48 +8,98 @@
 //! redo-log discipline:
 //!
 //! 1. **Intend** — before the first byte touches the store, the full
-//!    intent (segment list, payload checksum, payload bytes) is appended
-//!    to the journal and synced.
+//!    intent (segment list and payload bytes, both under CRC32C) is
+//!    written at the journal's tail and synced.
 //! 2. **Apply** — the scatter writes run against the store.
-//! 3. **Checkpoint** — once the store itself has been flushed, the journal
-//!    is truncated; records are redundant from then on.
+//! 3. **Checkpoint** — once the store itself has been flushed, the
+//!    journal moves to its next *generation*: one rewrite of the file
+//!    header and one sync. The records stay on disk but are stale from
+//!    then on, and the next append overwrites them in place. The file is
+//!    never cut back, so once it has reached its high-water size an
+//!    append lands on blocks the file already has and its `sync_data`
+//!    commits data, not a change of file size.
 //!
-//! On reopen after a crash, [`Journal::recover`] replays every complete,
-//! checksum-valid record in order (scatter writes use absolute offsets, so
-//! replay is idempotent) and discards a torn tail record — the crash
-//! happened before the intent was durable, so the write never happened.
-//! Each record also carries the client's `(session, seq)` retry stamp and
-//! the acknowledged byte count, letting a daemon repopulate its dedup
-//! window and answer a post-crash retry with the original result.
+//! On reopen after a crash, [`Journal::recover`] walks the records from
+//! the header and replays each one that carries the header's generation
+//! and verifies, in order (scatter writes use absolute offsets, so replay
+//! is idempotent). It stops at the first record whose marker, length,
+//! generation or checksum fails: a torn tail — the crash happened before
+//! the intent was durable, so the write never happened — or a stale record
+//! of an older generation, which a checkpoint already made redundant. Each
+//! record also carries the client's `(session, seq)` retry stamp and the
+//! acknowledged byte count, letting a daemon repopulate its dedup window
+//! and answer a post-crash retry with the original result.
+//!
+//! # Format (`PFWJ` v2, all integers little-endian)
+//!
+//! ```text
+//! header: "PFWJ" | 2 u8 | generation u64 | header_crc u32
+//! record: A5 | body_len u32 | generation u64 | session u64 | seq u64
+//!       | nsegs u32 | (offset u64, len u64) × nsegs
+//!       | payload_crc u32 | record_crc u32 | payload
+//! ```
+//!
+//! `header_crc` is CRC32C over the 13 bytes before it. `payload_crc` is
+//! CRC32C over the payload and `record_crc` CRC32C over every record byte
+//! before it, `payload_crc` included, so no byte of a record goes
+//! unchecked. `body_len` counts the bytes after itself.
 //!
 //! Memory-backed stores get [`Journal::Disabled`]: their bytes do not
 //! survive a restart, so there is nothing for a journal to protect.
 
-use crate::storage::{StorageBackend, SubfileStore};
+use crate::storage::{positioned_write, StorageBackend, SubfileStore};
+use parafile::crc::crc32c;
 use std::fs::{File, OpenOptions};
-use std::io::{IoSlice, Read, Seek, SeekFrom, Write};
+use std::io::{self, IoSlice, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 /// Journal format version written in the header.
-const JOURNAL_VERSION: u8 = 1;
+const JOURNAL_VERSION: u8 = 2;
 
-/// File magic: "PFWJ" + version byte.
-const MAGIC: [u8; 5] = [b'P', b'F', b'W', b'J', JOURNAL_VERSION];
+/// File magic, followed by the version byte.
+const MAGIC: [u8; 4] = *b"PFWJ";
+
+/// File header: magic, version, generation and the header's CRC32C.
+const HEADER_LEN: usize = 4 + 1 + 8 + 4;
+
+/// Generation of a freshly initialised journal.
+const FIRST_GENERATION: u64 = 1;
 
 /// Marker byte opening every record.
 const RECORD_MARKER: u8 = 0xA5;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) — the journal's record
-/// checksum, computed by the workspace's shared kernel.
-pub use parafile::crc::crc32_ieee as crc32;
+/// Record bytes before the segment list: marker, body length, generation,
+/// session, seq and segment count.
+const RECORD_FIXED: usize = 1 + 4 + 8 + 8 + 8 + 4;
+
+/// The header of a journal in generation `generation`.
+fn file_header(generation: u64) -> [u8; HEADER_LEN] {
+    let mut out = [0u8; HEADER_LEN];
+    out[..4].copy_from_slice(&MAGIC);
+    out[4] = JOURNAL_VERSION;
+    out[5..13].copy_from_slice(&generation.to_le_bytes());
+    let crc = crc32c(&out[..13]);
+    out[13..].copy_from_slice(&crc.to_le_bytes());
+    out
+}
 
 /// Everything of a record that precedes its payload bytes: marker, body
-/// length, retry stamp, segment list and payload CRC.
-fn encode_header(session: u64, seq: u64, segments: &[(u64, u64)], payload: &[u8]) -> Vec<u8> {
-    let body_len = 8 + 8 + 4 + 16 * segments.len() + 4 + payload.len();
-    let mut out = Vec::with_capacity(1 + 4 + body_len - payload.len());
+/// length, generation, retry stamp, segment list and both checksums.
+fn encode_header(
+    generation: u64,
+    session: u64,
+    seq: u64,
+    segments: &[(u64, u64)],
+    payload: &[u8],
+) -> io::Result<Vec<u8>> {
+    let head_len = RECORD_FIXED + 16 * segments.len() + 8;
+    let body_len = u32::try_from(head_len - 5 + payload.len()).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidInput, "journal record longer than 4 GiB")
+    })?;
+    let mut out = Vec::with_capacity(head_len);
     out.push(RECORD_MARKER);
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    out.extend_from_slice(&body_len.to_le_bytes());
+    out.extend_from_slice(&generation.to_le_bytes());
     out.extend_from_slice(&session.to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
@@ -57,8 +107,10 @@ fn encode_header(session: u64, seq: u64, segments: &[(u64, u64)], payload: &[u8]
         out.extend_from_slice(&off.to_le_bytes());
         out.extend_from_slice(&len.to_le_bytes());
     }
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
+    out.extend_from_slice(&crc32c(payload).to_le_bytes());
+    let record_crc = crc32c(&out);
+    out.extend_from_slice(&record_crc.to_le_bytes());
+    Ok(out)
 }
 
 /// One scatter write's full intent, as journaled before application.
@@ -82,48 +134,115 @@ impl IntentRecord {
     }
 
     #[cfg(test)]
-    fn encode(&self) -> Vec<u8> {
-        let mut out = encode_header(self.session, self.seq, &self.segments, &self.payload);
+    fn encode(&self, generation: u64) -> Vec<u8> {
+        let mut out =
+            encode_header(generation, self.session, self.seq, &self.segments, &self.payload)
+                .unwrap_or_default();
         out.extend_from_slice(&self.payload);
         out
     }
+}
 
-    /// Decodes one record body (after marker and length). `None` means the
-    /// record is torn or corrupt and must be discarded.
-    fn decode(body: &[u8]) -> Option<Self> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-            let end = pos.checked_add(n)?;
-            if end > body.len() {
-                return None;
+/// Why a walk over the records stopped.
+#[derive(Debug, PartialEq, Eq)]
+enum End {
+    /// No record of the current generation starts here: the end of the
+    /// file, or a stale record an earlier generation left behind.
+    Log,
+    /// A record of the current generation starts here but its length or a
+    /// checksum fails: an append the crash tore.
+    Torn,
+}
+
+fn u32_at(b: &[u8], at: usize) -> Option<u32> {
+    b.get(at..at.checked_add(4)?)?.try_into().ok().map(u32::from_le_bytes)
+}
+
+fn u64_at(b: &[u8], at: usize) -> Option<u64> {
+    b.get(at..at.checked_add(8)?)?.try_into().ok().map(u64::from_le_bytes)
+}
+
+/// Decodes the record of `generation` that starts `image`, returning it
+/// and its length.
+fn decode_record(image: &[u8], generation: u64) -> Result<(IntentRecord, usize), End> {
+    if image.first() != Some(&RECORD_MARKER) || u64_at(image, 5) != Some(generation) {
+        return Err(End::Log);
+    }
+    let body_len = u32_at(image, 1).ok_or(End::Torn)? as usize;
+    let record = image.get(..5 + body_len).ok_or(End::Torn)?;
+    let nsegs = u32_at(record, RECORD_FIXED - 4).ok_or(End::Torn)? as usize;
+    let head_len = nsegs
+        .checked_mul(16)
+        .and_then(|n| n.checked_add(RECORD_FIXED + 8))
+        .filter(|&n| n <= record.len())
+        .ok_or(End::Torn)?;
+    let record_crc = u32_at(record, head_len - 4).ok_or(End::Torn)?;
+    if crc32c(&record[..head_len - 4]) != record_crc {
+        return Err(End::Torn);
+    }
+    let mut segments = Vec::with_capacity(nsegs);
+    let mut total = 0u64;
+    for k in 0..nsegs {
+        let at = RECORD_FIXED + 16 * k;
+        let (off, len) = u64_at(record, at).zip(u64_at(record, at + 8)).ok_or(End::Torn)?;
+        total = total.checked_add(len).ok_or(End::Torn)?;
+        segments.push((off, len));
+    }
+    let payload = &record[head_len..];
+    if payload.len() as u64 != total || u32_at(record, head_len - 8) != Some(crc32c(payload)) {
+        return Err(End::Torn);
+    }
+    let session = u64_at(record, 13).ok_or(End::Torn)?;
+    let seq = u64_at(record, 21).ok_or(End::Torn)?;
+    Ok((IntentRecord { session, seq, segments, payload: payload.to_vec() }, record.len()))
+}
+
+/// Hands each verified record of `generation` in `image` (a whole journal
+/// file) to `each`, oldest first, and returns where the log ends and why.
+fn walk(
+    image: &[u8],
+    generation: u64,
+    mut each: impl FnMut(IntentRecord) -> io::Result<()>,
+) -> io::Result<(u64, End)> {
+    let mut pos = HEADER_LEN;
+    loop {
+        match decode_record(image.get(pos..).unwrap_or_default(), generation) {
+            Ok((record, len)) => {
+                each(record)?;
+                pos += len;
             }
-            let out = &body[*pos..end];
-            *pos = end;
-            Some(out)
-        };
-        let u64_at = |b: &[u8]| b.try_into().ok().map(u64::from_le_bytes);
-        let u32_at = |b: &[u8]| b.try_into().ok().map(u32::from_le_bytes);
-        let session = u64_at(take(&mut pos, 8)?)?;
-        let seq = u64_at(take(&mut pos, 8)?)?;
-        let nsegs = u32_at(take(&mut pos, 4)?)? as usize;
-        // A record cannot hold more segments than bytes remain.
-        if nsegs > body.len() / 16 + 1 {
-            return None;
+            Err(end) => return Ok((pos as u64, end)),
         }
-        let mut segments = Vec::with_capacity(nsegs);
-        let mut total = 0u64;
-        for _ in 0..nsegs {
-            let off = u64_at(take(&mut pos, 8)?)?;
-            let len = u64_at(take(&mut pos, 8)?)?;
-            total = total.checked_add(len)?;
-            segments.push((off, len));
-        }
-        let crc = u32_at(take(&mut pos, 4)?)?;
-        let payload = body.get(pos..)?.to_vec();
-        if payload.len() as u64 != total || crc32(&payload) != crc {
-            return None;
-        }
-        Some(IntentRecord { session, seq, segments, payload })
+    }
+}
+
+/// What a journal file's first bytes say it is.
+enum Header {
+    /// A `PFWJ` v2 header whose checksum verifies.
+    Current(u64),
+    /// A `PFWJ` v1 journal with this many bytes of records.
+    V1(usize),
+    /// A `PFWJ` journal of a version this build does not know.
+    Unknown(u8),
+    /// Empty, too short, not a journal, or a v2 header whose checksum
+    /// fails: the rewrite a checkpoint tore, which it starts only after
+    /// the store is durable, so no record behind it is needed.
+    Unusable,
+}
+
+fn parse_header(image: &[u8]) -> Header {
+    match (image.get(..4), image.get(4)) {
+        (Some(magic), Some(&version)) if magic == MAGIC => match version {
+            1 => Header::V1(image.len() - 5),
+            JOURNAL_VERSION => match image.get(..HEADER_LEN).zip(u64_at(image, 5)) {
+                Some((h, generation)) if h == file_header(generation) => {
+                    Header::Current(generation)
+                }
+                _ => Header::Unusable,
+            },
+            other => Header::Unknown(other),
+        },
+        _ => Header::Unusable,
     }
 }
 
@@ -132,7 +251,7 @@ impl IntentRecord {
 pub struct RecoveryReport {
     /// Complete records replayed into the store.
     pub replayed: usize,
-    /// Torn/corrupt tail records discarded (at most 1 in practice).
+    /// Torn tail records of the current generation discarded (at most 1).
     pub discarded: usize,
     /// `(session, seq, written)` stamps of replayed records, oldest first,
     /// for repopulating a retry dedup window.
@@ -146,19 +265,32 @@ pub enum Journal {
     Disabled,
     /// A real journal file next to the subfile it protects.
     File {
-        /// The open journal file, positioned at its end.
+        /// The open journal file.
         file: File,
         /// Journal path (`file<fid>_subfile<idx>.journal`).
         path: PathBuf,
-        /// Current journal length in bytes (header included).
+        /// Logical length in bytes: the header plus the current
+        /// generation's records. The next record is written here; the
+        /// file itself may be longer.
         len: u64,
+        /// The generation every record written now carries.
+        generation: u64,
+        /// The generation the header on disk is known to carry. It lags
+        /// `generation` only after a header rewrite failed; the next append
+        /// then rewrites and syncs the header before it writes its record.
+        header_generation: u64,
     },
 }
 
 impl Journal {
     /// Opens (or creates) the journal for subfile `subfile` of `file_id`
     /// under `backend`. Memory backends get [`Journal::Disabled`].
-    pub fn open(backend: &StorageBackend, file_id: usize, subfile: usize) -> std::io::Result<Self> {
+    ///
+    /// An empty, unrecognisable or torn-header file is initialised afresh.
+    /// A v1 journal that holds records, or one of an unknown version, is
+    /// refused with [`io::ErrorKind::InvalidData`]: it may hold
+    /// acknowledged writes this build cannot replay.
+    pub fn open(backend: &StorageBackend, file_id: usize, subfile: usize) -> io::Result<Self> {
         let dir = match backend {
             StorageBackend::Memory => return Ok(Journal::Disabled),
             StorageBackend::Directory(dir) => dir,
@@ -167,16 +299,33 @@ impl Journal {
         let path = dir.join(format!("file{file_id}_subfile{subfile}.journal"));
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
-        let len = file.metadata()?.len();
-        if len < MAGIC.len() as u64 {
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&MAGIC)?;
-            file.sync_data()?;
-            return Ok(Journal::File { file, path, len: MAGIC.len() as u64 });
-        }
-        file.seek(SeekFrom::End(0))?;
-        Ok(Journal::File { file, path, len })
+        let mut image = Vec::new();
+        file.read_to_end(&mut image)?;
+        let refuse = |what: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {what}; this build reads and writes PFWJ v2 only", path.display()),
+            )
+        };
+        let generation = match parse_header(&image) {
+            Header::Current(generation) => generation,
+            Header::V1(0) | Header::Unusable => {
+                // No stale record may outlive a re-initialised header.
+                file.set_len(0)?;
+                positioned_write(&mut file, 0, &file_header(FIRST_GENERATION))?;
+                file.sync_data()?;
+                image.clear();
+                FIRST_GENERATION
+            }
+            Header::V1(records) => {
+                return Err(refuse(format!("a PFWJ v1 journal holding {records} bytes of records")))
+            }
+            Header::Unknown(version) => {
+                return Err(refuse(format!("a PFWJ journal of unknown version {version}")))
+            }
+        };
+        let (len, _) = walk(&image, generation, |_| Ok(()))?;
+        Ok(Journal::File { file, path, len, generation, header_generation: generation })
     }
 
     /// Whether this journal actually persists intents.
@@ -185,7 +334,8 @@ impl Journal {
         matches!(self, Journal::File { .. })
     }
 
-    /// Current journal size in bytes (0 when disabled).
+    /// Current logical journal size in bytes, header included (0 when
+    /// disabled).
     #[must_use]
     pub fn len(&self) -> u64 {
         match self {
@@ -194,16 +344,16 @@ impl Journal {
         }
     }
 
-    /// Whether the journal holds no records.
+    /// Whether the journal holds no records of the current generation.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() <= MAGIC.len() as u64
+        self.len() <= HEADER_LEN as u64
     }
 
     /// Appends `record` and syncs it to stable storage. After this returns,
     /// a crash at any point during the matching scatter writes is
     /// recoverable by replay.
-    pub fn append(&mut self, record: &IntentRecord) -> std::io::Result<()> {
+    pub fn append(&mut self, record: &IntentRecord) -> io::Result<()> {
         self.append_intent(record.session, record.seq, &record.segments, &record.payload)
     }
 
@@ -217,124 +367,98 @@ impl Journal {
         seq: u64,
         segments: &[(u64, u64)],
         payload: &[u8],
-    ) -> std::io::Result<()> {
-        match self {
-            Journal::Disabled => Ok(()),
-            Journal::File { file, len, .. } => {
-                let header = encode_header(session, seq, segments, payload);
-                // One vectored write in the common case; a short count
-                // falls back to plain writes of what is left.
-                let n = file.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)])?;
-                if n < header.len() {
-                    file.write_all(&header[n..])?;
-                    file.write_all(payload)?;
-                } else {
-                    file.write_all(&payload[n - header.len()..])?;
-                }
-                file.sync_data()?;
-                *len += (header.len() + payload.len()) as u64;
-                Ok(())
-            }
+    ) -> io::Result<()> {
+        let Journal::File { file, len, generation, header_generation, .. } = self else {
+            return Ok(());
+        };
+        let header = encode_header(*generation, session, seq, segments, payload)?;
+        if *header_generation != *generation {
+            // The header goes down, durably, before any record of its
+            // generation: so every record on disk is of the disk header's
+            // generation or older, and the next generation never finds a
+            // record of its own already there.
+            positioned_write(file, 0, &file_header(*generation))?;
+            file.sync_data()?;
+            *header_generation = *generation;
         }
+        // Written at the logical tail, over whatever an older generation
+        // left there: one vectored write in the common case, a short count
+        // falls back to plain writes of what is left.
+        file.seek(SeekFrom::Start(*len))?;
+        let n = file.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)])?;
+        if n < header.len() {
+            file.write_all(&header[n..])?;
+            file.write_all(payload)?;
+        } else {
+            file.write_all(&payload[n - header.len()..])?;
+        }
+        file.sync_data()?;
+        *len += (header.len() + payload.len()) as u64;
+        Ok(())
     }
 
-    /// Replays every complete record into `store` (in append order),
-    /// discards a torn tail, flushes the store, and truncates the journal.
-    pub fn recover(&mut self, store: &mut SubfileStore) -> std::io::Result<RecoveryReport> {
+    /// Replays every verified record of the current generation into
+    /// `store` (in append order), discards a torn tail, flushes the store,
+    /// and moves the journal to its next generation.
+    pub fn recover(&mut self, store: &mut SubfileStore) -> io::Result<RecoveryReport> {
         let mut report = RecoveryReport::default();
-        let (file, len) = match self {
-            Journal::Disabled => return Ok(report),
-            Journal::File { file, len, .. } => (file, len),
-        };
-        let mut bytes = Vec::with_capacity(*len as usize);
+        let Journal::File { file, generation, .. } = self else { return Ok(report) };
+        let mut image = Vec::new();
         file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut bytes)?;
-        let mut pos = MAGIC.len();
-        if bytes.len() < pos || bytes[..pos.min(bytes.len())] != MAGIC[..] {
-            // Unrecognizable journal: treat everything as torn.
-            report.discarded = usize::from(!bytes.is_empty());
-        } else {
-            while pos < bytes.len() {
-                if bytes[pos] != RECORD_MARKER || pos + 5 > bytes.len() {
-                    report.discarded += 1;
-                    break;
+        file.read_to_end(&mut image)?;
+        let store_len = store.len();
+        let (_, end) = walk(&image, *generation, |rec| {
+            let mut off = 0usize;
+            for &(seg_off, seg_len) in &rec.segments {
+                let n = seg_len as usize;
+                // A verified record only ever holds clipped segments, but a
+                // segment past the store is skipped, never wrapped.
+                if seg_off.checked_add(seg_len).is_some_and(|end| end <= store_len) {
+                    store.write_at(seg_off, &rec.payload[off..off + n])?;
                 }
-                let Ok(len_bytes) = bytes[pos + 1..pos + 5].try_into() else {
-                    report.discarded += 1;
-                    break;
-                };
-                let body_len = u32::from_le_bytes(len_bytes) as usize;
-                let Some(end) = (pos + 5).checked_add(body_len) else {
-                    report.discarded += 1;
-                    break;
-                };
-                if end > bytes.len() {
-                    report.discarded += 1;
-                    break;
-                }
-                match IntentRecord::decode(&bytes[pos + 5..end]) {
-                    Some(rec) => {
-                        let mut off = 0usize;
-                        let store_len = store.len();
-                        for &(seg_off, seg_len) in &rec.segments {
-                            let n = seg_len as usize;
-                            // The CRC covers the payload only: a damaged
-                            // offset is skipped like any past-the-end one.
-                            if seg_off.checked_add(seg_len).is_some_and(|end| end <= store_len) {
-                                store.write_at(seg_off, &rec.payload[off..off + n])?;
-                            }
-                            off += n;
-                        }
-                        report.dedup.push((rec.session, rec.seq, rec.written()));
-                        report.replayed += 1;
-                        pos = end;
-                    }
-                    None => {
-                        report.discarded += 1;
-                        break;
-                    }
-                }
+                off += n;
             }
-        }
+            report.dedup.push((rec.session, rec.seq, rec.written()));
+            report.replayed += 1;
+            Ok(())
+        })?;
+        report.discarded = usize::from(end == End::Torn);
         store.flush()?;
-        self.truncate()?;
+        self.next_generation()?;
         Ok(report)
     }
 
-    /// Flushes `store` and truncates the journal (records are redundant
-    /// once the store bytes are durable).
-    pub fn checkpoint(&mut self, store: &mut SubfileStore) -> std::io::Result<()> {
-        if let Journal::File { .. } = self {
+    /// Flushes `store` and moves the journal to its next generation
+    /// (records are redundant once the store bytes are durable).
+    pub fn checkpoint(&mut self, store: &mut SubfileStore) -> io::Result<()> {
+        if self.is_enabled() {
             store.flush()?;
-            self.truncate()?;
+            self.next_generation()?;
         }
         Ok(())
     }
 
-    fn truncate(&mut self) -> std::io::Result<()> {
-        if let Journal::File { file, len, .. } = self {
-            file.set_len(MAGIC.len() as u64)?;
-            file.seek(SeekFrom::End(0))?;
-            file.sync_data()?;
-            *len = MAGIC.len() as u64;
-        }
-        Ok(())
+    /// Retires every record (used when a subfile is re-created from scratch
+    /// and old intents must not replay into it).
+    pub fn reset(&mut self) -> io::Result<()> {
+        self.next_generation()
     }
 
-    /// Deletes the journal file (used when a subfile is re-created from
-    /// scratch and old intents must not replay into it).
-    pub fn reset(&mut self) -> std::io::Result<()> {
-        match self {
-            Journal::Disabled => Ok(()),
-            Journal::File { file, len, .. } => {
-                file.set_len(0)?;
-                file.seek(SeekFrom::Start(0))?;
-                file.write_all(&MAGIC)?;
-                file.sync_data()?;
-                *len = MAGIC.len() as u64;
-                Ok(())
-            }
-        }
+    /// One header rewrite and sync: every record on disk becomes stale and
+    /// the tail moves back to the header. The file keeps its size.
+    fn next_generation(&mut self) -> io::Result<()> {
+        let Journal::File { file, len, generation, header_generation, .. } = self else {
+            return Ok(());
+        };
+        // From here on, whatever the disk holds, no record may be appended
+        // under the old generation: an append rewrites the header first
+        // until this rewrite is known to be durable.
+        *generation = generation.wrapping_add(1);
+        *len = HEADER_LEN as u64;
+        positioned_write(file, 0, &file_header(*generation))?;
+        file.sync_data()?;
+        *header_generation = *generation;
+        Ok(())
     }
 }
 
@@ -353,25 +477,30 @@ mod tests {
         IntentRecord { session, seq, segments: segs.to_vec(), payload: vec![byte; total as usize] }
     }
 
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    /// The owned records a walk over `image` replays, and why it stopped.
+    fn replayed(image: &[u8], generation: u64) -> (Vec<IntentRecord>, End) {
+        let mut out = Vec::new();
+        let (_, end) = walk(image, generation, |r| {
+            out.push(r);
+            Ok(())
+        })
+        .unwrap_or((0, End::Log));
+        (out, end)
     }
 
     #[test]
     fn records_round_trip() {
         let rec = record(7, 42, &[(0, 3), (10, 2)], 9);
-        let bytes = rec.encode();
-        assert_eq!(bytes[0], RECORD_MARKER);
-        let body = &bytes[5..];
-        assert_eq!(IntentRecord::decode(body), Some(rec));
+        let image = [&file_header(3)[..], &rec.encode(3)].concat();
+        assert_eq!(image[HEADER_LEN], RECORD_MARKER);
+        assert_eq!(replayed(&image, 3), (vec![rec.clone()], End::Log));
+        // Under another generation the same bytes are a stale record.
+        assert_eq!(replayed(&image, 4), (vec![], End::Log));
         // Any single-byte corruption of the payload is caught by the CRC.
-        let mut bad = body.to_vec();
+        let mut bad = image.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0xFF;
-        assert_eq!(IntentRecord::decode(&bad), None);
+        assert_eq!(replayed(&bad, 3), (vec![], End::Torn));
     }
 
     #[test]
@@ -416,7 +545,7 @@ mod tests {
         let good = record(1, 1, &[(0, 4)], 0x11);
         journal.append(&good).unwrap();
         // A torn append: only half the second record reaches the file.
-        let torn = record(1, 2, &[(8, 4)], 0x22).encode();
+        let torn = record(1, 2, &[(8, 4)], 0x22).encode(FIRST_GENERATION);
         if let Journal::File { file, .. } = &mut journal {
             file.write_all(&torn[..torn.len() / 2]).unwrap();
             file.sync_data().unwrap();
@@ -433,7 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_truncates_after_store_flush() {
+    fn checkpoint_rewinds_the_tail_after_store_flush() {
         let (backend, dir) = temp_backend("ckpt");
         let mut store = SubfileStore::create(&backend, 3, 0, 16).unwrap();
         let mut journal = Journal::open(&backend, 3, 0).unwrap();
@@ -441,6 +570,12 @@ mod tests {
         assert!(!journal.is_empty());
         journal.checkpoint(&mut store).unwrap();
         assert!(journal.is_empty());
+        // The record is still on disk, stale: a reopen replays nothing.
+        let path = dir.join("file3_subfile0.journal");
+        assert!(std::fs::metadata(&path).unwrap().len() > HEADER_LEN as u64);
+        let mut journal = Journal::open(&backend, 3, 0).unwrap();
+        assert!(journal.is_empty());
+        assert_eq!(journal.recover(&mut store).unwrap(), RecoveryReport::default());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -457,23 +592,40 @@ mod tests {
         assert_eq!(store.read_at(2, 4).unwrap(), vec![0x5C; 4]);
         std::fs::remove_dir_all(&dir).ok();
     }
-    /// A record as the bytewise-CRC builds wrote it, field by field.
-    fn old_format_record(session: u64, seq: u64, segs: &[(u64, u64)], payload: &[u8]) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&session.to_le_bytes());
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(&(segs.len() as u32).to_le_bytes());
+
+    /// A v2 record built field by field, with a bytewise CRC32C.
+    fn reference_record(
+        generation: u64,
+        session: u64,
+        seq: u64,
+        segs: &[(u64, u64)],
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let crc = |data: &[u8]| crate::checksum::tests::bytewise_crc(0x82F6_3B78, data);
+        let mut head = vec![RECORD_MARKER];
+        let body_len = 8 + 8 + 8 + 4 + 16 * segs.len() + 4 + 4 + payload.len();
+        head.extend_from_slice(&(body_len as u32).to_le_bytes());
+        head.extend_from_slice(&generation.to_le_bytes());
+        head.extend_from_slice(&session.to_le_bytes());
+        head.extend_from_slice(&seq.to_le_bytes());
+        head.extend_from_slice(&(segs.len() as u32).to_le_bytes());
         for &(off, len) in segs {
-            body.extend_from_slice(&off.to_le_bytes());
-            body.extend_from_slice(&len.to_le_bytes());
+            head.extend_from_slice(&off.to_le_bytes());
+            head.extend_from_slice(&len.to_le_bytes());
         }
-        body.extend_from_slice(
-            &crate::checksum::tests::bytewise_crc(0xEDB8_8320, payload).to_le_bytes(),
-        );
-        body.extend_from_slice(payload);
-        let mut out = vec![RECORD_MARKER];
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
+        head.extend_from_slice(&crc(payload).to_le_bytes());
+        let record_crc = crc(&head);
+        head.extend_from_slice(&record_crc.to_le_bytes());
+        head.extend_from_slice(payload);
+        head
+    }
+
+    /// A v2 file header built field by field, with a bytewise CRC32C.
+    fn reference_header(generation: u64) -> Vec<u8> {
+        let mut out = b"PFWJ\x02".to_vec();
+        out.extend_from_slice(&generation.to_le_bytes());
+        let crc = crate::checksum::tests::bytewise_crc(0x82F6_3B78, &out);
+        out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
@@ -482,9 +634,9 @@ mod tests {
         let (backend, dir) = temp_backend("fixture");
         let mut store = SubfileStore::create(&backend, 6, 0, 64).unwrap();
         let payload: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
-        let complete = old_format_record(3, 9, &[(0, 8), (32, 4)], &payload[..12]);
-        let torn = old_format_record(3, 10, &[(16, 8)], &payload[12..20]);
-        let mut image = MAGIC.to_vec();
+        let complete = reference_record(5, 3, 9, &[(0, 8), (32, 4)], &payload[..12]);
+        let torn = reference_record(5, 3, 10, &[(16, 8)], &payload[12..20]);
+        let mut image = reference_header(5);
         image.extend_from_slice(&complete);
         image.extend_from_slice(&torn[..torn.len() - 3]);
         std::fs::create_dir_all(&dir).unwrap();
@@ -498,8 +650,10 @@ mod tests {
         assert_eq!(store.read_at(32, 4).unwrap(), payload[8..12]);
         assert_eq!(store.read_at(16, 8).unwrap(), vec![0; 8], "torn intent never applied");
 
-        // Both append entry points put exactly the old bytes on disk.
-        let big = old_format_record(1, 2, &[(0, 40)], &payload[..40]);
+        // Recovery moved to generation 6 in place; both append entry
+        // points put exactly the reference bytes on disk over the old ones.
+        let again = reference_record(6, 3, 9, &[(0, 8), (32, 4)], &payload[..12]);
+        let big = reference_record(6, 1, 2, &[(0, 40)], &payload[..40]);
         journal.append_intent(3, 9, &[(0, 8), (32, 4)], &payload[..12]).unwrap();
         journal
             .append(&IntentRecord {
@@ -509,28 +663,212 @@ mod tests {
                 payload: payload[..40].to_vec(),
             })
             .unwrap();
-        assert_eq!(journal.len(), (MAGIC.len() + complete.len() + big.len()) as u64);
+        let want = [reference_header(6), again, big].concat();
+        assert_eq!(journal.len(), want.len() as u64);
         let on_disk = std::fs::read(dir.join("file6_subfile0.journal")).unwrap();
-        assert_eq!(on_disk, [&MAGIC[..], &complete, &big].concat());
+        assert_eq!(on_disk, want);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_segment_offset_past_u64_max_is_skipped_not_wrapped() {
-        // The payload verifies, but the segment's offset is damaged so
-        // that `offset + len` overflows.
+        // The record verifies, but the segment's offset is one no daemon
+        // writes: `offset + len` overflows.
         let (backend, dir) = temp_backend("overflow");
         let mut store = SubfileStore::create(&backend, 7, 0, 32).unwrap();
         let before: Vec<u8> = (0..32).collect();
         store.write_at(0, &before).unwrap();
-        let rec = old_format_record(4, 1, &[(u64::MAX - 2, 4)], &[0xEE; 4]);
-        std::fs::write(dir.join("file7_subfile0.journal"), [&MAGIC[..], &rec].concat()).unwrap();
+        let rec = reference_record(1, 4, 1, &[(u64::MAX - 2, 4)], &[0xEE; 4]);
+        std::fs::write(dir.join("file7_subfile0.journal"), [reference_header(1), rec].concat())
+            .unwrap();
 
         let mut journal = Journal::open(&backend, 7, 0).unwrap();
         let report = journal.recover(&mut store).unwrap();
         assert_eq!((report.replayed, report.discarded), (1, 0));
         assert_eq!(store.read_at(0, 32).unwrap(), before, "the store is untouched");
         assert!(journal.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flipped_segment_header_byte_discards_the_record() {
+        // The payload and its CRC are intact; one byte of the segment list
+        // (here, of the offset) is not. The record CRC covers the header, so
+        // recovery discards the record instead of writing the payload to a
+        // damaged offset.
+        let (backend, dir) = temp_backend("flip");
+        let mut store = SubfileStore::create(&backend, 8, 0, 64).unwrap();
+        let rec = reference_record(1, 4, 1, &[(8, 4)], &[0xEE; 4]);
+        for byte in RECORD_FIXED..RECORD_FIXED + 16 {
+            let mut bad = rec.clone();
+            bad[byte] ^= 0x10;
+            std::fs::write(dir.join("file8_subfile0.journal"), [reference_header(1), bad].concat())
+                .unwrap();
+            let mut journal = Journal::open(&backend, 8, 0).unwrap();
+            let report = journal.recover(&mut store).unwrap();
+            assert_eq!((report.replayed, report.discarded), (0, 1), "byte {byte}");
+            assert_eq!(store.read_all().unwrap(), vec![0; 64], "byte {byte}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_v1_journal_with_records_is_refused_and_an_empty_one_reinitialised() {
+        let (backend, dir) = temp_backend("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("file9_subfile0.journal");
+        // A v1 header and one record's first bytes: it may hold acked writes.
+        std::fs::write(&path, b"PFWJ\x01\xA5\x10\x00\x00\x00").unwrap();
+        let err = Journal::open(&backend, 9, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("PFWJ v1 journal holding 5 bytes"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap().len(), 10, "the file is left as it was");
+        // A version this build does not know is refused too.
+        std::fs::write(&path, b"PFWJ\x03").unwrap();
+        let err = Journal::open(&backend, 9, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // An empty v1 journal holds nothing: it becomes a fresh v2 one.
+        std::fs::write(&path, b"PFWJ\x01").unwrap();
+        let journal = Journal::open(&backend, 9, 0).unwrap();
+        assert!(journal.is_empty());
+        assert_eq!(std::fs::read(&path).unwrap(), reference_header(FIRST_GENERATION));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_append_after_a_checkpoint_overwrites_in_place_without_growing_the_file() {
+        let (backend, dir) = temp_backend("highwater");
+        let mut store = SubfileStore::create(&backend, 10, 0, 4096).unwrap();
+        let mut journal = Journal::open(&backend, 10, 0).unwrap();
+        let path = dir.join("file10_subfile0.journal");
+        journal.append(&record(1, 1, &[(0, 1000)], 1)).unwrap();
+        journal.append(&record(1, 2, &[(1000, 1000)], 2)).unwrap();
+        let high_water = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(high_water, journal.len());
+        for round in 0..3u64 {
+            journal.checkpoint(&mut store).unwrap();
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), high_water, "round {round}");
+            // Up to the high-water mark, appends land on the old records.
+            journal.append(&record(2, round, &[(0, 1500)], 3)).unwrap();
+            journal.append(&record(2, round + 10, &[(2000, 100)], 4)).unwrap();
+            assert!(journal.len() <= high_water);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), high_water, "round {round}");
+        }
+        // Past it, the file grows to the new mark.
+        journal.append(&record(3, 1, &[(0, 4000)], 5)).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), journal.len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_append_after_a_failed_header_rewrite_writes_the_header_first() {
+        let (backend, dir) = temp_backend("lag");
+        let mut store = SubfileStore::create(&backend, 12, 0, 64).unwrap();
+        let mut journal = Journal::open(&backend, 12, 0).unwrap();
+        journal.append(&record(1, 1, &[(0, 8)], 1)).unwrap();
+        journal.checkpoint(&mut store).unwrap();
+        // As if the checkpoint's header rewrite never reached the disk:
+        // the disk still says generation 1, the journal is at 2.
+        let path = dir.join("file12_subfile0.journal");
+        let mut image = std::fs::read(&path).unwrap();
+        image[..HEADER_LEN].copy_from_slice(&file_header(FIRST_GENERATION));
+        std::fs::write(&path, &image).unwrap();
+        if let Journal::File { header_generation, .. } = &mut journal {
+            *header_generation = FIRST_GENERATION;
+        }
+        journal.append(&record(1, 2, &[(8, 8)], 2)).unwrap();
+        drop(journal);
+        let mut journal = Journal::open(&backend, 12, 0).unwrap();
+        let report = journal.recover(&mut store).unwrap();
+        assert_eq!(report.dedup, vec![(1, 2, 8)], "the new record replays, the stale one not");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The image a crash leaves: `old` with `new` written over its first
+    /// `cut` bytes at `at`.
+    fn overwritten(old: &[u8], at: usize, new: &[u8], cut: usize) -> Vec<u8> {
+        let mut out = old.to_vec();
+        let end = at + cut;
+        if out.len() < end {
+            out.resize(end, 0);
+        }
+        out[at..end].copy_from_slice(&new[..cut]);
+        out
+    }
+
+    #[test]
+    fn every_crash_prefix_replays_exactly_the_current_generation() {
+        // Generation 7 holds two large records; a checkpoint rewrites the
+        // header to generation 8, which then holds one shorter record over
+        // the first old one.
+        let big_a = reference_record(7, 1, 1, &[(0, 300), (600, 200)], &[0xA1; 500]);
+        let big_b = reference_record(7, 1, 2, &[(100, 400)], &[0xB2; 400]);
+        let small = reference_record(8, 2, 1, &[(900, 60)], &[0xC3; 60]);
+        let gen7 = [reference_header(7), big_a.clone(), big_b.clone()].concat();
+        let header8 = reference_header(8);
+        let gen8 = overwritten(&gen7, 0, &header8, HEADER_LEN);
+        let stamps = |recs: &[IntentRecord]| -> Vec<(u64, u64)> {
+            recs.iter().map(|r| (r.session, r.seq)).collect()
+        };
+
+        // A crash inside the header rewrite: the old header replays both
+        // generation-7 records (the store is already flushed, so replay is
+        // redundant but harmless), the new one none, and a torn one is
+        // unusable, so nothing behind it replays.
+        for cut in 0..=HEADER_LEN {
+            let image = overwritten(&gen7, 0, &header8, cut);
+            match parse_header(&image) {
+                Header::Current(7) => {
+                    let (recs, end) = replayed(&image, 7);
+                    assert_eq!((stamps(&recs), end), (vec![(1, 1), (1, 2)], End::Log), "{cut}");
+                }
+                Header::Current(8) => {
+                    assert_eq!(image[..HEADER_LEN], header8[..], "cut {cut}");
+                    assert_eq!(replayed(&image, 8), (vec![], End::Log));
+                }
+                Header::Unusable => assert!(0 < cut && cut < HEADER_LEN, "cut {cut}"),
+                _ => panic!("cut {cut}: a v2 header cannot parse as anything else"),
+            }
+        }
+
+        // A crash inside the append of the newest record, written over the
+        // stale generation or (had the file been cut back) past its end:
+        // never a generation-7 record, and the new one only once whole.
+        for cut in 0..=small.len() {
+            let recycled = overwritten(&gen8, HEADER_LEN, &small, cut);
+            let grown = overwritten(&header8, HEADER_LEN, &small, cut);
+            for image in [recycled, grown] {
+                assert!(matches!(parse_header(&image), Header::Current(8)));
+                let (recs, _) = replayed(&image, 8);
+                if cut == small.len() {
+                    assert_eq!(stamps(&recs), vec![(2, 1)]);
+                    assert_eq!(recs[0].payload, vec![0xC3; 60]);
+                } else {
+                    assert!(recs.is_empty(), "cut {cut} of {}: {:?}", small.len(), stamps(&recs));
+                }
+            }
+        }
+
+        // The same through the file API: the whole image, opened and
+        // recovered, replays exactly the newest record.
+        let (backend, dir) = temp_backend("prefix");
+        let mut store = SubfileStore::create(&backend, 11, 0, 1024).unwrap();
+        let image = overwritten(&gen8, HEADER_LEN, &small, small.len());
+        std::fs::write(dir.join("file11_subfile0.journal"), &image).unwrap();
+        let mut journal = Journal::open(&backend, 11, 0).unwrap();
+        let report = journal.recover(&mut store).unwrap();
+        assert_eq!((report.replayed, report.dedup), (1, vec![(2, 1, 60)]));
+        assert_eq!(store.read_at(900, 60).unwrap(), vec![0xC3; 60]);
+        assert_eq!(store.read_at(0, 900).unwrap(), vec![0; 900], "no stale record replayed");
+        // A torn header is re-initialised, and nothing behind it survives.
+        let torn = overwritten(&gen7, 0, &header8, HEADER_LEN - 1);
+        std::fs::write(dir.join("file11_subfile0.journal"), &torn).unwrap();
+        let journal = Journal::open(&backend, 11, 0).unwrap();
+        assert!(journal.is_empty());
+        assert_eq!(
+            std::fs::read(dir.join("file11_subfile0.journal")).unwrap(),
+            reference_header(FIRST_GENERATION)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -58,7 +58,7 @@ mod timing;
 pub use checksum::{crc32c, ChecksumMap, CHECKSUM_PAGE};
 pub use collective::CollectiveTimings;
 pub use fs::{Clusterfile, ClusterfileConfig, FileId, WritePolicy};
-pub use journal::{crc32, IntentRecord, Journal, RecoveryReport};
+pub use journal::{IntentRecord, Journal, RecoveryReport};
 pub use relayout::{relayout, relayout_cost, RelayoutReport};
 pub use scenario::{PaperScenario, ScenarioResult};
 pub use storage::{coalesce_runs, BatchOp, Cqe, IoBatch, StorageBackend, SubfileStore};

@@ -187,8 +187,10 @@ fn out_of_range(what: &str, offset: u64, len: u64, store_len: u64) -> io::Error 
     )
 }
 
+/// Writes all of `data` at `offset` of `file`: `pwrite` on unix, a seek and
+/// a write elsewhere (which moves the file's cursor).
 #[cfg(unix)]
-fn positioned_write(file: &mut File, offset: u64, data: &[u8]) -> io::Result<()> {
+pub(crate) fn positioned_write(file: &mut File, offset: u64, data: &[u8]) -> io::Result<()> {
     use std::os::unix::fs::FileExt;
     file.write_all_at(data, offset)
 }
@@ -200,7 +202,7 @@ fn positioned_read(file: &mut File, offset: u64, buf: &mut [u8]) -> io::Result<(
 }
 
 #[cfg(not(unix))]
-fn positioned_write(file: &mut File, offset: u64, data: &[u8]) -> io::Result<()> {
+pub(crate) fn positioned_write(file: &mut File, offset: u64, data: &[u8]) -> io::Result<()> {
     file.seek(SeekFrom::Start(offset))?;
     file.write_all(data)
 }

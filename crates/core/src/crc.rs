@@ -2,14 +2,14 @@
 //! stitched back together with a GF(2) combine, on the SSE4.2 `crc32`
 //! instruction where the CPU has it and on slicing-by-8 tables elsewhere.
 //!
-//! Three on-disk formats carry a reflected CRC-32 — the per-page checksum
-//! sidecars and the plan-cache file use the Castagnoli polynomial
-//! ([`crc32c`]), journal records the IEEE 802.3 one ([`crc32_ieee`]) —
-//! and the daemon pushes every stored byte through one of them. The
-//! kernel lives here, in the crate every other one depends on, so there is
-//! a single copy to test against a bytewise reference. Every value is the
-//! standard one bit for bit, whichever path computes it, so files written
-//! by a bytewise implementation verify unchanged.
+//! Three on-disk formats carry a CRC, all of them CRC32C (the reflected
+//! Castagnoli polynomial, [`crc32c`]): the per-page checksum sidecars, the
+//! plan-cache file and the journal's header and records. The daemon pushes
+//! every stored byte through it. The kernel lives here, in the
+//! crate every other one depends on, so there is a single copy to test
+//! against a bytewise reference. Every value is the standard one bit for
+//! bit, whichever path computes it, so files written by a bytewise
+//! implementation verify unchanged.
 //!
 //! # Lanes
 //!
@@ -29,40 +29,33 @@
 //! word-aligned parts and a tail of fewer than four words; the parts run
 //! as lanes, and three multiplications by the one operator `x^(8·part)`
 //! stitch them back together before the tail is streamed on. The
-//! operator is a product of the `x^(8·2^j) mod P` a 64-entry table per
-//! polynomial holds (built at compile time), which is zlib's
-//! `crc32_combine` arithmetic. The journal's IEEE record, a sidecar, a
-//! plan-cache file and a short or single page all get lanes this way,
-//! with no change to any format.
+//! operator is a product of the `x^(8·2^j) mod P` a 64-entry table holds
+//! (built at compile time), which is zlib's `crc32_combine` arithmetic. A
+//! journal record, a sidecar, a plan-cache file and a short or single
+//! page all get lanes this way, with no change to any format.
 //!
 //! # Kernels
 //!
-//! * **Tables** (slicing-by-8): eight 256-entry tables per polynomial,
-//!   eight input bytes per step. Portable safe Rust, the only path for
-//!   the IEEE polynomial, and the reference the instruction kernel is
-//!   tested against.
-//! * **Instruction** (`crc32`, x86-64 with SSE4.2): CRC32C only, same
-//!   lane structure. It is picked by the CPU's own feature bit
-//!   (`is_x86_feature_detected!`, which the standard library detects once
-//!   and caches) and by nothing else. Its `unsafe` is confined to the
-//!   private `hw` module.
+//! * **Tables** (slicing-by-8): eight 256-entry tables, eight input bytes
+//!   per step. Portable safe Rust, the only path off x86-64, and the
+//!   reference the instruction kernel is tested against.
+//! * **Instruction** (`crc32`, x86-64 with SSE4.2): same lane structure.
+//!   It is picked by the CPU's own feature bit (`is_x86_feature_detected!`,
+//!   which the standard library detects once and caches) and by nothing
+//!   else. Its `unsafe` is confined to the private `hw` module.
 //!
 //! Measured on an x86-64 Xeon with SSE4.2, release build, µs per MiB
 //! (median of four runs; "one lane" is a stream left unsplit):
 //!
 //! | path | 256 KiB stream | one 4 KiB page | 4 KiB pages, four at a time |
 //! |---|---:|---:|---:|
-//! | tables, IEEE, one lane | 668 | 640 | — |
-//! | tables, IEEE, four lanes | 224 | 237 | — |
-//! | tables, CRC32C, one lane | 654 | 655 | — |
-//! | tables, CRC32C, four lanes | 218 | 243 | 212 |
+//! | tables, one lane | 654 | 655 | — |
+//! | tables, four lanes | 218 | 243 | 212 |
 //! | instruction, one lane | 172 | 167 | — |
 //! | instruction, four lanes | 45 | 80 | 48 |
 
 /// Reflected Castagnoli polynomial (`0x1EDC6F41` bit-reversed).
 pub(crate) const CASTAGNOLI: u32 = 0x82F6_3B78;
-/// Reflected IEEE 802.3 polynomial (`0x04C11DB7` bit-reversed).
-const IEEE: u32 = 0xEDB8_8320;
 
 /// `x⁰` in reflected form: the identity of [`Poly::multiply`].
 const ONE: u32 = 1 << 31;
@@ -73,7 +66,7 @@ const LANES: usize = 4;
 
 type Tables = [[u32; 256]; 8];
 
-/// One reflected CRC-32 polynomial with the tables of both halves of the
+/// The reflected CRC-32 polynomial with the tables of both halves of the
 /// kernel, built at compile time.
 struct Poly {
     /// The reflected polynomial.
@@ -84,7 +77,7 @@ struct Poly {
     /// `byte_zeros[j]` = `x^(8·2^j) mod P`: the operator that moves a CRC
     /// past `2^j` bytes. Sixty-four entries cover every `usize` length
     /// without assuming anything about the order of `x` (it divides
-    /// `2^32 − 1` for IEEE but `2^31 − 1` for Castagnoli).
+    /// `2^31 − 1` for Castagnoli, so a 32-entry table would wrap wrongly).
     byte_zeros: [u32; 64],
 }
 
@@ -155,17 +148,13 @@ impl Poly {
 }
 
 static CRC32C: Poly = Poly::new(CASTAGNOLI);
-static CRC32_IEEE: Poly = Poly::new(IEEE);
 
 /// A way to advance CRC states: the slicing-by-8 tables of a [`Poly`], or
-/// (CRC32C on x86-64) the `crc32` instruction.
+/// (on x86-64) the `crc32` instruction.
 trait Kernel: Copy {
     /// Streams shorter than this stay one lane: below it the three
     /// combines cost more than the overlapped chains save.
     const SPLIT_MIN: usize;
-
-    /// The polynomial this kernel computes, for its combine operators.
-    fn poly(self) -> &'static Poly;
 
     /// The state after `crc` consumes `data` (no pre- or post-inversion).
     fn stream(self, crc: u32, data: &[u8]) -> u32;
@@ -203,10 +192,6 @@ fn bytes(t: &Tables, mut crc: u32, tail: &[u8]) -> u32 {
 impl Kernel for &'static Poly {
     const SPLIT_MIN: usize = 512;
 
-    fn poly(self) -> &'static Poly {
-        self
-    }
-
     fn stream(self, mut crc: u32, mut data: &[u8]) -> u32 {
         while let Some((w, rest)) = data.split_first_chunk::<8>() {
             crc = step(&self.tables, crc, w);
@@ -240,7 +225,7 @@ impl Kernel for &'static Poly {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod hw {
-    use super::{Kernel, Poly, CRC32C, LANES};
+    use super::{Kernel, LANES};
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
 
     /// Proof that this CPU executes SSE4.2's `crc32` instruction.
@@ -256,10 +241,6 @@ mod hw {
 
     impl Kernel for Sse42 {
         const SPLIT_MIN: usize = 2048;
-
-        fn poly(self) -> &'static Poly {
-            &CRC32C
-        }
 
         fn stream(self, crc: u32, data: &[u8]) -> u32 {
             // SAFETY: an `Sse42` exists only after
@@ -325,7 +306,7 @@ fn checksum<K: Kernel>(k: K, data: &[u8]) -> u32 {
     let part = data.len() / (LANES * 8) * 8;
     let (group, tail) = data.split_at(LANES * part);
     let [first, rest @ ..] = k.lanes(group, part);
-    let poly = k.poly();
+    let poly = &CRC32C;
     let op = poly.zeros(part);
     let crc = rest.iter().fold(first, |crc, &next| poly.multiply(op, crc) ^ next);
     !k.stream(!crc, tail)
@@ -365,7 +346,8 @@ pub fn crc32c_pages(data: &[u8], page: usize, each: impl FnMut(usize, u32)) {
     pages(&CRC32C, data, page, each);
 }
 
-/// CRC32C (Castagnoli) of `data`: stored data pages, sidecars, plan cache.
+/// CRC32C (Castagnoli) of `data`: stored data pages, sidecars, plan
+/// cache, journal records.
 #[must_use]
 pub fn crc32c(data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
@@ -373,12 +355,6 @@ pub fn crc32c(data: &[u8]) -> u32 {
         return checksum(hw, data);
     }
     checksum(&CRC32C, data)
-}
-
-/// CRC-32 (IEEE 802.3) of `data`: journal records.
-#[must_use]
-pub fn crc32_ieee(data: &[u8]) -> u32 {
-    checksum(&CRC32_IEEE, data)
 }
 
 /// The one-byte-per-step loop every format was first written with, kept as
@@ -434,11 +410,6 @@ mod tests {
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
         assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
         assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
-        // IEEE 802.3.
-        assert_eq!(crc32_ieee(b""), 0);
-        assert_eq!(crc32_ieee(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32_ieee(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-        assert_ne!(crc32c(b"123456789"), crc32_ieee(b"123456789"));
     }
 
     /// Every length up to three pages and a bit, at every start offset
@@ -446,7 +417,7 @@ mod tests {
     /// length, and both sides of each kernel's split threshold. Hands
     /// `check` each start's buffer and the bytewise CRC of its every prefix
     /// (computed in one pass).
-    fn every_prefix(poly: u32, mut check: impl FnMut(usize, &[u8], &[u32])) {
+    fn every_prefix(mut check: impl FnMut(usize, &[u8], &[u32])) {
         const MAX: usize = 3 * 4096 + 72;
         let buf = random_bytes(0x9E37_79B9_7F4A_7C15, MAX + 8);
         for start in 0..8 {
@@ -457,18 +428,18 @@ mod tests {
             for &b in data {
                 state ^= u32::from(b);
                 for _ in 0..8 {
-                    state = if state & 1 != 0 { (state >> 1) ^ poly } else { state >> 1 };
+                    state = if state & 1 != 0 { (state >> 1) ^ CASTAGNOLI } else { state >> 1 };
                 }
                 want.push(!state);
             }
-            assert_eq!(want[MAX], bytewise(poly, data));
+            assert_eq!(want[MAX], bytewise(CASTAGNOLI, data));
             check(start, data, &want);
         }
     }
 
     #[test]
     fn castagnoli_kernels_match_the_bytewise_reference_at_every_length_and_alignment() {
-        every_prefix(CASTAGNOLI, |start, data, want| {
+        every_prefix(|start, data, want| {
             castagnoli_kernels(|kernel, crc, _| {
                 for (len, &want) in want.iter().enumerate() {
                     assert_eq!(crc(&data[..len]), want, "{kernel} start {start} len {len}");
@@ -477,20 +448,19 @@ mod tests {
         });
     }
 
-    /// The public entry points: IEEE (one kernel) at every prefix, both
-    /// polynomials on long random buffers.
+    /// The public entry point, whichever kernel it picks: every prefix,
+    /// then long random buffers.
     #[test]
     fn matches_the_bytewise_reference_at_every_length_and_alignment() {
-        every_prefix(IEEE, |start, data, want| {
+        every_prefix(|start, data, want| {
             for (len, &want) in want.iter().enumerate() {
-                assert_eq!(crc32_ieee(&data[..len]), want, "start {start} len {len}");
+                assert_eq!(crc32c(&data[..len]), want, "start {start} len {len}");
             }
         });
         for round in 0..8u64 {
             let len = (round as usize * 8191 + 3) % (64 * 1024 + 1);
             let s = &random_bytes(round + 1, len)[..];
             assert_eq!(crc32c(s), bytewise(CASTAGNOLI, s), "crc32c len {len}");
-            assert_eq!(crc32_ieee(s), bytewise(IEEE, s), "ieee len {len}");
         }
     }
 
@@ -542,20 +512,19 @@ mod tests {
     fn zeros_operator_is_the_crc_of_zero_bytes() {
         // Moving a CRC past `len` bytes is what `len` zero bytes do to the
         // raw state: compare against streaming the zeros.
-        for poly in [&CRC32C, &CRC32_IEEE] {
-            for len in [0usize, 1, 2, 3, 7, 8, 100, 1024, 4095, 65_537] {
-                let op = poly.zeros(len);
-                for state in [1u32, 0xDEAD_BEEF, !0] {
-                    let zeros = vec![0u8; len];
-                    assert_eq!(poly.multiply(op, state), poly.stream(state, &zeros), "len {len}");
-                }
+        let poly = &CRC32C;
+        for len in [0usize, 1, 2, 3, 7, 8, 100, 1024, 4095, 65_537] {
+            let op = poly.zeros(len);
+            for state in [1u32, 0xDEAD_BEEF, !0] {
+                let zeros = vec![0u8; len];
+                assert_eq!(poly.multiply(op, state), poly.stream(state, &zeros), "len {len}");
             }
-            // The table is a chain of squares, so its last entry is
-            // x^(8·2^63) however the order of x divides it.
-            for j in 1..64 {
-                let prev = poly.byte_zeros[j - 1];
-                assert_eq!(poly.byte_zeros[j], poly.multiply(prev, prev));
-            }
+        }
+        // The table is a chain of squares, so its last entry is
+        // x^(8·2^63) however the order of x divides it.
+        for j in 1..64 {
+            let prev = poly.byte_zeros[j - 1];
+            assert_eq!(poly.byte_zeros[j], poly.multiply(prev, prev));
         }
     }
 
@@ -571,17 +540,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// `crc(a‖b) = shift(crc(a), |b|) ⊕ crc(b)` for both polynomials,
-        /// split anywhere, empty halves included.
+        /// `crc(a‖b) = shift(crc(a), |b|) ⊕ crc(b)`, split anywhere, empty
+        /// halves included.
         #[test]
         fn combine_stitches_any_split((data, at) in arb_split()) {
             let (a, b) = data.split_at(at);
-            for (poly, reference) in [(&CRC32C, CASTAGNOLI), (&CRC32_IEEE, IEEE)] {
-                let (ca, cb) = (checksum(poly, a), checksum(poly, b));
-                let joined = poly.multiply(poly.zeros(b.len()), ca) ^ cb;
-                prop_assert_eq!(joined, bytewise(reference, &data));
-                prop_assert_eq!(checksum(poly, &data), joined);
-            }
+            let poly = &CRC32C;
+            let (ca, cb) = (checksum(poly, a), checksum(poly, b));
+            let joined = poly.multiply(poly.zeros(b.len()), ca) ^ cb;
+            prop_assert_eq!(joined, bytewise(CASTAGNOLI, &data));
+            prop_assert_eq!(checksum(poly, &data), joined);
         }
     }
 }

@@ -967,11 +967,11 @@ fn handle_request(shared: &Shared, request: Request, bulk: &[u8]) -> Reply {
                 }
                 let mut store = lock(&slot.store);
                 // A flush makes the store durable, so the journaled intents
-                // covering it are redundant: checkpoint (flush + truncate),
-                // then persist the checksum sidecar the durable bytes match.
+                // covering it are redundant: checkpoint (store flush, then a
+                // new journal generation), then persist the checksum
+                // sidecar the durable bytes match.
                 match lock(&slot.journal)
                     .checkpoint(&mut store)
-                    .and_then(|()| store.flush())
                     .and_then(|()| lock(&slot.sums).flush())
                 {
                     Ok(()) => {

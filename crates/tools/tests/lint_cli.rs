@@ -172,6 +172,7 @@ fn source_mode_runs_clean_over_the_repo_hot_paths() {
         "net/src/reactor/sys.rs",
         "clusterfile/src/journal.rs",
         "clusterfile/src/checksum.rs",
+        "clusterfile/src/storage.rs",
         "core/src/crc.rs",
         "audit/src/checks.rs",
         "falls/src/tiling.rs",
