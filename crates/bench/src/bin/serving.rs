@@ -1,30 +1,25 @@
-//! Serving-tier benchmark: warm-start, pooled sessions, tenant fairness.
+//! Serving-tier benchmark: pooled sessions and tenant fairness.
 //!
-//! Three phases, one JSON report (`bench_results/serving.json`):
+//! Two phases, one JSON report (`bench_results/serving.json`):
 //!
-//! 1. **Warm start** — a "fresh process" (new [`PlanEngine`] backed by the
-//!    on-disk plan cache) compiles a view-set workload cold, then a second
-//!    fresh engine on the same cache file repeats it warm. The speedup is
-//!    the restart win the persistent tier buys; CI gates it at ≥5×.
-//! 2. **Session pool** — the same create/view/write/read round is run by
+//! 1. **Session pool** — the same create/view/write/read round is run by
 //!    per-session (dedicated mux) connections and by pooled leases on one
 //!    shared driver, over thousands of logical sessions. Reported: startup
 //!    p50/p99 for both paths and whether the bytes are identical (they
 //!    must be — the pool changes socket ownership, never payloads).
-//! 3. **Fairness** — one reactor daemon, several tenants, one of them hot
+//! 2. **Fairness** — one reactor daemon, several tenants, one of them hot
 //!    (many more client threads). Per-tenant throughput is measured with
 //!    deficit-round-robin dispatch on and off; CI gates the fair max/min
 //!    ratio at ≤2× while the FIFO run demonstrates starvation.
 //!
 //! ```text
 //! cargo run -p pf-bench --release --bin serving \
-//!     [--sessions 1000] [--window-ms 400] [--hot 8]
+//!     [--sessions 1000] [--window-ms 400] [--hot 8] [--gate-fair R]
 //! ```
 
 use arraydist::matrix::MatrixLayout;
 use clusterfile::StorageBackend;
 use jsonlite::{obj, Json, ToJson};
-use parafile::PlanEngine;
 use parafile_net::session::{spawn_loopback, BatchWrite, Session};
 use parafile_net::{pool_stats, serve, DaemonConfig};
 use pf_bench::dump_json;
@@ -44,14 +39,12 @@ struct Args {
     sessions: usize,
     window_ms: u64,
     hot: usize,
-    /// Fail unless warm restart is at least this many times faster.
-    gate_warm: Option<f64>,
     /// Fail unless the DRR per-tenant max/min ratio is at most this.
     gate_fair: Option<f64>,
 }
 
 fn parse_args() -> Args {
-    let mut out = Args { sessions: 1000, window_ms: 400, hot: 8, gate_warm: None, gate_fair: None };
+    let mut out = Args { sessions: 1000, window_ms: 400, hot: 8, gate_fair: None };
     let args: Vec<String> = std::env::args().collect();
     let mut i = 1;
     while i < args.len() {
@@ -72,10 +65,6 @@ fn parse_args() -> Args {
             }
             "--hot" => {
                 out.hot = grab(i) as usize;
-                i += 2;
-            }
-            "--gate-warm" => {
-                out.gate_warm = Some(grab(i) as f64);
                 i += 2;
             }
             "--gate-fair" => {
@@ -100,67 +89,6 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------- phase 1
-
-/// Every logical×physical layout pair of the paper's 4-node machine at a
-/// few sizes — the view-set a serving daemon compiles on startup.
-fn compile_workload(engine: &PlanEngine) -> u64 {
-    let mut plans = 0u64;
-    for &n in &[128u64, 256, 512] {
-        for logical in MatrixLayout::all() {
-            for physical in MatrixLayout::all() {
-                let lp = logical.partition(n, n, 1, 4);
-                let pp = physical.partition(n, n, 1, 4);
-                for e in 0..4 {
-                    engine.compile_view(&lp, e, &pp).expect("view compiles");
-                    plans += 1;
-                }
-            }
-        }
-    }
-    plans
-}
-
-fn warm_start_phase() -> (Json, f64) {
-    let path =
-        std::env::temp_dir().join(format!("pf-serving-bench-{}.plancache", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-
-    // Cold: a fresh process with an empty cache file compiles everything.
-    let cold_engine = PlanEngine::with_persist(path.clone());
-    let t = Instant::now();
-    let plans = compile_workload(&cold_engine);
-    let cold_us = t.elapsed().as_secs_f64() * 1e6;
-    drop(cold_engine);
-
-    // Warm: a restarted process re-opens the same file; its in-memory LRU
-    // is empty, so every plan below is served by the persisted tier.
-    let warm_engine = PlanEngine::with_persist(path.clone());
-    let t = Instant::now();
-    compile_workload(&warm_engine);
-    let warm_us = t.elapsed().as_secs_f64() * 1e6;
-    let stats = warm_engine.persist_stats().expect("persist tier present");
-    let _ = std::fs::remove_file(&path);
-
-    let speedup = cold_us / warm_us.max(1.0);
-    println!(
-        "warm start: {plans} plans, cold {:.0} µs, warm {:.0} µs, speedup {speedup:.1}×",
-        cold_us, warm_us
-    );
-    let row = obj![
-        ("plans", plans),
-        ("cold_us", cold_us),
-        ("warm_us", warm_us),
-        ("speedup", speedup),
-        ("persist_entries", stats.entries),
-        ("persist_bytes", stats.bytes),
-        ("persist_hits", stats.hits),
-        ("persist_misses", stats.misses),
-        ("persist_load_failures", stats.load_failures)
-    ];
-    (row, speedup)
-}
-
-// ---------------------------------------------------------------- phase 2
 
 /// One logical session's whole life: connect, create a small file, set a
 /// view, write it, read it back. Returns (latency µs, bytes read).
@@ -234,7 +162,7 @@ fn pool_phase(sessions: usize) -> Json {
     row
 }
 
-// ---------------------------------------------------------------- phase 3
+// ---------------------------------------------------------------- phase 2
 
 /// Runs the hot-neighbor workload against one reactor daemon and returns
 /// completed writes per tenant. `fair` toggles DRR dispatch.
@@ -324,19 +252,11 @@ fn main() {
         "serving tier: {} sessions, {} ms fairness window, {} hot clients\n",
         args.sessions, args.window_ms, args.hot
     );
-    let (warm_start, speedup) = warm_start_phase();
     let pool = pool_phase(args.sessions);
     let (fairness, fair_ratio) = fairness_phase(Duration::from_millis(args.window_ms), args.hot);
-    let report = obj![("warm_start", warm_start), ("pool", pool), ("fairness", fairness)];
+    let report = obj![("pool", pool), ("fairness", fairness)];
     let path = dump_json("serving", &report).expect("write bench_results/serving.json");
     println!("\nwrote {}", path.display());
-    if let Some(gate) = args.gate_warm {
-        assert!(
-            speedup >= gate,
-            "GATE: warm restart speedup {speedup:.1}× is below the required {gate:.1}×"
-        );
-        println!("gate ok: warm restart {speedup:.1}× ≥ {gate:.1}×");
-    }
     if let Some(gate) = args.gate_fair {
         assert!(
             fair_ratio <= gate,

@@ -82,8 +82,7 @@ pub fn dump_json<T: ToJson>(name: &str, value: &T) -> std::io::Result<PathBuf> {
 }
 
 /// The directory bench results are persisted into.
-#[must_use]
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench → workspace root is two levels up.
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();

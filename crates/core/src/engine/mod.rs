@@ -2,9 +2,10 @@
 //!
 //! Every consumer of view plans and redistribution plans — the simulated
 //! Clusterfile, collective writes, on-the-fly relayout, and the networked
-//! `Session` — compiles through this single layer. Patterns are reduced to
-//! canonical form and fingerprinted (see [`falls::fingerprint_set`]); the
-//! fingerprints key a bounded, sharded LRU cache of [`CompiledView`] /
+//! `Session` — compiles through this single layer. Every pattern carries the
+//! fingerprint of its canonical form, computed once when it is built (see
+//! [`PartitionPattern::fingerprint`](crate::PartitionPattern::fingerprint));
+//! the fingerprints key a bounded, sharded LRU cache of [`CompiledView`] /
 //! [`CompiledPlan`] values shared via `Arc`, so re-setting a view over a
 //! `(view pattern, physical pattern)` pair that was seen before costs a
 //! hash lookup and a pointer clone instead of a full intersection +
@@ -18,34 +19,24 @@
 
 mod cache;
 mod compiled;
-mod persist;
 
 pub use cache::CacheStats;
 pub use compiled::{CompiledPlan, CompiledView, PairMeta, SegmentReplay};
-pub use persist::PersistStats;
 
 use crate::model::Partition;
 use crate::plan::RedistributionPlan;
 use crate::redist::ViewPlan;
 use crate::Error;
-use falls::{fingerprint_set, StructuralHasher};
-use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-/// Stable 64-bit structural fingerprint of a partition's pattern: element
-/// count and each element's canonical nested-FALLS fingerprint, in element
-/// order. The displacement is *not* mixed in — cache keys carry it
-/// separately, as the ISSUE's `(src_fingerprint, dst_fingerprint,
-/// displacements)` shape prescribes.
+/// Stable 64-bit structural fingerprint of a partition's pattern (see
+/// [`PartitionPattern::fingerprint`](crate::PartitionPattern::fingerprint)),
+/// read from the pattern rather than recomputed. The displacement is *not*
+/// mixed in: cache keys carry both displacements beside the two
+/// fingerprints.
 #[must_use]
 pub fn fingerprint_pattern(partition: &Partition) -> u64 {
-    let mut h = StructuralHasher::new();
-    let elements = partition.pattern().elements();
-    h.write_u64(elements.len() as u64);
-    for set in elements {
-        h.write_u64(fingerprint_set(set));
-    }
-    h.finish()
+    partition.pattern().fingerprint()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,39 +107,22 @@ const CAPACITY_PER_SHARD: usize = 16;
 pub struct PlanEngine {
     views: cache::ShardedLru<ViewKey, CompiledView>,
     redists: cache::ShardedLru<RedistKey, CompiledPlan>,
-    /// Optional on-disk tier consulted on LRU misses (DESIGN.md §18).
-    persist: Option<persist::PlanStore>,
 }
 
 impl PlanEngine {
-    /// A fresh engine with empty caches (8 shards × 16 entries per cache)
-    /// and no persistent tier.
+    /// A fresh engine with empty caches (8 shards × 16 entries per cache).
     #[must_use]
     pub fn new() -> Self {
         Self {
             views: cache::ShardedLru::new(SHARDS, CAPACITY_PER_SHARD),
             redists: cache::ShardedLru::new(SHARDS, CAPACITY_PER_SHARD),
-            persist: None,
         }
     }
 
-    /// A fresh engine whose misses consult — and whose compiles feed — the
-    /// on-disk plan cache at `path`. A missing file is a normal first run;
-    /// a corrupt or stale one degrades to cold compiles (never an error)
-    /// and counts a load failure in [`PersistStats`].
-    #[must_use]
-    pub fn with_persist(path: PathBuf) -> Self {
-        Self { persist: Some(persist::PlanStore::open(path)), ..Self::new() }
-    }
-
-    /// The process-wide shared engine. Set `PF_PLAN_CACHE=<path>` to back
-    /// it with the persistent tier so a fresh process starts warm.
+    /// The process-wide shared engine.
     pub fn global() -> &'static PlanEngine {
         static GLOBAL: OnceLock<PlanEngine> = OnceLock::new();
-        GLOBAL.get_or_init(|| match std::env::var_os("PF_PLAN_CACHE") {
-            Some(path) if !path.is_empty() => PlanEngine::with_persist(PathBuf::from(path)),
-            _ => PlanEngine::new(),
-        })
+        GLOBAL.get_or_init(PlanEngine::new)
     }
 
     /// Compiles (or recalls) the access plan of `element` of `view` against
@@ -170,15 +144,7 @@ impl PlanEngine {
         if let Some(hit) = self.views.get(&key) {
             return Ok(hit);
         }
-        if let Some(plan) = self.persist.as_ref().and_then(|s| s.get_view(&key)) {
-            let compiled = Arc::new(CompiledView::from_plan(plan));
-            self.views.insert(key, Arc::clone(&compiled));
-            return Ok(compiled);
-        }
         let plan = ViewPlan::compile(view, element, physical)?;
-        if let Some(store) = &self.persist {
-            store.put_view(&key, &plan);
-        }
         let compiled = Arc::new(CompiledView::from_plan(plan));
         self.views.insert(key, Arc::clone(&compiled));
         Ok(compiled)
@@ -201,15 +167,7 @@ impl PlanEngine {
         if let Some(hit) = self.redists.get(&key) {
             return Ok(hit);
         }
-        if let Some(plan) = self.persist.as_ref().and_then(|s| s.get_redist(&key)) {
-            let compiled = Arc::new(CompiledPlan::from_plan(plan));
-            self.redists.insert(key, Arc::clone(&compiled));
-            return Ok(compiled);
-        }
         let plan = RedistributionPlan::build(src, dst)?;
-        if let Some(store) = &self.persist {
-            store.put_redist(&key, &plan);
-        }
         let compiled = Arc::new(CompiledPlan::from_plan(plan));
         self.redists.insert(key, Arc::clone(&compiled));
         Ok(compiled)
@@ -219,28 +177,6 @@ impl PlanEngine {
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         EngineStats { views: self.views.stats(), redists: self.redists.stats() }
-    }
-
-    /// Counters of the persistent tier, or `None` when the engine runs
-    /// without one.
-    #[must_use]
-    pub fn persist_stats(&self) -> Option<PersistStats> {
-        self.persist.as_ref().map(persist::PlanStore::stats)
-    }
-
-    /// The persistent tier's backing file, when one is configured.
-    #[must_use]
-    pub fn persist_path(&self) -> Option<&std::path::Path> {
-        self.persist.as_ref().map(persist::PlanStore::path)
-    }
-
-    /// Drops every persisted entry and deletes the backing cache file.
-    /// No-op `Ok` when the engine has no persistent tier.
-    pub fn purge_persist(&self) -> std::io::Result<()> {
-        match &self.persist {
-            Some(store) => store.purge(),
-            None => Ok(()),
-        }
     }
 }
 

@@ -67,9 +67,7 @@ pub mod plan;
 pub mod redist;
 pub mod sg;
 
-pub use engine::{
-    CompiledPlan, CompiledView, EngineStats, PersistStats, PlanEngine, SegmentReplay,
-};
+pub use engine::{CompiledPlan, CompiledView, EngineStats, PlanEngine, SegmentReplay};
 pub use mapping::Mapper;
 pub use model::{Partition, PartitionPattern};
 pub use plan::RedistributionPlan;

@@ -2,7 +2,7 @@
 //! pattern.
 
 use crate::Error;
-use falls::{tiling, LineSegment, NestedSet, Offset};
+use falls::{fingerprint_set, tiling, LineSegment, NestedSet, Offset, StructuralHasher};
 use std::fmt;
 
 /// A partitioning pattern: the union of `p` sets of nested FALLS, each of
@@ -16,6 +16,8 @@ use std::fmt;
 pub struct PartitionPattern {
     elements: Vec<NestedSet>,
     size: u64,
+    /// Structural fingerprint of the elements; a pure function of them.
+    fingerprint: u64,
 }
 
 impl PartitionPattern {
@@ -52,7 +54,19 @@ impl PartitionPattern {
         if tiling::prove_tiling(families, total, tiling::WORK_BUDGET).is_none() {
             Self::enumerate_period(&elements, total)?;
         }
-        Ok(Self { elements, size: total })
+        let fingerprint = Self::fold_fingerprints(&elements);
+        Ok(Self { elements, size: total, fingerprint })
+    }
+
+    /// Element count, then each element's canonical nested-FALLS
+    /// fingerprint ([`falls::fingerprint_set`]) in element order.
+    fn fold_fingerprints(elements: &[NestedSet]) -> u64 {
+        let mut h = StructuralHasher::new();
+        h.write_u64(elements.len() as u64);
+        for set in elements {
+            h.write_u64(fingerprint_set(set));
+        }
+        h.finish()
     }
 
     /// The not-proven path of [`new`](Self::new): the union of all segments
@@ -99,6 +113,16 @@ impl PartitionPattern {
     #[must_use]
     pub fn size(&self) -> u64 {
         self.size
+    }
+
+    /// Stable 64-bit structural fingerprint, computed once at construction
+    /// over the canonical form of every element (patterns are immutable).
+    /// Patterns that differ only by canonical rewrites, such as a
+    /// [`wrap_outer`](falls::NestedFalls::wrap_outer) wrapper, fingerprint
+    /// equal; the value is the same in every process and run.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Index of the element owning byte `rel` of the pattern

@@ -110,21 +110,6 @@ impl RedistributionPlan {
         })
     }
 
-    /// Reassembles a plan from its stored parts (the persistent plan
-    /// cache's decode path). The parts must come from a plan this build
-    /// serialized; the decoder re-validates every FALLS tree on the way
-    /// in, so a corrupt image cannot reach here.
-    #[must_use]
-    pub(crate) fn from_parts(
-        displacement: u64,
-        period: u64,
-        pairs: Vec<PairPlan>,
-        src_elements: usize,
-        dst_elements: usize,
-    ) -> Self {
-        Self { displacement, period, pairs, src_elements, dst_elements }
-    }
-
     /// Number of source partition elements the plan expects buffers for.
     #[must_use]
     pub fn src_elements(&self) -> usize {

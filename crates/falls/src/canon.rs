@@ -11,8 +11,7 @@
 //!
 //! The fingerprint is a pure function of the canonical structure: it never
 //! reads addresses, never depends on allocation order, and is identical
-//! across processes and runs — so it can key an on-disk or cross-node plan
-//! cache as well as the in-process one.
+//! across processes and runs.
 
 use crate::nested::validate_siblings;
 #[cfg(test)]

@@ -181,14 +181,14 @@ proptest! {
 
     /// Every request frame type: encode, decode, get the same value back.
     #[test]
-    fn request_roundtrip_v4(req in arb_request()) {
+    fn requests_roundtrip(req in arb_request()) {
         let payload = req.encode_payload();
         prop_assert_eq!(Request::decode(req.opcode(), &payload), Ok(req));
     }
 
     /// Every reply frame type likewise.
     #[test]
-    fn reply_roundtrip_v4(reply in arb_reply()) {
+    fn replies_roundtrip(reply in arb_reply()) {
         let payload = reply.encode_payload();
         prop_assert_eq!(Reply::decode(reply.opcode(), &payload), Ok(reply));
     }
@@ -238,7 +238,7 @@ proptest! {
     /// round-trips alongside the request; the no-deadline encoding is the
     /// same bytes with the budget zeroed.
     #[test]
-    fn request_deadline_roundtrips_at_v5(req in arb_request(), deadline in any::<u32>()) {
+    fn request_deadline_roundtrips(req in arb_request(), deadline in any::<u32>()) {
         let mut stamped = Vec::new();
         req.encode_payload_deadline_into(deadline, &mut stamped);
         prop_assert_eq!(
@@ -254,7 +254,7 @@ proptest! {
     /// inside the body — never panics and never yields the original
     /// `(request, deadline)` pair back.
     #[test]
-    fn truncated_v5_requests_never_roundtrip(
+    fn truncated_deadline_requests_never_roundtrip(
         req in arb_request(),
         deadline in any::<u32>(),
         cut_seed in any::<u64>(),
@@ -271,7 +271,7 @@ proptest! {
     /// fixed four-byte payload, and are refused in a frame of any older
     /// version like every other reply.
     #[test]
-    fn shed_replies_are_v5_only(reply in arb_shed_reply(), version in 1u8..PROTOCOL_VERSION) {
+    fn shed_replies_refuse_other_versions(reply in arb_shed_reply(), version in 1u8..PROTOCOL_VERSION) {
         let payload = reply.encode_payload();
         prop_assert_eq!(payload.len(), 4);
         prop_assert_eq!(Reply::decode(reply.opcode(), &payload), Ok(reply.clone()));

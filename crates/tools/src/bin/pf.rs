@@ -8,8 +8,7 @@
 //! pf owner   <part.json> <offset>        # which element owns a file byte
 //! pf intersect <a.json> <ea> <b.json> <eb>   # intersection + projections
 //! pf plan    <a.json> <b.json> [--stats] # plan summary (+ cache counters)
-//! pf plan --stats                        # cache counters only (incl. persistent tier)
-//! pf plan --purge                        # drop the persistent plan-cache file
+//! pf plan --stats                        # cache counters only
 //! pf serve   <addr> [--dir DIR] [--chaos SPEC] [--scrub SECS] [--workers N] [--tenant-quota N] [--no-fair]  # run an I/O-node daemon (N-thread worker pool, default 2)
 //! pf chaos   <listen> <up1[,up2,…]> <SPEC> [--duration SECS] [--delay MS]  # fault proxy
 //! pf io <a1,a2,…> demo <n> [--pipeline] [--replicas R] [--tenant T]  # matrix scenario over real daemons
@@ -39,13 +38,6 @@
 //! mismatches in `stat` (`checksum_errors`), so a `pf scrub` sweep from
 //! any client can find and repair them. `pf scrub --verify` probes and
 //! votes without repairing (exit 5 when redundancy is degraded).
-//!
-//! Set `PF_PLAN_CACHE=<path>` to back the plan cache with a persistent
-//! on-disk tier: compiled view plans survive the process, so a restarted
-//! `pf` (or daemon) starts warm. `pf plan --stats` reports the tier's
-//! entries/bytes and hit/miss/load-failure counters; `pf plan --purge`
-//! deletes the file. Corrupt or version-stale cache files silently degrade
-//! to cold compiles — never an error.
 //!
 //! `pf io … --tenant T` stamps every `Open` with tenant id `T` (protocol
 //! ≥ 6). `pf serve` dispatches queued frames per-tenant with deficit
@@ -117,8 +109,7 @@ fn split_replicas_flag(args: &[String]) -> Result<(Vec<&String>, usize, u32), To
     Ok((rest, replicas, tenant))
 }
 
-/// `pf plan --stats`: in-memory LRU counters plus, when `PF_PLAN_CACHE`
-/// is set, the persistent tier's size and hit/miss/load-failure counters.
+/// `pf plan --stats`: the plan cache's hit/miss/eviction counters.
 fn print_plan_stats(engine: &PlanEngine) {
     let stats = engine.stats();
     println!(
@@ -133,19 +124,6 @@ fn print_plan_stats(engine: &PlanEngine) {
         stats.redists.evictions,
         stats.redists.entries
     );
-    match (engine.persist_stats(), engine.persist_path()) {
-        (Some(p), Some(path)) => println!(
-            "persistent tier ({}): {} entries, {} bytes, {} hit / {} miss, \
-             {} load failure(s)",
-            path.display(),
-            p.entries,
-            p.bytes,
-            p.hits,
-            p.misses,
-            p.load_failures
-        ),
-        _ => println!("persistent tier: disabled (set PF_PLAN_CACHE=<path> to enable)"),
-    }
 }
 
 fn parse_elem(s: &str, part: &parafile::Partition) -> Result<usize, ToolError> {
@@ -240,25 +218,9 @@ fn run(args: &[String]) -> Result<(), ToolError> {
         }
         "plan" => {
             let show_stats = args.iter().any(|a| a == "--stats");
-            let purge = args.iter().any(|a| a == "--purge");
             let positional: Vec<&String> =
                 args[1..].iter().filter(|a| !a.starts_with("--")).collect();
             let engine = PlanEngine::global();
-            if purge {
-                match engine.persist_path() {
-                    Some(path) => {
-                        let shown = path.display().to_string();
-                        engine
-                            .purge_persist()
-                            .map_err(|e| ToolError::Spec(format!("purge failed: {e}")))?;
-                        println!("purged persistent plan cache at {shown}");
-                    }
-                    None => println!("no persistent plan cache configured (set PF_PLAN_CACHE)"),
-                }
-                if positional.is_empty() {
-                    return Ok(());
-                }
-            }
             if positional.is_empty() && show_stats {
                 // Counters-only mode: no partitions to plan, just report.
                 print_plan_stats(engine);
