@@ -68,9 +68,10 @@ pub struct SourceConfig {
 
 impl SourceConfig {
     /// The workspace's canonical configuration: the daemon/session
-    /// request paths, the receive buffer that splits untrusted socket
-    /// bytes into frames and the codec that decodes them, the write-ahead
-    /// journal, the replication layer
+    /// request paths with their deadline, retry-budget and breaker state,
+    /// the receive buffer that splits untrusted socket bytes into frames
+    /// and the codec that decodes them, the write-ahead journal, the
+    /// replication layer
     /// (replica placement math, per-segment checksum map), the pattern
     /// audit with its tiling verifier (run on untrusted bytes in every
     /// `SetView`), and the projection walk (run on wire bounds in every
@@ -90,6 +91,7 @@ impl SourceConfig {
                 "net/src/proto.rs",
                 "net/src/wire.rs",
                 "net/src/wire/framebuf.rs",
+                "net/src/resilience.rs",
                 "clusterfile/src/journal.rs",
                 "clusterfile/src/checksum.rs",
                 "clusterfile/src/storage.rs",
@@ -111,6 +113,26 @@ impl SourceConfig {
             ]),
             unsafe_files: own(&["net/src/reactor/sys.rs", "core/src/crc.rs"]),
         }
+    }
+
+    /// Every file some list names, sorted and deduplicated: the set a
+    /// `--source` run over the workspace lints.
+    #[must_use]
+    pub fn files(&self) -> Vec<String> {
+        let mut all: Vec<String> = [
+            &self.hot_paths,
+            &self.bounded_only,
+            &self.must_use_files,
+            &self.reactor_files,
+            &self.unsafe_files,
+        ]
+        .into_iter()
+        .flatten()
+        .cloned()
+        .collect();
+        all.sort();
+        all.dedup();
+        all
     }
 
     fn applies(list: &[String], path: &str) -> bool {

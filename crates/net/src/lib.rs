@@ -28,7 +28,6 @@ pub mod backoff;
 pub mod error;
 pub mod fault;
 pub mod mux;
-pub mod pool;
 pub mod proto;
 pub mod reactor;
 pub mod resilience;
@@ -42,7 +41,6 @@ pub use fault::{
     chaos_proxy, ChaosOutcome, ChaosProxyHandle, FaultInjector, FaultPlan, TruncateFault,
 };
 pub use mux::{Mux, RetryPolicy, CHUNK_WINDOW};
-pub use pool::{evict_idle, pool_stats, MuxHandle};
 pub use proto::{ChunkHeader, ChunkPlan, ChunkSender, ProtoViolation, WriteStream};
 pub use reactor::{Clock, ManualClock, MonotonicClock, Reactor, TimerId, TimerWheel};
 pub use resilience::{

@@ -5,7 +5,7 @@
 //! pipelined — many in flight per connection, replies matched FIFO by
 //! request id — and all timing (retry backoff, shed hints, response
 //! timeouts) runs on the reactor's [`TimerWheel`] (DESIGN.md §17). A
-//! session, or a whole pool of them, is exactly one connection per node.
+//! session is exactly one connection per node.
 //!
 //! # The per-request ladder
 //!
@@ -121,13 +121,6 @@ struct Job {
     node: usize,
     request: Request,
     tx: SyncSender<Result<Reply, NetError>>,
-    /// Per-job deadline override ([`Mux::submit_with`]); `None` follows
-    /// the mux-wide deadline set by [`Mux::set_deadline`].
-    deadline: Option<Deadline>,
-    /// Per-job retry budget override; `None` spends from the budget the
-    /// mux was built with. Lets many sessions share one driver while
-    /// keeping their retry economies isolated.
-    budget: Option<Arc<RetryBudget>>,
 }
 
 /// State shared between the session-facing handle and the driver thread.
@@ -235,29 +228,6 @@ impl Mux {
     /// terminal result will arrive on. Never blocks: in-flight depth is
     /// bounded by the daemon's admission control, not a client queue.
     pub fn submit(&self, node: usize, request: Request) -> Result<ReplySlot, NetError> {
-        self.submit_opt(node, request, None, None)
-    }
-
-    /// Like [`submit`](Self::submit), but with this job's own deadline
-    /// and retry budget — the shared-pool path, where many sessions ride
-    /// one driver and each must keep its own resilience envelope.
-    pub fn submit_with(
-        &self,
-        node: usize,
-        request: Request,
-        deadline: Deadline,
-        budget: Arc<RetryBudget>,
-    ) -> Result<ReplySlot, NetError> {
-        self.submit_opt(node, request, Some(deadline), Some(budget))
-    }
-
-    fn submit_opt(
-        &self,
-        node: usize,
-        request: Request,
-        deadline: Option<Deadline>,
-        budget: Option<Arc<RetryBudget>>,
-    ) -> Result<ReplySlot, NetError> {
         if self.shared.dead.load(Ordering::SeqCst) || self.shared.stopping.load(Ordering::SeqCst) {
             return Err(mux_lost(node));
         }
@@ -265,7 +235,7 @@ impl Mux {
             return Err(NetError::Usage(format!("node {node} out of range")));
         }
         let (tx, rx) = mpsc::sync_channel(1);
-        self.shared.lock().jobs.push_back(Job { node, request, tx, deadline, budget });
+        self.shared.lock().jobs.push_back(Job { node, request, tx });
         self.shared.wake();
         Ok(rx)
     }
@@ -282,8 +252,11 @@ impl Mux {
         self.shared.kill_next.len()
     }
 
-    /// Propagates the session deadline: vetoes future (re)sends and
-    /// clamps in-flight response timeouts.
+    /// Sets the one deadline every request of this mux follows, from the
+    /// driver's next turn on: a queued request or retry that would start
+    /// after it fails with `DeadlineExceeded`, every frame sent carries
+    /// it, and every response timer or backoff armed from then on is
+    /// clamped to it.
     pub fn set_deadline(&self, deadline: Deadline) {
         self.shared.lock().deadline = deadline;
         self.shared.wake();
@@ -304,12 +277,6 @@ impl Mux {
         if let Some(flag) = self.shared.kill_next.get(node) {
             flag.store(true, Ordering::SeqCst);
         }
-    }
-
-    /// Whether the driver thread is still alive.
-    #[must_use]
-    pub fn alive(&self) -> bool {
-        !self.shared.dead.load(Ordering::SeqCst)
     }
 }
 
@@ -354,10 +321,6 @@ struct Pending {
     backoff: Backoff,
     sent_id: u64,
     expire: Option<TimerId>,
-    /// This request's own deadline; `None` follows the mux-wide one.
-    deadline: Option<Deadline>,
-    /// This request's own retry budget; `None` spends the mux-wide one.
-    budget: Option<Arc<RetryBudget>>,
 }
 
 impl Pending {
@@ -371,15 +334,8 @@ impl Pending {
     }
 
     /// An internal frame (probe / resume / chunk): no slot, no retries of
-    /// its own — failures are charged to the request it serves, whose
-    /// deadline and budget it inherits.
-    fn internal(
-        serial: u64,
-        kind: Kind,
-        backoff: Backoff,
-        deadline: Option<Deadline>,
-        budget: Option<Arc<RetryBudget>>,
-    ) -> Self {
+    /// its own — failures are charged to the request it serves.
+    fn internal(serial: u64, kind: Kind, backoff: Backoff) -> Self {
         Pending {
             serial,
             tx: None,
@@ -389,8 +345,6 @@ impl Pending {
             backoff,
             sent_id: 0,
             expire: None,
-            deadline,
-            budget,
         }
     }
 }
@@ -594,16 +548,6 @@ impl Driver {
         self.serial
     }
 
-    /// The deadline governing `p`: its own, or the mux-wide default.
-    fn deadline_of(&self, p: &Pending) -> Deadline {
-        p.deadline.unwrap_or(self.deadline)
-    }
-
-    /// The retry budget `p` spends from: its own, or the mux-wide one.
-    fn budget_of<'a>(&'a self, p: &'a Pending) -> &'a RetryBudget {
-        p.budget.as_deref().unwrap_or(&self.shared.budget)
-    }
-
     /// Drains the control queues: new jobs, connect results, resets, and
     /// the current deadline snapshot.
     fn intake(&mut self) {
@@ -647,8 +591,6 @@ impl Driver {
                 backoff,
                 sent_id: 0,
                 expire: None,
-                deadline: job.deadline,
-                budget: job.budget,
             });
             self.pump(n);
         }
@@ -668,7 +610,7 @@ impl Driver {
                     }
                 } else if node.queue.is_empty() {
                     Act::Done
-                } else if self.deadline_of(&node.queue[0]).expired() {
+                } else if self.deadline.expired() {
                     Act::DropExpiredHead
                 } else {
                     match node.conn {
@@ -715,13 +657,7 @@ impl Driver {
                 Act::Probe => {
                     let serial = self.next_serial();
                     let backoff = self.policy.backoff(self.nodes[n].seed ^ serial);
-                    // The probe runs on behalf of the queue head; it
-                    // inherits that request's resilience envelope.
-                    let (dl, bg) = {
-                        let head = &self.nodes[n].queue[0];
-                        (head.deadline, head.budget.clone())
-                    };
-                    let p = Pending::internal(serial, Kind::Probe, backoff, dl, bg);
+                    let p = Pending::internal(serial, Kind::Probe, backoff);
                     self.nodes[n].probe_inflight = true;
                     self.send_frame(n, p, &Request::Ping);
                     break; // the queue stalls until the probe resolves
@@ -734,7 +670,7 @@ impl Driver {
                 Act::SendHead => {
                     let p = self.nodes[n].queue.pop_front().expect("pump saw a head");
                     if let Some(request) = p.request() {
-                        let sent = self.encode_frame(n, &p, request.opcode(), |d, out| {
+                        let sent = self.encode_frame(n, request.opcode(), |d, out| {
                             request.append_payload(d, out);
                         });
                         self.track(n, p, sent);
@@ -749,17 +685,11 @@ impl Driver {
         self.flush_node(n);
     }
 
-    /// Encodes one frame for `p` in place into the node's write buffer —
+    /// Encodes one frame in place into the node's write buffer —
     /// `body(deadline_ms, out)` appends its payload — and returns the
     /// request id it went out under.
-    fn encode_frame(
-        &mut self,
-        n: usize,
-        p: &Pending,
-        opcode: u8,
-        body: impl FnOnce(u32, &mut Vec<u8>),
-    ) -> u64 {
-        let deadline_ms = self.deadline_of(p).wire_ms();
+    fn encode_frame(&mut self, n: usize, opcode: u8, body: impl FnOnce(u32, &mut Vec<u8>)) -> u64 {
+        let deadline_ms = self.deadline.wire_ms();
         let node = &mut self.nodes[n];
         let id = node.next_id;
         node.next_id += 1;
@@ -770,8 +700,7 @@ impl Driver {
     /// Arms the response timer of `p`, just encoded as `sent`, and moves
     /// it to the in-flight queue.
     fn track(&mut self, n: usize, mut p: Pending, sent_id: u64) {
-        let deadline = self.deadline_of(&p);
-        let expire_at = self.clock.now_ms() + dur_ms(deadline.clamp_timeout(RESPONSE_TIMEOUT));
+        let expire_at = self.clock.now_ms() + dur_ms(self.deadline.clamp_timeout(RESPONSE_TIMEOUT));
         let tid = self.wheel.schedule(expire_at, Timed::Expire { node: n, serial: p.serial });
         p.sent_id = sent_id;
         p.expire = Some(tid);
@@ -781,7 +710,7 @@ impl Driver {
     /// [`encode_frame`](Self::encode_frame) + [`track`](Self::track) for an
     /// internal frame, whose small `request` lives outside its pending.
     fn send_frame(&mut self, n: usize, p: Pending, request: &Request) {
-        let sent = self.encode_frame(n, &p, request.opcode(), |d, out| {
+        let sent = self.encode_frame(n, request.opcode(), |d, out| {
             request.append_payload(d, out);
         });
         self.track(n, p, sent);
@@ -803,14 +732,13 @@ impl Driver {
         let want_resume = session != 0 && node.resume_candidate == Some((session, seq));
         let sender =
             if want_resume { None } else { Some(ChunkSender::new(n_chunks, CHUNK_WINDOW as u64)) };
-        let (dl, bg) = (p.deadline, p.budget.clone());
         self.nodes[n].stream =
             Some(StreamState { req: p, sender, skip: 0, chunk, total, n_chunks });
         if want_resume {
             let serial = self.next_serial();
             let backoff = self.policy.backoff(self.nodes[n].seed ^ serial);
             let rq = Request::ResumeQuery { file, session, seq };
-            self.send_frame(n, Pending::internal(serial, Kind::Resume, backoff, dl, bg), &rq);
+            self.send_frame(n, Pending::internal(serial, Kind::Resume, backoff), &rq);
         }
     }
 
@@ -845,9 +773,8 @@ impl Driver {
             let chunk = Lent { head, bulk };
             let serial = self.next_serial();
             let backoff = self.policy.backoff(self.nodes[n].seed ^ serial);
-            let (dl, bg) = (st.req.deadline, st.req.budget.clone());
-            let p = Pending::internal(serial, Kind::Chunk { last }, backoff, dl, bg);
-            let sent = self.encode_frame(n, &p, chunk.head.opcode(), |d, out| {
+            let p = Pending::internal(serial, Kind::Chunk { last }, backoff);
+            let sent = self.encode_frame(n, chunk.head.opcode(), |d, out| {
                 chunk.append_payload(d, out);
             });
             self.track(n, p, sent);
@@ -943,7 +870,7 @@ impl Driver {
             let _ = self.wheel.cancel(t);
         }
         p.attempt += 1;
-        if p.attempt >= p.attempts_max || !self.budget_of(&p).try_spend() {
+        if p.attempt >= p.attempts_max || !self.shared.budget.try_spend() {
             settle(
                 &mut self.wheel,
                 p,
@@ -1009,21 +936,19 @@ impl Driver {
     /// Parks the queue behind the head request's next backoff interval
     /// (no-op when already parked or empty) and arms the un-park timer.
     fn park_head(&mut self, n: usize) {
-        let (epoch, delay, head_deadline) = {
+        let (epoch, delay) = {
             let node = &mut self.nodes[n];
             if node.park.is_some() {
                 return;
             }
             let Some(head) = node.queue.front_mut() else { return };
             let delay = head.backoff.next_delay();
-            let head_deadline = head.deadline;
             let epoch = node.park_seq;
             node.park_seq += 1;
             node.park = Some(epoch);
-            (epoch, delay, head_deadline)
+            (epoch, delay)
         };
-        let deadline = head_deadline.unwrap_or(self.deadline);
-        let at = self.clock.now_ms() + dur_ms(deadline.clamp_timeout(delay));
+        let at = self.clock.now_ms() + dur_ms(self.deadline.clamp_timeout(delay));
         self.wheel.schedule(at, Timed::Resend { node: n, epoch });
     }
 
@@ -1233,7 +1158,7 @@ impl Driver {
             Reply::Busy { retry_after_ms } => self.retry_shed(n, p, retry_after_ms, false),
             Reply::Overloaded { retry_after_ms } => self.retry_shed(n, p, retry_after_ms, true),
             other => {
-                self.budget_of(&p).record_success();
+                self.shared.budget.record_success();
                 settle(&mut self.wheel, p, Ok(other));
             }
         }
@@ -1244,11 +1169,10 @@ impl Driver {
     /// also drops the connection (the daemon is about to).
     fn retry_shed(&mut self, n: usize, mut p: Pending, hint_ms: u32, reconnect: bool) {
         p.attempt += 1;
-        if p.attempt >= p.attempts_max || !self.budget_of(&p).try_spend() {
+        if p.attempt >= p.attempts_max || !self.shared.budget.try_spend() {
             settle(&mut self.wheel, p, Err(NetError::Busy { retry_after_ms: hint_ms }));
         } else {
-            let wait =
-                self.deadline_of(&p).clamp_timeout(Duration::from_millis(u64::from(hint_ms)));
+            let wait = self.deadline.clamp_timeout(Duration::from_millis(u64::from(hint_ms)));
             self.park_with(n, p, wait);
         }
         if reconnect {
@@ -1326,7 +1250,7 @@ impl Driver {
                         self.nodes[n].resume_candidate = None;
                     }
                 }
-                self.budget_of(&st.req).record_success();
+                self.shared.budget.record_success();
                 settle(&mut self.wheel, st.req, Ok(reply));
                 self.pump(n);
             }

@@ -112,19 +112,15 @@ pub struct DaemonConfig {
     /// Size of the worker pool executing decoded frames behind the event
     /// loop (DESIGN.md §17): thousands of concurrent connections cost
     /// `workers + 1` threads. `0` is clamped to 1; the default is
-    /// [`DEFAULT_WORKERS`].
+    /// [`DEFAULT_WORKERS`]. Workers take connections from one
+    /// deficit-round-robin queue, so each tenant gets an equal service
+    /// quantum per round whatever its connection count (DESIGN.md §18).
     pub workers: usize,
     /// In-flight requests one tenant (the `Open` tenant id) may
     /// hold across all of its connections before further ones are shed
     /// with `Busy`, so one tenant cannot starve the rest of the daemon's
     /// admission slots. `0` = no cap.
     pub tenant_inflight: usize,
-    /// Deficit-round-robin fair queueing between tenants in the worker
-    /// pool (DESIGN.md §18): each tenant's queued connections get
-    /// an equal service quantum per round, whatever its connection count.
-    /// `false` falls back to a single FIFO, where an aggressive tenant
-    /// with many connections proportionally starves the quiet ones.
-    pub fair: bool,
 }
 
 impl Default for DaemonConfig {
@@ -143,7 +139,6 @@ impl Default for DaemonConfig {
             journal_watermark: None,
             workers: DEFAULT_WORKERS,
             tenant_inflight: 0,
-            fair: true,
         }
     }
 }

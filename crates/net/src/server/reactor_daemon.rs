@@ -216,11 +216,8 @@ impl<T> Drr<T> {
 }
 
 struct JobQ {
-    /// Fair mode: per-tenant deficit-round-robin dispatch.
-    drr: Option<Drr<Arc<Conn>>>,
-    /// Unfair mode: one FIFO across every connection (an aggressive
-    /// tenant's connection count buys it proportional service).
-    fifo: VecDeque<Arc<Conn>>,
+    /// Per-tenant deficit-round-robin dispatch.
+    drr: Drr<Arc<Conn>>,
     stopping: bool,
 }
 
@@ -231,13 +228,9 @@ struct Pool {
 }
 
 impl Pool {
-    fn new(fair: bool) -> Self {
+    fn new() -> Self {
         Self {
-            jobs: Mutex::new(JobQ {
-                drr: fair.then(|| Drr::new(WORKER_BURST as u64)),
-                fifo: VecDeque::new(),
-                stopping: false,
-            }),
+            jobs: Mutex::new(JobQ { drr: Drr::new(WORKER_BURST as u64), stopping: false }),
             cv: Condvar::new(),
         }
     }
@@ -246,23 +239,14 @@ impl Pool {
     /// queued at enqueue time (the DRR service charge — a connection
     /// carrying a fat burst spends its tenant's credit faster).
     fn push(&self, conn: Arc<Conn>, cost: u64) {
-        let mut jobs = lock(&self.jobs);
-        match &mut jobs.drr {
-            Some(drr) => drr.push(conn.tenant.load(Ordering::Relaxed), conn, cost),
-            None => jobs.fifo.push_back(conn),
-        }
-        drop(jobs);
+        lock(&self.jobs).drr.push(conn.tenant.load(Ordering::Relaxed), conn, cost);
         self.cv.notify_one();
     }
 
     fn next_job(&self) -> Option<Arc<Conn>> {
         let mut jobs = lock(&self.jobs);
         loop {
-            let popped = match &mut jobs.drr {
-                Some(drr) => drr.pop(),
-                None => jobs.fifo.pop_front(),
-            };
-            if let Some(c) = popped {
+            if let Some(c) = jobs.drr.pop() {
                 return Some(c);
             }
             if jobs.stopping {
@@ -303,7 +287,7 @@ pub(super) fn run(listener: NetListener, reactor: Reactor, shared: &Arc<Shared>)
         rearm: Mutex::new(Vec::new()),
         flush: Mutex::new(Vec::new()),
     });
-    let pool = Arc::new(Pool::new(shared.config.fair));
+    let pool = Arc::new(Pool::new());
     let mut worker_handles = Vec::new();
     for i in 0..shared.config.workers.max(1) {
         let shared = Arc::clone(shared);

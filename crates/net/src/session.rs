@@ -96,8 +96,7 @@ const HEDGE_CEILING: Duration = Duration::from_millis(250);
 /// Poll step while racing a primary read against its hedge.
 const HEDGE_POLL: Duration = Duration::from_micros(200);
 
-use crate::mux::{mux_lost, ReplySlot};
-use crate::pool::MuxHandle;
+use crate::mux::{mux_lost, Mux, ReplySlot};
 
 /// Demands a plain `Ok` reply.
 fn expect_ok(reply: Reply) -> Result<(), NetError> {
@@ -235,13 +234,10 @@ impl RedistReport {
 /// alike — travels through one reactor-driven [`crate::mux::Mux`]: a single
 /// thread owns the session's one connection per node, keeps many requests
 /// in flight per connection (replies matched FIFO by request id) and runs
-/// all retry/backoff/shed timing on a timer wheel. With
-/// [`connect_pooled`](Session::connect_pooled) the driver is a lease on the
-/// process-wide [`crate::pool`] instead of a private thread.
+/// all retry/backoff/shed timing on a timer wheel.
 pub struct Session {
-    /// The session's only transport — private driver or pooled lease,
-    /// depending on the constructor.
-    mux: MuxHandle,
+    /// The session's only transport, owned by it and joined on drop.
+    mux: Mux,
     files: HashMap<u64, FileState>,
     /// This session's retry-stamp namespace (nonzero; 0 is the unstamped
     /// wire sentinel).
@@ -362,18 +358,7 @@ impl Session {
     /// `unix:/path`); address order defines subfile order.
     #[must_use]
     pub fn connect(addrs: &[String]) -> Self {
-        Self::with_map(addrs, ReplicaMap::unreplicated(addrs.len()), false)
-    }
-
-    /// Like [`connect`](Self::connect), but the mux driver (and its one
-    /// connection per node) is leased from the process-wide [`crate::pool`]:
-    /// every pooled session for the same address set multiplexes over the
-    /// same warm sockets, while deadlines, retry budgets, breakers, and
-    /// (session, seq) stamps stay per-session. Dropping a pooled session
-    /// returns the lease and leaves the driver warm for the next one.
-    #[must_use]
-    pub fn connect_pooled(addrs: &[String]) -> Self {
-        Self::with_map(addrs, ReplicaMap::unreplicated(addrs.len()), true)
+        Self::with_map(addrs, ReplicaMap::unreplicated(addrs.len()))
     }
 
     /// Like [`connect`](Self::connect), but every subfile is replicated on
@@ -384,18 +369,10 @@ impl Session {
     pub fn connect_replicated(addrs: &[String], replicas: usize) -> Result<Self, NetError> {
         let map = ReplicaMap::new(addrs.len().max(1), replicas)
             .map_err(|e| NetError::Usage(e.to_string()))?;
-        Ok(Self::with_map(addrs, map, false))
+        Ok(Self::with_map(addrs, map))
     }
 
-    /// [`connect_replicated`](Self::connect_replicated) over a pooled mux
-    /// lease — see [`connect_pooled`](Self::connect_pooled).
-    pub fn connect_replicated_pooled(addrs: &[String], replicas: usize) -> Result<Self, NetError> {
-        let map = ReplicaMap::new(addrs.len().max(1), replicas)
-            .map_err(|e| NetError::Usage(e.to_string()))?;
-        Ok(Self::with_map(addrs, map, true))
-    }
-
-    fn with_map(addrs: &[String], map: ReplicaMap, pooled: bool) -> Self {
+    fn with_map(addrs: &[String], map: ReplicaMap) -> Self {
         // A clock-and-pid stamp is unique enough across real client
         // processes; collisions only widen dedup to a twin session.
         let session_id = SystemTime::now()
@@ -403,13 +380,8 @@ impl Session {
             .map_or(0, |d| d.as_nanos() as u64)
             ^ (u64::from(std::process::id()) << 32);
         let retry_budget = Arc::new(RetryBudget::for_session());
-        let mux = if pooled {
-            MuxHandle::pooled(addrs, Arc::clone(&retry_budget))
-        } else {
-            MuxHandle::dedicated(addrs, Arc::clone(&retry_budget))
-        };
         Self {
-            mux,
+            mux: Mux::new(addrs, Arc::clone(&retry_budget)),
             files: HashMap::new(),
             session_id: session_id.max(1),
             next_seq: AtomicU64::new(1),
@@ -1959,10 +1931,8 @@ impl Drop for Session {
     /// close. A later session's scrub then sees an honest cluster instead
     /// of silently divergent replicas. The mux driver is still alive here
     /// (fields drop after this body), so the blocking drain terminates on
-    /// the transport's own timeouts. A pooled session then *returns its
-    /// lease* rather than closing the shared driver — sibling sessions on
-    /// the same sockets keep working, and the warm connections survive for
-    /// the next `connect_pooled`.
+    /// the transport's own timeouts; the mux then stops and joins its
+    /// driver, closing the session's connections.
     fn drop(&mut self) {
         self.drain_stragglers(true);
     }
@@ -2373,87 +2343,6 @@ mod tests {
         let fast_copy = fetch(handles[1].addr(), copy_file_id(7, 0));
         assert_eq!(slow_copy, fast_copy, "subfile 1's copies must agree after the drop");
         proxy.stop();
-        for h in &mut handles {
-            h.stop();
-        }
-    }
-
-    #[test]
-    fn pooled_siblings_survive_a_session_drop() {
-        // Two pooled sessions lease the same warm driver. Dropping one
-        // must return its lease — not close the shared sockets — so the
-        // sibling keeps working and a later lease starts warm.
-        let (mut handles, addrs) =
-            spawn_loopback(2, StorageBackend::Memory).expect("spawn loopback daemons");
-        let physical = MatrixLayout::ColumnBlocks.partition(8, 8, 1, 2);
-        let logical = MatrixLayout::RowBlocks.partition(8, 8, 1, 2);
-
-        let mut a = Session::connect_pooled(&addrs);
-        let mut b = Session::connect_pooled(&addrs);
-        assert!(a.mux.is_pooled() && b.mux.is_pooled());
-        a.create_file(1, physical.clone(), 64).expect("create file (a)");
-        a.set_view(0, 1, &logical, 0).expect("set view (a)");
-        b.create_file(2, physical.clone(), 64).expect("create file (b)");
-        b.set_view(0, 2, &logical, 0).expect("set view (b)");
-        a.write(0, 1, 0, 31, &[0xA1; 32]).expect("write via a");
-        b.write(0, 2, 0, 31, &[0xB2; 32]).expect("write via b");
-
-        // The bugfix under test: this drop used to tear the mux (and its
-        // connections) down under the sibling.
-        drop(a);
-
-        assert!(b.mux.alive(), "shared driver must outlive a sibling's drop");
-        assert_eq!(b.read(0, 2, 0, 31).expect("sibling read after drop"), vec![0xB2; 32]);
-        b.write(0, 2, 0, 31, &[0xC3; 32]).expect("sibling write after drop");
-        assert_eq!(b.read(0, 2, 0, 31).expect("read back"), vec![0xC3; 32]);
-
-        // A fresh lease reuses the still-warm driver and sees a's file.
-        let mut c = Session::connect_pooled(&addrs);
-        c.create_file(3, physical, 64).expect("create file (c)");
-        c.set_view(0, 3, &logical, 0).expect("set view (c)");
-        c.write(0, 3, 0, 31, &[0xD4; 32]).expect("write via fresh lease");
-        assert_eq!(c.read(0, 3, 0, 31).expect("read via fresh lease"), vec![0xD4; 32]);
-
-        drop(b);
-        drop(c);
-        for h in &mut handles {
-            h.stop();
-        }
-    }
-
-    #[test]
-    fn pooled_sessions_are_byte_identical_to_dedicated_ones() {
-        // The pool changes who owns the sockets, never what travels over
-        // them: the same op sequence through pooled leases and through
-        // private drivers must produce identical bytes.
-        let (mut handles, addrs) =
-            spawn_loopback(2, StorageBackend::Memory).expect("spawn loopback daemons");
-        let physical = MatrixLayout::ColumnBlocks.partition(8, 8, 1, 2);
-        let logical = MatrixLayout::RowBlocks.partition(8, 8, 1, 2);
-
-        let run = |session: &mut Session, file: u64| -> Vec<Vec<u8>> {
-            session.create_file(file, physical.clone(), 64).expect("create file");
-            session.set_view(0, file, &logical, 0).expect("set view");
-            let mut reads = Vec::new();
-            for round in 0..4u8 {
-                let data: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(7) ^ round).collect();
-                session.write(0, file, 0, 31, &data).expect("write");
-                reads.push(session.read(0, file, 0, 31).expect("read"));
-            }
-            reads
-        };
-
-        let mut dedicated = Session::connect(&addrs);
-        let want = run(&mut dedicated, 10);
-        drop(dedicated);
-
-        // Several concurrent leases on one driver, each with its own file.
-        let mut pooled: Vec<Session> = (0..4).map(|_| Session::connect_pooled(&addrs)).collect();
-        for (i, s) in pooled.iter_mut().enumerate() {
-            let got = run(s, 20 + i as u64);
-            assert_eq!(got, want, "pooled lease {i} diverged from the dedicated session");
-        }
-        pooled.clear();
         for h in &mut handles {
             h.stop();
         }

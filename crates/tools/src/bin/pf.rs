@@ -9,7 +9,7 @@
 //! pf intersect <a.json> <ea> <b.json> <eb>   # intersection + projections
 //! pf plan    <a.json> <b.json> [--stats] # plan summary (+ cache counters)
 //! pf plan --stats                        # cache counters only
-//! pf serve   <addr> [--dir DIR] [--chaos SPEC] [--scrub SECS] [--workers N] [--tenant-quota N] [--no-fair]  # run an I/O-node daemon (N-thread worker pool, default 2)
+//! pf serve   <addr> [--dir DIR] [--chaos SPEC] [--scrub SECS] [--workers N] [--tenant-quota N]  # run an I/O-node daemon (N-thread worker pool, default 2)
 //! pf chaos   <listen> <up1[,up2,…]> <SPEC> [--duration SECS] [--delay MS]  # fault proxy
 //! pf io <a1,a2,…> demo <n> [--pipeline] [--replicas R] [--tenant T]  # matrix scenario over real daemons
 //! pf io <a1,a2,…> work <reads> [--deadline MS] [--replicas R] [--tenant T]  # deadline-bounded read workload
@@ -42,10 +42,8 @@
 //! `pf io … --tenant T` stamps every `Open` with tenant id `T` (protocol
 //! ≥ 6). `pf serve` dispatches queued frames per-tenant with deficit
 //! round robin over its `--workers N` pool (default 2) and, with
-//! `--tenant-quota N`, sheds a tenant's frames beyond N in flight;
-//! `--no-fair` reverts to the single FIFO (one hot tenant can starve the
-//! rest — see the serving bench). Every flag applies to every daemon:
-//! there is one serving model.
+//! `--tenant-quota N`, sheds a tenant's frames beyond N in flight.
+//! Every flag applies to every daemon: there is one serving model.
 //!
 //! Partition files use the JSON forms documented in the `pf-tools` library;
 //! pass `-` to read from stdin.
@@ -289,11 +287,6 @@ fn run(args: &[String]) -> Result<(), ToolError> {
                         // is never metered).
                         config.tenant_inflight =
                             parse_u64(rest.next().ok_or_else(usage)?, "--tenant-quota")? as usize;
-                    }
-                    "--no-fair" => {
-                        // Single FIFO across tenants: a hot client's
-                        // connection count buys it proportional service.
-                        config.fair = false;
                     }
                     other => return Err(ToolError::Spec(format!("unknown flag {other:?}"))),
                 }

@@ -267,7 +267,6 @@ fn tenant_quota_sheds_are_absorbed_by_retries() {
         backend: StorageBackend::Memory,
         workers: 2,
         tenant_inflight: 1,
-        fair: true,
         ..parafile_net::DaemonConfig::default()
     };
     let mut daemon = parafile_net::serve("127.0.0.1:0", config).expect("spawn reactor daemon");
@@ -293,7 +292,8 @@ fn tenant_quota_sheds_are_absorbed_by_retries() {
 /// request riding it would burn ~750 ms of retry ladder before failing
 /// `Busy`. Single-target requests (the matching-view `set_view`, `write`
 /// and `read` of a one-node layout) are exactly the ones that used to take
-/// a side channel.
+/// a side channel. Dropping the session releases that connection: the
+/// next session gets the daemon's one slot.
 #[test]
 fn a_session_is_one_connection_per_node() {
     let n = 16u64;
@@ -318,6 +318,18 @@ fn a_session_is_one_connection_per_node() {
         "nothing was shed and retried: {:?}",
         started.elapsed()
     );
+    // Dropping the session closes its connection, so the daemon's one
+    // slot frees for the next session. The close may reach the daemon
+    // after the new connect; the shed-retry ladder covers that race.
     drop(s);
+    let mut next = Session::connect(&addrs);
+    next.create_file(file + 1, layout.clone(), file_len).expect("create after drop");
+    next.set_view(0, file + 1, &layout, 0).expect("view after drop");
+    assert_eq!(
+        next.write(0, file + 1, 0, file_len - 1, &data).expect("write after drop"),
+        file_len
+    );
+    assert_eq!(next.read(0, file + 1, 0, file_len - 1).expect("read after drop"), data);
+    drop(next);
     daemon.stop();
 }
