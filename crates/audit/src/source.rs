@@ -75,7 +75,8 @@ impl SourceConfig {
     /// (replica placement math, per-segment checksum map), the pattern
     /// audit with its tiling verifier (run on untrusted bytes in every
     /// `SetView`), and the projection walk (run on wire bounds in every
-    /// `Write`/`Read`) are hot,
+    /// `Write`/`Read`) are hot, and so are the mux transport and the
+    /// reactor daemon, whose panics would take down the event loop;
     /// session worker queues are bounded-only, the daemon's lock
     /// order is `files < store < journal < sums < dedup`, the
     /// reactor, mux transport, and reactor daemon are blocking-free, and
@@ -100,6 +101,8 @@ impl SourceConfig {
                 "audit/src/checks.rs",
                 "falls/src/tiling.rs",
                 "core/src/redist/project.rs",
+                "net/src/mux.rs",
+                "net/src/server/reactor_daemon.rs",
             ]),
             bounded_only: own(&["net/src/session.rs"]),
             lock_order: own(&["files", "store", "journal", "sums", "dedup"]),

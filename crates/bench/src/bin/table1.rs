@@ -62,8 +62,7 @@ fn main() {
 
     // Scenarios run sequentially on purpose: t_i/t_m/t_g are *real*
     // wall-clock measurements, and concurrent workers would pollute them
-    // with scheduler contention. (The all-simulated sweeps, e.g. the
-    // two_phase ablation, do parallelize.)
+    // with scheduler contention.
     let mut rows = Vec::new();
     for &size in &args.sizes {
         for layout in pf_bench::paper_layouts() {

@@ -211,11 +211,6 @@ impl Clusterfile {
         &self.io_timings
     }
 
-    /// Clears the per-I/O-node accumulators.
-    pub fn reset_io_timings(&mut self) {
-        self.io_timings = vec![IoTimings::default(); self.config.io_nodes];
-    }
-
     /// Creates a file physically partitioned by `physical` (one element per
     /// I/O node), `len` bytes long, zero-filled.
     ///

@@ -188,30 +188,6 @@ impl ScenarioResult {
             *v /= r;
         }
     }
-
-    /// A Table-1-style row: `size phys log t_i t_m t_g t_w`.
-    #[must_use]
-    pub fn table1_row(&self) -> String {
-        format!(
-            "{:>5}  {:>4}  {:>3}  {:>10.1} {:>10.3} {:>10.1} {:>12.1}",
-            self.matrix_dim,
-            self.physical,
-            self.logical,
-            self.t_i_us,
-            self.t_m_us,
-            self.t_g_us,
-            self.t_w_us
-        )
-    }
-
-    /// A Table-2-style row: `size phys log t_s`.
-    #[must_use]
-    pub fn table2_row(&self) -> String {
-        format!(
-            "{:>5}  {:>4}  {:>3}  {:>12.1} {:>12.3}",
-            self.matrix_dim, self.physical, self.logical, self.t_s_us, self.t_s_real_us
-        )
-    }
 }
 
 #[cfg(test)]
@@ -222,40 +198,51 @@ mod tests {
         PaperScenario { repetitions: 1, ..PaperScenario::paper(n, physical, through) }.run()
     }
 
+    /// `t_i` and `t_g` are wall-clock, and one preempted run can invert an
+    /// ordering between two of them. Checks that compare two such times
+    /// take the median of this many runs per configuration, interleaved so
+    /// that a burst of host load falls on every configuration alike.
+    const SAMPLES: usize = 5;
+
+    /// `SAMPLES` buffer-cache runs of each `(layout, size)` configuration,
+    /// interleaved; one row of results per configuration.
+    fn interleaved(configs: &[(MatrixLayout, u64)]) -> Vec<Vec<ScenarioResult>> {
+        let mut runs = vec![Vec::with_capacity(SAMPLES); configs.len()];
+        for _ in 0..SAMPLES {
+            for (row, &(layout, n)) in runs.iter_mut().zip(configs) {
+                row.push(quick(layout, n, false));
+            }
+        }
+        runs
+    }
+
+    fn median(runs: &[ScenarioResult], field: fn(&ScenarioResult) -> f64) -> f64 {
+        let mut v: Vec<f64> = runs.iter().map(field).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    }
+
     /// The central qualitative claims of Table 1, on a small matrix.
     #[test]
     fn table1_shape_holds() {
-        let c = quick(MatrixLayout::ColumnBlocks, 256, false);
-        let b = quick(MatrixLayout::SquareBlocks, 256, false);
-        let r = quick(MatrixLayout::RowBlocks, 256, false);
+        let runs = interleaved(&[
+            (MatrixLayout::ColumnBlocks, 256),
+            (MatrixLayout::SquareBlocks, 256),
+            (MatrixLayout::RowBlocks, 256),
+        ]);
+        let [c, b, r] = [&runs[0], &runs[1], &runs[2]];
+        let t_i = |runs| median(runs, |s| s.t_i_us);
+        let t_g = |runs| median(runs, |s| s.t_g_us);
         // t_m and t_g vanish for the perfect match.
-        assert_eq!(r.t_m_us, 0.0, "perfect match needs no extremity mapping");
-        assert_eq!(r.t_g_us, 0.0, "perfect match needs no gather");
-        // Worse matches gather more: c > b > r. The c/b gap is small and
-        // t_g is wall-clock, so a single-rep run on a loaded host can
-        // invert it; re-measure with more averaging before failing.
-        let mut gather_ordered = c.t_g_us > b.t_g_us;
-        for reps in [5, 10, 20] {
-            if gather_ordered {
-                break;
-            }
-            let c = PaperScenario {
-                repetitions: reps,
-                ..PaperScenario::paper(256, MatrixLayout::ColumnBlocks, false)
-            }
-            .run();
-            let b = PaperScenario {
-                repetitions: reps,
-                ..PaperScenario::paper(256, MatrixLayout::SquareBlocks, false)
-            }
-            .run();
-            gather_ordered = c.t_g_us > b.t_g_us;
-        }
-        assert!(gather_ordered, "c gathers more than b ({} vs {})", c.t_g_us, b.t_g_us);
-        assert!(b.t_g_us > 0.0);
+        assert!(r.iter().all(|s| s.t_m_us == 0.0), "perfect match needs no extremity mapping");
+        assert!(r.iter().all(|s| s.t_g_us == 0.0), "perfect match needs no gather");
+        // Worse matches gather more: c > b > r.
+        assert!(t_g(c) > t_g(b), "c gathers more than b ({} vs {})", t_g(c), t_g(b));
+        assert!(t_g(b) > 0.0);
         // Intersection cost ordering: c > b > r.
-        assert!(c.t_i_us > r.t_i_us, "c intersects slower than r");
+        assert!(t_i(c) > t_i(r), "c intersects slower than r ({} vs {})", t_i(c), t_i(r));
         // Write completion: mismatched layouts send more, smaller messages.
+        let (c, r) = (&c[0], &r[0]);
         assert!(c.t_w_us > r.t_w_us, "c writes slower than r ({} vs {})", c.t_w_us, r.t_w_us);
         assert!(c.messages_per_compute > r.messages_per_compute);
     }
@@ -279,11 +266,14 @@ mod tests {
     /// significantly with the matrix size").
     #[test]
     fn t_i_size_independent() {
-        let small = quick(MatrixLayout::ColumnBlocks, 256, false);
-        let large = quick(MatrixLayout::ColumnBlocks, 1024, false);
+        let runs =
+            interleaved(&[(MatrixLayout::ColumnBlocks, 256), (MatrixLayout::ColumnBlocks, 1024)]);
+        let (small, large) = (&runs[0], &runs[1]);
+        let t_i = |runs| median(runs, |s| s.t_i_us);
+        let t_g = |runs| median(runs, |s| s.t_g_us);
         // Within an order of magnitude despite 16× more data; t_g meanwhile
         // must grow superlinearly relative to it.
-        assert!(large.t_i_us < small.t_i_us * 16.0, "t_i must not scale with the data");
-        assert!(large.t_g_us > small.t_g_us, "t_g grows with the data");
+        assert!(t_i(large) < t_i(small) * 16.0, "t_i must not scale with the data");
+        assert!(t_g(large) > t_g(small), "t_g grows with the data");
     }
 }

@@ -25,8 +25,6 @@
 //!   non-contiguous regions and contiguous buffers;
 //! * [`matching`] — quantitative *matching degree* metrics between two
 //!   partitions (the paper's §9 future work);
-//! * [`ncube`] — nCube-style address-bit-permutation mappings, the related
-//!   work our general mapping functions subsume;
 //! * [`crc`] — the CRC-32 kernel behind every checksummed on-disk format.
 //!
 //! # Quickstart
@@ -62,7 +60,6 @@ pub mod engine;
 pub mod mapping;
 pub mod matching;
 pub mod model;
-pub mod ncube;
 pub mod plan;
 pub mod redist;
 pub mod sg;

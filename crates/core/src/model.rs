@@ -251,6 +251,15 @@ mod tests {
     }
 
     #[test]
+    fn falls_model_expresses_non_power_of_two() {
+        // The superset claim over nCube-style bit-permutation mappings: a
+        // 3-disk stripe (impossible with power-of-two address bits) is
+        // trivially a FALLS pattern.
+        let sets: Vec<NestedSet> = (0..3).map(|k| leaf_set(5 * k, 5 * k + 4, 15, 1)).collect();
+        assert!(PartitionPattern::new(sets).is_ok());
+    }
+
+    #[test]
     fn figure3_validates() {
         let p = figure3_pattern();
         assert_eq!(p.size(), 6);

@@ -13,7 +13,6 @@
 //! reads addresses, never depends on allocation order, and is identical
 //! across processes and runs.
 
-use crate::nested::validate_siblings;
 #[cfg(test)]
 use crate::Falls;
 use crate::{NestedFalls, NestedSet};
@@ -119,49 +118,83 @@ pub fn canonicalize_set(set: &NestedSet) -> NestedSet {
             families.push(c);
         }
     }
-    if validate_siblings(&families, u64::MAX).is_ok() {
-        if let Ok(s) = NestedSet::new(families) {
-            return s;
-        }
+    if let Ok(s) = NestedSet::new(families) {
+        return s;
     }
     // Splicing broke sibling order — keep the per-family canonical forms.
     NestedSet::new(set.families().iter().map(canonicalize_nested).collect())
         .expect("per-family canonicalization keeps the original sibling structure")
 }
 
-fn hash_nested(h: &mut StructuralHasher, nf: &NestedFalls) {
+/// [`canonicalize_nested`]'s rewrites on borrowed nodes: the nodes whose
+/// canonical forms are `nf`'s canonical children, as a slice of its own or
+/// an unwrapped descendant's children (offsets kept: wrappers sit at 0).
+fn canonical_children(nf: &NestedFalls) -> &[NestedFalls] {
+    let mut inner = nf.inner();
+    while let [only] = inner {
+        let f = only.falls();
+        // Both rewrites need an only child at offset 0 repeated once.
+        if f.l() != 0 || f.count() != 1 {
+            break;
+        }
+        match canonical_children(only) {
+            // Rule 1: a full-block leaf child.
+            [] if f.block_len() == nf.falls().block_len() => return &[],
+            [] => break,
+            // Rule 2: a trivial wrapper.
+            grandchildren => inner = grandchildren,
+        }
+    }
+    inner
+}
+
+/// `nf`'s canonical children when `nf` canonicalizes to a trivial wrapper,
+/// which [`canonicalize_set`] splices into the family list in its place.
+fn splice_children(nf: &NestedFalls) -> Option<&[NestedFalls]> {
+    let f = nf.falls();
+    if f.l() != 0 || f.count() != 1 {
+        return None;
+    }
+    Some(canonical_children(nf)).filter(|children| !children.is_empty())
+}
+
+/// Hashes the canonical form of `nf` in preorder: `(l, block, stride,
+/// count, child count)` per node.
+fn hash_canonical(h: &mut StructuralHasher, nf: &NestedFalls) {
     let f = nf.falls();
     h.write_u64(f.l());
     h.write_u64(f.block_len());
     h.write_u64(f.stride());
     h.write_u64(f.count());
-    h.write_u64(nf.inner().len() as u64);
-    for child in nf.inner() {
-        hash_nested(h, child);
+    let children = canonical_children(nf);
+    h.write_u64(children.len() as u64);
+    for child in children {
+        hash_canonical(h, child);
     }
-}
-
-/// Stable 64-bit structural fingerprint of one nested-FALLS tree, computed
-/// over its canonical form.
-#[must_use]
-pub fn fingerprint_nested(nf: &NestedFalls) -> u64 {
-    let c = canonicalize_nested(nf);
-    let mut h = StructuralHasher::new();
-    hash_nested(&mut h, &c);
-    h.finish()
 }
 
 /// Stable 64-bit structural fingerprint of a nested-FALLS set, computed over
 /// its canonical form. Equal sets (same bytes, same tree order, up to the
 /// canonical rewrites) fingerprint equal; the converse holds modulo 64-bit
 /// hash collisions, which a cache must tolerate by storing the key alongside.
+///
+/// Equal to hashing [`canonicalize_set`]'s result, but applies the rewrites
+/// while it walks and allocates no canonical copy.
 #[must_use]
 pub fn fingerprint_set(set: &NestedSet) -> u64 {
-    let c = canonicalize_set(set);
+    let families = set.families();
+    let splice =
+        families.iter().flat_map(|nf| splice_children(nf).unwrap_or(std::slice::from_ref(nf)));
+    // A set's families, and a wrapper's children, are validated disjoint,
+    // and canonical forms keep their bytes: the spliced list passes
+    // `canonicalize_set`'s sibling check iff its left indices never drop.
     let mut h = StructuralHasher::new();
-    h.write_u64(c.families().len() as u64);
-    for nf in c.families() {
-        hash_nested(&mut h, nf);
+    if splice.clone().map(|nf| nf.falls().l()).is_sorted() {
+        h.write_u64(splice.clone().count() as u64);
+        splice.for_each(|nf| hash_canonical(&mut h, nf));
+    } else {
+        h.write_u64(families.len() as u64);
+        families.iter().for_each(|nf| hash_canonical(&mut h, nf));
     }
     h.finish()
 }

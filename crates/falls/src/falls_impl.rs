@@ -164,11 +164,6 @@ impl Falls {
         }
         Some(Falls { l: self.l - delta, r: self.r - delta, s: self.s, n: self.n })
     }
-
-    /// Returns a copy with count replaced by `n` (validated).
-    pub fn with_count(&self, n: u64) -> Result<Falls, FallsError> {
-        Falls::new(self.l, self.r, self.s, n)
-    }
 }
 
 impl fmt::Display for Falls {

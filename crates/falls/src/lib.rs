@@ -57,9 +57,7 @@ mod set;
 pub mod testing;
 pub mod tiling;
 
-pub use canon::{
-    canonicalize_nested, canonicalize_set, fingerprint_nested, fingerprint_set, StructuralHasher,
-};
+pub use canon::{canonicalize_nested, canonicalize_set, fingerprint_set, StructuralHasher};
 pub use compress::{compress_segments, segments_to_falls};
 pub use error::FallsError;
 pub use falls_impl::{Falls, FallsSegments};

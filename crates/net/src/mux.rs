@@ -668,7 +668,7 @@ impl Driver {
                     break;
                 }
                 Act::SendHead => {
-                    let p = self.nodes[n].queue.pop_front().expect("pump saw a head");
+                    let Some(p) = self.nodes[n].queue.pop_front() else { break };
                     if let Some(request) = p.request() {
                         let sent = self.encode_frame(n, request.opcode(), |d, out| {
                             request.append_payload(d, out);
@@ -677,7 +677,7 @@ impl Driver {
                     }
                 }
                 Act::DropExpiredHead => {
-                    let p = self.nodes[n].queue.pop_front().expect("pump saw a head");
+                    let Some(p) = self.nodes[n].queue.pop_front() else { break };
                     settle(&mut self.wheel, p, Err(deadline_error()));
                 }
             }
@@ -720,7 +720,8 @@ impl Driver {
     /// `ResumeQuery` first when a prior attempt of the same stamp died
     /// mid-stream.
     fn start_stream(&mut self, n: usize, chunk: usize) {
-        let p = self.nodes[n].queue.pop_front().expect("stream starts from a head");
+        // With no head there is no stream, and `pump_stream` finds none.
+        let Some(p) = self.nodes[n].queue.pop_front() else { return };
         let Some(&Request::Write { file, session, seq, ref payload, .. }) = p.request() else {
             // Unreachable by construction; settle rather than wedge.
             settle(&mut self.wheel, p, Err(NetError::BadReply("stream over a non-write".into())));

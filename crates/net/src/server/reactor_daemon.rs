@@ -194,7 +194,11 @@ impl<T> Drr<T> {
     fn pop(&mut self) -> Option<T> {
         loop {
             let &tenant = self.ring.front()?;
-            let tq = self.tenants.get_mut(&tenant).expect("ring tenant has a queue");
+            let Some(tq) = self.tenants.get_mut(&tenant) else {
+                // A slot with no queue has nothing to serve: drop it.
+                self.ring.pop_front();
+                continue;
+            };
             let Some(&(_, cost)) = tq.q.front() else {
                 self.ring.pop_front();
                 self.tenants.remove(&tenant);
@@ -202,7 +206,9 @@ impl<T> Drr<T> {
             };
             if tq.deficit >= cost {
                 tq.deficit -= cost;
-                let (item, _) = tq.q.pop_front().expect("front checked above");
+                // The front was just seen; an empty queue leaves the ring
+                // on the next turn.
+                let Some((item, _)) = tq.q.pop_front() else { continue };
                 if tq.q.is_empty() {
                     self.ring.pop_front();
                     self.tenants.remove(&tenant);

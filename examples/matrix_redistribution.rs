@@ -2,16 +2,38 @@
 //! paper's introduction motivates: arrays stored on parallel disks in one
 //! distribution and consumed by processors in another.
 //!
+//! Also times the two ablations behind the paper's §3 and §7 choices:
+//! segment redistribution against byte-by-byte copying (Ablation A), and the
+//! periodic `INTERSECT-FALLS` against a merge over every segment pair
+//! (Ablation B). Both assert that the two strategies agree.
+//!
 //! Run with: `cargo run -p pf-examples --release --example matrix_redistribution`
 
 use arraydist::dist::{ArrayDistribution, DimDist};
 use arraydist::grid::ProcGrid;
 use arraydist::matrix::MatrixLayout;
+use falls::Falls;
 use parafile::matching::MatchingDegree;
 use parafile::plan::RedistributionPlan;
-use parafile::redist::redistribute_bytewise;
+use parafile::redist::{intersect_falls, intersect_falls_merge, redistribute_bytewise};
 use parafile::Mapper;
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// Every byte a union of FALLS selects, ascending.
+fn bytes_of(fs: &[Falls]) -> Vec<u64> {
+    let mut v: Vec<u64> =
+        fs.iter().flat_map(|f| f.segments().flat_map(|s| s.l()..=s.r())).collect();
+    v.sort_unstable();
+    v
+}
+
+/// Mean wall-clock of one call of `f` over `reps` calls.
+fn per_call<T>(reps: u32, f: impl Fn() -> T) -> Duration {
+    let t = Instant::now();
+    (0..reps).for_each(|_| drop(black_box(f())));
+    t.elapsed() / reps
+}
 
 fn main() {
     let n = 512u64;
@@ -81,4 +103,22 @@ fn main() {
         byte_time.as_secs_f64() / seg_time.as_secs_f64()
     );
     assert_eq!(dst_bufs, dst_bufs2, "both strategies agree on the result");
+
+    // Ablation B: the periodic INTERSECT-FALLS costs O(segment pairs per
+    // lcm period) however many segments the families hold; the merge
+    // reference walks every segment.
+    println!("INTERSECT-FALLS, strides 6 and 10 (period 30):");
+    for n in [16u64, 256, 4096] {
+        let f1 = Falls::new(1, 2, 6, n).unwrap();
+        let f2 = Falls::new(0, 3, 10, (n * 6) / 10 + 1).unwrap();
+        assert_eq!(
+            bytes_of(&intersect_falls(&f1, &f2)),
+            bytes_of(&intersect_falls_merge(&f1, &f2)),
+            "periodic and merge intersections agree at n = {n}"
+        );
+        let periodic = per_call(1000, || intersect_falls(black_box(&f1), black_box(&f2)));
+        let merge = per_call(100, || intersect_falls_merge(black_box(&f1), black_box(&f2)));
+        println!("  n = {n:>4} segments: periodic {periodic:>9.1?}, merge {merge:>9.1?}");
+    }
+    println!("  verified: both intersections select the same bytes");
 }
