@@ -73,10 +73,6 @@ pub enum Code {
     /// PA042 — an unbounded `mpsc::channel` where worker queues are
     /// required to be bounded (`sync_channel`) for back-pressure.
     UnboundedChannel,
-    /// PA043 — a lock acquired out of the canonical order
-    /// (`files < store < journal < dedup`) while a later-ranked guard is
-    /// held — the deadlock-freedom discipline of the daemon.
-    LockOrderViolation,
     /// PA044 — a public function returning a value (other than
     /// `Result`/`Option`, which the compiler already tracks) without
     /// `#[must_use]` in a file where coverage is required.
@@ -118,7 +114,6 @@ impl Code {
             Code::UnwrapOnHotPath => "PA040",
             Code::PanicOnHotPath => "PA041",
             Code::UnboundedChannel => "PA042",
-            Code::LockOrderViolation => "PA043",
             Code::MissingMustUse => "PA044",
             Code::StaleWaiver => "PA045",
             Code::BlockingInReactor => "PA046",
@@ -317,7 +312,6 @@ mod tests {
             Code::UnwrapOnHotPath,
             Code::PanicOnHotPath,
             Code::UnboundedChannel,
-            Code::LockOrderViolation,
             Code::MissingMustUse,
             Code::StaleWaiver,
             Code::BlockingInReactor,

@@ -12,9 +12,6 @@
 //! * **PA042** — worker queues use bounded `sync_channel`s only, so a
 //!   stalled daemon back-pressures the submitter instead of buffering
 //!   without limit.
-//! * **PA043** — locks are acquired in the canonical global order
-//!   `files < store < journal < sums < dedup`; a later-ranked guard held
-//!   while an earlier-ranked lock is taken is a deadlock seed.
 //! * **PA044** — `#[must_use]` coverage in designated API files for
 //!   public functions whose ignored return value would be a silent bug
 //!   (`Result`/`Option` returns pass inherently — the compiler already
@@ -42,7 +39,7 @@
 
 use crate::diag::{AuditReport, Code, Diagnostic, Span};
 
-/// Which files each source lint applies to and the canonical lock order.
+/// Which files each source lint applies to.
 ///
 /// Paths are matched by suffix (`path.ends_with`), so callers can pass
 /// absolute or repo-relative paths interchangeably.
@@ -52,9 +49,6 @@ pub struct SourceConfig {
     pub hot_paths: Vec<String>,
     /// Files whose worker queues must be bounded: PA042 applies.
     pub bounded_only: Vec<String>,
-    /// Lock-rank names, earliest (outermost) first: PA043 applies to any
-    /// file that acquires two of them.
-    pub lock_order: Vec<String>,
     /// Files requiring `#[must_use]` coverage: PA044 applies.
     pub must_use_files: Vec<String>,
     /// Reactor and reactor-driven state-machine files: PA046 bans
@@ -77,9 +71,8 @@ impl SourceConfig {
     /// `SetView`), and the projection walk (run on wire bounds in every
     /// `Write`/`Read`) are hot, and so are the mux transport and the
     /// reactor daemon, whose panics would take down the event loop;
-    /// session worker queues are bounded-only, the daemon's lock
-    /// order is `files < store < journal < sums < dedup`, the
-    /// reactor, mux transport, and reactor daemon are blocking-free, and
+    /// session worker queues are bounded-only, the reactor, mux
+    /// transport, and reactor daemon are blocking-free, and
     /// `unsafe` is allowed only in the reactor's syscall shim and the CRC
     /// kernel's instruction path.
     #[must_use]
@@ -105,7 +98,6 @@ impl SourceConfig {
                 "net/src/server/reactor_daemon.rs",
             ]),
             bounded_only: own(&["net/src/session.rs"]),
-            lock_order: own(&["files", "store", "journal", "sums", "dedup"]),
             must_use_files: own(&["net/src/proto.rs", "replica/src/lib.rs"]),
             reactor_files: own(&[
                 "net/src/reactor/mod.rs",
@@ -310,14 +302,9 @@ pub fn audit_source(path: &str, text: &str, cfg: &SourceConfig) -> AuditReport {
     let reactor = SourceConfig::applies(&cfg.reactor_files, path);
     let may_allow_unsafe = SourceConfig::applies(&cfg.unsafe_files, path);
 
-    // Held lock guards: (brace depth at acquisition, rank, binding name).
-    let mut held: Vec<(i64, usize, String)> = Vec::new();
-    let mut depth = 0i64;
-
     for (i, line) in lines.iter().enumerate() {
         let lineno = i + 1;
         if excluded[i] {
-            depth += brace_delta(line);
             continue;
         }
         if hot {
@@ -397,44 +384,6 @@ pub fn audit_source(path: &str, text: &str, cfg: &SourceConfig) -> AuditReport {
             });
         }
 
-        // Lock-order discipline: detect ranked acquisitions.
-        if let Some(rank) = acquisition_rank(line, &cfg.lock_order) {
-            if let Some((_, held_rank, held_name)) =
-                held.iter().filter(|(_, r, _)| *r > rank).max_by_key(|(_, r, _)| *r)
-            {
-                findings.push(Finding {
-                    line: lineno,
-                    code: Code::LockOrderViolation,
-                    message: format!(
-                        "{path}:{lineno}: acquires `{}` while holding `{held_name}` (`{}`); canonical order is {}",
-                        cfg.lock_order[rank],
-                        cfg.lock_order[*held_rank],
-                        cfg.lock_order.join(" < "),
-                    ),
-                });
-            }
-            // Only a `let` binding keeps the guard alive past the line.
-            let trimmed = line.trim_start();
-            if let Some(binding) = trimmed.strip_prefix("let ") {
-                let name = binding
-                    .trim_start_matches("mut ")
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect::<String>();
-                held.push((depth, rank, name));
-            }
-        }
-        // Explicit drops release a named guard early.
-        if let Some(at) = line.find("drop(") {
-            let name: String = line[at + "drop(".len()..]
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            held.retain(|(_, _, n)| *n != name);
-        }
-        depth += brace_delta(line);
-        held.retain(|(d, _, _)| *d <= depth);
-
         // #[must_use] coverage for value-returning public APIs.
         if must_use {
             let trimmed = line.trim_start();
@@ -487,26 +436,6 @@ pub fn audit_source(path: &str, text: &str, cfg: &SourceConfig) -> AuditReport {
         }
     }
     report
-}
-
-/// If `line` acquires a ranked lock, returns the rank. An acquisition is
-/// one of the poison-recovering helpers (`lock(&…)`, `read(&…)`,
-/// `write(&…)`) or a bare `.lock()`/`.read()`/`.write()` call naming one
-/// of the ranked resources.
-fn acquisition_rank(line: &str, order: &[String]) -> Option<usize> {
-    const PATTERNS: [&str; 6] = ["lock(&", "read(&", "write(&", ".lock()", ".read()", ".write()"];
-    if !PATTERNS.iter().any(|p| line.contains(p)) {
-        return None;
-    }
-    // The ranked name must appear on the line as a standalone identifier
-    // (field or binding); the highest-ranked name present wins, which is
-    // the one the guard protects in `let store = lock(&slot.store);`.
-    order
-        .iter()
-        .enumerate()
-        .filter(|(_, name)| word_match(line, name).is_some())
-        .map(|(rank, _)| rank)
-        .max()
 }
 
 /// If the (stripped) `line` opens an `unsafe` block, `fn` or `impl`,
@@ -618,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn replica_hot_paths_inherit_unwrap_and_lock_order_checks() {
+    fn replica_hot_paths_inherit_unwrap_checks() {
         // The replication layer is hot-path code: PA040 applies to the
         // replica crate and the checksum map — and to the frame splitter,
         // which parses bytes straight off the network.
@@ -630,25 +559,6 @@ mod tests {
             let r = run(path, "fn f() { x.unwrap(); }\n");
             assert!(r.has_code(Code::UnwrapOnHotPath), "{path}: {:?}", r.diagnostics);
         }
-        // The checksum map's `sums` lock ranks between `journal` and
-        // `dedup` in the canonical order.
-        let inverted = "\
-fn f(slot: &Slot) {
-    let mut sums = lock(&slot.sums);
-    let mut journal = lock(&slot.journal);
-}
-";
-        let r = run("crates/net/src/server.rs", inverted);
-        assert!(r.has_code(Code::LockOrderViolation), "{:?}", r.diagnostics);
-        let ordered = "\
-fn f(slot: &Slot) {
-    let mut journal = lock(&slot.journal);
-    let mut sums = lock(&slot.sums);
-    let hit = lock(&slot.dedup).contains(stamp);
-}
-";
-        let r = run("crates/net/src/server.rs", ordered);
-        assert!(!r.has_code(Code::LockOrderViolation), "{:?}", r.diagnostics);
     }
 
     #[test]
@@ -669,46 +579,6 @@ fn f(slot: &Slot) {
             "let (tx, rx) = mpsc::sync_channel::<Job>(WORKER_QUEUE_DEPTH);\n",
         );
         assert!(!pass.has_code(Code::UnboundedChannel), "{:?}", pass.diagnostics);
-    }
-
-    #[test]
-    fn pa043_fires_on_inverted_lock_order_and_passes_in_order() {
-        let fire = "\
-fn f(slot: &Slot) {
-    let mut journal = lock(&slot.journal);
-    let mut store = lock(&slot.store);
-}
-";
-        let r = run("crates/net/src/server.rs", fire);
-        assert!(r.has_code(Code::LockOrderViolation), "{:?}", r.diagnostics);
-        let pass = "\
-fn f(slot: &Slot) {
-    let mut store = lock(&slot.store);
-    {
-        let mut journal = lock(&slot.journal);
-    }
-    let hit = lock(&slot.dedup).contains(stamp);
-}
-";
-        let r = run("crates/net/src/server.rs", pass);
-        assert!(!r.has_code(Code::LockOrderViolation), "{:?}", r.diagnostics);
-    }
-
-    #[test]
-    fn pa043_releases_guards_at_scope_end_and_on_drop() {
-        let text = "\
-fn f(slot: &Slot) {
-    {
-        let mut journal = lock(&slot.journal);
-    }
-    let mut store = lock(&slot.store);
-    let mut dedup = lock(&slot.dedup);
-    drop(dedup);
-    let mut journal = lock(&slot.journal);
-}
-";
-        let r = run("crates/net/src/server.rs", text);
-        assert!(!r.has_code(Code::LockOrderViolation), "{:?}", r.diagnostics);
     }
 
     #[test]

@@ -74,8 +74,7 @@ fn parse_args() -> Args {
 /// Runs the hot-neighbor workload against one reactor daemon and returns
 /// completed writes per tenant.
 fn fairness_run(window: Duration, hot: usize) -> Vec<u64> {
-    let config =
-        DaemonConfig { backend: StorageBackend::Memory, workers: 2, ..DaemonConfig::default() };
+    let config = DaemonConfig { backend: StorageBackend::Memory, ..DaemonConfig::default() };
     let mut daemon = serve("127.0.0.1:0", config).expect("spawn reactor daemon");
     let addrs = vec![daemon.addr().to_string()];
 

@@ -20,11 +20,6 @@
 //! Events are processed in `(time, sequence)` order, which makes every run
 //! bit-for-bit reproducible; see [`Cluster`].
 //!
-//! [`parallel`] additionally provides a real-thread executor used to run
-//! per-node phases concurrently (the simulator stays single-threaded and
-//! deterministic; the executor is for measuring real CPU phases on real
-//! cores, as the case study does).
-//!
 //! # Example
 //!
 //! ```
@@ -45,7 +40,6 @@
 
 mod cluster;
 mod devices;
-pub mod parallel;
 mod stats;
 mod trace;
 

@@ -314,15 +314,21 @@ impl FaultInjector {
         self.killed.load(Ordering::SeqCst)
     }
 
-    /// Called for every request frame with the connection's own 1-based
-    /// frame count. Sleeps injected delays internally.
-    pub fn on_frame(&self, conn_frames: u64) -> FrameFault {
+    /// Called once for every request frame with the connection's own
+    /// 1-based frame count. Returns what to do with the frame and how long
+    /// to hold it first: the caller parks the frame's connection for an
+    /// injected delay (it never sleeps here), then applies the fault.
+    pub fn on_frame(&self, conn_frames: u64) -> (FrameFault, Option<Duration>) {
+        let delay = self
+            .plan
+            .delay
+            .filter(|&(every, _)| every > 0 && conn_frames % every == 0)
+            .map(|(_, millis)| Duration::from_millis(millis));
+        (self.frame_fault(conn_frames), delay)
+    }
+
+    fn frame_fault(&self, conn_frames: u64) -> FrameFault {
         let total = self.total_frames.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some((every, millis)) = self.plan.delay {
-            if every > 0 && conn_frames % every == 0 {
-                std::thread::sleep(Duration::from_millis(millis));
-            }
-        }
         if let Some(kill_at) = self.plan.kill_after_frames {
             if total >= kill_at && !self.killed.swap(true, Ordering::SeqCst) {
                 return FrameFault::Kill;
@@ -688,15 +694,23 @@ mod tests {
 
         // Drop fires on the connection's Nth frame.
         let inj = FaultInjector::new(FaultPlan { drop_after_frames: Some(3), ..FaultPlan::none() });
-        assert_eq!(inj.on_frame(1), FrameFault::None);
-        assert_eq!(inj.on_frame(2), FrameFault::None);
-        assert_eq!(inj.on_frame(3), FrameFault::Drop);
+        assert_eq!(inj.on_frame(1), (FrameFault::None, None));
+        assert_eq!(inj.on_frame(2), (FrameFault::None, None));
+        assert_eq!(inj.on_frame(3), (FrameFault::Drop, None));
 
         // Kill fires once on the global count, then reports killed.
         let inj = FaultInjector::new(FaultPlan { kill_after_frames: Some(2), ..FaultPlan::none() });
-        assert_eq!(inj.on_frame(1), FrameFault::None);
-        assert_eq!(inj.on_frame(1), FrameFault::Kill);
+        assert_eq!(inj.on_frame(1), (FrameFault::None, None));
+        assert_eq!(inj.on_frame(1), (FrameFault::Kill, None));
         assert!(inj.killed());
+
+        // A delay is handed back on every Nth frame of a connection, for
+        // the caller to serve; it is never slept here.
+        let inj = FaultInjector::new(FaultPlan { delay: Some((2, 300)), ..FaultPlan::none() });
+        let held = Some(Duration::from_millis(300));
+        assert_eq!(inj.on_frame(1), (FrameFault::None, None));
+        assert_eq!(inj.on_frame(2), (FrameFault::None, held));
+        assert_eq!(inj.on_frame(4), (FrameFault::None, held));
 
         // Torn write fires exactly once.
         let inj = FaultInjector::new(FaultPlan { torn_write: Some(2), ..FaultPlan::none() });
@@ -708,10 +722,10 @@ mod tests {
         // even for a fresh connection that reaches the same frame count.
         let inj =
             FaultInjector::new(FaultPlan { drop_once_after_frames: Some(2), ..FaultPlan::none() });
-        assert_eq!(inj.on_frame(1), FrameFault::None);
-        assert_eq!(inj.on_frame(2), FrameFault::Drop);
-        assert_eq!(inj.on_frame(2), FrameFault::None, "a one-shot drop never repeats");
-        assert_eq!(inj.on_frame(3), FrameFault::None);
+        assert_eq!(inj.on_frame(1).0, FrameFault::None);
+        assert_eq!(inj.on_frame(2).0, FrameFault::Drop);
+        assert_eq!(inj.on_frame(2).0, FrameFault::None, "a one-shot drop never repeats");
+        assert_eq!(inj.on_frame(3).0, FrameFault::None);
     }
 
     /// A throwaway upstream that answers every frame with a canned reply

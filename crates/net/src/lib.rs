@@ -46,9 +46,7 @@ pub use reactor::{Clock, ManualClock, MonotonicClock, Reactor, TimerId, TimerWhe
 pub use resilience::{
     Admission, BreakerCore, BreakerState, CircuitBreaker, Deadline, LatencyTracker, RetryBudget,
 };
-pub use server::{
-    serve, DaemonConfig, DaemonHandle, NetListener, DEFAULT_MAX_CHUNK, DEFAULT_WORKERS,
-};
+pub use server::{serve, DaemonConfig, DaemonHandle, NetListener, DEFAULT_MAX_CHUNK};
 pub use session::{
     spawn_loopback, BatchWrite, NodeHealth, RedistReport, ScrubReport, SegmentOutcome, Session,
 };

@@ -1,70 +1,83 @@
-//! The daemon's serving loop: one non-blocking event-loop thread serving
-//! every connection, plus a fixed pool of [`DaemonConfig::workers`]
-//! frame-executing workers (DESIGN.md §17).
+//! The daemon's serving loop: one non-blocking event-loop thread that
+//! accepts, reads, executes and replies for every connection, and owns
+//! every hosted subfile (DESIGN.md §17).
 //!
-//! Division of labor:
+//! Each turn of the loop:
 //!
-//! * the **reactor thread** owns the listener and every socket. It
-//!   accepts, reads, splits the byte stream into frames, stamps each
-//!   frame's `received` instant (the deadline clock starts at receipt,
-//!   before any queueing), and drains queued reply bytes back out. It
-//!   never executes a request, never sleeps, and never blocks on anything
-//!   but [`Reactor::poll`] — idle timeouts ride the [`TimerWheel`]
-//!   instead of per-socket `SO_RCVTIMEO`.
-//! * a **worker** executes decoded frames through
-//!   [`handle_frame`](super::handle_frame) — one connection's frames
-//!   strictly in FIFO order (an `executing` flag pins a connection to at
-//!   most one worker at a time), which preserves reply ordering and the
-//!   one-chunked-write-per-connection stream state. The fault injector's
-//!   frame hook also runs here, so an injected delay stalls only the
-//!   faulted connection's worker slot, never the event loop.
+//! 1. **polls** for readiness — with a zero timeout while parsed frames or
+//!    a scrub pass are waiting, so work already read never starves
+//!    accepts and reads;
+//! 2. **reads** every readable connection into its `FrameBuf`, splits the
+//!    stream into frames and stamps each frame's `received` instant (the
+//!    deadline clock starts at receipt, before any queueing);
+//! 3. **fires timers** from the [`TimerWheel`]: idle reaping, the release
+//!    of a connection parked by an injected delay, and the scrub cadence;
+//! 4. **dispatches** one pass over the deficit-round-robin ring of tenants
+//!    ([`Drr`], DESIGN.md §18): a connection taken from it runs the frames
+//!    it was charged for (at most [`WORKER_BURST`]), strictly in arrival
+//!    order, through the prologue in [`execute`] and
+//!    [`handle_frame`](super::Daemon::handle_frame). Replies are appended
+//!    to the connection's write buffer, which is flushed once per burst,
+//!    not once per reply;
+//! 5. **scrubs** at most one `SCRUB_WINDOW_PAGES` window of one subfile.
 //!
-//! Backpressure is bounded at both edges: a connection with
-//! [`FRAME_QUEUE_DEPTH`] undispatched frames has its read interest
-//! dropped (TCP pushes back to the client) until the worker drains it,
-//! and a worker whose replies outrun a slow reader parks on the
-//! connection's write-buffer condvar until the reactor flushes it.
+//! Nothing here sleeps or blocks except [`Reactor::poll`]: idle timeouts
+//! and injected `delay` faults ride the timer wheel, so a delayed frame
+//! stalls its own connection, never the event loop. Backpressure is
+//! bounded at both edges: a connection with [`FRAME_QUEUE_DEPTH`] parsed
+//! frames has its read interest dropped (TCP pushes back to the client)
+//! until dispatch drains it below half, and a slow reader whose unsent
+//! replies exceed [`WRITE_BUF_CAP`] is skipped by dispatch until its
+//! socket drains.
 //!
 //! Every per-frame semantic the model checker and chaos suite pin down —
-//! admission order, `Busy`/`Overloaded` shedding, journal-before-ack,
-//! exactly-once stamps, reply truncation and kill faults — lives in
-//! [`handle_frame`](super::handle_frame) and the frame prologue in
-//! [`execute_frame`].
+//! `Busy`/`Overloaded` shedding, journal-before-ack, exactly-once stamps,
+//! reply truncation and kill faults — lives in
+//! [`handle_frame`](super::Daemon::handle_frame) and the frame prologue in
+//! [`execute`].
 
-use super::{lock, NetListener, NetStream, Shared, BUSY_RETRY_MS, OVERLOADED_RETRY_MS};
+use super::{ChunkWrite, Daemon, NetListener, NetStream, OVERLOADED_RETRY_MS};
 use crate::error::ProtocolError;
 use crate::fault::FrameFault;
 use crate::reactor::{Clock, Event, Interest, MonotonicClock, Reactor, TimerId, TimerWheel};
 use crate::wire::{self, Filled, FrameBuf, Reply, WireError, PROTOCOL_VERSION};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Reactor token of the listening socket; connections start above it.
 const LISTENER_TOKEN: usize = 0;
 
-/// Undispatched frames buffered per connection before its read interest
-/// is dropped (flow control propagates to the client through TCP).
+/// Parsed frames buffered per connection before its read interest is
+/// dropped (flow control propagates to the client through TCP).
 const FRAME_QUEUE_DEPTH: usize = 32;
 
 /// Queue length at which a paused connection's reads resume.
 const FRAME_QUEUE_RESUME: usize = FRAME_QUEUE_DEPTH / 2;
 
-/// Pending reply bytes per connection before the producing worker parks
-/// until the reactor drains the socket (slow-reader backpressure).
+/// Unsent reply bytes per connection beyond which dispatch skips it until
+/// the socket drains (slow-reader backpressure).
 const WRITE_BUF_CAP: usize = 1 << 20;
 
-/// Frames one worker executes for a connection before requeuing it, so a
-/// blast from one client cannot monopolize a worker.
+/// Frames one dispatch runs for a connection before moving on, so a blast
+/// from one client cannot monopolize the loop; also the DRR quantum.
 const WORKER_BURST: usize = 16;
+
+/// Bursts a connection with frames left may run on consecutive turns of
+/// its tenant before it yields to the tenant's other connections. Plain
+/// rotation among one tenant's connections finishes their pipelined
+/// batches in lockstep, so the tenant then has nothing queued while all
+/// its clients turn around at once and its share goes to the others; a
+/// run of 8 bursts (128 frames) lets one batch finish before the next
+/// connection's starts, which staggers them, and still bounds how long
+/// the tenant's other connections wait.
+const CONN_RUN: usize = 8;
 
 /// How long a shed (over-capacity) connection may sit before it is
 /// reaped without delivering its `Overloaded` verdict.
 const SHED_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// One frame decoded off a connection, queued for a worker.
+/// One frame split off a connection, waiting for dispatch.
 struct QueuedFrame {
     version: u8,
     opcode: u8,
@@ -78,72 +91,117 @@ struct QueuedFrame {
     seqno: u64,
 }
 
-/// Worker-visible connection state behind one mutex.
-struct ConnQ {
+/// What the loop's timer wheel wakes it for.
+#[derive(Debug, Clone, Copy)]
+enum Timer {
+    /// A connection's idle budget ran out.
+    Idle(usize),
+    /// A connection parked by an injected delay may run its frame.
+    Release(usize),
+    /// The next scrub pass is due.
+    Scrub,
+}
+
+/// One connection, owned by the loop.
+struct Conn {
+    stream: NetStream,
+    /// Inbound bytes and the frames split out of them.
+    rx: FrameBuf,
+    /// Parsed frames waiting for dispatch, in arrival order.
     frames: VecDeque<QueuedFrame>,
-    /// A worker currently owns this connection's frames: at most one at a
-    /// time, so frames execute (and reply) strictly in arrival order.
-    executing: bool,
-    /// Cleared on close: workers drop frames of a dead connection.
-    open: bool,
-    /// The reactor stopped reading because the queue hit its depth cap.
-    paused: bool,
-    /// Accepted over `max_connections`: first frame is answered
+    frames_seen: u64,
+    /// Tenant id learned from the connection's last `Open` frame (0 until
+    /// one arrives): the DRR dispatch key.
+    tenant: u32,
+    /// Accepted over `max_connections`: the first frame is answered
     /// `Overloaded` and the connection closed.
     shed: bool,
     /// In-progress chunked write (one stream per connection).
-    chunk: Option<super::ChunkWrite>,
-    /// A framing-level protocol error (oversized/undersized frame): the
-    /// worker answers it after draining queued frames, then closes.
+    chunk: Option<ChunkWrite>,
+    /// A framing-level protocol error (oversized/undersized frame),
+    /// answered after the frames parsed before it; then the connection
+    /// closes.
     fatal: Option<ProtocolError>,
+    /// Reply bytes; `out[sent..]` has not reached the socket yet.
+    out: Vec<u8>,
+    sent: usize,
+    /// Close once `out` drains (shutdown-with-reply, shed verdicts,
+    /// injected drops and truncations, framing errors).
+    closing: bool,
+    /// Reads stopped because `frames` hit [`FRAME_QUEUE_DEPTH`].
+    paused: bool,
+    /// Reads stopped for good (framing error, or closing).
+    draining: bool,
+    /// The connection holds a slot in the dispatch queue, charged this
+    /// many frames: its next burst runs no more than it paid for.
+    queued: Option<usize>,
+    /// Parked by an injected delay until this timer fires; the held frame
+    /// stays at the front of `frames`.
+    held: Option<TimerId>,
+    /// The held frame's fault verdict, drawn when its delay began.
+    verdict: Option<FrameFault>,
+    /// Bursts run on consecutive turns of the tenant (see [`CONN_RUN`]).
+    run: usize,
+    idle_timer: Option<TimerId>,
+    /// Idle budget (read timeout; [`SHED_TIMEOUT`] for shed connections).
+    timeout: Option<Duration>,
+    /// Loop clock at the last read that delivered bytes: the idle timer,
+    /// when it fires, re-arms itself from here instead of every read
+    /// moving it.
+    last_read_ms: u64,
+    interest: Interest,
 }
 
-/// Reply bytes queued toward one connection.
-#[derive(Default)]
-struct WriteBuf {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already written to the socket.
-    start: usize,
-    /// Socket is gone; producers drop their output.
-    closed: bool,
-    /// Close the connection once the buffer drains (shutdown-with-reply,
-    /// shed verdicts, truncated-frame severing).
-    close_after_flush: bool,
-}
-
-/// One connection, shared between the reactor thread and the worker pool.
-struct Conn {
-    token: usize,
-    stream: Arc<NetStream>,
-    q: Mutex<ConnQ>,
-    wq: Mutex<WriteBuf>,
-    /// Signalled by the reactor after draining `wq` (backpressure release).
-    wq_cv: Condvar,
-    /// Tenant id learned from the connection's last `Open` frame (0
-    /// until one arrives): the DRR dispatch key and the
-    /// per-tenant quota key.
-    tenant: AtomicU32,
-}
-
-/// Worker → reactor notifications, carried over the reactor's waker.
-struct Notify {
-    waker: crate::reactor::Waker,
-    /// Connections whose frame queue drained below the resume mark: the
-    /// reactor re-parses buffered bytes and re-arms read interest.
-    rearm: Mutex<Vec<usize>>,
-    /// Connections with freshly queued reply bytes to drain.
-    flush: Mutex<Vec<usize>>,
-}
-
-impl Notify {
-    fn push_rearm(&self, token: usize) {
-        lock(&self.rearm).push(token);
-        self.waker.wake();
+impl Conn {
+    fn unsent(&self) -> usize {
+        self.out.len() - self.sent
     }
 
-    fn push_flush(&self, token: usize) {
-        lock(&self.flush).push(token);
-        self.waker.wake();
+    fn has_work(&self) -> bool {
+        !self.frames.is_empty() || self.fatal.is_some()
+    }
+
+    /// Whether this connection should join the dispatch queue: it has
+    /// frames to run, is not queued already, parked or closing, and its
+    /// reader keeps up.
+    fn runnable(&self) -> bool {
+        self.has_work()
+            && self.queued.is_none()
+            && self.held.is_none()
+            && !self.closing
+            && self.unsent() <= WRITE_BUF_CAP
+    }
+
+    /// Encodes one reply frame in place at the end of the write buffer; an
+    /// injected truncation cuts it `keep` bytes in.
+    fn append(&mut self, request_id: u64, reply: &Reply, truncate: Option<u64>) {
+        let start = wire::append_frame(&mut self.out, reply.opcode(), request_id, |out| {
+            reply.append_payload(out);
+        });
+        if let Some(keep) = truncate {
+            let frame_len = self.out.len() - start;
+            self.out.truncate(start + (keep as usize).min(frame_len));
+        }
+    }
+
+    /// Writes as much unsent output as the socket takes right now;
+    /// `false` when the socket is dead.
+    fn flush(&mut self) -> bool {
+        let mut w: &NetStream = &self.stream;
+        while self.sent < self.out.len() {
+            match w.write(&self.out[self.sent..]) {
+                Ok(0) => return false,
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+        if self.sent == self.out.len() {
+            self.out.clear();
+            self.sent = 0;
+        }
+        true
     }
 }
 
@@ -178,13 +236,28 @@ impl<T> Drr<T> {
     }
 
     fn push(&mut self, tenant: u32, item: T, cost: u64) {
+        self.enqueue(tenant, item, cost, false);
+    }
+
+    /// [`push`](Self::push), but ahead of the tenant's other jobs: the
+    /// tenant's next turn serves this one first.
+    fn push_front(&mut self, tenant: u32, item: T, cost: u64) {
+        self.enqueue(tenant, item, cost, true);
+    }
+
+    fn enqueue(&mut self, tenant: u32, item: T, cost: u64, front: bool) {
         let quantum = self.quantum;
         let tq = self.tenants.entry(tenant).or_insert_with(|| TenantQ {
             q: VecDeque::new(),
             deficit: 0,
             in_ring: false,
         });
-        tq.q.push_back((item, cost.clamp(1, quantum)));
+        let job = (item, cost.clamp(1, quantum));
+        if front {
+            tq.q.push_front(job);
+        } else {
+            tq.q.push_back(job);
+        }
         if !tq.in_ring {
             tq.in_ring = true;
             self.ring.push_back(tenant);
@@ -221,118 +294,35 @@ impl<T> Drr<T> {
     }
 }
 
-struct JobQ {
-    /// Per-tenant deficit-round-robin dispatch.
-    drr: Drr<Arc<Conn>>,
-    stopping: bool,
-}
-
-/// The worker pool's job queue: connections with undispatched frames.
-struct Pool {
-    jobs: Mutex<JobQ>,
-    cv: Condvar,
-}
-
-impl Pool {
-    fn new() -> Self {
-        Self {
-            jobs: Mutex::new(JobQ { drr: Drr::new(WORKER_BURST as u64), stopping: false }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Enqueues a connection with frames ready; `cost` is the frame count
-    /// queued at enqueue time (the DRR service charge — a connection
-    /// carrying a fat burst spends its tenant's credit faster).
-    fn push(&self, conn: Arc<Conn>, cost: u64) {
-        lock(&self.jobs).drr.push(conn.tenant.load(Ordering::Relaxed), conn, cost);
-        self.cv.notify_one();
-    }
-
-    fn next_job(&self) -> Option<Arc<Conn>> {
-        let mut jobs = lock(&self.jobs);
-        loop {
-            if let Some(c) = jobs.drr.pop() {
-                return Some(c);
-            }
-            if jobs.stopping {
-                return None;
-            }
-            jobs = self.cv.wait(jobs).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn stop(&self) {
-        lock(&self.jobs).stopping = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Reactor-private per-connection state (read buffer, timers, interest).
-struct ConnEntry {
-    conn: Arc<Conn>,
-    /// Inbound bytes and the frames split out of them.
-    rx: FrameBuf,
-    frames_seen: u64,
-    idle_timer: Option<TimerId>,
-    /// Idle budget (read timeout; [`SHED_TIMEOUT`] for shed connections).
-    timeout: Option<Duration>,
-    interest: Interest,
-    /// Reads stopped for good (framing error answered, output draining).
-    draining: bool,
-}
-
 /// Entry point: spawned as the `pf-net-reactor` thread by [`super::serve`].
-pub(super) fn run(listener: NetListener, reactor: Reactor, shared: &Arc<Shared>) {
+pub(super) fn run(listener: NetListener, reactor: Reactor, daemon: Daemon) {
     let cleanup = match &listener {
         NetListener::Unix(_, path) => Some(path.clone()),
         NetListener::Tcp(_) => None,
     };
-    let notify = Arc::new(Notify {
-        waker: reactor.waker(),
-        rearm: Mutex::new(Vec::new()),
-        flush: Mutex::new(Vec::new()),
-    });
-    let pool = Arc::new(Pool::new());
-    let mut worker_handles = Vec::new();
-    for i in 0..shared.config.workers.max(1) {
-        let shared = Arc::clone(shared);
-        let pool = Arc::clone(&pool);
-        let notify = Arc::clone(&notify);
-        if let Ok(h) = std::thread::Builder::new()
-            .name(format!("pf-net-worker-{i}"))
-            .spawn(move || worker_loop(&shared, &pool, &notify))
-        {
-            worker_handles.push(h);
-        }
-    }
     let mut driver = Driver {
-        shared: Arc::clone(shared),
+        daemon,
         reactor,
         listener,
-        pool: Arc::clone(&pool),
-        notify,
         conns: HashMap::new(),
+        drr: Drr::new(WORKER_BURST as u64),
         wheel: TimerWheel::new(),
         clock: MonotonicClock::new(),
         next_token: LISTENER_TOKEN + 1,
+        scrub: None,
     };
+    if let Some(every) = driver.daemon.config.scrub_interval {
+        driver.wheel.schedule(dur_ms(every), Timer::Scrub);
+    }
     let listener_fd = driver.listener.as_raw_fd();
     if driver.reactor.register(listener_fd, LISTENER_TOKEN, Interest::READ).is_ok() {
         driver.run_loop();
     }
-    // Teardown — ordered so every connection driver is gone before the
-    // listener (owned by this thread) drops:
-    // 1. no new jobs; 2. sever connections, unblocking any worker parked
-    // on a write buffer; 3. join the workers; 4. only then return, which
-    // drops the listener (and removes a Unix socket path).
-    pool.stop();
+    // The loop severs its own connections; returning then drops the
+    // listener (and the Unix socket path goes with it).
     let tokens: Vec<usize> = driver.conns.keys().copied().collect();
     for token in tokens {
         driver.close_conn(token);
-    }
-    for h in worker_handles {
-        let _ = h.join();
     }
     if let Some(path) = cleanup {
         let _ = std::fs::remove_file(path);
@@ -340,26 +330,44 @@ pub(super) fn run(listener: NetListener, reactor: Reactor, shared: &Arc<Shared>)
 }
 
 struct Driver {
-    shared: Arc<Shared>,
+    daemon: Daemon,
     reactor: Reactor,
     listener: NetListener,
-    pool: Arc<Pool>,
-    notify: Arc<Notify>,
-    conns: HashMap<usize, ConnEntry>,
-    wheel: TimerWheel<usize>,
+    conns: HashMap<usize, Conn>,
+    /// Connections with frames to run, by tenant.
+    drr: Drr<usize>,
+    wheel: TimerWheel<Timer>,
     clock: MonotonicClock,
     next_token: usize,
+    /// The scrub pass in progress: the files still to verify (the last
+    /// one first) and the next page of the last.
+    scrub: Option<(Vec<u64>, usize)>,
+}
+
+/// What running one frame leaves its connection to do next.
+enum Outcome {
+    Continue,
+    /// An injected delay: park the connection, the frame stays queued.
+    Hold(Duration),
+    /// Flush what is queued, then close the connection.
+    Close,
+    /// An injected kill or torn write "crashed" the daemon.
+    Crashed,
 }
 
 impl Driver {
     fn run_loop(&mut self) {
         let mut events: Vec<Event> = Vec::new();
-        while !self.shared.stopping.load(Ordering::SeqCst) {
-            let timeout = self.wheel.until_next(self.clock.now_ms()).map(Duration::from_millis);
+        while !self.daemon.stopping() {
+            let timeout = if !self.drr.ring.is_empty() || self.scrub.is_some() {
+                Some(Duration::ZERO)
+            } else {
+                self.wheel.until_next(self.clock.now_ms()).map(Duration::from_millis)
+            };
             if self.reactor.poll(&mut events, timeout).is_err() {
                 return;
             }
-            if self.shared.stopping.load(Ordering::SeqCst) {
+            if self.daemon.stopping() {
                 return;
             }
             for &ev in &events {
@@ -374,8 +382,9 @@ impl Driver {
                     }
                 }
             }
-            self.apply_notifications();
             self.fire_timers();
+            self.dispatch();
+            self.scrub_step();
         }
     }
 
@@ -388,64 +397,47 @@ impl Driver {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            if self.shared.stopping.load(Ordering::SeqCst) {
-                return;
-            }
             if stream.set_nonblocking(true).is_err() {
                 stream.shutdown_both();
                 continue;
             }
-            let stream = Arc::new(stream);
-            // Accept-edge policy: register the connection for shutdown
-            // severing, shed it when over cap.
-            let shed = {
-                let mut conns = lock(&self.shared.conns);
-                conns.retain(|w| w.strong_count() > 0);
-                let cap = self.shared.config.max_connections;
-                if cap > 0 && conns.len() >= cap {
-                    true
-                } else {
-                    conns.push(Arc::downgrade(&stream));
-                    false
-                }
-            };
+            // Accept-edge policy: shed the connection when over cap.
+            let cap = self.daemon.config.max_connections;
+            let shed = cap > 0 && self.conns.values().filter(|c| !c.shed).count() >= cap;
             let token = self.next_token;
             self.next_token += 1;
             if self.reactor.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
                 stream.shutdown_both();
                 continue;
             }
-            let conn = Arc::new(Conn {
-                token,
-                stream,
-                q: Mutex::new(ConnQ {
-                    frames: VecDeque::new(),
-                    executing: false,
-                    open: true,
-                    paused: false,
-                    shed,
-                    chunk: None,
-                    fatal: None,
-                }),
-                wq: Mutex::new(WriteBuf::default()),
-                wq_cv: Condvar::new(),
-                tenant: AtomicU32::new(0),
-            });
-            let timeout = if shed { Some(SHED_TIMEOUT) } else { self.shared.config.read_timeout };
+            let timeout = if shed { Some(SHED_TIMEOUT) } else { self.daemon.config.read_timeout };
+            let now = self.clock.now_ms();
             let idle_timer = timeout
-                .map(|t| self.wheel.schedule(self.clock.now_ms().saturating_add(dur_ms(t)), token));
-            self.conns.insert(
-                token,
-                ConnEntry {
-                    conn,
-                    rx: FrameBuf::new(self.shared.config.max_frame),
-                    frames_seen: 0,
-                    idle_timer,
-                    timeout,
-                    interest: Interest::READ,
-                    draining: false,
-                },
-            );
+                .map(|t| self.wheel.schedule(now.saturating_add(dur_ms(t)), Timer::Idle(token)));
+            let conn = Conn {
+                stream,
+                rx: FrameBuf::new(self.daemon.config.max_frame),
+                frames: VecDeque::new(),
+                frames_seen: 0,
+                tenant: 0,
+                shed,
+                chunk: None,
+                fatal: None,
+                out: Vec::new(),
+                sent: 0,
+                closing: false,
+                paused: false,
+                draining: false,
+                queued: None,
+                held: None,
+                verdict: None,
+                run: 0,
+                idle_timer,
+                timeout,
+                last_read_ms: now,
+                interest: Interest::READ,
+            };
+            self.conns.insert(token, conn);
         }
     }
 
@@ -453,51 +445,42 @@ impl Driver {
     /// allow. Returns true when the connection was closed.
     fn conn_readable(&mut self, token: usize) -> bool {
         loop {
-            let filled = {
-                let Some(entry) = self.conns.get_mut(&token) else { return true };
-                let mut stream: &NetStream = &entry.conn.stream;
-                let filled = match entry.rx.read_from(&mut stream) {
-                    Ok(filled) => Some(filled),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => Some(Filled::Eof),
-                };
-                if entry.draining {
-                    entry.rx.clear();
-                }
-                filled
+            let Some(conn) = self.conns.get_mut(&token) else { return true };
+            let mut stream: &NetStream = &conn.stream;
+            let filled = match conn.rx.read_from(&mut stream) {
+                Ok(filled) => Some(filled),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => Some(Filled::Eof),
             };
+            if conn.draining {
+                conn.rx.clear();
+            }
             if filled == Some(Filled::Eof) {
                 self.close_conn(token);
                 return true;
             }
             if filled.is_some() {
-                self.reset_idle_timer(token);
+                conn.last_read_ms = self.clock.now_ms();
                 self.parse_frames(token);
             }
             // A short read drained the socket (the poll is level-triggered:
             // later bytes are reported again), so only a full one goes round.
-            let Some(entry) = self.conns.get(&token) else { return true };
-            if filled != Some(Filled::More) || entry.draining || lock(&entry.conn.q).paused {
+            let Some(conn) = self.conns.get(&token) else { return true };
+            if filled != Some(Filled::More) || conn.draining || conn.paused {
                 break;
             }
         }
+        self.schedule(token, false);
         self.update_interest(token);
         false
     }
 
-    /// Splits buffered bytes into frames and hands them to the pool.
+    /// Splits buffered bytes into queued frames, up to the queue's depth.
     fn parse_frames(&mut self, token: usize) {
-        let pool = Arc::clone(&self.pool);
-        let Some(entry) = self.conns.get_mut(&token) else { return };
-        // The pool push is deferred to the end of the parse batch so the
-        // DRR charge covers every frame parsed from this readiness event,
-        // not just the first — pushing at cost 1 and then appending the
-        // rest of a burst behind the queued connection would let a fat
-        // batch ride a singleton's charge.
-        let mut enqueue = false;
-        while !entry.draining {
-            let frame = match entry.rx.next_frame() {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        while !conn.draining && !conn.paused {
+            let frame = match conn.rx.next_frame() {
                 Ok(None) => break,
                 Ok(Some(f)) => QueuedFrame {
                     version: f.version,
@@ -505,446 +488,272 @@ impl Driver {
                     request_id: f.request_id,
                     payload: f.payload.into_owned(),
                     received: Instant::now(),
-                    seqno: entry.frames_seen + 1,
+                    seqno: conn.frames_seen + 1,
                 },
                 Err(e) => {
                     // The frame was not consumed, so the stream is out of
-                    // sync: the worker answers with request id 0 and closes.
-                    fatal_framing(entry, &pool, e.into());
+                    // sync: dispatch answers with request id 0 after the
+                    // frames already queued, and closes.
+                    conn.draining = true;
+                    conn.fatal = Some(e.into());
                     break;
                 }
             };
             // Learn the connection's tenant as soon as an `Open` is parsed,
             // so the very first dispatch already lands in the right DRR
             // queue. Malformed frames and frames of another version stay
-            // tenantless — the worker refuses them with a typed error.
+            // tenantless — dispatch refuses them with a typed error.
             if frame.opcode == wire::op::OPEN {
                 if let Ok(wire::Request::Open { tenant, .. }) =
                     wire::Request::decode_at(frame.version, frame.opcode, &frame.payload)
                 {
-                    entry.conn.tenant.store(tenant, Ordering::Relaxed);
+                    conn.tenant = tenant;
                 }
             }
-            entry.frames_seen += 1;
-            let mut q = lock(&entry.conn.q);
-            if !q.open {
-                break;
-            }
-            q.frames.push_back(frame);
-            let full = q.frames.len() >= FRAME_QUEUE_DEPTH;
-            if full {
-                q.paused = true;
-            }
-            if !q.executing {
-                // Claim the dispatch slot now (no worker may grab the
-                // conn until the batch is fully parsed and priced below).
-                q.executing = true;
-                enqueue = true;
-            }
-            drop(q);
-            if full {
-                break;
-            }
-        }
-        if enqueue {
-            let cost = lock(&entry.conn.q).frames.len() as u64;
-            pool.push(Arc::clone(&entry.conn), cost);
+            conn.frames_seen += 1;
+            conn.frames.push_back(frame);
+            conn.paused = conn.frames.len() >= FRAME_QUEUE_DEPTH;
         }
     }
 
-    /// Drains queued reply bytes; closes the connection when its write
-    /// buffer empties with `close_after_flush` set (or the socket died).
-    fn conn_writable(&mut self, token: usize) {
-        let Some(entry) = self.conns.get(&token) else { return };
-        let conn = Arc::clone(&entry.conn);
-        let (closed, close_now) = {
-            let mut wq = lock(&conn.wq);
-            try_flush(&conn.stream, &mut wq);
-            let drained = wq.start >= wq.buf.len();
-            (wq.closed, drained && wq.close_after_flush)
-        };
-        conn.wq_cv.notify_all();
-        if closed || close_now {
+    /// Queues a connection for dispatch if it has runnable frames — ahead
+    /// of its tenant's other connections when `keep_turn` (a run in
+    /// progress, see [`CONN_RUN`]). The DRR charge is the frame count
+    /// queued now, so a connection carrying a fat pipelined burst spends
+    /// its tenant's credit faster than one carrying a single frame; frames
+    /// parsed while it waits are charged at its next turn, not run on this
+    /// one's credit.
+    fn schedule(&mut self, token: usize, keep_turn: bool) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        if !conn.runnable() {
+            return;
+        }
+        let cost = conn.frames.len().clamp(1, WORKER_BURST);
+        conn.queued = Some(cost);
+        if keep_turn {
+            self.drr.push_front(conn.tenant, token, cost as u64);
+        } else {
+            conn.run = 0;
+            self.drr.push(conn.tenant, token, cost as u64);
+        }
+    }
+
+    /// One pass over the DRR ring: as many bursts as tenants hold backlog
+    /// when it starts, so the loop reads its sockets again after each
+    /// tenant was served once.
+    fn dispatch(&mut self) {
+        for _ in 0..self.drr.ring.len() {
+            if self.daemon.stopping() {
+                return;
+            }
+            let Some(token) = self.drr.pop() else { return };
+            self.run_burst(token);
+        }
+    }
+
+    /// Runs the frames a connection was charged for (at most
+    /// [`WORKER_BURST`]) in arrival order, then flushes their replies with
+    /// one write.
+    fn run_burst(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let charged = conn.queued.take().unwrap_or(0);
+        let mut outcome = Outcome::Continue;
+        for _ in 0..charged {
+            if conn.held.is_some() || conn.closing || conn.unsent() > WRITE_BUF_CAP {
+                break;
+            }
+            let Some(frame) = conn.frames.pop_front() else {
+                if let Some(fatal) = conn.fatal.take() {
+                    conn.append(0, &Reply::Error(fatal), None);
+                    outcome = Outcome::Close;
+                }
+                break;
+            };
+            outcome = execute(&mut self.daemon, conn, &frame);
+            if !matches!(outcome, Outcome::Continue) {
+                if matches!(outcome, Outcome::Hold(_)) {
+                    conn.frames.push_front(frame);
+                }
+                break;
+            }
+        }
+        // Replies to the frames that completed go out even when the last
+        // one crashed the daemon: they were answered before it "died".
+        let alive = conn.flush();
+        match outcome {
+            Outcome::Continue => {}
+            Outcome::Hold(delay) => {
+                let due = self.clock.now_ms().saturating_add(dur_ms(delay));
+                conn.held = Some(self.wheel.schedule(due, Timer::Release(token)));
+            }
+            Outcome::Close => {
+                conn.closing = true;
+                conn.draining = true;
+                conn.frames.clear();
+                conn.fatal = None;
+            }
+            Outcome::Crashed => {
+                self.daemon.crash();
+                return;
+            }
+        }
+        if !alive || (conn.closing && conn.unsent() == 0) {
             self.close_conn(token);
             return;
         }
+        conn.run += 1;
+        let keep_turn = conn.run < CONN_RUN;
+        if conn.paused && conn.frames.len() <= FRAME_QUEUE_RESUME {
+            // Bytes may already be buffered past the parse stop: parse them
+            // now (no readable event will announce them), then re-arm.
+            conn.paused = false;
+            self.parse_frames(token);
+        }
+        self.schedule(token, keep_turn);
+        self.update_interest(token);
+    }
+
+    /// Drains queued reply bytes; closes the connection when its write
+    /// buffer empties with `closing` set (or the socket died), and lets a
+    /// skipped slow reader back into dispatch once it is under the cap.
+    fn conn_writable(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        if !conn.flush() || (conn.closing && conn.unsent() == 0) {
+            self.close_conn(token);
+            return;
+        }
+        self.schedule(token, false);
         self.update_interest(token);
     }
 
     /// Recomputes and applies the interest set for one connection.
     fn update_interest(&mut self, token: usize) {
-        let Some(entry) = self.conns.get_mut(&token) else { return };
-        let want_read = {
-            let q = lock(&entry.conn.q);
-            q.open && !q.paused && !entry.draining
-        };
-        let want_write = {
-            let wq = lock(&entry.conn.wq);
-            wq.start < wq.buf.len() && !wq.closed
-        };
-        let want = Interest { readable: want_read, writable: want_write };
-        if want != entry.interest
-            && self.reactor.reregister(entry.conn.stream.as_raw_fd(), token, want).is_ok()
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let want =
+            Interest { readable: !conn.paused && !conn.draining, writable: conn.unsent() > 0 };
+        if want != conn.interest
+            && self.reactor.reregister(conn.stream.as_raw_fd(), token, want).is_ok()
         {
-            entry.interest = want;
+            conn.interest = want;
         }
     }
 
-    /// Applies worker notifications: resume reading on drained queues,
-    /// drain freshly produced output.
-    fn apply_notifications(&mut self) {
-        let notify = Arc::clone(&self.notify);
-        let rearm: Vec<usize> = std::mem::take(&mut *lock(&notify.rearm));
-        for token in rearm {
-            // Bytes may already be buffered past the parse stop: parse
-            // them first (no new readable event will announce them), then
-            // re-arm read interest.
-            self.parse_frames(token);
-            self.update_interest(token);
-        }
-        let flush: Vec<usize> = std::mem::take(&mut *lock(&notify.flush));
-        for token in flush {
-            self.conn_writable(token);
-        }
-    }
-
-    /// Reaps connections whose idle timer expired — unless frames are
-    /// queued or executing (the daemon itself is the bottleneck; the
-    /// client is not punished for it).
+    /// Handles due timers: reaps idle connections — unless frames are
+    /// queued or replies unsent (the daemon itself is the bottleneck; the
+    /// client is not punished for it) — releases connections whose
+    /// injected delay is over, and starts a scrub pass.
     fn fire_timers(&mut self) {
-        for (_, token) in self.wheel.advance(self.clock.now_ms()) {
-            let Some(entry) = self.conns.get_mut(&token) else { continue };
-            entry.idle_timer = None;
-            let busy = {
-                let q = lock(&entry.conn.q);
-                !q.frames.is_empty() || q.executing || q.fatal.is_some()
-            };
-            let has_output = {
-                let wq = lock(&entry.conn.wq);
-                wq.start < wq.buf.len()
-            };
-            if busy || has_output {
-                self.reset_idle_timer(token);
-            } else {
-                self.close_conn(token);
-            }
-        }
-    }
-
-    fn reset_idle_timer(&mut self, token: usize) {
-        let Some(entry) = self.conns.get_mut(&token) else { return };
-        let Some(t) = entry.timeout else { return };
-        if let Some(id) = entry.idle_timer.take() {
-            self.wheel.cancel(id);
-        }
-        entry.idle_timer =
-            Some(self.wheel.schedule(self.clock.now_ms().saturating_add(dur_ms(t)), token));
-    }
-
-    /// Tears one connection down: deregister, sever, unblock producers.
-    fn close_conn(&mut self, token: usize) {
-        let Some(entry) = self.conns.remove(&token) else { return };
-        if let Some(id) = entry.idle_timer {
-            self.wheel.cancel(id);
-        }
-        let _ = self.reactor.deregister(entry.conn.stream.as_raw_fd());
-        {
-            let mut q = lock(&entry.conn.q);
-            q.open = false;
-            q.frames.clear();
-            q.fatal = None;
-        }
-        {
-            let mut wq = lock(&entry.conn.wq);
-            wq.closed = true;
-            wq.buf.clear();
-            wq.start = 0;
-        }
-        entry.conn.wq_cv.notify_all();
-        entry.conn.stream.shutdown_both();
-    }
-}
-
-/// Records a framing-level fatal error: the worker delivers the error
-/// reply after the frames already queued, then closes the connection.
-fn fatal_framing(entry: &mut ConnEntry, pool: &Arc<Pool>, e: ProtocolError) {
-    entry.draining = true;
-    let mut q = lock(&entry.conn.q);
-    if !q.open {
-        return;
-    }
-    q.fatal = Some(e);
-    if !q.executing {
-        q.executing = true;
-        let cost = (q.frames.len() as u64).max(1);
-        drop(q);
-        pool.push(Arc::clone(&entry.conn), cost);
-    }
-}
-
-/// Writes as much of `wq` as the socket accepts right now.
-fn try_flush(stream: &NetStream, wq: &mut WriteBuf) {
-    let mut w: &NetStream = stream;
-    while wq.start < wq.buf.len() {
-        match w.write(&wq.buf[wq.start..]) {
-            Ok(0) => {
-                wq.closed = true;
-                break;
-            }
-            Ok(n) => wq.start += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                wq.closed = true;
-                break;
-            }
-        }
-    }
-    if wq.start >= wq.buf.len() || wq.closed {
-        wq.buf.clear();
-        wq.start = 0;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Worker side
-
-fn worker_loop(shared: &Shared, pool: &Pool, notify: &Notify) {
-    while let Some(conn) = pool.next_job() {
-        process_conn(shared, pool, notify, &conn);
-    }
-}
-
-enum Outcome {
-    Continue,
-    CloseConn,
-    DaemonCrashed,
-}
-
-/// Executes one connection's queued frames in FIFO order, up to
-/// [`WORKER_BURST`] per dispatch (then requeues for fairness).
-fn process_conn(shared: &Shared, pool: &Pool, notify: &Notify, conn: &Arc<Conn>) {
-    let mut processed = 0usize;
-    loop {
-        let (frame, mut chunk, shed) = {
-            let mut q = lock(&conn.q);
-            if !q.open {
-                q.frames.clear();
-                q.executing = false;
-                return;
-            }
-            match q.frames.pop_front() {
-                Some(f) => {
-                    let chunk = q.chunk.take();
-                    let shed = q.shed;
-                    drop(q);
-                    (f, chunk, shed)
-                }
-                None => {
-                    if let Some(fatal) = q.fatal.take() {
-                        drop(q);
-                        queue_reply(conn, notify, 0, &Reply::Error(fatal), None);
-                        flush_and_close(conn, notify);
-                        lock(&conn.q).executing = false;
-                        return;
+        let now = self.clock.now_ms();
+        for (_, timer) in self.wheel.advance(now) {
+            match timer {
+                Timer::Idle(token) => {
+                    let Some(conn) = self.conns.get_mut(&token) else { continue };
+                    let Some(t) = conn.timeout else { continue };
+                    let mut due = conn.last_read_ms.saturating_add(dur_ms(t));
+                    if due <= now && (conn.has_work() || conn.unsent() > 0) {
+                        due = now.saturating_add(dur_ms(t));
                     }
-                    finish_dispatch(conn, notify, &mut q);
-                    return;
+                    if due > now {
+                        conn.idle_timer = Some(self.wheel.schedule(due, Timer::Idle(token)));
+                    } else {
+                        conn.idle_timer = None;
+                        self.close_conn(token);
+                    }
+                }
+                Timer::Release(token) => {
+                    if let Some(conn) = self.conns.get_mut(&token) {
+                        conn.held = None;
+                    }
+                    self.schedule(token, false);
+                }
+                Timer::Scrub => {
+                    self.scrub = Some((self.daemon.files.keys().copied().collect(), 0));
                 }
             }
-        };
-        let outcome = execute_frame(shared, notify, conn, &frame, &mut chunk, shed);
-        {
-            let mut q = lock(&conn.q);
-            q.chunk = chunk;
-            if q.paused && q.frames.len() <= FRAME_QUEUE_RESUME {
-                q.paused = false;
-                notify.push_rearm(conn.token);
-            }
         }
-        match outcome {
-            Outcome::Continue => {}
-            Outcome::CloseConn => {
-                let mut q = lock(&conn.q);
-                q.open = false;
-                q.frames.clear();
-                q.executing = false;
+    }
+
+    /// Verifies at most one scrub window; once a pass has walked every
+    /// subfile, schedules the next one.
+    fn scrub_step(&mut self) {
+        let Some((files, page)) = &mut self.scrub else { return };
+        while let Some(&file) = files.last() {
+            if let Some(next) = self.daemon.scrub_window(file, *page) {
+                *page = next;
                 return;
             }
-            Outcome::DaemonCrashed => {
-                shared.crash();
-                lock(&conn.q).executing = false;
-                return;
-            }
+            files.pop();
+            *page = 0;
         }
-        processed += 1;
-        if processed >= WORKER_BURST {
-            let mut q = lock(&conn.q);
-            if q.frames.is_empty() && q.fatal.is_none() {
-                finish_dispatch(conn, notify, &mut q);
-            } else {
-                // More work: requeue with `executing` held, so no other
-                // worker can interleave this connection's frames.
-                let cost = q.frames.len() as u64;
-                drop(q);
-                pool.push(Arc::clone(conn), cost);
-            }
-            return;
+        self.scrub = None;
+        if let Some(every) = self.daemon.config.scrub_interval {
+            self.wheel.schedule(self.clock.now_ms().saturating_add(dur_ms(every)), Timer::Scrub);
         }
+    }
+
+    /// Tears one connection down: cancel its timers, deregister, sever.
+    fn close_conn(&mut self, token: usize) {
+        let Some(conn) = self.conns.remove(&token) else { return };
+        for id in [conn.idle_timer, conn.held].into_iter().flatten() {
+            self.wheel.cancel(id);
+        }
+        let _ = self.reactor.deregister(conn.stream.as_raw_fd());
+        conn.stream.shutdown_both();
     }
 }
 
-/// Ends a dispatch with an empty queue: release the connection and ask
-/// the reactor to resume reads if they were paused.
-fn finish_dispatch(conn: &Conn, notify: &Notify, q: &mut ConnQ) {
-    q.executing = false;
-    let rearm = q.paused;
-    if rearm {
-        q.paused = false;
-    }
-    if rearm {
-        notify.push_rearm(conn.token);
-    }
-}
-
-/// The per-frame prologue + dispatch, executed on a worker: fault hook
-/// first (delays sleep *here*, stalling only this connection), then the
-/// version refusal, then admission, then
-/// [`handle_frame`](super::handle_frame), then the reply (with injected
-/// truncation severing the connection) and crash suppression.
-fn execute_frame(
-    shared: &Shared,
-    notify: &Notify,
-    conn: &Conn,
-    frame: &QueuedFrame,
-    chunk: &mut Option<super::ChunkWrite>,
-    shed: bool,
-) -> Outcome {
-    if shed {
+/// The per-frame prologue and dispatch: the shed verdict, the fault hook
+/// (an injected delay parks the connection before anything runs; the
+/// frame's verdict applies once it is released), the version refusal,
+/// then [`handle_frame`](super::Daemon::handle_frame) and its reply — an
+/// injected truncation severs the connection, and a crash suppresses the
+/// reply.
+fn execute(daemon: &mut Daemon, conn: &mut Conn, frame: &QueuedFrame) -> Outcome {
+    if conn.shed {
         let reply = Reply::Overloaded { retry_after_ms: OVERLOADED_RETRY_MS };
-        queue_reply(conn, notify, frame.request_id, &reply, None);
-        flush_and_close(conn, notify);
-        return Outcome::CloseConn;
+        conn.append(frame.request_id, &reply, None);
+        return Outcome::Close;
     }
-    if let Some(fault) = &shared.fault {
-        match fault.on_frame(frame.seqno) {
+    if let Some(injector) = &daemon.shared.fault {
+        let verdict = match conn.verdict.take() {
+            Some(verdict) => verdict,
+            None => match injector.on_frame(frame.seqno) {
+                (verdict, Some(delay)) => {
+                    conn.verdict = Some(verdict);
+                    return Outcome::Hold(delay);
+                }
+                (verdict, None) => verdict,
+            },
+        };
+        match verdict {
             FrameFault::None => {}
-            FrameFault::Drop => {
-                flush_and_close(conn, notify);
-                return Outcome::CloseConn;
-            }
-            FrameFault::Kill => return Outcome::DaemonCrashed,
+            FrameFault::Drop => return Outcome::Close,
+            FrameFault::Kill => return Outcome::Crashed,
         }
     }
-    // A frame of any other version is refused before it is admitted or
-    // decoded: nothing it carries is applied.
+    // A frame of any other version is refused before it is decoded:
+    // nothing it carries is applied.
     if frame.version != PROTOCOL_VERSION {
         let reply = Reply::Error(WireError::UnsupportedVersion(frame.version).into());
-        queue_reply(conn, notify, frame.request_id, &reply, None);
-        return Outcome::Continue;
-    }
-    // Per-tenant quota first (cheapest check): a tenant over its
-    // inflight cap is shed with `Busy` before it can consume one of the
-    // daemon-wide admission slots. The anonymous tenant is unmetered.
-    let tenant = conn.tenant.load(Ordering::Relaxed);
-    let tenant_entered = tenant != 0;
-    if tenant_entered && !shared.enter_tenant(tenant) {
-        let reply = Reply::Busy { retry_after_ms: BUSY_RETRY_MS };
-        queue_reply(conn, notify, frame.request_id, &reply, None);
-        return Outcome::Continue;
-    }
-    if !shared.try_acquire_slot() {
-        if tenant_entered {
-            shared.leave_tenant(tenant);
-        }
-        let reply = Reply::Busy { retry_after_ms: BUSY_RETRY_MS };
-        queue_reply(conn, notify, frame.request_id, &reply, None);
+        conn.append(frame.request_id, &reply, None);
         return Outcome::Continue;
     }
     let (reply, shutdown) =
-        super::handle_frame(shared, chunk, frame.opcode, &frame.payload, frame.received);
-    let crashed = shared.fault_crashed();
-    let mut severed = false;
-    if !crashed {
-        let truncate = shared.fault.as_ref().and_then(|f| f.truncate_reply_at(frame.seqno));
-        queue_reply(conn, notify, frame.request_id, &reply, truncate);
-        severed = truncate.is_some();
+        daemon.handle_frame(&mut conn.chunk, frame.opcode, &frame.payload, frame.received);
+    if daemon.shared.fault_crashed() {
+        // An injected kill or torn write fired while this request ran: the
+        // "crashed" daemon never replies.
+        return Outcome::Crashed;
     }
-    shared.release_slot();
-    if tenant_entered {
-        shared.leave_tenant(tenant);
+    let truncate = daemon.shared.fault.as_ref().and_then(|f| f.truncate_reply_at(frame.seqno));
+    conn.append(frame.request_id, &reply, truncate);
+    // A truncated reply severs the connection; a `Shutdown` delivers its
+    // `Ok` and closes, and the loop stops at the end of this dispatch.
+    if truncate.is_some() || shutdown {
+        Outcome::Close
+    } else {
+        Outcome::Continue
     }
-    if crashed {
-        // An injected kill or torn write fired while this request was in
-        // flight: the "crashed" daemon never replies.
-        return Outcome::DaemonCrashed;
-    }
-    if severed {
-        flush_and_close(conn, notify);
-        return Outcome::CloseConn;
-    }
-    if shutdown {
-        // `handle_frame` set `stopping`; deliver the `Ok`, close this
-        // connection, and wake everything that might be parked on the
-        // old state — the reactor's poll and the scrub thread's pause.
-        flush_and_close(conn, notify);
-        shared.shutdown_cv.notify_all();
-        notify.waker.wake();
-        return Outcome::CloseConn;
-    }
-    Outcome::Continue
-}
-
-/// Encodes one reply frame in place at the end of the connection's write
-/// buffer (an injected truncation cuts it `keep` bytes in), attempts an
-/// immediate non-blocking drain, and leaves the reactor to finish the rest.
-/// Parks when the buffer is over [`WRITE_BUF_CAP`] — slow-reader
-/// backpressure bounded per connection.
-fn queue_reply(
-    conn: &Conn,
-    notify: &Notify,
-    request_id: u64,
-    reply: &Reply,
-    truncate: Option<u64>,
-) {
-    let mut wq = lock(&conn.wq);
-    while wq.buf.len() - wq.start > WRITE_BUF_CAP && !wq.closed {
-        wq = conn.wq_cv.wait(wq).unwrap_or_else(|e| e.into_inner());
-    }
-    if wq.closed {
-        return;
-    }
-    let start = wire::append_frame(&mut wq.buf, reply.opcode(), request_id, |out| {
-        reply.append_payload(out)
-    });
-    if let Some(keep) = truncate {
-        let frame_len = wq.buf.len() - start;
-        wq.buf.truncate(start + (keep as usize).min(frame_len));
-    }
-    try_flush(&conn.stream, &mut wq);
-    let leftover = wq.start < wq.buf.len();
-    drop(wq);
-    if leftover {
-        notify.push_flush(conn.token);
-    }
-}
-
-/// Closes a connection from the worker side: no more frames, flush what
-/// is queued, and let the reactor deregister + shut the socket down.
-fn flush_and_close(conn: &Conn, notify: &Notify) {
-    {
-        let mut q = lock(&conn.q);
-        q.open = false;
-        q.frames.clear();
-    }
-    {
-        let mut wq = lock(&conn.wq);
-        wq.close_after_flush = true;
-        try_flush(&conn.stream, &mut wq);
-    }
-    // Always notify: even a fully drained buffer needs the reactor to
-    // deregister the fd and drop its entry.
-    notify.push_flush(conn.token);
 }
 
 /// Duration → wheel milliseconds (rounds up so sub-ms budgets still arm).
@@ -1005,6 +814,22 @@ mod tests {
         }
         assert_eq!(served[1], 2, "2 fat jobs = 8 service units: {served:?}");
         assert_eq!(served[2], 8, "8 thin jobs = 8 service units: {served:?}");
+    }
+
+    #[test]
+    fn drr_push_front_serves_a_tenants_run_before_its_other_jobs() {
+        let mut drr = Drr::new(4);
+        drr.push(1, 1u32, 1);
+        drr.push(1, 2u32, 1);
+        drr.push(2, 3u32, 1);
+        assert_eq!(drr.pop(), Some(1));
+        // Job 1 keeps its tenant's turn: it goes ahead of job 2, and the
+        // other tenant's place in the ring is untouched.
+        drr.push_front(1, 1u32, 1);
+        assert_eq!(drr.pop(), Some(1));
+        assert_eq!(drr.pop(), Some(2));
+        assert_eq!(drr.pop(), Some(3));
+        assert!(drr.pop().is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * a frame that is complete in the buffer is lent as a slice of it
 //!   ([`Cow::Borrowed`]) — a small reply is decoded without any copy, a
-//!   small request is copied once into the frame queued for a worker;
+//!   small request is copied once into the frame queued for dispatch;
 //! * a frame longer than what is buffered when its header arrives gets an
 //!   exactly-sized `Vec` of its own, and the rest of it is read from the
 //!   socket directly into that `Vec` ([`Cow::Owned`]) — a bulk payload

@@ -9,7 +9,7 @@
 //! pf intersect <a.json> <ea> <b.json> <eb>   # intersection + projections
 //! pf plan    <a.json> <b.json> [--stats] # plan summary (+ cache counters)
 //! pf plan --stats                        # cache counters only
-//! pf serve   <addr> [--dir DIR] [--chaos SPEC] [--scrub SECS] [--workers N] [--tenant-quota N]  # run an I/O-node daemon (N-thread worker pool, default 2)
+//! pf serve   <addr> [--dir DIR] [--chaos SPEC] [--scrub SECS]  # run an I/O-node daemon (one event-loop thread)
 //! pf chaos   <listen> <up1[,up2,…]> <SPEC> [--duration SECS] [--delay MS]  # fault proxy
 //! pf io <a1,a2,…> demo <n> [--pipeline] [--replicas R] [--tenant T]  # matrix scenario over real daemons
 //! pf io <a1,a2,…> work <reads> [--deadline MS] [--replicas R] [--tenant T]  # deadline-bounded read workload
@@ -40,9 +40,9 @@
 //! votes without repairing (exit 5 when redundancy is degraded).
 //!
 //! `pf io … --tenant T` stamps every `Open` with tenant id `T` (protocol
-//! ≥ 6). `pf serve` dispatches queued frames per-tenant with deficit
-//! round robin over its `--workers N` pool (default 2) and, with
-//! `--tenant-quota N`, sheds a tenant's frames beyond N in flight.
+//! ≥ 6). `pf serve` runs every frame on its one event-loop thread and
+//! takes connections with frames ready in deficit round robin over
+//! tenants, so a tenant with more connections gets no larger share.
 //! Every flag applies to every daemon: there is one serving model.
 //!
 //! Partition files use the JSON forms documented in the `pf-tools` library;
@@ -274,19 +274,6 @@ fn run(args: &[String]) -> Result<(), ToolError> {
                             return Err(ToolError::Spec("--scrub interval must be > 0".into()));
                         }
                         config.scrub_interval = Some(std::time::Duration::from_secs(secs));
-                    }
-                    "--workers" => {
-                        // Size of the frame-executing worker pool behind
-                        // the event loop (0 is clamped to 1).
-                        config.workers =
-                            parse_u64(rest.next().ok_or_else(usage)?, "--workers")? as usize;
-                    }
-                    "--tenant-quota" => {
-                        // Frames one tenant may hold in flight before its
-                        // excess is shed with Busy (tenant 0 — anonymous —
-                        // is never metered).
-                        config.tenant_inflight =
-                            parse_u64(rest.next().ok_or_else(usage)?, "--tenant-quota")? as usize;
                     }
                     other => return Err(ToolError::Spec(format!("unknown flag {other:?}"))),
                 }

@@ -253,23 +253,20 @@ fn concurrent_sessions_write_disjoint_views() {
     }
 }
 
-/// A tenanted workload against a daemon with the per-tenant inflight
-/// quota at its tightest (1): quota sheds surface as Busy, the session's
-/// retry machinery absorbs them, and every byte still lands. The layout is
-/// one node, so the `set_view` and the read are single-target requests:
-/// they travel on the connection whose `Open` announced tenant 42 — the
-/// session has no other — and meet the quota like the writes do.
+/// A tenanted session's writes and reads round-trip. The layout is one
+/// node, so the `set_view` and the read are single-target requests: they
+/// travel on the connection whose `Open` announced tenant 42 — the session
+/// has no other — and the daemon dispatches them under that tenant like
+/// the writes.
 #[test]
-fn tenant_quota_sheds_are_absorbed_by_retries() {
+fn a_tenanted_session_round_trips_writes_and_reads() {
     let n = 16u64;
     let file_len = n * n;
     let config = parafile_net::DaemonConfig {
         backend: StorageBackend::Memory,
-        workers: 2,
-        tenant_inflight: 1,
         ..parafile_net::DaemonConfig::default()
     };
-    let mut daemon = parafile_net::serve("127.0.0.1:0", config).expect("spawn reactor daemon");
+    let mut daemon = parafile_net::serve("127.0.0.1:0", config).expect("spawn daemon");
     let addrs = vec![daemon.addr().to_string()];
     let physical = MatrixLayout::ColumnBlocks.partition(n, n, 1, 1);
     let logical = MatrixLayout::RowBlocks.partition(n, n, 1, 1);
@@ -279,7 +276,7 @@ fn tenant_quota_sheds_are_absorbed_by_retries() {
     s.create_file(file, physical, file_len).expect("create");
     s.set_view(0, file, &logical, 0).expect("view");
     let data: Vec<u8> = (0..file_len).map(file_byte).collect();
-    let written = s.write(0, file, 0, file_len - 1, &data).expect("write under quota");
+    let written = s.write(0, file, 0, file_len - 1, &data).expect("tenanted write");
     assert_eq!(written, file_len);
     assert_eq!(s.read(0, file, 0, file_len - 1).expect("read back"), data);
     drop(s);
