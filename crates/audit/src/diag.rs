@@ -64,32 +64,6 @@ pub enum Code {
     /// PA032 — the aligned period `lcm(SIZE(P₁), SIZE(P₂))` of a pattern
     /// pair overflows, so the pair cannot be redistributed symbolically.
     PeriodOverflow,
-    /// PA040 — `.unwrap()`/`.expect(` on a daemon/session/journal hot
-    /// path, where a panic severs connections or wedges a worker.
-    UnwrapOnHotPath,
-    /// PA041 — `panic!`/`unreachable!`/`todo!`/`unimplemented!` on a hot
-    /// path; hot paths must answer typed errors instead of aborting.
-    PanicOnHotPath,
-    /// PA042 — an unbounded `mpsc::channel` where worker queues are
-    /// required to be bounded (`sync_channel`) for back-pressure.
-    UnboundedChannel,
-    /// PA044 — a public function returning a value (other than
-    /// `Result`/`Option`, which the compiler already tracks) without
-    /// `#[must_use]` in a file where coverage is required.
-    MissingMustUse,
-    /// PA045 — a `pa:allow(...)` waiver comment that suppressed nothing;
-    /// stale waivers hide future regressions.
-    StaleWaiver,
-    /// PA046 — a blocking call (`std::thread::sleep`, a blocking
-    /// `std::net` connect/accept, or a read-timeout dial) inside the
-    /// reactor or a reactor-driven state machine, where one blocked
-    /// thread stalls every multiplexed connection behind it.
-    BlockingInReactor,
-    /// PA047 — an `unsafe` block, `fn` or `impl` not directly preceded by
-    /// a `// SAFETY:` comment or a `# Safety` doc section, or
-    /// `allow(unsafe_code)` in a file not on the list of files allowed
-    /// `unsafe`.
-    UnjustifiedUnsafe,
 }
 
 impl Code {
@@ -111,13 +85,6 @@ impl Code {
             Code::PeriodBudget => "PA030",
             Code::OneByteSegments => "PA031",
             Code::PeriodOverflow => "PA032",
-            Code::UnwrapOnHotPath => "PA040",
-            Code::PanicOnHotPath => "PA041",
-            Code::UnboundedChannel => "PA042",
-            Code::MissingMustUse => "PA044",
-            Code::StaleWaiver => "PA045",
-            Code::BlockingInReactor => "PA046",
-            Code::UnjustifiedUnsafe => "PA047",
         }
     }
 
@@ -125,7 +92,7 @@ impl Code {
     #[must_use]
     pub fn severity(self) -> Severity {
         match self {
-            Code::PeriodBudget | Code::OneByteSegments | Code::StaleWaiver => Severity::Warning,
+            Code::PeriodBudget | Code::OneByteSegments => Severity::Warning,
             _ => Severity::Error,
         }
     }
@@ -309,13 +276,6 @@ mod tests {
             Code::PeriodBudget,
             Code::OneByteSegments,
             Code::PeriodOverflow,
-            Code::UnwrapOnHotPath,
-            Code::PanicOnHotPath,
-            Code::UnboundedChannel,
-            Code::MissingMustUse,
-            Code::StaleWaiver,
-            Code::BlockingInReactor,
-            Code::UnjustifiedUnsafe,
         ];
         let mut strs: Vec<&str> = all.iter().map(|c| c.as_str()).collect();
         strs.sort_unstable();

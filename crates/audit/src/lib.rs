@@ -41,15 +41,25 @@
 //! assert!(report.has_code(Code::Gap));
 //! ```
 
+#![forbid(unsafe_code)]
+
+// The audit runs on untrusted patterns from every `SetView`: bad input is a
+// diagnostic, never a panic.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 mod checks;
 mod diag;
 mod raw;
-mod source;
 
 pub use checks::{audit_pair, audit_pattern, AuditConfig, DEFAULT_PERIOD_BUDGET};
 pub use diag::{AuditReport, Code, Diagnostic, Severity, Span};
 pub use raw::{RawElement, RawFalls, RawPattern};
-pub use source::{audit_source, SourceConfig};
 
 use parafile::model::Partition;
 

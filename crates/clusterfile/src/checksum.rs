@@ -24,6 +24,16 @@
 //! intent journal, so after a crash recovery the map is rebuilt from the
 //! replayed bytes instead of trusted from disk.
 
+// The daemon's read and scrub paths: a failure is a typed error, never a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::fs::OpenOptions;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};

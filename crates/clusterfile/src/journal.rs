@@ -47,6 +47,16 @@
 //! Memory-backed stores get [`Journal::Disabled`]: their bytes do not
 //! survive a restart, so there is nothing for a journal to protect.
 
+// The daemon's write path: a failure is a typed error, never a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::storage::{positioned_write, StorageBackend, SubfileStore};
 use parafile::crc::crc32c;
 use std::fs::{File, OpenOptions};

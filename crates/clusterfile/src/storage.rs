@@ -22,6 +22,16 @@
 //! [`scatter`]: SubfileStore::scatter
 //! [`gather`]: SubfileStore::gather
 
+// The daemon's scatter/gather path: a failure is a typed error, never a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::fs::{File, OpenOptions};
 #[cfg(not(unix))]
 use std::io::Read;

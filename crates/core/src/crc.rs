@@ -54,6 +54,16 @@
 //! | instruction, one lane | 172 | 167 | — |
 //! | instruction, four lanes | 45 | 80 | 48 |
 
+// Runs over every payload byte the daemon stores: no panics.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// Reflected Castagnoli polynomial (`0x1EDC6F41` bit-reversed).
 pub(crate) const CASTAGNOLI: u32 = 0x82F6_3B78;
 

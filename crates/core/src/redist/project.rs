@@ -8,6 +8,16 @@
 //! construction they are tested against. The daemon runs this file on every
 //! request with bounds taken from the wire, so nothing here may panic.
 
+// Walks wire bounds on every `Write`/`Read`: bad input is an error, never a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use falls::{LineSegment, NestedFalls, NestedSet};
 
 /// A projection of an intersection onto the linear space of one of the two

@@ -34,6 +34,16 @@
 //! fall back to enumerating the period, which also produces the
 //! diagnostics.
 
+// Proves untrusted patterns from every `SetView`: bad input is a verdict, never a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// A borrowed view of one FALLS tree node, so validated
 /// ([`NestedFalls`](crate::NestedFalls)) and unvalidated (an auditor's raw
 /// input) trees are proven by the same code with no conversion.

@@ -23,6 +23,16 @@
 // for its FFI readiness calls; everything else stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// A panic on a request path severs every connection the thread serves:
+// code outside tests returns typed errors.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod backoff;
 pub mod error;

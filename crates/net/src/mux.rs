@@ -36,6 +36,10 @@
 //! requests already on the wire when a connection fails — DESIGN.md §17
 //! argues why the session's invariants tolerate that window.
 
+// Runs on the event loop: nothing here may block it (clippy.toml lists the
+// banned calls).
+#![deny(clippy::disallowed_methods)]
+
 use crate::backoff::Backoff;
 use crate::error::{ErrCode, NetError, ProtocolError};
 use crate::proto::ChunkSender;
@@ -790,8 +794,8 @@ impl Driver {
     // -- connection lifecycle ------------------------------------------------
 
     /// Starts a blocking connect on a short-lived helper thread — the
-    /// reactor thread itself never blocks on the network (PA046 enforces
-    /// that split).
+    /// reactor thread itself never blocks on the network
+    /// (`clippy::disallowed_methods` enforces that split).
     fn start_connect(&mut self, n: usize) {
         self.nodes[n].conn = ConnState::Connecting;
         let addr = self.nodes[n].addr.clone();
@@ -799,7 +803,10 @@ impl Driver {
         let spawned = std::thread::Builder::new()
             .name("pf-mux-connect".into())
             .spawn(move || {
-                // pa:allow(PA046)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "a helper thread off the event loop, made to block on the connect"
+                )]
                 let result = NetStream::connect(&addr);
                 shared.lock().connected.push((n, result));
                 shared.wake();

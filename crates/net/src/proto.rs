@@ -19,6 +19,10 @@
 //! * [`WriteStream`] — the server's continuation/consistency discipline
 //!   over an incoming chunk stream.
 
+// An ignored accessor result is a silent bug: value-returning public
+// functions are `#[must_use]`.
+#![deny(clippy::must_use_candidate)]
+
 /// An illegal protocol-automaton transition.
 ///
 /// Guards ([`ChunkSender::next_to_send`], [`WriteStream::continues`])

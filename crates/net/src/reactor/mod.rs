@@ -10,9 +10,13 @@
 //! over an abstract [`Clock`] so the same code paths run under a manual
 //! clock in tests.
 //!
-//! Nothing in here blocks except [`Reactor::poll`] itself; the PA046
-//! source lint bans `std::thread::sleep` and blocking `std::net` calls in
-//! this module and the state machines driven by it.
+//! Nothing in here blocks except [`Reactor::poll`] itself;
+//! `clippy::disallowed_methods` bans `std::thread::sleep` and blocking
+//! `std::net` calls in this module and the state machines driven by it.
+
+// One event loop multiplexes every connection: nothing here may block it
+// (clippy.toml lists the banned calls).
+#![deny(clippy::disallowed_methods)]
 
 pub mod sys;
 mod wheel;
@@ -153,6 +157,7 @@ impl Reactor {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests dial and pace real sockets")]
 mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};

@@ -9,6 +9,9 @@
 //! under `#![deny(unsafe_code)]` with no exceptions.
 
 #![allow(unsafe_code)]
+// Runs on the event loop: nothing here may block it (clippy.toml lists the
+// banned calls).
+#![deny(clippy::disallowed_methods)]
 
 use std::io;
 use std::os::unix::io::RawFd;

@@ -17,6 +17,10 @@
 //!
 //! [`BreakerCore`]: crate::resilience::BreakerCore
 
+// Runs on the event loop: nothing here may block it (clippy.toml lists the
+// banned calls).
+#![deny(clippy::disallowed_methods)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 

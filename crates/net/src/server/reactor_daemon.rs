@@ -36,6 +36,10 @@
 //! [`handle_frame`](super::Daemon::handle_frame) and the frame prologue in
 //! [`execute`].
 
+// Runs on the event loop: nothing here may block it (clippy.toml lists the
+// banned calls).
+#![deny(clippy::disallowed_methods)]
+
 use super::{ChunkWrite, Daemon, NetListener, NetStream, OVERLOADED_RETRY_MS};
 use crate::error::ProtocolError;
 use crate::fault::FrameFault;

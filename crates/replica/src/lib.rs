@@ -25,6 +25,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The daemon, the session and the model checker share this bookkeeping:
+// code outside tests returns typed errors, never panics.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// An ignored result is a silent bug: value-returning public functions are
+// `#[must_use]`.
+#![deny(clippy::must_use_candidate)]
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -205,14 +218,12 @@ impl DirtySet {
     /// Record a dirty replica; returns `true` if it was not already
     /// queued. The bool is informational, as on `BTreeSet::insert` —
     /// call sites that only want the entry queued ignore it.
-    // pa:allow(PA044)
     pub fn insert(&mut self, entry: DirtyReplica) -> bool {
         self.entries.insert(entry)
     }
 
     /// Drop an entry once its replica has been repaired; `true` if it
     /// was present (informational, as on `BTreeSet::remove`).
-    // pa:allow(PA044)
     pub fn remove(&mut self, entry: &DirtyReplica) -> bool {
         self.entries.remove(entry)
     }
@@ -230,8 +241,7 @@ impl DirtySet {
     }
 
     /// Iterate queued entries in deterministic order (`impl Iterator` is
-    /// already `#[must_use]`, which also satisfies PA044's intent).
-    // pa:allow(PA044)
+    /// already `#[must_use]`).
     pub fn iter(&self) -> impl Iterator<Item = &DirtyReplica> {
         self.entries.iter()
     }

@@ -5,7 +5,6 @@
 //! parafile-lint <part.json>...            # audit partition files ('-' = stdin)
 //! parafile-lint --pair <a.json> <b.json>  # also check the pair's aligned period
 //! parafile-lint --scenarios               # audit the paper's built-in layouts
-//! parafile-lint --source <file.rs>...     # source lints (PA040+) on hot paths
 //! ```
 //!
 //! Options: `--json` for machine-readable reports, `--budget <bytes>` to
@@ -20,8 +19,8 @@
 use arraydist::matrix::MatrixLayout;
 use jsonlite::{obj, Json, ToJson};
 use parafile_audit::{
-    audit_pair, audit_partition, audit_pattern, audit_source, AuditConfig, AuditReport, RawElement,
-    RawFalls, RawPattern, SourceConfig,
+    audit_pair, audit_partition, audit_pattern, AuditConfig, AuditReport, RawElement, RawFalls,
+    RawPattern,
 };
 use pf_tools::{read_input, FallsSpec, PartitionSpec, ToolError};
 use std::process::ExitCode;
@@ -41,7 +40,7 @@ fn main() -> ExitCode {
 fn usage() -> ToolError {
     ToolError::Spec(
         "usage: parafile-lint [--json] [--budget <bytes>] \
-         (<part.json>... | --pair <a.json> <b.json> | --scenarios | --source <file.rs>...)"
+         (<part.json>... | --pair <a.json> <b.json> | --scenarios)"
             .into(),
     )
 }
@@ -57,7 +56,6 @@ fn run(args: &[String]) -> Result<bool, ToolError> {
     let mut budget: Option<u64> = None;
     let mut scenarios = false;
     let mut pair = false;
-    let mut source = false;
     let mut files: Vec<String> = Vec::new();
 
     let mut it = args.iter();
@@ -66,7 +64,6 @@ fn run(args: &[String]) -> Result<bool, ToolError> {
             "--json" => json_output = true,
             "--scenarios" => scenarios = true,
             "--pair" => pair = true,
-            "--source" => source = true,
             "--budget" => {
                 let v = it
                     .next()
@@ -85,19 +82,7 @@ fn run(args: &[String]) -> Result<bool, ToolError> {
 
     let cfg = budget.map_or_else(AuditConfig::default, AuditConfig::with_budget);
 
-    let outcomes = if source {
-        if files.is_empty() || pair || scenarios {
-            return Err(usage());
-        }
-        let src_cfg = SourceConfig::parafile_defaults();
-        let mut out = Vec::with_capacity(files.len());
-        for f in &files {
-            let text = std::fs::read_to_string(f)
-                .map_err(|e| ToolError::Spec(format!("cannot read {f}: {e}")))?;
-            out.push(Outcome { target: f.clone(), report: audit_source(f, &text, &src_cfg) });
-        }
-        out
-    } else if scenarios {
+    let outcomes = if scenarios {
         if !files.is_empty() || pair {
             return Err(usage());
         }

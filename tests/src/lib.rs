@@ -1,5 +1,7 @@
 //! Shared helpers for the workspace integration tests.
 
+#![forbid(unsafe_code)]
+
 use falls::{Falls, NestedFalls, NestedSet};
 use parafile::model::{Partition, PartitionPattern};
 use parafile::Mapper;
