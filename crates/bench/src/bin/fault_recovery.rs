@@ -83,12 +83,12 @@ fn stamped(file: u64, seq: u64, payload: Vec<u8>, r_s: u64) -> Request {
 /// A one-node transport to `addr`, with `file` opened at `len` bytes and
 /// the half view installed.
 fn connect_with_view(addr: &str, file: u64, len: u64) -> Mux {
-    let mux = Mux::new(&[addr.to_string()], Arc::new(RetryBudget::for_session()));
-    install_view(&mux, file, len);
+    let mut mux = Mux::new(&[addr.to_string()], Arc::new(RetryBudget::for_session()));
+    install_view(&mut mux, file, len);
     mux
 }
 
-fn install_view(mux: &Mux, file: u64, len: u64) {
+fn install_view(mux: &mut Mux, file: u64, len: u64) {
     for request in [Request::Open { file, subfile: 0, len, tenant: 0 }, half_view(file, len)] {
         match mux.call(0, request).expect("open + view") {
             Reply::Ok => {}
@@ -109,7 +109,7 @@ fn scratch_dir(name: &str) -> PathBuf {
 fn timed_writes(backend: StorageBackend, len: u64, file: u64) -> u128 {
     let config = DaemonConfig { backend, ..Default::default() };
     let daemon = serve("127.0.0.1:0", config).expect("serve");
-    let mux = connect_with_view(daemon.addr(), file, len);
+    let mut mux = connect_with_view(daemon.addr(), file, len);
     let payload: Vec<u8> = (0..len / 2).map(|i| i as u8).collect();
     let start = Instant::now();
     for seq in 1..=WRITES {
@@ -136,7 +136,7 @@ fn recovery_cycle(len: u64, file: u64, dir: &std::path::Path) -> Duration {
     };
     let mut handle = serve("127.0.0.1:0", config).expect("serve");
     let addr = handle.addr().to_string();
-    let mux = connect_with_view(&addr, file, len);
+    let mut mux = connect_with_view(&addr, file, len);
     let payload = vec![0x5Au8; (len / 2) as usize];
     let write = stamped(file, 1, payload, len - 1);
 
@@ -154,7 +154,7 @@ fn recovery_cycle(len: u64, file: u64, dir: &std::path::Path) -> Duration {
         ..Default::default()
     };
     let _restarted = serve(&addr, config).expect("rebind");
-    install_view(&mux, file, len);
+    install_view(&mut mux, file, len);
     match mux.call(0, write).expect("retried write") {
         Reply::WriteOk { replayed: true, .. } => {}
         other => panic!("expected a replayed WriteOk, got {other:?}"),
@@ -186,7 +186,7 @@ fn main() {
 
             // Replay rate: re-send one already-applied stamp.
             let daemon = serve("127.0.0.1:0", DaemonConfig::default()).expect("serve");
-            let mux = connect_with_view(daemon.addr(), file + 2, len);
+            let mut mux = connect_with_view(daemon.addr(), file + 2, len);
             let payload = vec![7u8; (len / 2) as usize];
             let w = stamped(file + 2, 1, payload, len - 1);
             mux.call(0, w.clone()).expect("first application");

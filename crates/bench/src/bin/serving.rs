@@ -5,7 +5,8 @@
 //! daemon's deficit-round-robin dispatch and reported as a max/min
 //! ratio, beside the hot/base client ratio — the share a queue that
 //! served connections in arrival order would hand the hot tenant. CI
-//! gates the DRR ratio at ≤2×. One JSON report:
+//! gates the DRR ratio at ≤2×. The report also carries the client's CPU
+//! per write: every thread but the daemon's loop, summed. One JSON report:
 //! `bench_results/serving.json`.
 //!
 //! ```text
@@ -71,9 +72,31 @@ fn parse_args() -> Args {
     out
 }
 
+/// CPU time (user + system, µs) this process's threads have used, leaving
+/// out the daemon's loop thread (`pf-net-reactor`). Linux `/proc` counts
+/// it in ticks of 1/100 s; elsewhere the sum is 0.
+fn client_cpu_us() -> u64 {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else { return 0 };
+    let mut ticks = 0u64;
+    for task in tasks.flatten() {
+        let Ok(stat) = std::fs::read_to_string(task.path().join("stat")) else { continue };
+        // `pid (comm) state ...`: comm may hold spaces, so split at the
+        // last ')'; utime and stime are fields 14 and 15.
+        let Some((head, rest)) = stat.rsplit_once(')') else { continue };
+        if head.ends_with("(pf-net-reactor") {
+            continue;
+        }
+        let fields: Vec<&str> = rest.split_whitespace().collect();
+        let field = |i: usize| fields.get(i).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
+        ticks += field(11) + field(12);
+    }
+    ticks * 10_000
+}
+
 /// Runs the hot-neighbor workload against one reactor daemon and returns
-/// completed writes per tenant.
-fn fairness_run(window: Duration, hot: usize) -> Vec<u64> {
+/// completed writes per tenant, with the client CPU (µs) used by the time
+/// the window closed.
+fn fairness_run(window: Duration, hot: usize) -> (Vec<u64>, u64) {
     let config = DaemonConfig { backend: StorageBackend::Memory, ..DaemonConfig::default() };
     let mut daemon = serve("127.0.0.1:0", config).expect("spawn reactor daemon");
     let addrs = vec![daemon.addr().to_string()];
@@ -110,12 +133,13 @@ fn fairness_run(window: Duration, hot: usize) -> Vec<u64> {
         }
     }
     std::thread::sleep(window);
+    let client_cpu = client_cpu_us();
     stop.store(true, Ordering::Relaxed);
     for t in threads {
         let _ = t.join();
     }
     daemon.stop();
-    counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    (counters.iter().map(|c| c.load(Ordering::Relaxed)).collect(), client_cpu)
 }
 
 fn ratio(per_tenant: &[u64]) -> f64 {
@@ -135,9 +159,11 @@ fn main() {
          (client ratio {client_ratio:.2})\n",
         args.window_ms, args.hot
     );
-    let fair = fairness_run(window, args.hot);
+    let (fair, client_cpu) = fairness_run(window, args.hot);
     let fair_ratio = ratio(&fair);
+    let cpu_per_write = client_cpu as f64 / fair.iter().sum::<u64>().max(1) as f64;
     println!("fairness: drr per-tenant {fair:?} (max/min {fair_ratio:.2})");
+    println!("client cpu: {cpu_per_write:.2} µs per write");
     let as_json = |v: &[u64]| Json::Array(v.iter().map(|&n| n.to_json()).collect());
     let report = obj![(
         "fairness",
@@ -149,7 +175,8 @@ fn main() {
             ("window_ms", args.window_ms),
             ("fair_per_tenant_ops", as_json(&fair)),
             ("fair_ratio", fair_ratio),
-            ("client_ratio", client_ratio)
+            ("client_ratio", client_ratio),
+            ("client_cpu_us_per_write", cpu_per_write)
         ]
     )];
     let path = dump_json("serving", &report).expect("write bench_results/serving.json");

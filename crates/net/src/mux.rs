@@ -1,11 +1,19 @@
-//! The client transport: one reactor thread drives every node.
+//! The client transport: a session drives its own sockets on the caller's
+//! thread.
 //!
-//! A single driver thread owns a [`Reactor`]; every warm node connection
-//! is registered non-blocking under its node index, requests are
-//! pipelined — many in flight per connection, replies matched FIFO by
-//! request id — and all timing (retry backoff, shed hints, response
-//! timeouts) runs on the reactor's [`TimerWheel`] (DESIGN.md §17). A
-//! session is exactly one connection per node.
+//! A [`Mux`] is a plain struct its session owns: a [`Reactor`], a
+//! [`TimerWheel`], one non-blocking connection per node and the table of
+//! requests owed an answer. No thread sits behind it. [`Mux::submit`]
+//! encodes a request into its node's write buffer, tries one non-blocking
+//! write and returns a [`Slot`]; [`Mux::wait`], [`Mux::wait_any`] and
+//! [`Mux::poll`] run reactor turns on the caller's thread — read replies,
+//! flush write buffers, fire due timers — until their slots settle or
+//! their deadline passes. Requests are pipelined (many in flight per
+//! connection, replies matched FIFO by request id), and all timing (retry
+//! backoff, shed hints, response timeouts) runs on the wheel, whose timers
+//! fall due during whichever call runs the next turn (DESIGN.md §17). A
+//! session is exactly one connection per node, dialed with a non-blocking
+//! `connect` that completes on a writable event.
 //!
 //! # The per-request ladder
 //!
@@ -35,6 +43,14 @@
 //! parked for a retry, so cross-request reordering is confined to
 //! requests already on the wire when a connection fails — DESIGN.md §17
 //! argues why the session's invariants tolerate that window.
+//!
+//! # Idle connections
+//!
+//! Nobody reads a connection between calls, so a daemon that reaped it
+//! for idleness leaves its EOF unread. Before a request goes onto a
+//! connection that has been silent for a millisecond, one non-blocking turn
+//! runs: the EOF retires the connection, and the request dials a fresh one
+//! instead of dying on the old one and spending a retry.
 
 // Runs on the event loop: nothing here may block it (clippy.toml lists the
 // banned calls).
@@ -43,17 +59,14 @@
 use crate::backoff::Backoff;
 use crate::error::{ErrCode, NetError, ProtocolError};
 use crate::proto::ChunkSender;
-use crate::reactor::{Clock, Event, Interest, MonotonicClock, Reactor, TimerId, TimerWheel, Waker};
+use crate::reactor::{Clock, Event, Interest, MonotonicClock, Reactor, TimerId, TimerWheel};
 use crate::resilience::{Deadline, RetryBudget};
-use crate::server::NetStream;
+use crate::server::{NetStream, Peer};
 use crate::wire::{self, Filled, FrameBuf, Lent, Reply, Request, DEFAULT_MAX_FRAME};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// In-flight `WriteChunk` frames per connection before the sender waits
 /// for an acknowledgment. Small by design: the point is overlapping the
@@ -95,15 +108,13 @@ impl RetryPolicy {
 /// is declared dead.
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The receive half a submitter blocks on: a capacity-1 channel carrying
-/// one terminal result.
-pub type ReplySlot = Receiver<Result<Reply, NetError>>;
+/// Milliseconds of silence after which a connection is checked for a
+/// pending EOF before a request goes onto it (see the module docs).
+const QUIET_MS: u64 = 1;
 
-/// The error surfaced when the driver thread is gone (spawn failure,
-/// panic, or shutdown).
-pub(crate) fn mux_lost(node: usize) -> NetError {
-    NetError::Io(std::io::Error::other(format!("node {node} transport driver is gone")))
-}
+/// Names one submitted request until its terminal result is taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Slot(u64);
 
 fn deadline_error() -> NetError {
     NetError::Protocol(ProtocolError::new(
@@ -117,190 +128,14 @@ fn dur_ms(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX).max(u64::from(!d.is_zero()))
 }
 
-// ---------------------------------------------------------------------------
-// Session-facing handle
-
-/// One submitted request on its way to the driver.
-struct Job {
-    node: usize,
-    request: Request,
-    tx: SyncSender<Result<Reply, NetError>>,
+fn io_error(why: String) -> NetError {
+    NetError::Io(std::io::Error::other(why))
 }
-
-/// State shared between the session-facing handle and the driver thread.
-struct Control {
-    jobs: VecDeque<Job>,
-    /// Results of blocking connects performed on helper threads.
-    connected: Vec<(usize, std::io::Result<NetStream>)>,
-    /// Nodes whose warm connection the session wants torn down.
-    resets: Vec<usize>,
-    deadline: Deadline,
-}
-
-struct MuxShared {
-    control: Mutex<Control>,
-    stopping: AtomicBool,
-    /// Set when the driver thread has exited (cleanly or by panic):
-    /// submits fail fast instead of queueing into the void.
-    dead: AtomicBool,
-    /// Per-node fault hooks: the next job for an armed node fails with an
-    /// I/O error and resets the connection (test hook).
-    kill_next: Vec<AtomicBool>,
-    budget: Arc<RetryBudget>,
-    waker: Option<Waker>,
-}
-
-impl MuxShared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Control> {
-        self.control.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn wake(&self) {
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
-    }
-}
-
-/// Clears the driver's shared state when its thread exits for any reason
-/// (including a panic), so submitters see a disconnect instead of
-/// blocking on a slot nobody will fill.
-struct DriverFinalizer {
-    shared: Arc<MuxShared>,
-}
-
-impl Drop for DriverFinalizer {
-    fn drop(&mut self) {
-        self.shared.dead.store(true, Ordering::SeqCst);
-        let mut ctl = self.shared.lock();
-        ctl.jobs.clear(); // dropping each Job's tx disconnects its ReplySlot
-        ctl.connected.clear();
-        ctl.resets.clear();
-    }
-}
-
-/// The multiplexed transport: submit requests for any node, collect each
-/// reply from its [`ReplySlot`]. One instance serves a whole session.
-pub struct Mux {
-    shared: Arc<MuxShared>,
-    driver: Option<JoinHandle<()>>,
-}
-
-impl Mux {
-    /// Spawns the driver thread for `addrs` (index = node number). If the
-    /// reactor cannot be built the mux comes up dead and every submit
-    /// fails with an I/O error — the session's failover paths treat that
-    /// like any unreachable transport.
-    #[must_use]
-    pub fn new(addrs: &[String], budget: Arc<RetryBudget>) -> Self {
-        let mut shared = MuxShared {
-            control: Mutex::new(Control {
-                jobs: VecDeque::new(),
-                connected: Vec::new(),
-                resets: Vec::new(),
-                deadline: Deadline::none(),
-            }),
-            stopping: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-            kill_next: addrs.iter().map(|_| AtomicBool::new(false)).collect(),
-            budget,
-            waker: None,
-        };
-        let reactor = Reactor::new().ok();
-        if let Some(r) = &reactor {
-            shared.waker = Some(r.waker());
-        }
-        let shared = Arc::new(shared);
-        let driver = reactor.and_then(|reactor| {
-            let sh = Arc::clone(&shared);
-            let addrs = addrs.to_vec();
-            std::thread::Builder::new()
-                .name("pf-mux".into())
-                .spawn(move || {
-                    let _finalizer = DriverFinalizer { shared: Arc::clone(&sh) };
-                    Driver::new(sh, reactor, addrs).run();
-                })
-                .ok()
-        });
-        if driver.is_none() {
-            shared.dead.store(true, Ordering::SeqCst);
-        }
-        Mux { shared, driver }
-    }
-
-    /// Queues `request` for `node`, returning the slot its single
-    /// terminal result will arrive on. Never blocks: in-flight depth is
-    /// bounded by the daemon's admission control, not a client queue.
-    pub fn submit(&self, node: usize, request: Request) -> Result<ReplySlot, NetError> {
-        if self.shared.dead.load(Ordering::SeqCst) || self.shared.stopping.load(Ordering::SeqCst) {
-            return Err(mux_lost(node));
-        }
-        if node >= self.shared.kill_next.len() {
-            return Err(NetError::Usage(format!("node {node} out of range")));
-        }
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.shared.lock().jobs.push_back(Job { node, request, tx });
-        self.shared.wake();
-        Ok(rx)
-    }
-
-    /// One synchronous exchange: [`submit`](Self::submit), then block on
-    /// the slot. What the recovery paths and the wire-level tests use.
-    pub fn call(&self, node: usize, request: Request) -> Result<Reply, NetError> {
-        self.submit(node, request)?.recv().unwrap_or_else(|_| Err(mux_lost(node)))
-    }
-
-    /// Number of nodes this mux drives (its address-list arity).
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.shared.kill_next.len()
-    }
-
-    /// Sets the one deadline every request of this mux follows, from the
-    /// driver's next turn on: a queued request or retry that would start
-    /// after it fails with `DeadlineExceeded`, every frame sent carries
-    /// it, and every response timer or backoff armed from then on is
-    /// clamped to it.
-    pub fn set_deadline(&self, deadline: Deadline) {
-        self.shared.lock().deadline = deadline;
-        self.shared.wake();
-    }
-
-    /// Drops `node`'s warm connection; in-flight requests ride the
-    /// normal connection-failure retry ladder.
-    pub fn reset_node(&self, node: usize) {
-        if node < self.shared.kill_next.len() {
-            self.shared.lock().resets.push(node);
-            self.shared.wake();
-        }
-    }
-
-    /// Arms a one-shot fault: the next request submitted for `node` fails
-    /// with an I/O error and the node's connection is reset. Test hook.
-    pub fn arm_kill(&self, node: usize) {
-        if let Some(flag) = self.shared.kill_next.get(node) {
-            flag.store(true, Ordering::SeqCst);
-        }
-    }
-}
-
-impl Drop for Mux {
-    fn drop(&mut self) {
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        self.shared.wake();
-        if let Some(h) = self.driver.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Driver-side state
 
 /// Why a frame was sent: decides how its reply (or its loss) is handled.
 enum Kind {
     /// An ordinary submitted request, kept for re-sending; its terminal
-    /// result settles a slot.
+    /// result settles its slot.
     Plain(Request),
     /// The one-time `Ping` capability probe; stalls the queue until
     /// answered, failures land on the queue head that wanted it.
@@ -314,10 +149,10 @@ enum Kind {
     },
 }
 
-/// One request the driver owes an answer for (queued or on the wire).
+/// One request the mux owes an answer for (queued or on the wire).
 struct Pending {
+    /// Unique per mux; a plain request's slot id.
     serial: u64,
-    tx: Option<SyncSender<Result<Reply, NetError>>>,
     kind: Kind,
     /// Attempts consumed so far; the request fails at `attempts_max`.
     attempt: u32,
@@ -340,26 +175,12 @@ impl Pending {
     /// An internal frame (probe / resume / chunk): no slot, no retries of
     /// its own — failures are charged to the request it serves.
     fn internal(serial: u64, kind: Kind, backoff: Backoff) -> Self {
-        Pending {
-            serial,
-            tx: None,
-            kind,
-            attempt: 0,
-            attempts_max: 1,
-            backoff,
-            sent_id: 0,
-            expire: None,
-        }
+        Pending { serial, kind, attempt: 0, attempts_max: 1, backoff, sent_id: 0, expire: None }
     }
-}
 
-/// Settles a pending's terminal result and cancels its response timer.
-fn settle(wheel: &mut TimerWheel<Timed>, mut p: Pending, result: Result<Reply, NetError>) {
-    if let Some(t) = p.expire.take() {
-        let _ = wheel.cancel(t);
-    }
-    if let Some(tx) = p.tx.take() {
-        let _ = tx.send(result); // a dropped slot is a caller that stopped caring
+    /// Whether this is the request behind `slot`.
+    fn holds(&self, slot: Slot) -> bool {
+        self.serial == slot.0 && matches!(self.kind, Kind::Plain(_))
     }
 }
 
@@ -378,20 +199,26 @@ struct StreamState {
 
 enum ConnState {
     Idle,
-    /// A helper thread is running the blocking connect.
-    Connecting,
+    /// A non-blocking connect is in flight; it completes on a writable
+    /// event.
+    Connecting(NetStream),
     Ready(NetStream),
 }
 
-/// Everything the driver tracks per node.
+/// Everything the mux tracks per node.
 struct NodeMux {
     addr: String,
     seed: u64,
     conn: ConnState,
+    /// Resolved addresses the current dial has still to try.
+    peers: VecDeque<Peer>,
     /// True until the connection delivers its first reply — a request
     /// dying on a fresh connection resets its backoff (the peer is back;
     /// the widened schedule is stale).
     fresh: bool,
+    /// Clock reading when the connection last delivered a reply (or
+    /// connected).
+    heard_ms: u64,
     /// The peer's advertised chunk capability (`Pong.max_chunk`), learned
     /// from the one-time probe. `None` = not yet probed; `Some(0)` = the
     /// peer does not chunk.
@@ -403,6 +230,9 @@ struct NodeMux {
     /// eligible for a `ResumeQuery` before its retry.
     resume_candidate: Option<(u64, u64)>,
     probe_inflight: bool,
+    /// Test hook: the next request submitted for this node fails with an
+    /// I/O error and resets the connection.
+    kill_next: bool,
     next_id: u64,
     max_frame: u32,
     /// Not yet on the wire, head first.
@@ -431,11 +261,14 @@ impl NodeMux {
             addr,
             seed,
             conn: ConnState::Idle,
+            peers: VecDeque::new(),
             fresh: true,
+            heard_ms: 0,
             peer_max_chunk: None,
             chunk_override: std::env::var("PF_NET_CHUNK").ok().and_then(|v| v.trim().parse().ok()),
             resume_candidate: None,
             probe_inflight: false,
+            kill_next: false,
             next_id: 1,
             max_frame: DEFAULT_MAX_FRAME,
             queue: VecDeque::new(),
@@ -468,6 +301,15 @@ impl NodeMux {
     fn pending_bytes(&self) -> usize {
         self.wbuf.len() - self.wstart
     }
+
+    /// Whether `slot`'s request is queued, on the wire or streaming here.
+    fn owes(&self, slot: Slot) -> bool {
+        self.queue
+            .iter()
+            .chain(&self.inflight)
+            .chain(self.stream.as_ref().map(|st| &st.req))
+            .any(|p| p.holds(slot))
+    }
 }
 
 /// Timer payloads.
@@ -489,62 +331,156 @@ enum Act {
     DropExpiredHead,
 }
 
-struct Driver {
-    shared: Arc<MuxShared>,
-    reactor: Reactor,
+/// The multiplexed transport: submit requests for any node, then wait for
+/// their slots. One instance serves a whole session.
+pub struct Mux {
+    /// `None` when the OS refused a selector: every submit then fails with
+    /// an I/O error, which the session's failover paths treat like any
+    /// unreachable transport.
+    reactor: Option<Reactor>,
+    events: Vec<Event>,
     clock: MonotonicClock,
     wheel: TimerWheel<Timed>,
     nodes: Vec<NodeMux>,
     deadline: Deadline,
     policy: RetryPolicy,
+    budget: Arc<RetryBudget>,
     serial: u64,
+    /// Terminal results not yet taken, by slot.
+    settled: HashMap<u64, Result<Reply, NetError>>,
 }
 
-impl Driver {
-    fn new(shared: Arc<MuxShared>, reactor: Reactor, addrs: Vec<String>) -> Self {
-        Driver {
-            shared,
-            reactor,
+impl Mux {
+    /// A transport for `addrs` (index = node number). Nothing is dialed
+    /// until the first request for a node.
+    #[must_use]
+    pub fn new(addrs: &[String], budget: Arc<RetryBudget>) -> Self {
+        Mux {
+            reactor: Reactor::new().ok(),
+            events: Vec::new(),
             clock: MonotonicClock::new(),
             wheel: TimerWheel::new(),
-            nodes: addrs.into_iter().map(NodeMux::new).collect(),
+            nodes: addrs.iter().cloned().map(NodeMux::new).collect(),
             deadline: Deadline::none(),
             policy: RetryPolicy::default(),
+            budget,
             serial: 0,
+            settled: HashMap::new(),
         }
     }
 
-    fn run(mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            if self.shared.stopping.load(Ordering::SeqCst) {
-                return;
-            }
-            let timeout = self.wheel.until_next(self.clock.now_ms()).map(Duration::from_millis);
-            if self.reactor.poll(&mut events, timeout).is_err() {
-                self.fail_all("reactor poll failed");
-                return;
-            }
-            if self.shared.stopping.load(Ordering::SeqCst) {
-                return;
-            }
-            self.intake();
-            let ready = std::mem::take(&mut events);
-            for ev in &ready {
-                let n = ev.token;
-                if n >= self.nodes.len() {
-                    continue;
-                }
-                if ev.readable || ev.error {
-                    self.on_readable(n);
-                }
-                if ev.writable {
-                    self.flush_node(n);
-                }
-            }
-            events = ready;
-            self.fire_timers();
+    /// Queues `request` for `node`, encodes it into the node's write
+    /// buffer and tries one non-blocking write. Returns the slot its single
+    /// terminal result settles; never blocks (in-flight depth is bounded by
+    /// the daemon's admission control, not a client queue). The result
+    /// stays in the mux until [`wait`](Self::wait) or [`poll`](Self::poll)
+    /// takes it.
+    pub fn submit(&mut self, node: usize, request: Request) -> Result<Slot, NetError> {
+        if node >= self.nodes.len() {
+            return Err(NetError::Usage(format!("node {node} out of range")));
         }
+        if self.reactor.is_none() {
+            return Err(io_error("the OS refused the transport a selector".into()));
+        }
+        let serial = self.next_serial();
+        if std::mem::take(&mut self.nodes[node].kill_next) {
+            self.settled
+                .insert(serial, Err(io_error(format!("node {node} request killed by fault hook"))));
+            self.fail_conn(node, "connection killed by fault hook");
+            return Ok(Slot(serial));
+        }
+        self.notice_reaped(node);
+        let attempts_max = if request.retry_safe() { self.policy.attempts.max(1) } else { 1 };
+        let backoff = self.policy.backoff(self.nodes[node].seed ^ serial);
+        self.nodes[node].queue.push_back(Pending {
+            serial,
+            kind: Kind::Plain(request),
+            attempt: 0,
+            attempts_max,
+            backoff,
+            sent_id: 0,
+            expire: None,
+        });
+        self.pump(node);
+        Ok(Slot(serial))
+    }
+
+    /// Runs reactor turns until `slot` settles, and takes its result.
+    pub fn wait(&mut self, slot: Slot) -> Result<Reply, NetError> {
+        if !self.owes(slot) {
+            return Err(NetError::Usage(format!("slot {} is not owed by this transport", slot.0)));
+        }
+        loop {
+            if let Some(result) = self.settled.remove(&slot.0) {
+                return result;
+            }
+            self.turn(None);
+        }
+    }
+
+    /// Runs reactor turns until one of `slots` settles (returned, its
+    /// result left for [`wait`](Self::wait) to take) or `until` passes
+    /// (`None`).
+    pub fn wait_any(&mut self, slots: &[Slot], until: Option<Instant>) -> Option<Slot> {
+        loop {
+            if let Some(&done) = slots.iter().find(|s| self.settled.contains_key(&s.0)) {
+                return Some(done);
+            }
+            if !slots.iter().any(|&s| self.owes(s)) {
+                return None;
+            }
+            let timeout = match until {
+                None => None,
+                Some(t) => match t.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return None,
+                },
+            };
+            self.turn(timeout);
+        }
+    }
+
+    /// Takes `slot`'s result if it has settled, after one non-blocking
+    /// turn when it had not yet.
+    pub fn poll(&mut self, slot: Slot) -> Option<Result<Reply, NetError>> {
+        if !self.settled.contains_key(&slot.0) {
+            self.turn(Some(Duration::ZERO));
+        }
+        self.settled.remove(&slot.0)
+    }
+
+    /// One synchronous exchange: [`submit`](Self::submit), then
+    /// [`wait`](Self::wait). What the recovery paths and the wire-level
+    /// tests use.
+    pub fn call(&mut self, node: usize, request: Request) -> Result<Reply, NetError> {
+        let slot = self.submit(node, request)?;
+        self.wait(slot)
+    }
+
+    /// Number of nodes this mux drives (its address-list arity).
+    #[must_use]
+    pub fn nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Sets the one deadline every request of this mux follows: a queued
+    /// request or retry that would start after it fails with
+    /// `DeadlineExceeded`, every frame sent carries it, and every response
+    /// timer or backoff armed from now on is clamped to it.
+    pub fn set_deadline(&mut self, deadline: Deadline) {
+        self.deadline = deadline;
+    }
+
+    /// Arms a one-shot fault: the next request submitted for `node` fails
+    /// with an I/O error and the node's connection is reset. Test hook.
+    pub fn arm_kill(&mut self, node: usize) {
+        if let Some(n) = self.nodes.get_mut(node) {
+            n.kill_next = true;
+        }
+    }
+
+    fn owes(&self, slot: Slot) -> bool {
+        self.settled.contains_key(&slot.0) || self.nodes.iter().any(|n| n.owes(slot))
     }
 
     fn next_serial(&mut self) -> u64 {
@@ -552,51 +488,63 @@ impl Driver {
         self.serial
     }
 
-    /// Drains the control queues: new jobs, connect results, resets, and
-    /// the current deadline snapshot.
-    fn intake(&mut self) {
-        let (jobs, connected, resets, deadline) = {
-            let mut ctl = self.shared.lock();
-            (
-                std::mem::take(&mut ctl.jobs),
-                std::mem::take(&mut ctl.connected),
-                std::mem::take(&mut ctl.resets),
-                ctl.deadline,
-            )
+    /// Settles a pending's terminal result and cancels its response timer.
+    fn settle(&mut self, mut p: Pending, result: Result<Reply, NetError>) {
+        if let Some(t) = p.expire.take() {
+            let _ = self.wheel.cancel(t);
+        }
+        if matches!(p.kind, Kind::Plain(_)) {
+            self.settled.insert(p.serial, result);
+        }
+    }
+
+    /// One reactor turn on the caller's thread: wait up to `timeout`
+    /// (`None` = no limit), and never past the next due timer, for
+    /// readiness; handle every event; then fire the timers that fell due.
+    fn turn(&mut self, timeout: Option<Duration>) {
+        let timer = self.wheel.until_next(self.clock.now_ms()).map(Duration::from_millis);
+        let timeout = match (timeout, timer) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         };
-        self.deadline = deadline;
-        for (n, result) in connected {
-            self.on_connected(n, result);
+        let Some(reactor) = self.reactor.as_mut() else { return };
+        let mut events = std::mem::take(&mut self.events);
+        if reactor.poll(&mut events, timeout).is_err() {
+            self.events = events;
+            self.fail_all("reactor poll failed");
+            return;
         }
-        for n in resets {
-            if n < self.nodes.len() {
-                self.fail_conn(n, "connection reset by the session");
-            }
-        }
-        for job in jobs {
-            let n = job.node;
-            if self.shared.kill_next[n].swap(false, Ordering::SeqCst) {
-                let _ = job.tx.send(Err(NetError::Io(std::io::Error::other(format!(
-                    "node {n} request killed by fault hook"
-                )))));
-                self.fail_conn(n, "connection killed by fault hook");
+        for ev in &events {
+            let n = ev.token;
+            if n >= self.nodes.len() {
                 continue;
             }
-            let serial = self.next_serial();
-            let attempts_max =
-                if job.request.retry_safe() { self.policy.attempts.max(1) } else { 1 };
-            let backoff = self.policy.backoff(self.nodes[n].seed ^ serial);
-            self.nodes[n].queue.push_back(Pending {
-                serial,
-                tx: Some(job.tx),
-                kind: Kind::Plain(job.request),
-                attempt: 0,
-                attempts_max,
-                backoff,
-                sent_id: 0,
-                expire: None,
-            });
-            self.pump(n);
+            if matches!(self.nodes[n].conn, ConnState::Connecting(_)) {
+                self.on_dialed(n);
+                continue;
+            }
+            if ev.readable || ev.error {
+                self.on_readable(n);
+            }
+            if ev.writable {
+                self.flush_node(n);
+            }
+        }
+        self.events = events;
+        self.fire_timers();
+    }
+
+    /// Runs one non-blocking turn before a request goes onto `n`'s
+    /// connection when it has been silent for [`QUIET_MS`], so an EOF the
+    /// daemon left there while nobody was reading retires it first.
+    fn notice_reaped(&mut self, n: usize) {
+        let node = &self.nodes[n];
+        if matches!(node.conn, ConnState::Ready(_))
+            && node.inflight.is_empty()
+            && node.stream.is_none()
+            && self.clock.now_ms() >= node.heard_ms + QUIET_MS
+        {
+            self.turn(Some(Duration::ZERO));
         }
     }
 
@@ -619,7 +567,7 @@ impl Driver {
                 } else {
                     match node.conn {
                         ConnState::Idle => Act::Connect,
-                        ConnState::Connecting => Act::Done,
+                        ConnState::Connecting(_) => Act::Done,
                         ConnState::Ready(_) => {
                             let head = node.queue[0].request();
                             let chunkable =
@@ -682,7 +630,7 @@ impl Driver {
                 }
                 Act::DropExpiredHead => {
                     let Some(p) = self.nodes[n].queue.pop_front() else { break };
-                    settle(&mut self.wheel, p, Err(deadline_error()));
+                    self.settle(p, Err(deadline_error()));
                 }
             }
         }
@@ -728,7 +676,7 @@ impl Driver {
         let Some(p) = self.nodes[n].queue.pop_front() else { return };
         let Some(&Request::Write { file, session, seq, ref payload, .. }) = p.request() else {
             // Unreachable by construction; settle rather than wedge.
-            settle(&mut self.wheel, p, Err(NetError::BadReply("stream over a non-write".into())));
+            self.settle(p, Err(NetError::BadReply("stream over a non-write".into())));
             return;
         };
         let total = payload.len() as u64;
@@ -793,60 +741,89 @@ impl Driver {
 
     // -- connection lifecycle ------------------------------------------------
 
-    /// Starts a blocking connect on a short-lived helper thread — the
-    /// reactor thread itself never blocks on the network
-    /// (`clippy::disallowed_methods` enforces that split).
+    /// Resolves the node's address and dials the first peer it names.
     fn start_connect(&mut self, n: usize) {
-        self.nodes[n].conn = ConnState::Connecting;
-        let addr = self.nodes[n].addr.clone();
-        let shared = Arc::clone(&self.shared);
-        let spawned = std::thread::Builder::new()
-            .name("pf-mux-connect".into())
-            .spawn(move || {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "a helper thread off the event loop, made to block on the connect"
-                )]
-                let result = NetStream::connect(&addr);
-                shared.lock().connected.push((n, result));
-                shared.wake();
-            })
-            .is_ok();
-        if !spawned {
-            self.nodes[n].conn = ConnState::Idle;
-            self.connect_failed(n, "could not spawn a connect helper");
+        match Peer::resolve(&self.nodes[n].addr) {
+            Ok(peers) => {
+                self.nodes[n].peers = peers.into();
+                self.dial_next(n, "the address resolved to nothing".into());
+            }
+            Err(e) => self.connect_failed(n, &format!("could not resolve the address: {e}")),
         }
     }
 
-    fn on_connected(&mut self, n: usize, result: std::io::Result<NetStream>) {
-        if n >= self.nodes.len() || !matches!(self.nodes[n].conn, ConnState::Connecting) {
-            return; // stale result after a reset; the stream drops here
+    /// Starts a non-blocking connect to the next resolved peer of `n`.
+    /// When none is left the dial has failed, with `why` the last reason.
+    fn dial_next(&mut self, n: usize, mut why: String) {
+        while let Some(peer) = self.nodes[n].peers.pop_front() {
+            let (stream, connected) = match NetStream::dial(&peer) {
+                Ok(dialed) => dialed,
+                Err(e) => {
+                    why = format!("connect failed: {e}");
+                    continue;
+                }
+            };
+            let interest = if connected { Interest::READ } else { Interest::WRITE };
+            let registered = match self.reactor.as_mut() {
+                Some(r) => r.register(stream.as_raw_fd(), n, interest),
+                None => Err(std::io::Error::other("no reactor")),
+            };
+            if let Err(e) = registered {
+                why = format!("could not register the connection: {e}");
+                continue;
+            }
+            self.nodes[n].interest = interest;
+            if connected {
+                self.on_connected(n, stream);
+            } else {
+                self.nodes[n].conn = ConnState::Connecting(stream);
+            }
+            return;
         }
-        match result {
-            Ok(stream) => {
-                if stream.set_nonblocking(true).is_err() {
-                    self.nodes[n].conn = ConnState::Idle;
-                    self.connect_failed(n, "could not make the connection non-blocking");
-                    return;
-                }
-                if self.reactor.register(stream.as_raw_fd(), n, Interest::READ).is_err() {
-                    self.nodes[n].conn = ConnState::Idle;
-                    self.connect_failed(n, "could not register the connection");
-                    return;
-                }
-                let node = &mut self.nodes[n];
-                node.conn = ConnState::Ready(stream);
-                node.fresh = true;
-                node.interest = Interest::READ;
-                node.rx.clear();
-                node.wbuf.clear();
-                node.wstart = 0;
-                self.pump(n);
-            }
+        self.nodes[n].conn = ConnState::Idle;
+        self.connect_failed(n, &why);
+    }
+
+    /// A readiness event on a connecting socket: the connect finished one
+    /// way or the other (or the event is stale and it goes on).
+    fn on_dialed(&mut self, n: usize) {
+        let ConnState::Connecting(stream) = &self.nodes[n].conn else { return };
+        let outcome = stream.connect_outcome();
+        if matches!(outcome, Ok(false)) {
+            return;
+        }
+        let ConnState::Connecting(stream) =
+            std::mem::replace(&mut self.nodes[n].conn, ConnState::Idle)
+        else {
+            return;
+        };
+        match outcome {
+            Ok(_) => self.on_connected(n, stream),
             Err(e) => {
-                self.nodes[n].conn = ConnState::Idle;
-                self.connect_failed(n, &format!("connect failed: {e}"));
+                self.deregister(&stream);
+                self.dial_next(n, format!("connect failed: {e}"));
             }
+        }
+    }
+
+    /// `stream`, registered under `n`, is connected: it becomes the node's
+    /// connection and the queue starts moving.
+    fn on_connected(&mut self, n: usize, stream: NetStream) {
+        let now = self.clock.now_ms();
+        let node = &mut self.nodes[n];
+        node.conn = ConnState::Ready(stream);
+        node.peers.clear();
+        node.fresh = true;
+        node.heard_ms = now;
+        node.rx.clear();
+        node.wbuf.clear();
+        node.wstart = 0;
+        self.pump(n);
+    }
+
+    fn deregister(&mut self, stream: &NetStream) {
+        if let Some(r) = self.reactor.as_mut() {
+            let _ = r.deregister(stream.as_raw_fd());
         }
     }
 
@@ -878,12 +855,8 @@ impl Driver {
             let _ = self.wheel.cancel(t);
         }
         p.attempt += 1;
-        if p.attempt >= p.attempts_max || !self.shared.budget.try_spend() {
-            settle(
-                &mut self.wheel,
-                p,
-                Err(NetError::Io(std::io::Error::other(format!("node {n}: {why}")))),
-            );
+        if p.attempt >= p.attempts_max || !self.budget.try_spend() {
+            self.settle(p, Err(io_error(format!("node {n}: {why}"))));
             return None;
         }
         if was_fresh {
@@ -898,12 +871,8 @@ impl Driver {
     /// candidate. Survivors requeue at the front in their original order.
     fn fail_conn(&mut self, n: usize, why: &str) {
         match std::mem::replace(&mut self.nodes[n].conn, ConnState::Idle) {
-            ConnState::Ready(stream) => {
-                let _ = self.reactor.deregister(stream.as_raw_fd());
-            }
-            // Connecting: the helper thread's late result is dropped as
-            // stale because the state is no longer Connecting.
-            ConnState::Connecting | ConnState::Idle => {}
+            ConnState::Ready(stream) | ConnState::Connecting(stream) => self.deregister(&stream),
+            ConnState::Idle => {}
         }
         let (was_fresh, inflight, stream) = {
             let node = &mut self.nodes[n];
@@ -983,11 +952,7 @@ impl Driver {
                 owed.push(st.req);
             }
             for p in owed {
-                settle(
-                    &mut self.wheel,
-                    p,
-                    Err(NetError::Io(std::io::Error::other(format!("node {n}: {why}")))),
-                );
+                self.settle(p, Err(io_error(format!("node {n}: {why}"))));
             }
         }
     }
@@ -1030,10 +995,9 @@ impl Driver {
             if self.nodes[n].pending_bytes() > 0 { Interest::READ_WRITE } else { Interest::READ };
         let node = &mut self.nodes[n];
         if node.interest != want {
-            if let ConnState::Ready(stream) = &node.conn {
-                let fd = stream.as_raw_fd();
+            if let (ConnState::Ready(stream), Some(r)) = (&node.conn, self.reactor.as_mut()) {
                 node.interest = want;
-                let _ = self.reactor.reregister(fd, n, want);
+                let _ = r.reregister(stream.as_raw_fd(), n, want);
             }
         }
     }
@@ -1127,6 +1091,7 @@ impl Driver {
         };
         // Any decoded reply proves the connection works.
         self.nodes[n].fresh = false;
+        self.nodes[n].heard_ms = self.clock.now_ms();
         if let Reply::Pong { max_chunk, .. } = &reply {
             self.nodes[n].peer_max_chunk = Some(*max_chunk);
         }
@@ -1142,13 +1107,11 @@ impl Driver {
     /// request it answers (never retried), scoped by what that frame was.
     fn finish_bad(&mut self, n: usize, p: Pending, why: String) {
         match p.kind {
-            Kind::Plain(_) => {
-                settle(&mut self.wheel, p, Err(NetError::BadReply(why)));
-            }
+            Kind::Plain(_) => self.settle(p, Err(NetError::BadReply(why))),
             Kind::Probe => {
                 self.nodes[n].probe_inflight = false;
                 if let Some(head) = self.nodes[n].queue.pop_front() {
-                    settle(&mut self.wheel, head, Err(NetError::BadReply(why)));
+                    self.settle(head, Err(NetError::BadReply(why)));
                 }
                 self.pump(n);
             }
@@ -1160,14 +1123,12 @@ impl Driver {
 
     fn finish_plain(&mut self, n: usize, p: Pending, reply: Reply) {
         match reply {
-            Reply::Error(e) => {
-                settle(&mut self.wheel, p, Err(NetError::Protocol(e)));
-            }
+            Reply::Error(e) => self.settle(p, Err(NetError::Protocol(e))),
             Reply::Busy { retry_after_ms } => self.retry_shed(n, p, retry_after_ms, false),
             Reply::Overloaded { retry_after_ms } => self.retry_shed(n, p, retry_after_ms, true),
             other => {
-                self.shared.budget.record_success();
-                settle(&mut self.wheel, p, Ok(other));
+                self.budget.record_success();
+                self.settle(p, Ok(other));
             }
         }
     }
@@ -1177,8 +1138,8 @@ impl Driver {
     /// also drops the connection (the daemon is about to).
     fn retry_shed(&mut self, n: usize, mut p: Pending, hint_ms: u32, reconnect: bool) {
         p.attempt += 1;
-        if p.attempt >= p.attempts_max || !self.shared.budget.try_spend() {
-            settle(&mut self.wheel, p, Err(NetError::Busy { retry_after_ms: hint_ms }));
+        if p.attempt >= p.attempts_max || !self.budget.try_spend() {
+            self.settle(p, Err(NetError::Busy { retry_after_ms: hint_ms }));
         } else {
             let wait = self.deadline.clamp_timeout(Duration::from_millis(u64::from(hint_ms)));
             self.park_with(n, p, wait);
@@ -1194,27 +1155,20 @@ impl Driver {
             Reply::Pong { .. } => self.pump(n), // capability recorded in on_reply
             Reply::Error(e) => {
                 if let Some(head) = self.nodes[n].queue.pop_front() {
-                    settle(&mut self.wheel, head, Err(NetError::Protocol(e)));
+                    self.settle(head, Err(NetError::Protocol(e)));
                 }
                 self.pump(n);
             }
-            Reply::Busy { retry_after_ms } => {
+            Reply::Busy { retry_after_ms } | Reply::Overloaded { retry_after_ms } => {
+                let reconnect = matches!(reply, Reply::Overloaded { .. });
                 if let Some(head) = self.nodes[n].queue.pop_front() {
-                    self.retry_shed(n, head, retry_after_ms, false);
-                }
-            }
-            Reply::Overloaded { retry_after_ms } => {
-                if let Some(head) = self.nodes[n].queue.pop_front() {
-                    self.retry_shed(n, head, retry_after_ms, true);
+                    self.retry_shed(n, head, retry_after_ms, reconnect);
                 }
             }
             other => {
                 if let Some(head) = self.nodes[n].queue.pop_front() {
-                    settle(
-                        &mut self.wheel,
-                        head,
-                        Err(NetError::BadReply(format!("expected Pong, got {other:?}"))),
-                    );
+                    let why = format!("expected Pong, got {other:?}");
+                    self.settle(head, Err(NetError::BadReply(why)));
                 }
                 self.pump(n);
             }
@@ -1258,14 +1212,14 @@ impl Driver {
                         self.nodes[n].resume_candidate = None;
                     }
                 }
-                self.shared.budget.record_success();
-                settle(&mut self.wheel, st.req, Ok(reply));
+                self.budget.record_success();
+                self.settle(st.req, Ok(reply));
                 self.pump(n);
             }
             Reply::Error(e) => {
                 let Some(st) = self.nodes[n].stream.take() else { return };
                 self.note_stream_resume(n, &st.req);
-                settle(&mut self.wheel, st.req, Err(NetError::Protocol(e)));
+                self.settle(st.req, Err(NetError::Protocol(e)));
                 self.fail_conn(n, "chunk stream answered with an error");
             }
             Reply::Busy { retry_after_ms } | Reply::Overloaded { retry_after_ms } => {
@@ -1296,7 +1250,7 @@ impl Driver {
     fn abort_stream(&mut self, n: usize, err: NetError) {
         if let Some(st) = self.nodes[n].stream.take() {
             self.note_stream_resume(n, &st.req);
-            settle(&mut self.wheel, st.req, Err(err));
+            self.settle(st.req, Err(err));
         }
         self.fail_conn(n, "chunk stream aborted");
     }
@@ -1382,11 +1336,11 @@ mod tests {
         // before collecting a single reply, so the whole burst is in
         // flight (or queued behind the connection) at once.
         let (mut handles_m, addrs_m, session_m) = identity_daemon();
-        let mux = one_node(&addrs_m[0]);
-        let slots: Vec<ReplySlot> =
+        let mut mux = one_node(&addrs_m[0]);
+        let slots: Vec<Slot> =
             (0..96).map(|i| mux.submit(0, write_req(i)).expect("submit")).collect();
         for (i, slot) in slots.into_iter().enumerate() {
-            match slot.recv().expect("driver alive").expect("write reply") {
+            match mux.wait(slot).expect("write reply") {
                 Reply::WriteOk { written: 2, .. } => {}
                 other => panic!("write {i}: unexpected reply {other:?}"),
             }
@@ -1396,7 +1350,7 @@ mod tests {
         // Serial half: the same 96 writes one `call` at a time against a
         // twin daemon.
         let (mut handles_s, addrs_s, session_s) = identity_daemon();
-        let serial_mux = one_node(&addrs_s[0]);
+        let mut serial_mux = one_node(&addrs_s[0]);
         for i in 0..96 {
             match serial_mux.call(0, write_req(i)).expect("serial write") {
                 Reply::WriteOk { written: 2, .. } => {}
@@ -1422,9 +1376,9 @@ mod tests {
     }
 
     #[test]
-    fn submit_after_drop_of_driver_reports_a_lost_transport() {
-        let mux = one_node("127.0.0.1:1");
-        assert!(mux.submit(7, Request::Ping).is_err(), "out-of-range node is a usage error");
+    fn an_out_of_range_node_is_a_usage_error() {
+        let mut mux = one_node("127.0.0.1:1");
+        assert!(matches!(mux.submit(7, Request::Ping), Err(NetError::Usage(_))));
     }
 
     #[test]
@@ -1433,7 +1387,7 @@ mod tests {
         // the same port, and check the retry ladder reconnects.
         let mut handle = serve("127.0.0.1:0", DaemonConfig::default()).expect("bind");
         let addr = handle.addr().to_string();
-        let mux = one_node(&addr);
+        let mut mux = one_node(&addr);
         let open = Request::Open { file: 1, subfile: 0, len: 8, tenant: 0 };
         assert_eq!(mux.call(0, open.clone()).expect("first open"), Reply::Ok);
         handle.stop();
@@ -1446,7 +1400,7 @@ mod tests {
 
     #[test]
     fn connect_failure_is_io_after_retries() {
-        let mux = one_node(&dead_addr());
+        let mut mux = one_node(&dead_addr());
         let err = mux.call(0, Request::Stat { file: 1 }).unwrap_err();
         assert!(matches!(err, NetError::Io(_)), "got {err}");
     }
@@ -1468,7 +1422,7 @@ mod tests {
         // failure. With a 1-token budget the first call gets exactly one
         // retry (policy would allow 3) and the second call gets none.
         let budget = Arc::new(RetryBudget::new(1, 0));
-        let mux = Mux::new(&[dead_addr()], Arc::clone(&budget));
+        let mut mux = Mux::new(&[dead_addr()], Arc::clone(&budget));
         let err = mux.call(0, Request::Stat { file: 1 }).unwrap_err();
         assert!(matches!(err, NetError::Io(_)), "got {err}");
         assert_eq!(budget.tokens(), 0, "the single token was spent");
@@ -1485,7 +1439,7 @@ mod tests {
     fn expired_deadline_fails_before_the_wire() {
         // The address is never contacted: an already-expired deadline is a
         // client-local typed error.
-        let mux = one_node(&dead_addr());
+        let mut mux = one_node(&dead_addr());
         mux.set_deadline(Deadline::within(Duration::ZERO));
         match mux.call(0, Request::Stat { file: 1 }).unwrap_err() {
             NetError::Protocol(e) => assert_eq!(e.code, ErrCode::DeadlineExceeded),

@@ -83,9 +83,10 @@ impl Waker {
 
 /// The event loop core: an OS selector plus a self-pipe waker.
 ///
-/// Single-threaded by design — one driver thread owns the reactor and all
-/// state machines behind its tokens; other threads communicate through
-/// queues and [`Waker::wake`].
+/// Single-threaded by design — the thread that owns the reactor (the
+/// daemon's loop thread, or a session's caller) runs every state machine
+/// behind its tokens; another thread reaches it only through
+/// [`Waker::wake`], as the daemon's stop request does.
 pub struct Reactor {
     selector: sys::Selector,
     waker_tx: Arc<UnixStream>,

@@ -1,12 +1,13 @@
-//! Raw readiness syscalls behind the reactor: `epoll(7)` on Linux with a
-//! portable `poll(2)` fallback, declared directly against libc (the C
-//! library is always linked; no new crate dependency).
+//! Raw syscalls behind the reactor: readiness through `epoll(7)` on Linux
+//! with a portable `poll(2)` fallback, and the non-blocking `connect(2)`
+//! a client dials with, declared directly against libc (the C library is
+//! always linked; no new crate dependency).
 //!
 //! This is the **only** module in `parafile-net` allowed to use `unsafe`:
-//! every call site is a direct FFI invocation of a readiness syscall on
-//! file descriptors this process owns, with all buffers stack- or
-//! `Vec`-backed and lengths passed explicitly. The rest of the crate stays
-//! under `#![deny(unsafe_code)]` with no exceptions.
+//! every call site is a direct FFI invocation of a socket or readiness
+//! syscall on file descriptors this process owns, with all buffers stack-
+//! or `Vec`-backed and lengths passed explicitly. The rest of the crate
+//! stays under `#![deny(unsafe_code)]` with no exceptions.
 
 #![allow(unsafe_code)]
 // Runs on the event loop: nothing here may block it (clippy.toml lists the
@@ -14,7 +15,12 @@
 #![deny(clippy::disallowed_methods)]
 
 use std::io;
-use std::os::unix::io::RawFd;
+use std::net::{SocketAddr, TcpStream};
+use std::os::raw::c_int;
+use std::os::unix::ffi::OsStrExt;
+use std::os::unix::io::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::path::Path;
 use std::time::Duration;
 
 use super::{Event, Interest};
@@ -261,6 +267,140 @@ impl Drop for EpollBackend {
             epoll_ffi::close(self.epfd);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Non-blocking connect
+
+extern "C" {
+    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+    fn connect(fd: c_int, addr: *const u8, len: u32) -> c_int;
+}
+
+const LINUX: bool = cfg!(any(target_os = "linux", target_os = "android"));
+/// The BSD family leads a socket address with a length byte and a
+/// one-byte family; Linux with a two-byte family.
+const SA_LEN: bool = cfg!(any(
+    target_os = "macos",
+    target_os = "ios",
+    target_os = "freebsd",
+    target_os = "dragonfly",
+    target_os = "netbsd",
+    target_os = "openbsd"
+));
+const AF_UNIX: u16 = 1;
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = if LINUX {
+    10
+} else if cfg!(any(target_os = "macos", target_os = "ios")) {
+    30
+} else if cfg!(any(target_os = "freebsd", target_os = "dragonfly")) {
+    28
+} else {
+    24
+};
+const SOCK_STREAM: c_int = 1;
+/// A Linux `socket(2)` type flag; elsewhere a dialed socket is not
+/// close-on-exec.
+const SOCK_CLOEXEC: c_int = if LINUX { 0o2000000 } else { 0 };
+const EINTR: i32 = 4;
+const EINPROGRESS: i32 = if LINUX { 115 } else { 36 };
+
+/// A socket address laid out the way the kernel reads it.
+#[repr(C, align(8))]
+struct SockAddr {
+    bytes: [u8; 112],
+    len: usize,
+    family: u16,
+}
+
+impl SockAddr {
+    fn new(family: u16, len: usize) -> Self {
+        let mut bytes = [0u8; 112];
+        if SA_LEN {
+            bytes[0] = len as u8;
+            bytes[1] = family as u8;
+        } else {
+            bytes[..2].copy_from_slice(&family.to_ne_bytes());
+        }
+        Self { bytes, len, family }
+    }
+
+    fn inet(addr: &SocketAddr) -> Self {
+        match addr {
+            SocketAddr::V4(a) => {
+                let mut sa = Self::new(AF_INET, 16);
+                sa.bytes[2..4].copy_from_slice(&a.port().to_be_bytes());
+                sa.bytes[4..8].copy_from_slice(&a.ip().octets());
+                sa
+            }
+            SocketAddr::V6(a) => {
+                let mut sa = Self::new(AF_INET6, 28);
+                sa.bytes[2..4].copy_from_slice(&a.port().to_be_bytes());
+                sa.bytes[4..8].copy_from_slice(&a.flowinfo().to_ne_bytes());
+                sa.bytes[8..24].copy_from_slice(&a.ip().octets());
+                sa.bytes[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+                sa
+            }
+        }
+    }
+
+    fn unix(path: &Path) -> io::Result<Self> {
+        let path = path.as_os_str().as_bytes();
+        let room = if SA_LEN { 104 } else { 108 };
+        if path.len() >= room || path.contains(&0) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "unix socket path is too long or holds a NUL byte",
+            ));
+        }
+        // The path plus its terminating NUL (already zero).
+        let mut sa = Self::new(AF_UNIX, 2 + path.len() + 1);
+        sa.bytes[2..2 + path.len()].copy_from_slice(path);
+        Ok(sa)
+    }
+}
+
+/// Opens a stream socket for `sa`, makes it non-blocking and starts
+/// connecting it. Returns the socket and whether the connect already
+/// completed; an unfinished one completes on a writable event, after which
+/// `SO_ERROR` (`take_error`) says how it went.
+fn start_connect<T: From<OwnedFd> + AsRawFd>(
+    sa: &SockAddr,
+    nonblocking: impl FnOnce(&T) -> io::Result<()>,
+) -> io::Result<(T, bool)> {
+    // SAFETY: socket(2) takes three integers and returns a new fd or -1.
+    let fd = unsafe { socket(c_int::from(sa.family), SOCK_STREAM | SOCK_CLOEXEC, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: `fd` was just opened by socket(2) and nothing else owns it.
+    let sock = T::from(unsafe { OwnedFd::from_raw_fd(fd) });
+    nonblocking(&sock)?;
+    // SAFETY: `sa.bytes` is a live buffer holding a socket address of
+    // `sa.len` bytes; connect(2) only reads it.
+    let rc = unsafe { connect(sock.as_raw_fd(), sa.bytes.as_ptr(), sa.len as u32) };
+    if rc == 0 {
+        return Ok((sock, true));
+    }
+    let err = io::Error::last_os_error();
+    match err.raw_os_error() {
+        Some(EINPROGRESS | EINTR) => Ok((sock, false)),
+        _ => Err(err),
+    }
+}
+
+/// Starts a non-blocking TCP connect to `addr`. Returns the stream and
+/// whether it is already connected; an unfinished connect completes on a
+/// writable event, after which `take_error` says how it went.
+pub fn connect_tcp(addr: &SocketAddr) -> io::Result<(TcpStream, bool)> {
+    start_connect(&SockAddr::inet(addr), |s: &TcpStream| s.set_nonblocking(true))
+}
+
+/// Starts a non-blocking Unix-domain connect to `path`. A listener with a
+/// full backlog refuses at once (`WouldBlock`) instead of completing later.
+pub fn connect_unix(path: &Path) -> io::Result<(UnixStream, bool)> {
+    start_connect(&SockAddr::unix(path)?, |s: &UnixStream| s.set_nonblocking(true))
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
-//! The reactor's timer wheel: deadlines, retry backoffs and hedge timers
-//! as one ordered set over an abstract millisecond clock.
+//! The reactor's timer wheel: deadlines, retry backoffs and shed hints as
+//! one ordered set over an abstract millisecond clock.
 //!
 //! Everything time-driven in the networking stack — request deadlines,
-//! retry backoff wake-ups, hedge triggers, idle-connection reaping —
-//! funnels through one [`TimerWheel`] per driver thread, and the wheel
+//! retry backoff wake-ups, shed hints, idle-connection reaping —
+//! funnels through one [`TimerWheel`] per event loop (the daemon's, and
+//! each session's transport), and the wheel
 //! never reads the wall clock itself: callers feed it `now_ms` from a
 //! [`Clock`]. Production uses [`MonotonicClock`]; tests drive a manual
 //! clock, so firing order is a *deterministic function of the schedule*,
 //! not of scheduler jitter (the same discipline [`BreakerCore`] uses).
 //!
 //! The API is a classic hashed-wheel surface (schedule / cancel / advance)
-//! but the store is a sorted deadline map: at the few hundred timers a
-//! driver thread carries, slot hashing buys nothing over `BTreeMap`'s
+//! but the store is a sorted deadline map: at the few hundred timers an
+//! event loop carries, slot hashing buys nothing over `BTreeMap`'s
 //! O(log n), and the map keeps expiry order exact — ties fire in
 //! scheduling order, which the deterministic tests pin down.
 //!

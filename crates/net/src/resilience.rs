@@ -6,8 +6,8 @@
 //! small mechanisms compose into tail-tolerance:
 //!
 //! * [`Deadline`] — an absolute time budget attached to a logical
-//!   operation, decremented at every propagation hop (session → mux
-//!   driver → daemon loop) and carried on the wire as the `deadline_ms`
+//!   operation, decremented at every propagation hop (session → daemon
+//!   loop) and carried on the wire as the `deadline_ms`
 //!   payload prefix;
 //! * [`RetryBudget`] — a session-wide token bucket replacing unbounded
 //!   per-call retries: every retry spends a token, every success refills a
@@ -108,8 +108,8 @@ const MILLI: u64 = 1000;
 /// inverts that: retries spend from a shared bucket (one token each),
 /// successes trickle a fraction of a token back, and when the bucket is
 /// dry, failures surface immediately instead of retrying. Thread-safe and
-/// lock-free — the session and its mux driver thread share one budget
-/// through an `Arc`.
+/// lock-free — the session and its transport share one budget through an
+/// `Arc`, and so may sessions on different threads.
 #[derive(Debug)]
 pub struct RetryBudget {
     millitokens: AtomicU64,

@@ -188,15 +188,58 @@ pub(crate) enum NetStream {
     Unix(UnixStream),
 }
 
-impl NetStream {
-    /// Connects to an address in the same syntax as [`NetListener::bind`].
-    pub(crate) fn connect(addr: &str) -> std::io::Result<Self> {
+/// One address a client can dial.
+pub(crate) enum Peer {
+    Tcp(std::net::SocketAddr),
+    Unix(PathBuf),
+}
+
+impl Peer {
+    /// The addresses `addr` names, in dial order, in the same syntax as
+    /// [`NetListener::bind`]. A host name resolves through the system
+    /// resolver; an IP literal or a `unix:` path needs no lookup.
+    pub(crate) fn resolve(addr: &str) -> std::io::Result<Vec<Peer>> {
+        use std::net::ToSocketAddrs;
         if let Some(path) = addr.strip_prefix("unix:") {
-            Ok(NetStream::Unix(UnixStream::connect(path)?))
+            Ok(vec![Peer::Unix(PathBuf::from(path))])
         } else {
-            let s = TcpStream::connect(addr)?;
-            s.set_nodelay(true).ok();
-            Ok(NetStream::Tcp(s))
+            Ok(addr.to_socket_addrs()?.map(Peer::Tcp).collect())
+        }
+    }
+}
+
+impl NetStream {
+    /// Starts a non-blocking connect to `peer`. Returns the stream and
+    /// whether it is already connected; an unfinished connect completes on
+    /// a writable event ([`connect_outcome`](Self::connect_outcome)).
+    pub(crate) fn dial(peer: &Peer) -> std::io::Result<(Self, bool)> {
+        match peer {
+            Peer::Tcp(addr) => {
+                let (s, done) = crate::reactor::sys::connect_tcp(addr)?;
+                s.set_nodelay(true).ok();
+                Ok((NetStream::Tcp(s), done))
+            }
+            Peer::Unix(path) => {
+                let (s, done) = crate::reactor::sys::connect_unix(path)?;
+                Ok((NetStream::Unix(s), done))
+            }
+        }
+    }
+
+    /// How a [`dial`](Self::dial) that reported writable went: `Ok(true)`
+    /// connected, `Ok(false)` still in progress, `Err` refused or failed.
+    pub(crate) fn connect_outcome(&self) -> std::io::Result<bool> {
+        let (error, peer) = match self {
+            NetStream::Tcp(s) => (s.take_error()?, s.peer_addr().map(drop)),
+            NetStream::Unix(s) => (s.take_error()?, s.peer_addr().map(drop)),
+        };
+        if let Some(e) = error {
+            return Err(e);
+        }
+        match peer {
+            Ok(()) => Ok(true),
+            Err(e) if e.kind() == std::io::ErrorKind::NotConnected => Ok(false),
+            Err(e) => Err(e),
         }
     }
 

@@ -69,7 +69,7 @@ use crate::server::{serve, DaemonConfig, DaemonHandle};
 use crate::wire::{Reply, Request, StatInfo};
 use clusterfile::{crc32c, StorageBackend};
 use falls::{Falls, NestedFalls, NestedSet};
-use parafile::engine::{CompiledView, PlanEngine};
+use parafile::engine::{CompiledView, PlanEngine, SegmentReplay};
 use parafile::mapping::Mapper;
 use parafile::model::{Partition, PartitionPattern};
 use parafile::redist::SubfileAccess;
@@ -79,7 +79,6 @@ use parafile_replica::{
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -97,10 +96,20 @@ const BREAKER_OPEN_FOR: Duration = Duration::from_millis(250);
 const HEDGE_FLOOR: Duration = Duration::from_millis(5);
 const HEDGE_CEILING: Duration = Duration::from_millis(250);
 
-/// Poll step while racing a primary read against its hedge.
-const HEDGE_POLL: Duration = Duration::from_micros(200);
+use crate::mux::{Mux, Slot};
 
-use crate::mux::{mux_lost, Mux, ReplySlot};
+/// Gathers the non-contiguous view bytes of `[lo_v, hi_v]` that `replay`
+/// routes to one subfile into one message buffer (the paper's t_g phase);
+/// a fully-covered interval is a plain copy.
+fn gather(replay: &SegmentReplay, lo_v: u64, hi_v: u64, data: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(replay.bytes_between(lo_v, hi_v) as usize);
+    replay.for_each_between(lo_v, hi_v, |seg| {
+        let a = (seg.l() - lo_v) as usize;
+        let b = (seg.r() - lo_v) as usize;
+        payload.extend_from_slice(&data[a..=b]);
+    });
+    payload
+}
 
 /// Demands a plain `Ok` reply.
 fn expect_ok(reply: Reply) -> Result<(), NetError> {
@@ -235,12 +244,13 @@ impl RedistReport {
 /// per daemon (daemon order = subfile order).
 ///
 /// Every request — fan-outs and the recovery paths' one-at-a-time calls
-/// alike — travels through one reactor-driven [`crate::mux::Mux`]: a single
-/// thread owns the session's one connection per node, keeps many requests
-/// in flight per connection (replies matched FIFO by request id) and runs
-/// all retry/backoff/shed timing on a timer wheel.
+/// alike — travels through the session's own [`crate::mux::Mux`], driven
+/// on the caller's thread: it holds one connection per node, keeps many
+/// requests in flight per connection (replies matched FIFO by request id)
+/// and runs all retry/backoff/shed timing on a timer wheel whose timers
+/// fall due while a call waits. No thread runs behind a session.
 pub struct Session {
-    /// The session's only transport, owned by it and joined on drop.
+    /// The session's only transport.
     mux: Mux,
     files: HashMap<u64, FileState>,
     /// This session's retry-stamp namespace (nonzero; 0 is the unstamped
@@ -255,7 +265,7 @@ pub struct Session {
     map: ReplicaMap,
     /// Replica copies known stale, lost, or corrupt, awaiting scrub repair.
     dirty: DirtySet,
-    /// Quorum-write stragglers still in flight.
+    /// Quorum-write stragglers and hedge losers still in flight.
     stragglers: Vec<Straggler>,
     /// Per-node circuit breakers, indexed by node. Mutexed so
     /// admission checks work from shared-borrow paths (the build phase of
@@ -269,12 +279,18 @@ pub struct Session {
     deadline: Deadline,
     /// Hedged reads issued so far (observability).
     hedged_reads: u64,
-    /// Hedge losers still in flight; their outcomes are owed to the
-    /// breakers, drained alongside the write stragglers.
-    read_stragglers: Vec<(usize, ReplySlot)>,
     /// Tenant id stamped on every `Open` so daemons can
     /// meter per-tenant quotas; 0 = anonymous.
     tenant: u32,
+}
+
+/// What [`Session::failover`] asks each replica of a subfile for.
+#[derive(Clone, Copy)]
+enum Ask {
+    /// A view-interval `Read` through compute node `compute`'s view.
+    Read { compute: u32, l_s: u64, r_s: u64 },
+    /// The whole copy.
+    Fetch,
 }
 
 /// A per-node request to fan out, with its target node index.
@@ -300,16 +316,18 @@ pub struct BatchWrite<'a> {
 /// integers in practice).
 pub const SCRUB_COMPUTE: u32 = u32::MAX;
 
-/// A quorum-write straggler: a replica whose reply had not been collected
-/// when the write returned (the quorum was already satisfied). Drained
-/// opportunistically on later writes and synchronously at flush/scrub; a
-/// straggler that failed is queued dirty.
+/// A reply nobody waits for: a quorum-write replica whose reply had not
+/// been collected when the write returned (the quorum was already
+/// satisfied), or the losing side of a hedged read. Drained
+/// opportunistically on later calls and synchronously at flush, scrub and
+/// drop. Its outcome lands on its node's breaker (a parked half-open probe
+/// that never settled would shed its node forever), and a write copy that
+/// failed is queued dirty.
 struct Straggler {
-    file: u64,
-    subfile: usize,
-    rank: usize,
     node: usize,
-    slot: ReplySlot,
+    slot: Slot,
+    /// The replica a write straggler updates; `None` for a hedge loser.
+    copy: Option<DirtyReplica>,
 }
 
 /// One subfile's share of a quorum write, as built: per-rank requests in
@@ -327,7 +345,7 @@ struct BuiltGroup {
 struct GroupWait {
     subfile: usize,
     /// `(rank, node, slot)` in rank order.
-    waits: Vec<(usize, usize, Result<ReplySlot, NetError>)>,
+    waits: Vec<(usize, usize, Result<Slot, NetError>)>,
     pre_dirty: Vec<(usize, usize)>,
 }
 
@@ -400,7 +418,6 @@ impl Session {
             retry_budget,
             deadline: Deadline::none(),
             hedged_reads: 0,
-            read_stragglers: Vec::new(),
             tenant: 0,
         }
     }
@@ -536,27 +553,10 @@ impl Session {
         self.deadline
     }
 
-    /// Dispatches one request for `node` into the mux. Returns the slot
-    /// the reply will arrive on; never blocks (in-flight depth is bounded
-    /// by the daemon's admission control, not a client queue).
-    fn submit(&self, node: usize, request: Request) -> Result<ReplySlot, NetError> {
-        self.mux.submit(node, request)
-    }
-
     /// Collects one submitted reply, recording its outcome on the node's
-    /// breaker. A slot that closed without a message means the mux driver
-    /// died under the request; it is surfaced as a lost-transport error.
-    fn collect(&self, node: usize, slot: Result<ReplySlot, NetError>) -> Result<Reply, NetError> {
-        let reply = match slot {
-            Ok(rx) => match rx.recv() {
-                Ok(reply) => reply,
-                Err(_) => {
-                    self.mux.reset_node(node);
-                    Err(mux_lost(node))
-                }
-            },
-            Err(e) => Err(e),
-        };
+    /// breaker.
+    fn collect(&mut self, node: usize, slot: Result<Slot, NetError>) -> Result<Reply, NetError> {
+        let reply = slot.and_then(|slot| self.mux.wait(slot));
         self.note_reply(node, &reply);
         reply
     }
@@ -565,37 +565,28 @@ impl Session {
     /// recovery paths' one-at-a-time requests ride the same connection —
     /// and so the same tenant, deadline, budget and FIFO order — as the
     /// fan-outs around them.
-    fn call(&self, node: usize, request: Request) -> Result<Reply, NetError> {
-        let slot = self.submit(node, request);
+    fn call(&mut self, node: usize, request: Request) -> Result<Reply, NetError> {
+        let slot = self.mux.submit(node, request);
         self.collect(node, slot)
     }
 
     /// [`call`](Self::call), demanding a plain `Ok`.
-    fn call_ok(&self, node: usize, request: Request) -> Result<(), NetError> {
+    fn call_ok(&mut self, node: usize, request: Request) -> Result<(), NetError> {
         expect_ok(self.call(node, request)?)
     }
 
     /// Fans `requests` out through the mux concurrently and returns the
     /// replies in the same order.
-    fn fan_out(&self, requests: Vec<Outgoing>) -> Vec<(usize, Result<Reply, NetError>)> {
-        let submitted: Vec<(usize, Result<ReplySlot, NetError>)> = requests
+    fn fan_out(&mut self, requests: Vec<Outgoing>) -> Vec<(usize, Result<Reply, NetError>)> {
+        let submitted: Vec<(usize, Result<Slot, NetError>)> = requests
             .into_iter()
-            .map(|Outgoing { node, request }| {
-                let slot = self.submit(node, request);
-                (node, slot)
-            })
+            .map(|Outgoing { node, request }| (node, self.mux.submit(node, request)))
             .collect();
-        submitted
-            .into_iter()
-            .map(|(node, slot)| {
-                let reply = self.collect(node, slot);
-                (node, reply)
-            })
-            .collect()
+        submitted.into_iter().map(|(node, slot)| (node, self.collect(node, slot))).collect()
     }
 
     /// Like [`fan_out`](Self::fan_out) but every reply must be `Ok`.
-    fn fan_out_ok(&self, requests: Vec<Outgoing>) -> Result<(), NetError> {
+    fn fan_out_ok(&mut self, requests: Vec<Outgoing>) -> Result<(), NetError> {
         self.fan_out(requests).into_iter().try_for_each(|(_, reply)| expect_ok(reply?))
     }
 
@@ -787,7 +778,7 @@ impl Session {
         file: u64,
         ops: &[BatchWrite<'_>],
     ) -> Result<Vec<RedistReport>, NetError> {
-        // Account for earlier writes' stragglers that have landed since.
+        // Account for earlier stragglers that have landed since.
         self.drain_stragglers(false);
         // Validate and build every op's per-node requests up front (the
         // paper's t_m and t_g phases), so the submit phase below is pure
@@ -808,33 +799,44 @@ impl Session {
         // Dispatch phase: enqueue everything before collecting anything.
         let mut pending = Vec::with_capacity(built.len());
         for groups in built {
-            let waits: Vec<GroupWait> = groups
-                .into_iter()
-                .map(|g| GroupWait {
+            let mut waits = Vec::with_capacity(groups.len());
+            for g in groups {
+                let targets = g
+                    .targets
+                    .into_iter()
+                    .map(|(rank, node, request)| (rank, node, self.mux.submit(node, request)));
+                waits.push(GroupWait {
                     subfile: g.subfile,
-                    waits: g
-                        .targets
-                        .into_iter()
-                        .map(|(rank, node, request)| {
-                            let slot = self.submit(node, request);
-                            (rank, node, slot)
-                        })
-                        .collect(),
+                    waits: targets.collect(),
                     pre_dirty: g.pre_dirty,
-                })
-                .collect();
+                });
+            }
             pending.push(waits);
         }
         // Collect phase, in op order (the mux settles each node's
         // requests in FIFO order, so op k's reply on a node precedes
         // op k+1's).
         let mut out = Vec::with_capacity(pending.len());
-        for (waits, op) in pending.into_iter().zip(ops) {
+        let mut pending = pending.into_iter();
+        for (waits, op) in pending.by_ref().zip(ops) {
             let mut report = RedistReport::default();
-            for group in waits {
-                let (subfile, outcome) = self.collect_group(compute, file, op, group)?;
-                report.written += outcome.written();
-                report.outcomes.push((subfile, outcome));
+            let mut waits = waits.into_iter();
+            for group in waits.by_ref() {
+                match self.collect_group(compute, file, op, group) {
+                    Ok((subfile, outcome)) => {
+                        report.written += outcome.written();
+                        report.outcomes.push((subfile, outcome));
+                    }
+                    Err(e) => {
+                        // Replies nobody collects still complete as
+                        // stragglers, so the breakers and the dirty set
+                        // hear how they went.
+                        for g in waits.chain(pending.flatten()) {
+                            self.defer(file, g.subfile, g.waits.into_iter());
+                        }
+                        return Err(e);
+                    }
+                }
             }
             report.outcomes.sort_unstable_by_key(|&(n, _)| n);
             out.push(report);
@@ -863,20 +865,11 @@ impl Session {
             if replay.is_empty() {
                 continue;
             }
-            let covered = replay.bytes_between(lo_v, hi_v);
-            if covered == 0 {
+            let payload = gather(replay, lo_v, hi_v, data);
+            if payload.is_empty() {
                 continue;
             }
             let (l_s, r_s) = Self::map_extremities(st, vs, s, lo_v, hi_v)?;
-            // Gather the non-contiguous view data into one message buffer
-            // (the paper's t_g phase); a fully-covered interval is a plain
-            // copy.
-            let mut payload = Vec::with_capacity(covered as usize);
-            replay.for_each_between(lo_v, hi_v, |seg| {
-                let a = (seg.l() - lo_v) as usize;
-                let b = (seg.r() - lo_v) as usize;
-                payload.extend_from_slice(&data[a..=b]);
-            });
             let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
             let mut group = BuiltGroup { subfile: s, targets: Vec::new(), pre_dirty: Vec::new() };
             let mut admitted = Vec::new();
@@ -926,51 +919,69 @@ impl Session {
         let quorum = self.map.write_quorum().min(group.waits.len()).max(1);
         let mut first_ack: Option<SegmentOutcome> = None;
         let mut acks = 0usize;
+        let mut failed = None;
         let mut waits = group.waits.into_iter();
         for (rank, node, slot) in waits.by_ref() {
             let reply = self.collect(node, slot);
-            let outcome = self.copy_write_outcome(
-                subfile, rank, node, compute, file, op.lo_v, op.hi_v, op.data, reply,
-            )?;
-            if matches!(outcome, SegmentOutcome::Unreachable) {
-                self.dirty.insert(DirtyReplica { file, subfile, rank, node });
-            } else {
-                acks += 1;
-                if first_ack.is_none() {
-                    first_ack = Some(outcome);
-                }
-                if acks >= quorum {
+            match self.copy_write_outcome(subfile, rank, compute, file, op, reply) {
+                Err(e) => {
+                    failed = Some(e);
                     break;
+                }
+                Ok(SegmentOutcome::Unreachable) => {
+                    self.dirty.insert(DirtyReplica { file, subfile, rank, node });
+                }
+                Ok(outcome) => {
+                    acks += 1;
+                    first_ack.get_or_insert(outcome);
+                    if acks >= quorum {
+                        break;
+                    }
                 }
             }
         }
-        // Quorum satisfied: the remaining replicas complete asynchronously.
+        // Quorum satisfied (or the write failed): the remaining replicas
+        // complete asynchronously.
+        self.defer(file, subfile, waits);
+        match failed {
+            Some(e) => Err(e),
+            None => Ok((subfile, first_ack.unwrap_or(SegmentOutcome::Unreachable))),
+        }
+    }
+
+    /// Leaves replica writes nobody waits for to complete as stragglers; a
+    /// copy whose request never went out is queued dirty.
+    fn defer(
+        &mut self,
+        file: u64,
+        subfile: usize,
+        waits: impl Iterator<Item = (usize, usize, Result<Slot, NetError>)>,
+    ) {
         for (rank, node, slot) in waits {
             match slot {
-                Ok(slot) => self.stragglers.push(Straggler { file, subfile, rank, node, slot }),
+                Ok(slot) => {
+                    let copy = Some(DirtyReplica { file, subfile, rank, node });
+                    self.stragglers.push(Straggler { node, slot, copy });
+                }
                 Err(_) => {
                     self.dirty.insert(DirtyReplica { file, subfile, rank, node });
                 }
             }
         }
-        Ok((subfile, first_ack.unwrap_or(SegmentOutcome::Unreachable)))
     }
 
     /// Maps one replica's write reply to its segment outcome, driving
     /// restart recovery and dead-node bookkeeping on the way.
-    #[allow(clippy::too_many_arguments)]
     fn copy_write_outcome(
         &mut self,
         subfile: usize,
         rank: usize,
-        node: usize,
         compute: u32,
         file: u64,
-        lo_v: u64,
-        hi_v: u64,
-        data: &[u8],
+        op: &BatchWrite<'_>,
         reply: Result<Reply, NetError>,
     ) -> Result<SegmentOutcome, NetError> {
+        let node = self.map.node_for(subfile, rank);
         Ok(match reply {
             Ok(Reply::WriteOk { written, replayed: false }) => SegmentOutcome::Applied { written },
             Ok(Reply::WriteOk { written, replayed: true }) => SegmentOutcome::Replayed { written },
@@ -984,7 +995,7 @@ impl Session {
             {
                 // The daemon restarted and forgot this session's state:
                 // re-open the copy, re-ship the view, retry once.
-                match self.recover_write(subfile, rank, compute, file, lo_v, hi_v, data) {
+                match self.recover_write(subfile, rank, compute, file, op) {
                     Ok(written) => SegmentOutcome::Recovered { written },
                     Err(NetError::Io(_) | NetError::IdMismatch { .. }) => {
                         self.health[node] = NodeHealth::Dead;
@@ -995,8 +1006,8 @@ impl Session {
             }
             Err(NetError::Io(_) | NetError::IdMismatch { .. }) => {
                 // The node stayed down through the transport's whole
-                // retry schedule (or its driver died): mark it dead so
-                // later writes fail fast until a probe revives it.
+                // retry schedule: mark it dead so later writes fail fast
+                // until a probe revives it.
                 self.health[node] = NodeHealth::Dead;
                 SegmentOutcome::Unreachable
             }
@@ -1011,75 +1022,27 @@ impl Session {
         })
     }
 
-    /// Drains quorum-write stragglers: non-blocking between writes (only
-    /// replies that already landed are accounted), blocking at barriers
-    /// (flush, scrub, session drop). A straggler that failed is queued
-    /// dirty; every settled outcome also lands on its node's breaker.
+    /// Drains stragglers: non-blocking between calls (only replies that
+    /// already landed are accounted), blocking at barriers (flush, scrub,
+    /// session drop).
     fn drain_stragglers(&mut self, block: bool) {
-        self.drain_read_stragglers(block);
-        let pending = std::mem::take(&mut self.stragglers);
-        for s in pending {
-            let reply = if block {
-                s.slot.recv().map_err(|_| ())
-            } else {
-                match s.slot.try_recv() {
-                    Ok(reply) => Ok(reply),
-                    Err(mpsc::TryRecvError::Empty) => {
-                        self.stragglers.push(s);
-                        continue;
-                    }
-                    Err(mpsc::TryRecvError::Disconnected) => Err(()),
-                }
+        for s in std::mem::take(&mut self.stragglers) {
+            let reply = if block { Some(self.mux.wait(s.slot)) } else { self.mux.poll(s.slot) };
+            let Some(reply) = reply else {
+                self.stragglers.push(s);
+                continue;
             };
-            if let Ok(reply) = &reply {
-                self.note_reply(s.node, reply);
-            } else {
-                self.note_node(s.node, false);
-            }
+            self.note_reply(s.node, &reply);
+            let Some(copy) = s.copy else { continue };
             match reply {
-                Ok(Ok(Reply::WriteOk { .. })) => {}
-                Ok(Err(NetError::Io(_) | NetError::IdMismatch { .. })) | Err(()) => {
+                Ok(Reply::WriteOk { .. }) => {}
+                Err(NetError::Io(_) | NetError::IdMismatch { .. }) => {
                     self.health[s.node] = NodeHealth::Dead;
-                    self.dirty.insert(DirtyReplica {
-                        file: s.file,
-                        subfile: s.subfile,
-                        rank: s.rank,
-                        node: s.node,
-                    });
+                    self.dirty.insert(copy);
                 }
-                Ok(_) => {
-                    self.dirty.insert(DirtyReplica {
-                        file: s.file,
-                        subfile: s.subfile,
-                        rank: s.rank,
-                        node: s.node,
-                    });
+                _ => {
+                    self.dirty.insert(copy);
                 }
-            }
-        }
-    }
-
-    /// Drains hedge losers the same way: their replies are not data anyone
-    /// is waiting for, but the breakers are owed the outcomes (a parked
-    /// half-open probe that never settled would shed its node forever).
-    fn drain_read_stragglers(&mut self, block: bool) {
-        let pending = std::mem::take(&mut self.read_stragglers);
-        for (node, slot) in pending {
-            let reply = if block {
-                slot.recv().map_err(|_| ())
-            } else {
-                match slot.try_recv() {
-                    Ok(reply) => Ok(reply),
-                    Err(mpsc::TryRecvError::Empty) => {
-                        self.read_stragglers.push((node, slot));
-                        continue;
-                    }
-                    Err(mpsc::TryRecvError::Disconnected) => Err(()),
-                }
-            };
-            match reply {
-                Ok(reply) => self.note_reply(node, &reply),
-                Err(()) => self.note_node(node, false),
             }
         }
     }
@@ -1088,7 +1051,7 @@ impl Session {
     /// session's cached geometry — the first half of restart recovery. On
     /// a restarted daemon the open also replays its journal into any
     /// surviving bytes.
-    fn reopen_copy(&self, subfile: usize, rank: usize, file: u64) -> Result<(), NetError> {
+    fn reopen_copy(&mut self, subfile: usize, rank: usize, file: u64) -> Result<(), NetError> {
         let st = self.file(file)?;
         let sub_len = st.physical.element_len(subfile, st.len)?;
         self.call_ok(
@@ -1107,7 +1070,7 @@ impl Session {
     /// into any surviving bytes) and re-ship compute `compute`'s view, all
     /// from this session's cached state.
     fn reestablish_copy(
-        &self,
+        &mut self,
         subfile: usize,
         rank: usize,
         compute: u32,
@@ -1120,10 +1083,8 @@ impl Session {
         let plan = PlanEngine::global().compile_view(&vs.view, vs.element, &st.physical)?;
         let access = plan.access(subfile);
         if !access.is_empty() {
-            self.call_ok(
-                self.map.node_for(subfile, rank),
-                set_view_request(file, rank, compute, vs.element, &vs.view, access),
-            )?;
+            let request = set_view_request(file, rank, compute, vs.element, &vs.view, access);
+            self.call_ok(self.map.node_for(subfile, rank), request)?;
         }
         Ok(())
     }
@@ -1132,29 +1093,20 @@ impl Session {
     /// for that replica once. The retry carries a fresh stamp: the
     /// daemon's dedup window (repopulated from its journal) decides
     /// whether the original write already landed.
-    #[allow(clippy::too_many_arguments)]
     fn recover_write(
         &mut self,
         subfile: usize,
         rank: usize,
         compute: u32,
         file: u64,
-        lo_v: u64,
-        hi_v: u64,
-        data: &[u8],
+        op: &BatchWrite<'_>,
     ) -> Result<u64, NetError> {
         self.reestablish_copy(subfile, rank, compute, file)?;
         let session = self.session_id;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let (st, vs) = self.view(file, compute)?;
-        let (l_s, r_s) = Self::map_extremities(st, vs, subfile, lo_v, hi_v)?;
-        let replay = vs.plan.replay(subfile);
-        let mut payload = Vec::with_capacity(replay.bytes_between(lo_v, hi_v) as usize);
-        replay.for_each_between(lo_v, hi_v, |seg| {
-            let a = (seg.l() - lo_v) as usize;
-            let b = (seg.r() - lo_v) as usize;
-            payload.extend_from_slice(&data[a..=b]);
-        });
+        let (l_s, r_s) = Self::map_extremities(st, vs, subfile, op.lo_v, op.hi_v)?;
+        let payload = gather(vs.plan.replay(subfile), op.lo_v, op.hi_v, op.data);
         let request = Request::Write {
             file: copy_file_id(file, rank),
             compute,
@@ -1218,9 +1170,9 @@ impl Session {
         if lo_v > hi_v {
             return Err(NetError::Usage(format!("interval [{lo_v}, {hi_v}] is empty")));
         }
-        // Settle any hedge losers that have landed since the last read so
+        // Settle any stragglers that have landed since the last call so
         // their breaker outcomes do not pile up.
-        self.drain_read_stragglers(false);
+        self.drain_stragglers(false);
         let (st, vs) = self.view(file, compute)?;
         let mut requests = Vec::new();
         let mut meta = Vec::new();
@@ -1237,33 +1189,24 @@ impl Session {
             });
             meta.push((s, rank, l_s, r_s));
         }
+        let slots: Vec<(usize, Result<Slot, NetError>)> = requests
+            .into_iter()
+            .map(|Outgoing { node, request }| (node, self.mux.submit(node, request)))
+            .collect();
         // Replicated sessions race a hedge against tail-slow primaries;
-        // unreplicated ones have nowhere to hedge and keep the plain
-        // fan-out.
-        let settled: Vec<(usize, Result<Reply, NetError>)> = if self.map.replicas() > 1 {
-            let submitted: Vec<Result<ReplySlot, NetError>> = requests
-                .into_iter()
-                .map(|Outgoing { node, request }| self.submit(node, request))
-                .collect();
-            let targets = meta.clone();
-            submitted
-                .into_iter()
-                .zip(targets)
-                .map(|(slot, (s, rank, l_s, r_s))| {
-                    self.collect_hedged(compute, file, s, rank, l_s, r_s, slot)
-                })
-                .collect()
-        } else {
-            self.fan_out(requests)
-                .into_iter()
-                .zip(&meta)
-                .map(|((_, reply), &(_, rank, _, _))| (rank, reply))
-                .collect()
-        };
+        // unreplicated ones have nowhere to hedge.
+        let mut settled = Vec::with_capacity(slots.len());
+        for ((node, slot), &(s, rank, l_s, r_s)) in slots.into_iter().zip(&meta) {
+            settled.push(if self.map.replicas() > 1 {
+                self.collect_hedged(compute, file, s, rank, l_s, r_s, slot)
+            } else {
+                (rank, self.collect(node, slot))
+            });
+        }
         let mut buf = vec![0u8; (hi_v - lo_v + 1) as usize];
-        for (i, (rank, reply)) in settled.into_iter().enumerate() {
-            let (s, _, l_s, r_s) = meta[i];
-            let payload = self.read_with_failover(compute, file, s, rank, l_s, r_s, reply)?;
+        for ((rank, reply), &(s, _, l_s, r_s)) in settled.into_iter().zip(&meta) {
+            let ask = Ask::Read { compute, l_s, r_s };
+            let payload = self.failover(file, s, rank, self.map.replicas(), ask, Some(reply))?;
             // Scatter the node's fragment stream back into view positions.
             // A short payload (partial read at the subfile boundary) fills
             // only the leading fragments.
@@ -1299,11 +1242,11 @@ impl Session {
         rank: usize,
         l_s: u64,
         r_s: u64,
-        slot: Result<ReplySlot, NetError>,
+        slot: Result<Slot, NetError>,
     ) -> (usize, Result<Reply, NetError>) {
         let node = self.map.node_for(s, rank);
-        let rx = match slot {
-            Ok(rx) => rx,
+        let primary = match slot {
+            Ok(slot) => slot,
             Err(e) => {
                 self.note_node(node, false);
                 return (rank, Err(e));
@@ -1311,90 +1254,44 @@ impl Session {
         };
         let started = Instant::now();
         let delay = self.read_latency.hedge_delay(HEDGE_FLOOR, HEDGE_CEILING);
-        match rx.recv_timeout(delay) {
-            Ok(reply) => {
-                if reply.is_ok() {
-                    self.read_latency.record(started.elapsed());
-                }
-                self.note_reply(node, &reply);
-                return (rank, reply);
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                self.mux.reset_node(node);
-                self.note_node(node, false);
-                return (rank, Err(mux_lost(node)));
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-        }
-        // The primary is tail-slow: hedge to the next replica on a
-        // distinct, live node whose breaker is fully closed (a speculative
-        // read must not consume the single half-open probe slot).
-        let r = self.map.replicas();
-        let hedge = (1..r)
-            .map(|step| (rank + step) % r)
-            .find(|&k| {
+        let mut racing = vec![(rank, node, primary)];
+        if self.mux.wait_any(&[primary], Some(started + delay)).is_none() {
+            // The primary is tail-slow: hedge to the next replica on a
+            // distinct, live node whose breaker is fully closed (a
+            // speculative read must not consume the single half-open probe
+            // slot).
+            let r = self.map.replicas();
+            let hedge = (1..r).map(|step| (rank + step) % r).find(|&k| {
                 let n = self.map.node_for(s, k);
                 n != node && self.health[n] != NodeHealth::Dead && self.breaker_closed(n)
-            })
-            .and_then(|k| {
+            });
+            if let Some(k) = hedge {
                 let n = self.map.node_for(s, k);
                 let request = Request::Read { file: copy_file_id(file, k), compute, l_s, r_s };
-                self.submit(n, request).ok().map(|slot| (k, n, slot))
-            });
-        let Some((hedge_rank, hedge_node, hedge_slot)) = hedge else {
-            // Nowhere to hedge: block on the primary.
-            let reply = match rx.recv() {
-                Ok(reply) => reply,
-                Err(_) => {
-                    self.mux.reset_node(node);
-                    self.note_node(node, false);
-                    return (rank, Err(mux_lost(node)));
+                if let Ok(slot) = self.mux.submit(n, request) {
+                    self.hedged_reads += 1;
+                    racing.push((k, n, slot));
                 }
-            };
-            if reply.is_ok() {
-                self.read_latency.record(started.elapsed());
             }
-            self.note_reply(node, &reply);
-            return (rank, reply);
-        };
-        self.hedged_reads += 1;
-        let mut pending = vec![(rank, node, rx), (hedge_rank, hedge_node, hedge_slot)];
+        }
+        // The first valid answer wins; with nowhere to hedge that is the
+        // primary's, whenever it lands.
         let mut last: Option<(usize, Result<Reply, NetError>)> = None;
-        while !pending.is_empty() {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < pending.len() {
-                match pending[i].2.try_recv() {
-                    Ok(reply) => {
-                        progressed = true;
-                        let (k, n, _) = pending.remove(i);
-                        self.note_reply(n, &reply);
-                        if matches!(reply, Ok(Reply::Data { .. })) {
-                            self.read_latency.record(started.elapsed());
-                            for (_, loser_node, loser_slot) in pending {
-                                self.read_stragglers.push((loser_node, loser_slot));
-                            }
-                            return (k, reply);
-                        }
-                        last = Some((k, reply));
-                    }
-                    Err(mpsc::TryRecvError::Empty) => i += 1,
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        progressed = true;
-                        let (k, n, _) = pending.remove(i);
-                        self.mux.reset_node(n);
-                        self.note_node(n, false);
-                        last = Some((k, Err(mux_lost(n))));
-                    }
-                }
+        while !racing.is_empty() {
+            let slots: Vec<Slot> = racing.iter().map(|&(_, _, slot)| slot).collect();
+            let first = self.mux.wait_any(&slots, None);
+            let i = slots.iter().position(|&slot| Some(slot) == first).unwrap_or(0);
+            let (k, n, slot) = racing.remove(i);
+            let reply = self.mux.wait(slot);
+            self.note_reply(n, &reply);
+            if matches!(reply, Ok(Reply::Data { .. })) {
+                self.read_latency.record(started.elapsed());
+                let losers =
+                    racing.into_iter().map(|(_, node, slot)| Straggler { node, slot, copy: None });
+                self.stragglers.extend(losers);
+                return (k, reply);
             }
-            if !pending.is_empty() && !progressed {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "the caller's thread waits out a hedge poll; no event loop runs here"
-                )]
-                std::thread::sleep(HEDGE_POLL);
-            }
+            last = Some((k, reply));
         }
         last.unwrap_or_else(|| {
             (
@@ -1406,44 +1303,47 @@ impl Session {
         })
     }
 
-    /// Settles one subfile's read, walking the replica set from
-    /// `first_rank` until a copy answers. A restarted daemon is
-    /// re-established and retried once per rank; a checksum mismatch
-    /// queues that copy for repair and moves to the next rank; an
-    /// unreachable node is marked dead and skipped. Errors only when every
-    /// replica failed.
-    #[allow(clippy::too_many_arguments)]
-    fn read_with_failover(
+    /// Settles one subfile's `Read` or `Fetch`, walking up to `tries`
+    /// replica ranks from `first_rank` (`first` is that rank's reply when
+    /// already collected) until a copy answers with data. A copy its
+    /// restarted daemon forgot is re-established from cached state (which
+    /// also replays the daemon's journal) and asked once more; a copy that
+    /// fails its checksum, is lost, or sits on sick storage is queued for
+    /// repair; an unreachable node is marked dead; a shed moves on. Errors
+    /// only when every rank tried failed.
+    fn failover(
         &mut self,
-        compute: u32,
         file: u64,
         s: usize,
         first_rank: usize,
-        l_s: u64,
-        r_s: u64,
-        first: Result<Reply, NetError>,
+        tries: usize,
+        ask: Ask,
+        mut first: Option<Result<Reply, NetError>>,
     ) -> Result<Vec<u8>, NetError> {
         let r = self.map.replicas();
-        let mut attempt = Some(first);
         let mut last_err: Option<NetError> = None;
-        for step in 0..r {
+        for step in 0..tries {
             let rank = (first_rank + step) % r;
             let node = self.map.node_for(s, rank);
-            let request = Request::Read { file: copy_file_id(file, rank), compute, l_s, r_s };
-            let reply = match attempt.take() {
+            let copy = copy_file_id(file, rank);
+            let request = match ask {
+                Ask::Read { compute, l_s, r_s } => Request::Read { file: copy, compute, l_s, r_s },
+                Ask::Fetch => Request::Fetch { file: copy },
+            };
+            let reply = match first.take() {
                 Some(reply) => reply,
                 None => self.call(node, request.clone()),
             };
             let reply = match reply {
                 Err(NetError::Protocol(e))
-                    if matches!(e.code, ErrCode::UnknownFile | ErrCode::NoView) =>
+                    if matches!(e.code, ErrCode::UnknownFile | ErrCode::NoView)
+                        && self.files.contains_key(&file) =>
                 {
-                    // The daemon restarted between `set_view` and this
-                    // read: re-establish the copy and view from cached
-                    // state (which also replays the daemon's journal) and
-                    // retry once.
-                    self.reestablish_copy(s, rank, compute, file)
-                        .and_then(|()| self.call(node, request))
+                    let recovered = match ask {
+                        Ask::Read { compute, .. } => self.reestablish_copy(s, rank, compute, file),
+                        Ask::Fetch => self.reopen_copy(s, rank, file),
+                    };
+                    recovered.and_then(|()| self.call(node, request))
                 }
                 other => other,
             };
@@ -1455,11 +1355,11 @@ impl Session {
                     )))
                 }
                 Err(NetError::Protocol(e))
-                    if matches!(e.code, ErrCode::ChecksumMismatch | ErrCode::Internal) =>
+                    if matches!(
+                        e.code,
+                        ErrCode::ChecksumMismatch | ErrCode::UnknownFile | ErrCode::Internal
+                    ) =>
                 {
-                    // The stored copy failed verification (or the daemon's
-                    // storage is sick): heal from the next replica and
-                    // queue this one for repair.
                     self.dirty.insert(DirtyReplica { file, subfile: s, rank, node });
                     last_err = Some(NetError::Protocol(e));
                 }
@@ -1467,11 +1367,7 @@ impl Session {
                     self.health[node] = NodeHealth::Dead;
                     last_err = Some(e);
                 }
-                Err(e @ NetError::Busy { .. }) => {
-                    // The daemon shed the read: the node is alive and the
-                    // copy intact — just fail over to the next rank.
-                    last_err = Some(e);
-                }
+                Err(e @ NetError::Busy { .. }) => last_err = Some(e),
                 Err(e) => return Err(e),
             }
         }
@@ -1499,9 +1395,9 @@ impl Session {
             meta.push((s, rank));
         }
         let mut out = vec![0u8; len];
-        for (i, (_, reply)) in self.fan_out(requests).into_iter().enumerate() {
-            let (s, rank) = meta[i];
-            let payload = self.fetch_with_failover(file, s, rank, Some(reply))?;
+        for ((_, reply), (s, rank)) in self.fan_out(requests).into_iter().zip(meta) {
+            let payload =
+                self.failover(file, s, rank, self.map.replicas(), Ask::Fetch, Some(reply))?;
             let m = Mapper::new(&physical, s);
             for (i, byte) in payload.iter().enumerate() {
                 let pos = m.unmap(i as u64) as usize;
@@ -1511,66 +1407,6 @@ impl Session {
             }
         }
         Ok(out)
-    }
-
-    /// Settles one subfile fetch, walking the replica set from
-    /// `first_rank`. A copy the daemon lost (restart with an empty disk)
-    /// or that fails its checksum is queued dirty and the next rank is
-    /// tried; an unreachable node is marked dead and skipped.
-    fn fetch_with_failover(
-        &mut self,
-        file: u64,
-        s: usize,
-        first_rank: usize,
-        first: Option<Result<Reply, NetError>>,
-    ) -> Result<Vec<u8>, NetError> {
-        let r = self.map.replicas();
-        let mut attempt = first;
-        let mut last_err: Option<NetError> = None;
-        for step in 0..r {
-            let rank = (first_rank + step) % r;
-            let node = self.map.node_for(s, rank);
-            let request = Request::Fetch { file: copy_file_id(file, rank) };
-            let reply = match attempt.take() {
-                Some(reply) => reply,
-                None => self.call(node, request.clone()),
-            };
-            let reply = match reply {
-                Err(NetError::Protocol(e))
-                    if matches!(e.code, ErrCode::UnknownFile) && self.files.contains_key(&file) =>
-                {
-                    // A restarted daemon forgot the copy: re-opening it
-                    // replays the journal over the surviving bytes.
-                    self.reopen_copy(s, rank, file).and_then(|()| self.call(node, request))
-                }
-                other => other,
-            };
-            match reply {
-                Ok(Reply::Data { payload }) => return Ok(payload),
-                Ok(other) => {
-                    return Err(NetError::BadReply(format!(
-                        "node {node}: expected Data, got {other:?}"
-                    )))
-                }
-                Err(NetError::Protocol(e))
-                    if matches!(e.code, ErrCode::ChecksumMismatch | ErrCode::UnknownFile) =>
-                {
-                    self.dirty.insert(DirtyReplica { file, subfile: s, rank, node });
-                    last_err = Some(NetError::Protocol(e));
-                }
-                Err(e @ (NetError::Io(_) | NetError::IdMismatch { .. })) => {
-                    self.health[node] = NodeHealth::Dead;
-                    last_err = Some(e);
-                }
-                Err(e @ NetError::Busy { .. }) => {
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            NetError::Io(std::io::Error::other(format!("no replica of subfile {s} answered")))
-        }))
     }
 
     /// Fetches one subfile of `file` verbatim, from its first live replica
@@ -1585,12 +1421,13 @@ impl Session {
             )));
         }
         let rank = self.first_live_rank(s);
-        self.fetch_with_failover(file, s, rank, None)
+        self.failover(file, s, rank, self.map.replicas(), Ask::Fetch, None)
     }
 
     /// Fetches one specific replica copy of subfile `s` verbatim — no
     /// failover, so tests and the scrub CLI can compare copies
-    /// byte for byte.
+    /// byte for byte. A copy that fails is still accounted (dirty, dead
+    /// node) like any other.
     pub fn subfile_copy(&mut self, file: u64, s: usize, rank: usize) -> Result<Vec<u8>, NetError> {
         if s >= self.subfiles() || rank >= self.map.replicas() {
             return Err(NetError::Usage(format!(
@@ -1599,21 +1436,7 @@ impl Session {
                 self.map.replicas()
             )));
         }
-        let node = self.map.node_for(s, rank);
-        let request = Request::Fetch { file: copy_file_id(file, rank) };
-        let reply = match self.call(node, request.clone()) {
-            Err(NetError::Protocol(e))
-                if matches!(e.code, ErrCode::UnknownFile) && self.files.contains_key(&file) =>
-            {
-                self.reopen_copy(s, rank, file)?;
-                self.call(node, request)?
-            }
-            other => other?,
-        };
-        match reply {
-            Reply::Data { payload } => Ok(payload),
-            other => Err(NetError::BadReply(format!("expected Data, got {other:?}"))),
-        }
+        self.failover(file, s, rank, 1, Ask::Fetch, None)
     }
 
     /// Forces every replica copy of `file` to stable storage. Works on any
@@ -1695,19 +1518,17 @@ impl Session {
                     )))
                 }
                 Err(NetError::Protocol(ref e))
-                    if matches!(e.code, ErrCode::Internal) && tries < 3 =>
+                    if tries < 3
+                        && (e.code == ErrCode::Internal
+                            || (e.code == ErrCode::UnknownFile
+                                && self.files.contains_key(&file))) =>
                 {
                     tries += 1;
-                    backoff.sleep();
-                    reply = self.call(node, request.clone());
-                }
-                Err(NetError::Protocol(ref e))
-                    if matches!(e.code, ErrCode::UnknownFile)
-                        && self.files.contains_key(&file)
-                        && tries < 3 =>
-                {
-                    tries += 1;
-                    self.reopen_copy(s, rank, file)?;
+                    if e.code == ErrCode::Internal {
+                        backoff.sleep();
+                    } else {
+                        self.reopen_copy(s, rank, file)?;
+                    }
                     reply = self.call(node, request.clone());
                 }
                 Err(e) => return Err(e),
@@ -1788,25 +1609,16 @@ impl Session {
                         })?;
                         for &rank in repair_ranks {
                             let node = self.map.node_for(s, rank);
+                            let copy = DirtyReplica { file, subfile: s, rank, node };
                             match self.repair_copy(file, s, rank, &source) {
                                 Ok(()) => {
                                     report.repaired += 1;
-                                    self.dirty.remove(&DirtyReplica {
-                                        file,
-                                        subfile: s,
-                                        rank,
-                                        node,
-                                    });
+                                    self.dirty.remove(&copy);
                                 }
                                 Err(NetError::Io(_) | NetError::IdMismatch { .. }) => {
                                     report.failed += 1;
                                     self.health[node] = NodeHealth::Dead;
-                                    self.dirty.insert(DirtyReplica {
-                                        file,
-                                        subfile: s,
-                                        rank,
-                                        node,
-                                    });
+                                    self.dirty.insert(copy);
                                 }
                                 Err(e) => return Err(e),
                             }
@@ -1937,10 +1749,10 @@ impl Drop for Session {
     /// ack lands or fails, so a write the caller saw succeed is actually
     /// on all its copies — or recorded dirty — before the connections
     /// close. A later session's scrub then sees an honest cluster instead
-    /// of silently divergent replicas. The mux driver is still alive here
-    /// (fields drop after this body), so the blocking drain terminates on
-    /// the transport's own timeouts; the mux then stops and joins its
-    /// driver, closing the session's connections.
+    /// of silently divergent replicas. The drain runs the mux's reactor
+    /// turns on the dropping thread and ends on the transport's own
+    /// timeouts; the mux's connections close when its fields drop after
+    /// this body.
     fn drop(&mut self) {
         self.drain_stragglers(true);
     }
@@ -2340,7 +2152,7 @@ mod tests {
         // copy on fast node 1. Without the drain the slow copy could still
         // be missing the write here.
         let fetch = |addr: &str, wire_id: u64| -> Vec<u8> {
-            let mux =
+            let mut mux =
                 crate::mux::Mux::new(&[addr.to_string()], Arc::new(RetryBudget::for_session()));
             match mux.call(0, Request::Fetch { file: wire_id }).expect("fetch copy") {
                 Reply::Data { payload } => payload,

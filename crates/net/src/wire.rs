@@ -559,8 +559,8 @@ impl Request {
     /// Encodes the payload carrying a `deadline_ms` budget (0 = no
     /// deadline). The deadline is a payload prefix shared by every request
     /// opcode — the remaining milliseconds of the caller's budget at send
-    /// time, decremented at every propagation hop (session → mux driver →
-    /// daemon loop).
+    /// time, decremented at every propagation hop (session → daemon
+    /// loop).
     pub fn encode_payload_deadline_into(&self, deadline_ms: u32, out: &mut Vec<u8>) {
         out.clear();
         self.append_payload(deadline_ms, out);

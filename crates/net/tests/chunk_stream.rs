@@ -49,13 +49,13 @@ fn striped_view(file: u64) -> Request {
     }
 }
 
-fn open_with_view(mux: &Mux, file: u64, len: u64) {
+fn open_with_view(mux: &mut Mux, file: u64, len: u64) {
     let open = Request::Open { file, subfile: 0, len, tenant: 0 };
     assert_eq!(mux.call(0, open).expect("open"), Reply::Ok);
     assert_eq!(mux.call(0, striped_view(file)).expect("set view"), Reply::Ok);
 }
 
-fn write(mux: &Mux, file: u64, r_s: u64, stamp: (u64, u64), payload: &[u8]) -> Reply {
+fn write(mux: &mut Mux, file: u64, r_s: u64, stamp: (u64, u64), payload: &[u8]) -> Reply {
     let request = Request::Write {
         file,
         compute: 0,
@@ -68,21 +68,21 @@ fn write(mux: &Mux, file: u64, r_s: u64, stamp: (u64, u64), payload: &[u8]) -> R
     mux.call(0, request).expect("write")
 }
 
-fn read(mux: &Mux, file: u64, l_s: u64, r_s: u64) -> Vec<u8> {
+fn read(mux: &mut Mux, file: u64, l_s: u64, r_s: u64) -> Vec<u8> {
     match mux.call(0, Request::Read { file, compute: 0, l_s, r_s }).expect("read") {
         Reply::Data { payload } => payload,
         other => panic!("expected Data, got {other:?}"),
     }
 }
 
-fn fetch(mux: &Mux, file: u64) -> Vec<u8> {
+fn fetch(mux: &mut Mux, file: u64) -> Vec<u8> {
     match mux.call(0, Request::Fetch { file }).expect("fetch") {
         Reply::Data { payload } => payload,
         other => panic!("expected Data, got {other:?}"),
     }
 }
 
-fn stat(mux: &Mux, file: u64) -> StatInfo {
+fn stat(mux: &mut Mux, file: u64) -> StatInfo {
     match mux.call(0, Request::Stat { file }).expect("stat") {
         Reply::Stat(s) => s,
         other => panic!("expected Stat, got {other:?}"),
@@ -95,28 +95,28 @@ fn stat(mux: &Mux, file: u64) -> StatInfo {
 /// stream really was three `WriteChunk` frames, not one `Write`.
 #[test]
 fn chunked_write_matches_monolithic_byte_for_byte() {
-    let (_chunked_daemon, chunked) = node(chunking(3));
-    let (_mono_daemon, mono) = node(chunking(0));
+    let (_chunked_daemon, mut chunked) = node(chunking(3));
+    let (_mono_daemon, mut mono) = node(chunking(0));
 
-    open_with_view(&chunked, 1, 16);
-    open_with_view(&mono, 1, 16);
+    open_with_view(&mut chunked, 1, 16);
+    open_with_view(&mut mono, 1, 16);
     let payload = [0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5, 0xA6, 0xA7];
     assert_eq!(
-        write(&chunked, 1, 15, (0, 0), &payload),
+        write(&mut chunked, 1, 15, (0, 0), &payload),
         Reply::WriteOk { written: 8, replayed: false }
     );
     assert_eq!(
-        write(&mono, 1, 15, (0, 0), &payload),
+        write(&mut mono, 1, 15, (0, 0), &payload),
         Reply::WriteOk { written: 8, replayed: false }
     );
 
-    assert_eq!(fetch(&chunked, 1), fetch(&mono, 1), "chunked and monolithic bytes agree");
+    assert_eq!(fetch(&mut chunked, 1), fetch(&mut mono, 1), "chunked and monolithic bytes agree");
     // Open + SetView + the write + the Fetch above (a Stat counts itself):
     // the monolithic daemon served the write as one request, the chunked
     // one as ⌈8/3⌉ = 3.
-    assert_eq!(stat(&mono, 1).requests, 5);
-    assert_eq!(stat(&chunked, 1).requests, 7);
-    assert_eq!(stat(&chunked, 1).bytes_written, 8, "the stream is counted as one write");
+    assert_eq!(stat(&mut mono, 1).requests, 5);
+    assert_eq!(stat(&mut chunked, 1).requests, 7);
+    assert_eq!(stat(&mut chunked, 1).bytes_written, 8, "the stream is counted as one write");
 }
 
 /// A stamped chunked write that repeats is answered from the dedup
@@ -124,20 +124,20 @@ fn chunked_write_matches_monolithic_byte_for_byte() {
 /// the stamp, so the stream replays without touching the store.
 #[test]
 fn chunked_write_replays_from_dedup_window() {
-    let (_daemon, mux) = node(chunking(3));
-    open_with_view(&mux, 5, 16);
+    let (_daemon, mut mux) = node(chunking(3));
+    open_with_view(&mut mux, 5, 16);
 
     assert_eq!(
-        write(&mux, 5, 15, (0xC0FE, 9), &[0xAA; 8]),
+        write(&mut mux, 5, 15, (0xC0FE, 9), &[0xAA; 8]),
         Reply::WriteOk { written: 8, replayed: false }
     );
     // Same stamp, different bytes: the stream is acknowledged chunk by
     // chunk but the store keeps the first application.
     assert_eq!(
-        write(&mux, 5, 15, (0xC0FE, 9), &[0xBB; 8]),
+        write(&mut mux, 5, 15, (0xC0FE, 9), &[0xBB; 8]),
         Reply::WriteOk { written: 8, replayed: true }
     );
-    let bytes = fetch(&mux, 5);
+    let bytes = fetch(&mut mux, 5);
     for i in [0usize, 1, 2, 3, 8, 9, 10, 11] {
         assert_eq!(bytes[i], 0xAA, "replay did not overwrite byte {i}");
     }
@@ -153,14 +153,17 @@ fn partial_read_at_eof_straddles_chunk_boundary() {
     // Chunk 5 splits the six bytes 5+1: the first chunk swallows run
     // [0,3] plus the first byte of the EOF-partial run, the final chunk
     // is a single byte.
-    let (_daemon, mux) = node(chunking(5));
-    open_with_view(&mux, 7, 10);
+    let (_daemon, mut mux) = node(chunking(5));
+    open_with_view(&mut mux, 7, 10);
 
     let payload = [1, 2, 3, 4, 5, 6];
-    assert_eq!(write(&mux, 7, 9, (0, 0), &payload), Reply::WriteOk { written: 6, replayed: false });
-    assert_eq!(read(&mux, 7, 0, 9), payload, "the read gathers the written bytes");
     assert_eq!(
-        fetch(&mux, 7),
+        write(&mut mux, 7, 9, (0, 0), &payload),
+        Reply::WriteOk { written: 6, replayed: false }
+    );
+    assert_eq!(read(&mut mux, 7, 0, 9), payload, "the read gathers the written bytes");
+    assert_eq!(
+        fetch(&mut mux, 7),
         vec![1, 2, 3, 4, 0, 0, 0, 0, 5, 6],
         "bytes landed on the projected runs"
     );
@@ -171,15 +174,15 @@ fn partial_read_at_eof_straddles_chunk_boundary() {
 /// not.
 #[test]
 fn empty_projections_stream_as_a_single_terminal_chunk() {
-    let (_chunked_daemon, chunked) = node(chunking(2));
-    let (_mono_daemon, mono) = node(chunking(0));
-    open_with_view(&chunked, 9, 16);
-    open_with_view(&mono, 9, 16);
+    let (_chunked_daemon, mut chunked) = node(chunking(2));
+    let (_mono_daemon, mut mono) = node(chunking(0));
+    open_with_view(&mut chunked, 9, 16);
+    open_with_view(&mut mono, 9, 16);
 
     // [4,7] falls entirely in the other element's half of the period:
     // zero projected bytes.
-    assert_eq!(read(&chunked, 9, 4, 7), Vec::<u8>::new());
-    assert_eq!(read(&mono, 9, 4, 7), Vec::<u8>::new());
+    assert_eq!(read(&mut chunked, 9, 4, 7), Vec::<u8>::new());
+    assert_eq!(read(&mut mono, 9, 4, 7), Vec::<u8>::new());
     let empty_write = Request::Write {
         file: 9,
         compute: 0,
@@ -261,10 +264,10 @@ fn session_write_batch_streams_against_small_daemon_chunk_cap() {
 /// Unstamped queries likewise answer 0.
 #[test]
 fn resume_query_after_completed_stream_answers_zero() {
-    let (_daemon, mux) = node(chunking(2));
-    open_with_view(&mux, 3, 16);
+    let (_daemon, mut mux) = node(chunking(2));
+    open_with_view(&mut mux, 3, 16);
     assert_eq!(
-        write(&mux, 3, 15, (7, 4), &[0xD0; 8]),
+        write(&mut mux, 3, 15, (7, 4), &[0xD0; 8]),
         Reply::WriteOk { written: 8, replayed: false }
     );
     // The stamp completed: its progress entry is gone and the dedup
@@ -288,8 +291,8 @@ fn resume_query_after_completed_stream_answers_zero() {
 fn mid_stream_chunk_with_mismatched_stamp_is_rejected() {
     use parafile_net::{ErrCode, NetError};
     // Raw `WriteChunk` requests pass through `call` as plain frames.
-    let (_daemon, mux) = node(DaemonConfig::default());
-    open_with_view(&mux, 4, 16);
+    let (_daemon, mut mux) = node(DaemonConfig::default());
+    open_with_view(&mut mux, 4, 16);
     let chunk = |session: u64, offset: u64, last: bool| Request::WriteChunk {
         file: 4,
         compute: 0,
@@ -329,23 +332,23 @@ fn mid_stream_chunk_with_mismatched_stamp_is_rejected() {
 fn client_deadline_rides_the_stream_and_expires_locally() {
     use parafile_net::{Deadline, ErrCode, NetError};
     use std::time::Duration;
-    let (_daemon, mux) = node(chunking(3));
-    open_with_view(&mux, 6, 16);
+    let (_daemon, mut mux) = node(chunking(3));
+    open_with_view(&mut mux, 6, 16);
     let payload = [0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88];
     mux.set_deadline(Deadline::within(Duration::from_secs(30)));
     assert_eq!(
-        write(&mux, 6, 15, (5, 2), &payload),
+        write(&mut mux, 6, 15, (5, 2), &payload),
         Reply::WriteOk { written: 8, replayed: false }
     );
-    assert_eq!(read(&mux, 6, 0, 15), payload);
-    let served = stat(&mux, 6).requests;
+    assert_eq!(read(&mut mux, 6, 0, 15), payload);
+    let served = stat(&mut mux, 6).requests;
     mux.set_deadline(Deadline::within(Duration::ZERO));
     match mux.call(0, Request::Read { file: 6, compute: 0, l_s: 0, r_s: 15 }) {
         Err(NetError::Protocol(e)) => assert_eq!(e.code, ErrCode::DeadlineExceeded),
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
     mux.set_deadline(Deadline::none());
-    assert_eq!(stat(&mux, 6).requests, served + 1, "only this Stat reached the daemon");
+    assert_eq!(stat(&mut mux, 6).requests, served + 1, "only this Stat reached the daemon");
 }
 
 /// A stamped chunked write severed mid-stream by a one-shot connection
@@ -360,19 +363,19 @@ fn interrupted_chunked_write_resumes_from_last_acked_chunk() {
     // capability probe, 4.. the chunk stream. Dropping frame 6 lands
     // mid-stream with two 2-byte chunks already applied and acked.
     let fault = FaultPlan { drop_once_after_frames: Some(6), ..FaultPlan::none() };
-    let (_daemon, mux) = node(DaemonConfig { fault: Some(fault), ..chunking(2) });
+    let (_daemon, mut mux) = node(DaemonConfig { fault: Some(fault), ..chunking(2) });
 
-    open_with_view(&mux, 1, 32);
+    open_with_view(&mut mux, 1, 32);
     let payload: Vec<u8> = (0..16u8).map(|i| 0xB0 + i).collect();
     assert_eq!(
-        write(&mux, 1, 31, (9, 1), &payload),
+        write(&mut mux, 1, 31, (9, 1), &payload),
         Reply::WriteOk { written: 16, replayed: false }
     );
-    assert_eq!(read(&mux, 1, 0, 31), payload, "resumed stream lands every byte");
+    assert_eq!(read(&mut mux, 1, 0, 31), payload, "resumed stream lands every byte");
     // The daemon's request counter tells the two retry shapes apart. It
     // served Open, SetView and chunks 0–1 before the drop (4), then the
     // retry's ResumeQuery and the six remaining chunks (7), then the Read
     // and this Stat (2). A retry from offset 0 would have sent all eight
     // chunks again and no query: 14, not 13.
-    assert_eq!(stat(&mux, 1).requests, 13, "the retry resumed instead of restarting");
+    assert_eq!(stat(&mut mux, 1).requests, 13, "the retry resumed instead of restarting");
 }

@@ -31,7 +31,7 @@ fn disk_node(dir: &Path, scrub_interval: Option<Duration>) -> (DaemonHandle, Mux
     (daemon, mux)
 }
 
-fn stat(mux: &Mux, file: u64) -> StatInfo {
+fn stat(mux: &mut Mux, file: u64) -> StatInfo {
     match mux.call(0, Request::Stat { file }).expect("stat") {
         Reply::Stat(s) => s,
         other => panic!("expected Stat, got {other:?}"),
@@ -54,7 +54,7 @@ fn fragmented_write_leaves_the_sidecar_a_rebuild_would() {
     const FILE: u64 = 3;
     const LEN: u64 = 140_000;
     let dir = scratch_dir("cyclic129");
-    let (mut daemon, mux) = disk_node(&dir, None);
+    let (mut daemon, mut mux) = disk_node(&dir, None);
     assert_eq!(
         mux.call(0, Request::Open { file: FILE, subfile: 0, len: LEN, tenant: 0 }).expect("open"),
         Reply::Ok
@@ -91,7 +91,7 @@ fn fragmented_write_leaves_the_sidecar_a_rebuild_would() {
         mux.call(0, write).expect("write"),
         Reply::WriteOk { written: 64 * 1024, replayed: false }
     );
-    assert_eq!(stat(&mux, FILE).fragments, 509);
+    assert_eq!(stat(&mut mux, FILE).fragments, 509);
     assert_eq!(mux.call(0, Request::Flush { file: FILE }).expect("flush"), Reply::Ok);
 
     // Rebuild a sidecar from the stored bytes in a directory of its own.
@@ -109,18 +109,19 @@ fn fragmented_write_leaves_the_sidecar_a_rebuild_would() {
         std::fs::read(rebuilt_dir.join(&sidecar)).expect("rebuilt sidecar"),
     );
 
-    let read = |l_s, r_s| mux.call(0, Request::Read { file: FILE, compute: 0, l_s, r_s });
-    assert_eq!(read(0, r_s).expect("clean read"), Reply::Data { payload });
+    let read =
+        |mux: &mut Mux, l_s, r_s| mux.call(0, Request::Read { file: FILE, compute: 0, l_s, r_s });
+    assert_eq!(read(&mut mux, 0, r_s).expect("clean read"), Reply::Data { payload });
     // Rot a byte of page 5 that belongs to the *other* view element: the
     // page is verified whole, so a read through it must refuse ...
     rot(&stored, 5 * CHECKSUM_PAGE + 300);
-    match read(0, r_s) {
+    match read(&mut mux, 0, r_s) {
         Err(NetError::Protocol(e)) => assert_eq!(e.code, ErrCode::ChecksumMismatch, "{e:?}"),
         other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
-    assert_eq!(stat(&mux, FILE).checksum_errors, 1, "one bad page, counted once");
+    assert_eq!(stat(&mut mux, FILE).checksum_errors, 1, "one bad page, counted once");
     // ... while a read that stays inside page 0 is still served.
-    assert!(matches!(read(0, 1000), Ok(Reply::Data { .. })));
+    assert!(matches!(read(&mut mux, 0, 1000), Ok(Reply::Data { .. })));
 
     drop(mux);
     daemon.stop();
@@ -139,7 +140,7 @@ fn windowed_scrub_counts_each_bad_page_once() {
     let dir = scratch_dir("scrub");
     // Long enough that the second tick is far away when the first is read.
     let interval = Duration::from_millis(1500);
-    let (mut daemon, mux) = disk_node(&dir, Some(interval));
+    let (mut daemon, mut mux) = disk_node(&dir, Some(interval));
     let len = PAGES * CHECKSUM_PAGE - 1000;
     assert_eq!(
         mux.call(0, Request::Open { file: FILE, subfile: 0, len, tenant: 0 }).expect("open"),
@@ -151,13 +152,13 @@ fn windowed_scrub_counts_each_bad_page_once() {
         rot(&stored, page * CHECKSUM_PAGE + 17);
     }
     let started = Instant::now();
-    while stat(&mux, FILE).checksum_errors == 0 {
+    while stat(&mut mux, FILE).checksum_errors == 0 {
         assert!(started.elapsed() < Duration::from_secs(20), "the scrub never ticked");
         std::thread::sleep(Duration::from_millis(20));
     }
     // Let the tick that was caught mid-walk finish.
     std::thread::sleep(Duration::from_millis(200));
-    assert_eq!(stat(&mux, FILE).checksum_errors, bad_pages.len() as u64);
+    assert_eq!(stat(&mut mux, FILE).checksum_errors, bad_pages.len() as u64);
 
     drop(mux);
     daemon.stop();

@@ -13,6 +13,9 @@
 //! * **dedup-window eviction under sequence wraparound** (an evicted
 //!   stamp is forgotten and re-applies; a stamp still in the window
 //!   replays without touching the store).
+//!
+//! And one that must cost no retry at all: a connection the daemon reaped
+//! while the session sat idle is replaced before a request goes onto it.
 
 use parafile_net::fault::Direction;
 use parafile_net::server::{serve, DaemonConfig};
@@ -25,13 +28,14 @@ use clusterfile::StorageBackend;
 use parafile_audit::{RawElement, RawFalls, RawPattern};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A one-node transport to `addr`.
 fn connect(addr: &str) -> Mux {
     Mux::new(&[addr.to_string()], Arc::new(RetryBudget::for_session()))
 }
 
-fn open_with_view(mux: &Mux, file: u64) {
+fn open_with_view(mux: &mut Mux, file: u64) {
     let open = Request::Open { file, subfile: 0, len: SUB_LEN, tenant: 0 };
     assert_eq!(mux.call(0, open).expect("open"), Reply::Ok);
     assert_eq!(mux.call(0, striped_view(file)).expect("set view"), Reply::Ok);
@@ -84,14 +88,14 @@ fn expected_subfile(fill: u8) -> Vec<u8> {
     v
 }
 
-fn fetch(mux: &Mux, file: u64) -> Vec<u8> {
+fn fetch(mux: &mut Mux, file: u64) -> Vec<u8> {
     match mux.call(0, Request::Fetch { file }).expect("fetch") {
         Reply::Data { payload } => payload,
         other => panic!("expected Data, got {other:?}"),
     }
 }
 
-fn bytes_written(mux: &Mux, file: u64) -> u64 {
+fn bytes_written(mux: &mut Mux, file: u64) -> u64 {
     match mux.call(0, Request::Stat { file }).expect("stat") {
         Reply::Stat(s) => s.bytes_written,
         other => panic!("expected Stat, got {other:?}"),
@@ -122,9 +126,9 @@ fn mid_frame_disconnect_during_write_upload_applies_exactly_once() {
         ..FaultPlan::none()
     };
     let mut proxy = chaos_proxy("127.0.0.1:0", daemon.addr(), plan).expect("proxy");
-    let mux = connect(proxy.addr());
+    let mut mux = connect(proxy.addr());
 
-    open_with_view(&mux, file);
+    open_with_view(&mut mux, file);
     let reply = mux.call(0, stamped_write(file, 77, 1, 0xAB)).expect("write survives torn frame");
     assert_eq!(
         reply,
@@ -142,8 +146,8 @@ fn mid_frame_disconnect_during_write_upload_applies_exactly_once() {
 
     // Exactly once, physically: the bytes are the first write's, and the
     // daemon counted them exactly once.
-    assert_eq!(fetch(&mux, file), expected_subfile(0xAB));
-    assert_eq!(bytes_written(&mux, file), 8, "stored bytes counted once");
+    assert_eq!(fetch(&mut mux, file), expected_subfile(0xAB));
+    assert_eq!(bytes_written(&mut mux, file), 8, "stored bytes counted once");
     proxy.stop();
 }
 
@@ -203,26 +207,27 @@ fn dedup_window_eviction_under_sequence_wraparound() {
     let session = 3u64;
     let config = DaemonConfig { dedup_window: 2, ..Default::default() };
     let daemon = serve("127.0.0.1:0", config).expect("serve");
-    let mux = connect(daemon.addr());
-    open_with_view(&mux, file);
+    let mut mux = connect(daemon.addr());
+    open_with_view(&mut mux, file);
 
-    let call =
-        |seq: u64, fill: u8| mux.call(0, stamped_write(file, session, seq, fill)).expect("write");
+    let call = |mux: &mut Mux, seq: u64, fill: u8| {
+        mux.call(0, stamped_write(file, session, seq, fill)).expect("write")
+    };
 
     // A client at the top of the sequence space…
-    assert_eq!(call(u64::MAX - 1, 1), Reply::WriteOk { written: 8, replayed: false });
+    assert_eq!(call(&mut mux, u64::MAX - 1, 1), Reply::WriteOk { written: 8, replayed: false });
     // …replays while the stamp is still in the window…
-    assert_eq!(call(u64::MAX - 1, 2), Reply::WriteOk { written: 8, replayed: true });
-    assert_eq!(call(u64::MAX, 3), Reply::WriteOk { written: 8, replayed: false });
+    assert_eq!(call(&mut mux, u64::MAX - 1, 2), Reply::WriteOk { written: 8, replayed: true });
+    assert_eq!(call(&mut mux, u64::MAX, 3), Reply::WriteOk { written: 8, replayed: false });
     // …then wraps around. The new stamp evicts the oldest (MAX-1).
-    assert_eq!(call(1, 4), Reply::WriteOk { written: 8, replayed: false });
+    assert_eq!(call(&mut mux, 1, 4), Reply::WriteOk { written: 8, replayed: false });
     // The evicted stamp is forgotten: re-sending it applies fresh instead
     // of answering a stale replay.
-    assert_eq!(call(u64::MAX - 1, 5), Reply::WriteOk { written: 8, replayed: false });
-    assert_eq!(fetch(&mux, file), expected_subfile(5));
+    assert_eq!(call(&mut mux, u64::MAX - 1, 5), Reply::WriteOk { written: 8, replayed: false });
+    assert_eq!(fetch(&mut mux, file), expected_subfile(5));
     // A replay never rewrites: the store keeps the latest application.
-    assert_eq!(call(1, 6), Reply::WriteOk { written: 8, replayed: true });
-    assert_eq!(fetch(&mux, file), expected_subfile(5));
+    assert_eq!(call(&mut mux, 1, 6), Reply::WriteOk { written: 8, replayed: true });
+    assert_eq!(fetch(&mut mux, file), expected_subfile(5));
 
     // Unstamped writes (session 0) never enter
     // the window: identical repeats always re-apply.
@@ -244,7 +249,7 @@ fn dedup_window_eviction_under_sequence_wraparound() {
         Reply::WriteOk { written: 8, replayed: false },
         "unstamped writes are never deduplicated"
     );
-    assert_eq!(fetch(&mux, file), expected_subfile(8));
+    assert_eq!(fetch(&mut mux, file), expected_subfile(8));
 }
 
 /// Chunked streaming must not change the fault-tolerance story: under
@@ -437,4 +442,33 @@ mod chunked_chaos {
             }
         }
     }
+}
+
+/// A daemon with a 100 ms idle timeout reaps the connection of a session
+/// that sat idle longer. The session's next write and read must notice the
+/// closed connection and dial a fresh one, without spending a retry token.
+#[test]
+fn a_connection_reaped_while_idle_costs_no_retry() {
+    let config = DaemonConfig {
+        backend: StorageBackend::Memory,
+        read_timeout: Some(Duration::from_millis(100)),
+        ..DaemonConfig::default()
+    };
+    let mut daemon = serve("127.0.0.1:0", config).expect("serve");
+    let physical = MatrixLayout::ColumnBlocks.partition(8, 8, 1, 1);
+    let logical = MatrixLayout::RowBlocks.partition(8, 8, 1, 1);
+    let mut session = Session::connect(&[daemon.addr().to_string()]);
+    session.create_file(1, physical, 64).expect("create file");
+    session.set_view(0, 1, &logical, 0).expect("set view");
+    session.write(0, 1, 0, 63, &[0x11; 64]).expect("write before the reap");
+    let tokens = session.retry_budget().tokens();
+
+    // Idle well past the daemon's timeout: it closes the connection.
+    std::thread::sleep(Duration::from_millis(400));
+
+    session.write(0, 1, 0, 63, &[0x22; 64]).expect("write after the reap");
+    assert_eq!(session.read(0, 1, 0, 63).expect("read after the reap"), vec![0x22; 64]);
+    assert_eq!(session.retry_budget().tokens(), tokens, "the reaped connection cost a retry");
+    drop(session);
+    daemon.stop();
 }

@@ -233,8 +233,8 @@ fn write_retried_across_daemon_restart_applies_exactly_once() {
         .expect("some seed tears the first write");
     let dir = scratch_dir("torn_once");
     let mut node = ChaosNode::spawn(dir.clone(), FaultPlan::torn_write(seed));
-    let mux = connect(&node.addr);
-    let ok = |request: &Request, what: &str| {
+    let mut mux = connect(&node.addr);
+    let ok = |mux: &mut Mux, request: &Request, what: &str| {
         assert_eq!(mux.call(0, request.clone()).expect(what), Reply::Ok, "{what}");
     };
 
@@ -267,8 +267,8 @@ fn write_retried_across_daemon_restart_applies_exactly_once() {
         payload: vec![0x5A; 8],
     };
 
-    ok(&open, "open");
-    ok(&view, "set view");
+    ok(&mut mux, &open, "open");
+    ok(&mut mux, &view, "set view");
     // First attempt: journal + one segment + crash, no reply. The client's
     // transparent retry reaches the restarted daemon, which has forgotten
     // the file entirely.
@@ -280,8 +280,8 @@ fn write_retried_across_daemon_restart_applies_exactly_once() {
 
     // Recovery: re-open (journal replay + dedup repopulation), re-ship the
     // view, re-send the *same* stamp.
-    ok(&open, "re-open recovers the journal");
-    ok(&view, "re-ship view");
+    ok(&mut mux, &open, "re-open recovers the journal");
+    ok(&mut mux, &view, "re-ship view");
     let reply = mux.call(0, stamped).expect("retried write");
     assert_eq!(
         reply,

@@ -157,7 +157,7 @@ fn partial_reads_and_short_writes_at_subfile_boundaries() {
 fn audit_rejects_bad_view_patterns_over_the_socket() {
     use parafile_audit::{RawElement, RawFalls, RawPattern};
     let (_daemons, addrs) = nodes();
-    let mux = Mux::new(&addrs[..1], std::sync::Arc::new(RetryBudget::for_session()));
+    let mut mux = Mux::new(&addrs[..1], std::sync::Arc::new(RetryBudget::for_session()));
     let file = 3000u64;
     let open = Request::Open { file, subfile: 0, len: 64, tenant: 0 };
     assert!(matches!(mux.call(0, open), Ok(Reply::Ok)), "open");
