@@ -16,7 +16,11 @@
 //! (a borrowed slice on the memory backend). A writer that still holds the
 //! payload ([`ChecksumMap::record_runs`]) has the pages a run covers whole
 //! checksummed from it; a reader ([`ChecksumMap::read_verified`]) gets its
-//! bytes out of the very pages that were just verified.
+//! bytes out of the very pages that were just verified, appended to the end
+//! of a buffer it passes in (the daemon passes its connection's write
+//! buffer, so they land in the reply frame itself) and cut back out of it
+//! on a mismatch. A file-backed store is read through a page window the
+//! caller owns and reuses across reads.
 //!
 //! For directory-backed stores the map persists to a sidecar file next to
 //! the data (`file<fid>_subfile<idx>.crc`), written on flush. The sidecar
@@ -233,14 +237,27 @@ impl ChecksumMap {
     /// in run order, like [`SubfileStore::gather`], while checking every
     /// page the runs touch against the map from the same fetched bytes.
     /// Returns the number of distinct mismatching pages; when it is not
-    /// zero, `out` is left as it was (nothing unverified is handed out).
-    /// Unlike the verify-only entry points, a run reaching past the end of
-    /// the store is an error here, as it is for `gather`.
+    /// zero, or on an error, `out` is cut back to the length it came in
+    /// with (nothing unverified is handed out). Unlike the verify-only
+    /// entry points, a run reaching past the end of the store is an error
+    /// here, as it is for `gather`.
+    ///
+    /// `out` may already hold bytes (a daemon passes the connection's write
+    /// buffer, a reply frame's header at its end); they are left alone.
+    /// When the runs ascend through the store without overlapping — every
+    /// projection's runs do, and so does a whole-store read — each verified
+    /// slice is appended as it is walked, so the reply is written once and
+    /// never zero-filled; any other run order is laid out by position in a
+    /// zero-filled tail. A file-backed store is read through `window`,
+    /// which grows to at most [`WALK_WINDOW_PAGES`] pages and is never
+    /// shrunk, so a caller that keeps it reuses one allocation across
+    /// reads; whatever it held before is overwritten, never handed out.
     pub fn read_verified(
         &self,
         store: &mut SubfileStore,
         runs: &[(u64, u64)],
         out: &mut Vec<u8>,
+        window: &mut Vec<u8>,
     ) -> io::Result<u64> {
         let store_len = store.len();
         let mut total = 0u64;
@@ -254,16 +271,25 @@ impl ChecksumMap {
             total += len;
         }
         let base = out.len();
-        out.resize(base + total as usize, 0);
         // An extent's `pos` is its place in the reply, past `base`.
         let extents = clip_runs(runs, store_len);
+        let mut reached = (0u64, 0usize);
+        let ascending = extents.iter().all(|e| {
+            let in_order = e.off >= reached.0 && e.pos == reached.1;
+            reached = (e.end, e.pos + (e.end - e.off) as usize);
+            in_order
+        });
+        if ascending {
+            out.reserve(total as usize);
+        } else {
+            out.resize(base + total as usize, 0);
+        }
         let mut bad = 0u64;
-        let mut buf = Vec::new();
         // First extent that may still reach into the bytes being walked.
         let mut lo = 0usize;
         let result =
             page_spans(&extents, self.page, store_len, false).into_iter().try_for_each(|span| {
-                walk_pages(store, self.page, span.first, span.end, &mut buf, |first, bytes| {
+                walk_pages(store, self.page, span.first, span.end, window, |first, bytes| {
                     bad += self.mismatches(first, bytes);
                     let start = first as u64 * self.page;
                     let end = start + bytes.len() as u64;
@@ -273,10 +299,13 @@ impl ChecksumMap {
                     for e in extents[lo..].iter().take_while(|e| e.off < end) {
                         let (a, b) = (e.off.max(start), e.end.min(end));
                         if a < b {
-                            let dst = base + e.pos + (a - e.off) as usize;
-                            out[dst..dst + (b - a) as usize].copy_from_slice(
-                                &bytes[(a - start) as usize..(b - start) as usize],
-                            );
+                            let src = &bytes[(a - start) as usize..(b - start) as usize];
+                            if ascending {
+                                out.extend_from_slice(src);
+                            } else {
+                                let dst = base + e.pos + (a - e.off) as usize;
+                                out[dst..dst + src.len()].copy_from_slice(src);
+                            }
                         }
                     }
                 })
@@ -491,7 +520,8 @@ fn page_spans(extents: &[Extent], page: u64, store_len: u64, from_payload: bool)
 /// most the store's page count) as `(first page of the chunk, bytes)`:
 /// the memory backend lends one slice for the whole range — no copy — and
 /// a file-backed store is read through `buf` in windows of
-/// [`WALK_WINDOW_PAGES`], one positioned read each.
+/// [`WALK_WINDOW_PAGES`], one positioned read each. `buf` only grows, so a
+/// reused one is zero-filled once, not once per window.
 fn walk_pages(
     store: &mut SubfileStore,
     page: u64,
@@ -510,10 +540,12 @@ fn walk_pages(
     let mut p = first;
     while p < end {
         let next = p.saturating_add(WALK_WINDOW_PAGES).min(end);
-        let (a, b) = (byte_end(p, len), byte_end(next, len));
-        buf.resize((b - a) as usize, 0);
-        store.read_into(a, buf)?;
-        visit(p, buf);
+        let n = (byte_end(next, len) - byte_end(p, len)) as usize;
+        if buf.len() < n {
+            buf.resize(n, 0);
+        }
+        store.read_into(byte_end(p, len), &mut buf[..n])?;
+        visit(p, &buf[..n]);
         p = next;
     }
     Ok(())
@@ -692,7 +724,8 @@ pub(crate) mod tests {
         assert_eq!(map.verify_range(&mut store, 4096, 8192).unwrap(), 2);
         assert_eq!(map.verify_runs(&mut store, &[(5000, 1), (0, 10), (9000, 1)]).unwrap(), 2);
         assert_eq!(map.verify_pages(&mut store, 1, 1).unwrap(), 1);
-        assert_eq!(map.read_verified(&mut store, &[(4096, 10)], &mut Vec::new()).unwrap(), 1);
+        let read = map.read_verified(&mut store, &[(4096, 10)], &mut Vec::new(), &mut Vec::new());
+        assert_eq!(read.unwrap(), 1);
         assert_eq!(map.verify_all(&mut store).unwrap(), 2);
     }
 
@@ -708,6 +741,14 @@ pub(crate) mod tests {
         assert_eq!(map.sums[WALK_WINDOW_PAGES], crc32c(&body[1 << 20..(1 << 20) + 4096]));
         assert_eq!(*map.sums.last().unwrap(), crc32c(&body[body.len() - 100..]));
         assert_eq!(map.verify_all(&mut store).unwrap(), 0);
+        // Runs that ascend but overlap across a window seam are laid out by
+        // position, not appended as they are walked.
+        let seam = WALK_WINDOW_PAGES as u64 * CHECKSUM_PAGE;
+        let runs = [(0, seam + 100), (seam - 50, 200)];
+        let (mut out, mut gathered) = (Vec::new(), Vec::new());
+        assert_eq!(map.read_verified(&mut store, &runs, &mut out, &mut Vec::new()).unwrap(), 0);
+        store.gather(runs, &mut gathered).unwrap();
+        assert!(out == gathered, "overlapping runs read back as gathered");
         // One bad page on each side of both window seams, and the tail.
         let w = WALK_WINDOW_PAGES as u64;
         for page in [0, w - 1, w, 2 * w, 2 * w + 1] {
@@ -717,7 +758,10 @@ pub(crate) mod tests {
         assert_eq!(map.verify_pages(&mut store, 0, WALK_WINDOW_PAGES).unwrap(), 2);
         assert_eq!(map.verify_pages(&mut store, WALK_WINDOW_PAGES, usize::MAX).unwrap(), 3);
         let mut out = Vec::new();
-        assert_eq!(map.read_verified(&mut store, &[(0, len)], &mut out).unwrap(), 5);
+        assert_eq!(
+            map.read_verified(&mut store, &[(0, len)], &mut out, &mut Vec::new()).unwrap(),
+            5
+        );
         assert!(out.is_empty(), "nothing unverified is handed out");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -844,19 +888,44 @@ pub(crate) mod tests {
         prop_assert!(per_run >= want, "the per-run loop visits at least the same pages");
         prop_assert_eq!(fresh.verify_all(&mut store).unwrap(), rotten.len() as u64);
 
-        // Verified read: the same count, and the gather's bytes or nothing.
+        // Verified read: the same count, and the gather's bytes or nothing,
+        // behind bytes already in `out` and through a reused window full of
+        // stale bytes. The runs as drawn are laid out by position (unless
+        // they happen to ascend); their ascending, disjoint subset — the
+        // shape a projection sends — is appended as it is walked.
         let inside: Vec<(u64, u64)> =
             runs.iter().copied().filter(|&(off, n)| off + n <= len).collect();
-        let want = rotten.intersection(&touched_pages(&inside, len)).count() as u64;
-        let mut out = vec![0xAA];
-        prop_assert_eq!(fresh.read_verified(&mut store, &inside, &mut out).unwrap(), want);
-        let mut gathered = vec![0xAA];
-        if want == 0 {
-            store.gather(inside.iter().copied(), &mut gathered).unwrap();
+        let mut sorted = inside.clone();
+        sorted.sort_unstable();
+        let mut reach = 0;
+        let ascending: Vec<(u64, u64)> = sorted
+            .into_iter()
+            .filter(|&(off, n)| {
+                off >= reach && {
+                    reach = off + n;
+                    true
+                }
+            })
+            .collect();
+        let mut window = vec![0xC3; (seed % (3 * CHECKSUM_PAGE)) as usize];
+        for runs in [&inside, &ascending] {
+            window.iter_mut().for_each(|b| *b = !*b);
+            let want = rotten.intersection(&touched_pages(runs, len)).count() as u64;
+            let mut out = vec![0xAA, 0x55];
+            prop_assert_eq!(
+                fresh.read_verified(&mut store, runs, &mut out, &mut window).unwrap(),
+                want
+            );
+            let mut gathered = vec![0xAA, 0x55];
+            if want == 0 {
+                store.gather(runs.iter().copied(), &mut gathered).unwrap();
+            }
+            prop_assert_eq!(out, gathered, "runs {:?}", runs);
         }
-        prop_assert_eq!(out, gathered, "runs {:?}", inside);
         if inside.len() < runs.len() {
-            prop_assert!(fresh.read_verified(&mut store, runs, &mut Vec::new()).is_err());
+            let mut out = vec![0xAA];
+            prop_assert!(fresh.read_verified(&mut store, runs, &mut out, &mut window).is_err());
+            prop_assert_eq!(out, vec![0xAA]);
         }
         Ok(())
     }

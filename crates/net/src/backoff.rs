@@ -4,12 +4,18 @@
 //! [`Session::flush`](crate::session::Session::flush) both retry transient
 //! failures; both drive this type instead of carrying their own delay
 //! arithmetic. The schedule is capped exponential with jitter: each
-//! [`Backoff::sleep`] sleeps a uniformly-jittered interval in
+//! [`Backoff::next_delay`] draws a uniformly-jittered interval in
 //! `[delay/2, delay]` (so peers that failed together do not retry in
-//! lockstep) and then doubles the delay up to the cap. [`Backoff::reset`]
-//! drops the delay back to the base — used both at the start of a fresh
-//! request and when a request dies on a *fresh* connection, which means the
-//! peer is back and the widened schedule is stale.
+//! lockstep) and then doubles the delay up to the cap. The caller waits
+//! the interval out on a timer or in reactor turns, never by parking its
+//! thread. [`Backoff::reset`] drops the delay back to the base — used both
+//! at the start of a fresh request and when a request dies on a *fresh*
+//! connection, which means the peer is back and the widened schedule is
+//! stale.
+
+// Its callers run event loops: nothing here may block them (clippy.toml
+// lists the banned calls).
+#![deny(clippy::disallowed_methods)]
 
 use crate::fault::XorShift64;
 use std::time::Duration;
@@ -34,27 +40,20 @@ impl Backoff {
         Self { base, max, next: base, rng: XorShift64::new(seed) }
     }
 
-    /// The delay the next [`sleep`](Self::sleep) will jitter over.
+    /// The delay the next [`next_delay`](Self::next_delay) will jitter
+    /// over.
     #[must_use]
     pub fn current_delay(&self) -> Duration {
         self.next
     }
 
     /// Draws the next jittered interval in `[delay/2, delay]` and doubles
-    /// the delay (capped at the maximum) — the non-blocking face of the
-    /// schedule, used by timer-wheel drivers that park a request instead
-    /// of parking a thread.
+    /// the delay (capped at the maximum).
     pub fn next_delay(&mut self) -> Duration {
         let nanos = self.next.as_nanos() as u64;
         let jittered = nanos / 2 + self.rng.next_u64() % (nanos / 2 + 1);
         self.next = (self.next * 2).min(self.max);
         Duration::from_nanos(jittered)
-    }
-
-    /// Sleeps a jittered interval in `[delay/2, delay]`, then doubles the
-    /// delay (capped at the maximum).
-    pub fn sleep(&mut self) {
-        std::thread::sleep(self.next_delay());
     }
 
     /// Drops the schedule back to the base delay. The jitter stream is
@@ -72,9 +71,10 @@ mod tests {
     fn doubles_to_the_cap_and_resets() {
         let mut b = Backoff::new(Duration::from_micros(10), Duration::from_micros(35), 7);
         assert_eq!(b.current_delay(), Duration::from_micros(10));
-        b.sleep();
+        let first = b.next_delay();
+        assert!((Duration::from_micros(5)..=Duration::from_micros(10)).contains(&first));
         assert_eq!(b.current_delay(), Duration::from_micros(20));
-        b.sleep();
+        b.next_delay();
         assert_eq!(b.current_delay(), Duration::from_micros(35), "doubling caps at max");
         b.reset();
         assert_eq!(b.current_delay(), Duration::from_micros(10));

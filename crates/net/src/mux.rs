@@ -440,6 +440,23 @@ impl Mux {
         }
     }
 
+    /// Runs reactor turns until `until` passes, as [`wait_any`](Self::wait_any)
+    /// does with no slot: a backoff during which every connection moves.
+    pub fn pause(&mut self, until: Instant) {
+        while let Some(left) = until.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())
+        {
+            self.turn(Some(left));
+        }
+    }
+
+    /// Hands back a consumed `Data` payload: `node`'s next bulk reply that
+    /// fits is received into it ([`FrameBuf::recycle`]).
+    pub fn recycle(&mut self, node: usize, payload: Vec<u8>) {
+        if let Some(n) = self.nodes.get_mut(node) {
+            n.rx.recycle(payload);
+        }
+    }
+
     /// Takes `slot`'s result if it has settled, after one non-blocking
     /// turn when it had not yet.
     pub fn poll(&mut self, slot: Slot) -> Option<Result<Reply, NetError>> {

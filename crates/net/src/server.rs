@@ -32,7 +32,7 @@
 use crate::error::{ErrCode, ProtocolError};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::proto::{ChunkHeader, WriteStream};
-use crate::wire::{op, raw_to_set, Lent, Reply, Request, StatInfo, DEFAULT_MAX_FRAME};
+use crate::wire::{self, op, raw_to_set, Lent, Reply, Request, StatInfo, DEFAULT_MAX_FRAME};
 use clusterfile::{ChecksumMap, Journal, StorageBackend, SubfileStore};
 use parafile::redist::Projection;
 use parafile_audit::{audit_pattern, AuditConfig, Severity};
@@ -448,6 +448,9 @@ struct Daemon {
     config: DaemonConfig,
     shared: Arc<Shared>,
     files: HashMap<u64, FileSlot>,
+    /// The page window every verified read of a file-backed subfile is
+    /// read through: grown by the first such read, reused by the rest.
+    window: Vec<u8>,
 }
 
 /// A running daemon: its client-facing address and a way to stop it.
@@ -520,7 +523,8 @@ pub fn serve(addr: &str, config: DaemonConfig) -> std::io::Result<DaemonHandle> 
         fault: config.fault.clone().map(FaultInjector::new),
         waker: reactor.waker(),
     });
-    let daemon = Daemon { config, shared: Arc::clone(&shared), files: HashMap::new() };
+    let daemon =
+        Daemon { config, shared: Arc::clone(&shared), files: HashMap::new(), window: Vec::new() };
     let loop_thread = std::thread::Builder::new()
         .name("pf-net-reactor".into())
         .spawn(move || reactor_daemon::run(listener, reactor, daemon))?;
@@ -568,65 +572,121 @@ impl Daemon {
         Some(page + SCRUB_WINDOW_PAGES)
     }
 
-    /// Decodes and executes one request; a `Write`'s or `WriteChunk`'s
-    /// bytes are lent from `payload`, so they are journaled, scattered and
-    /// checksummed from the frame itself. Returns the reply and whether
-    /// the daemon should begin shutting down.
+    /// Decodes and executes one request and appends its reply frame to
+    /// `out` under `request_id`: a `Write`'s or `WriteChunk`'s bytes are
+    /// lent from `payload`, so they are journaled, scattered and
+    /// checksummed from the frame itself, and a `Read`'s or `Fetch`'s
+    /// verified bytes are gathered straight into their reply frame.
+    /// Returns whether the daemon should begin shutting down.
     fn handle_frame(
         &mut self,
         chunk_write: &mut Option<ChunkWrite>,
-        opcode: u8,
+        (opcode, request_id): (u8, u64),
         payload: &[u8],
         received: std::time::Instant,
-    ) -> (Reply, bool) {
+        out: &mut Vec<u8>,
+    ) -> bool {
         let refuse = |e: ProtocolError| (Reply::Error(e), false);
-        if !op::is_request(opcode) {
-            return refuse(ProtocolError::new(ErrCode::UnknownOp, format!("opcode {opcode:#04x}")));
-        }
-        let (Lent { head: request, bulk }, deadline_ms) =
-            match Lent::decode_deadline(opcode, payload) {
-                Ok(pair) => pair,
-                Err(e) => return refuse(e.into()),
-            };
-        if self.stopping() && !matches!(request, Request::Shutdown) {
-            return refuse(ProtocolError::new(ErrCode::ShuttingDown, "daemon is stopping"));
-        }
-        // Deadline check: a request whose propagated budget was already
-        // spent — queueing, an injected delay, a slow disk upstream — is
-        // answered without executing, so nothing is applied for work the
-        // client has necessarily given up on.
-        if deadline_ms > 0 && received.elapsed() >= Duration::from_millis(u64::from(deadline_ms)) {
-            return refuse(ProtocolError::new(
-                ErrCode::DeadlineExceeded,
-                format!("deadline budget of {deadline_ms} ms expired before execution"),
-            ));
-        }
-        // Journal-backlog watermark: mutating requests degrade to `Busy`
-        // while the un-checkpointed backlog is over the configured
-        // capacity, instead of growing the journal toward ENOSPC. Chunk
-        // streams are shed only at their first frame — a stream already
-        // admitted runs to completion.
-        let starts_mutation = matches!(request, Request::Write { .. })
-            || matches!(request, Request::WriteChunk { offset: 0, .. });
-        if starts_mutation && self.over_watermark() {
-            return (Reply::Busy { retry_after_ms: BUSY_RETRY_MS }, false);
-        }
-        match request {
-            Request::Shutdown => {
-                self.shared.stopping.store(true, Ordering::SeqCst);
-                (Reply::Ok, true)
+        let (reply, shutdown) = 'reply: {
+            if !op::is_request(opcode) {
+                let e = ProtocolError::new(ErrCode::UnknownOp, format!("opcode {opcode:#04x}"));
+                break 'reply refuse(e);
             }
-            Request::WriteChunk { .. } => (self.write_chunk(chunk_write, request, bulk), false),
-            other => (self.handle_request(other, bulk), false),
-        }
+            let (Lent { head: request, bulk }, deadline_ms) =
+                match Lent::decode_deadline(opcode, payload) {
+                    Ok(pair) => pair,
+                    Err(e) => break 'reply refuse(e.into()),
+                };
+            if self.stopping() && !matches!(request, Request::Shutdown) {
+                break 'reply refuse(ProtocolError::new(
+                    ErrCode::ShuttingDown,
+                    "daemon is stopping",
+                ));
+            }
+            // Deadline check: a request whose propagated budget was already
+            // spent — queueing, an injected delay, a slow disk upstream — is
+            // answered without executing, so nothing is applied for work the
+            // client has necessarily given up on.
+            if deadline_ms > 0
+                && received.elapsed() >= Duration::from_millis(u64::from(deadline_ms))
+            {
+                break 'reply refuse(ProtocolError::new(
+                    ErrCode::DeadlineExceeded,
+                    format!("deadline budget of {deadline_ms} ms expired before execution"),
+                ));
+            }
+            // Journal-backlog watermark: mutating requests degrade to `Busy`
+            // while the un-checkpointed backlog is over the configured
+            // capacity, instead of growing the journal toward ENOSPC. Chunk
+            // streams are shed only at their first frame — a stream already
+            // admitted runs to completion.
+            let starts_mutation = matches!(request, Request::Write { .. })
+                || matches!(request, Request::WriteChunk { offset: 0, .. });
+            if starts_mutation && self.over_watermark() {
+                break 'reply (Reply::Busy { retry_after_ms: BUSY_RETRY_MS }, false);
+            }
+            match request {
+                Request::Shutdown => {
+                    self.shared.stopping.store(true, Ordering::SeqCst);
+                    (Reply::Ok, true)
+                }
+                Request::WriteChunk { .. } => (self.write_chunk(chunk_write, request, bulk), false),
+                Request::Read { .. } | Request::Fetch { .. } => {
+                    match self.read(&request, request_id, out) {
+                        Ok(()) => return false,
+                        Err(e) => refuse(e),
+                    }
+                }
+                other => (self.execute(other, bulk).unwrap_or_else(Reply::Error), false),
+            }
+        };
+        wire::append_reply(out, request_id, &reply);
+        shutdown
+    }
+
+    /// A `Read` (a projection's runs) or a `Fetch` (the whole subfile, the
+    /// scrub driver's copy-health probe), verified and gathered in one pass
+    /// straight into a `Data` frame at the end of `out`. A mismatch (so a
+    /// replicated client fails over and queues this copy for repair) or an
+    /// I/O error cuts the frame back before any of it ships.
+    fn read(
+        &mut self,
+        request: &Request,
+        request_id: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ProtocolError> {
+        let (&Request::Read { file, .. } | &Request::Fetch { file }) = request else {
+            return Err(internal_error("read handler invoked on a non-read request".into()));
+        };
+        let slot = lookup(&mut self.files, file)?;
+        slot.stats.requests += 1;
+        let runs = match *request {
+            Request::Read { compute, l_s, r_s, .. } => {
+                projected_runs(slot, file, compute, l_s, r_s)?.unwrap_or_default()
+            }
+            _ => vec![(0, slot.store.len())],
+        };
+        let mut verdict = Ok(0);
+        let start = wire::append_frame(out, op::R_DATA, request_id, |out| {
+            verdict = slot.sums.read_verified(&mut slot.store, &runs, out, &mut self.window);
+        });
+        let refusal = match verdict {
+            Ok(0) => {
+                if matches!(request, Request::Read { .. }) {
+                    slot.stats.bytes_read += runs.iter().map(|&(_, n)| n).sum::<u64>();
+                    slot.stats.fragments += runs.len() as u64;
+                }
+                return Ok(());
+            }
+            Ok(bad) => checksum_mismatch(slot, bad),
+            Err(e) => internal_error(format!("verified read: {e}")),
+        };
+        out.truncate(start);
+        Err(refusal)
     }
 
     /// Executes `request`; `bulk` holds a `Write`'s payload (lent from its
     /// frame, the field itself is empty).
-    fn handle_request(&mut self, request: Request, bulk: &[u8]) -> Reply {
-        self.execute(request, bulk).unwrap_or_else(Reply::Error)
-    }
-
     fn execute(&mut self, request: Request, bulk: &[u8]) -> Result<Reply, ProtocolError> {
         match request {
             // The tenant id is a connection property: the event loop learns
@@ -666,27 +726,6 @@ impl Daemon {
             Request::Write { file, compute, l_s, r_s, session, seq, payload: _ } => {
                 self.write(file, compute, (l_s, r_s), (session, seq), bulk)
             }
-            Request::Read { file, compute, l_s, r_s } => {
-                let slot = lookup(&mut self.files, file)?;
-                slot.stats.requests += 1;
-                let Some(runs) = projected_runs(slot, file, compute, l_s, r_s)? else {
-                    return Ok(Reply::Data { payload: Vec::new() });
-                };
-                // Verify the stored pages and gather from them in one pass
-                // over the same bytes: a mismatch is answered as
-                // ChecksumMismatch (nothing is shipped) so a replicated
-                // client fails over to another copy and queues this one
-                // for repair instead of propagating silent corruption.
-                let mut out = Vec::new();
-                match slot.sums.read_verified(&mut slot.store, &runs, &mut out) {
-                    Ok(0) => {}
-                    Ok(bad) => return checksum_mismatch(slot, bad),
-                    Err(e) => return Err(internal_error(format!("verified read: {e}"))),
-                }
-                slot.stats.bytes_read += out.len() as u64;
-                slot.stats.fragments += runs.len() as u64;
-                Ok(Reply::Data { payload: out })
-            }
             Request::Flush { file } => {
                 let slot = lookup(&mut self.files, file)?;
                 slot.stats.requests += 1;
@@ -719,20 +758,6 @@ impl Daemon {
                     checksum_errors: stats.checksum_errors,
                 }))
             }
-            Request::Fetch { file } => {
-                let slot = lookup(&mut self.files, file)?;
-                slot.stats.requests += 1;
-                // Fetch is the scrub driver's copy-health probe: a full
-                // verification failure marks this copy Corrupt remotely.
-                // It returns the whole subfile in one pass over the bytes.
-                let whole = [(0, slot.store.len())];
-                let mut payload = Vec::new();
-                match slot.sums.read_verified(&mut slot.store, &whole, &mut payload) {
-                    Ok(0) => Ok(Reply::Data { payload }),
-                    Ok(bad) => checksum_mismatch(slot, bad),
-                    Err(e) => Err(ProtocolError::new(ErrCode::Internal, e.to_string())),
-                }
-            }
             Request::Ping => {
                 Ok(Reply::Pong { epoch: self.shared.epoch, max_chunk: self.config.max_chunk })
             }
@@ -749,8 +774,12 @@ impl Daemon {
                 };
                 Ok(Reply::ResumeAt { offset })
             }
-            // Shutdown and write chunks are dispatched in handle_frame.
-            Request::Shutdown | Request::WriteChunk { .. } => Ok(Reply::Ok),
+            // Shutdown, write chunks and reads are dispatched in
+            // handle_frame.
+            Request::Shutdown
+            | Request::WriteChunk { .. }
+            | Request::Read { .. }
+            | Request::Fetch { .. } => Ok(Reply::Ok),
         }
     }
 
@@ -900,12 +929,12 @@ fn internal_error(message: String) -> ProtocolError {
 
 /// Counts `bad` mismatching pages against the slot and builds the refusal
 /// that makes a replicated client fail over to another copy.
-fn checksum_mismatch(slot: &mut FileSlot, bad: u64) -> Result<Reply, ProtocolError> {
+fn checksum_mismatch(slot: &mut FileSlot, bad: u64) -> ProtocolError {
     slot.stats.checksum_errors += bad;
-    Err(ProtocolError::new(
+    ProtocolError::new(
         ErrCode::ChecksumMismatch,
         format!("{bad} page(s) failed CRC32C verification"),
-    ))
+    )
 }
 
 fn lookup(files: &mut HashMap<u64, FileSlot>, file: u64) -> Result<&mut FileSlot, ProtocolError> {

@@ -176,18 +176,6 @@ impl Conn {
             && self.unsent() <= WRITE_BUF_CAP
     }
 
-    /// Encodes one reply frame in place at the end of the write buffer; an
-    /// injected truncation cuts it `keep` bytes in.
-    fn append(&mut self, request_id: u64, reply: &Reply, truncate: Option<u64>) {
-        let start = wire::append_frame(&mut self.out, reply.opcode(), request_id, |out| {
-            reply.append_payload(out);
-        });
-        if let Some(keep) = truncate {
-            let frame_len = self.out.len() - start;
-            self.out.truncate(start + (keep as usize).min(frame_len));
-        }
-    }
-
     /// Writes as much unsent output as the socket takes right now;
     /// `false` when the socket is dead.
     fn flush(&mut self) -> bool {
@@ -568,7 +556,7 @@ impl Driver {
             }
             let Some(frame) = conn.frames.pop_front() else {
                 if let Some(fatal) = conn.fatal.take() {
-                    conn.append(0, &Reply::Error(fatal), None);
+                    wire::append_reply(&mut conn.out, 0, &Reply::Error(fatal));
                     outcome = Outcome::Close;
                 }
                 break;
@@ -715,7 +703,7 @@ impl Driver {
 fn execute(daemon: &mut Daemon, conn: &mut Conn, frame: &QueuedFrame) -> Outcome {
     if conn.shed {
         let reply = Reply::Overloaded { retry_after_ms: OVERLOADED_RETRY_MS };
-        conn.append(frame.request_id, &reply, None);
+        wire::append_reply(&mut conn.out, frame.request_id, &reply);
         return Outcome::Close;
     }
     if let Some(injector) = &daemon.shared.fault {
@@ -739,20 +727,31 @@ fn execute(daemon: &mut Daemon, conn: &mut Conn, frame: &QueuedFrame) -> Outcome
     // nothing it carries is applied.
     if frame.version != PROTOCOL_VERSION {
         let reply = Reply::Error(WireError::UnsupportedVersion(frame.version).into());
-        conn.append(frame.request_id, &reply, None);
+        wire::append_reply(&mut conn.out, frame.request_id, &reply);
         return Outcome::Continue;
     }
-    let (reply, shutdown) =
-        daemon.handle_frame(&mut conn.chunk, frame.opcode, &frame.payload, frame.received);
+    // The handler appends its reply frame where it is sent from.
+    let start = conn.out.len();
+    let shutdown = daemon.handle_frame(
+        &mut conn.chunk,
+        (frame.opcode, frame.request_id),
+        &frame.payload,
+        frame.received,
+        &mut conn.out,
+    );
     if daemon.shared.fault_crashed() {
         // An injected kill or torn write fired while this request ran: the
         // "crashed" daemon never replies.
+        conn.out.truncate(start);
         return Outcome::Crashed;
     }
+    // An injected truncation cuts the reply `keep` bytes in and severs the
+    // connection; a `Shutdown` delivers its `Ok` and closes, and the loop
+    // stops at the end of this dispatch.
     let truncate = daemon.shared.fault.as_ref().and_then(|f| f.truncate_reply_at(frame.seqno));
-    conn.append(frame.request_id, &reply, truncate);
-    // A truncated reply severs the connection; a `Shutdown` delivers its
-    // `Ok` and closes, and the loop stops at the end of this dispatch.
+    if let Some(keep) = truncate {
+        conn.out.truncate(start.saturating_add(keep as usize));
+    }
     if truncate.is_some() || shutdown {
         Outcome::Close
     } else {

@@ -1221,6 +1221,8 @@ impl Session {
                 buf[a..a + take].copy_from_slice(&payload[pos..pos + take]);
                 pos += take;
             });
+            // The node's next bulk reply is received into this payload.
+            self.mux.recycle(self.map.node_for(s, rank), payload);
         }
         Ok(buf)
     }
@@ -1525,7 +1527,7 @@ impl Session {
                 {
                     tries += 1;
                     if e.code == ErrCode::Internal {
-                        backoff.sleep();
+                        self.mux.pause(Instant::now() + backoff.next_delay());
                     } else {
                         self.reopen_copy(s, rank, file)?;
                     }
@@ -1793,6 +1795,36 @@ mod tests {
         session.create_file(1, physical, 64).expect("create file");
         session.set_view(0, 1, &logical, 0).expect("set view");
         (handles, session)
+    }
+
+    #[test]
+    fn a_flush_backs_off_in_reactor_turns_and_succeeds() {
+        // Node 0 fails its first flush with `Internal`; the flush backs off
+        // and retries it. A write submitted to node 1 before the flush (view
+        // 0's half of subfile 1, its bytes [0, 15]) has settled by then.
+        let plan = FaultPlan { fail_flush: 1, ..FaultPlan::none() };
+        let mut failing =
+            serve("127.0.0.1:0", DaemonConfig { fault: Some(plan), ..Default::default() })
+                .expect("serve the failing node");
+        let mut healthy = serve("127.0.0.1:0", DaemonConfig::default()).expect("serve");
+        let mut session = Session::connect(&[failing.addr().into(), healthy.addr().into()]);
+        session.create_file(1, MatrixLayout::ColumnBlocks.partition(8, 8, 1, 2), 64).expect("file");
+        session.set_view(0, 1, &MatrixLayout::RowBlocks.partition(8, 8, 1, 2), 0).expect("view");
+        session.write(0, 1, 0, 31, &[0x11; 32]).expect("write");
+        let payload = vec![0x22; 16];
+        let write =
+            Request::Write { file: 1, compute: 0, l_s: 0, r_s: 15, session: 0, seq: 0, payload };
+        let slot = session.mux.submit(1, write).expect("submit to node 1");
+        session.flush(1).expect("the flush retries past the injected failure");
+        assert!(session.dirty_replicas().is_empty());
+        // An `until` already past runs no turn: only a settled slot shows.
+        assert_eq!(session.mux.wait_any(&[slot], Some(Instant::now())), Some(slot));
+        assert!(matches!(session.mux.wait(slot), Ok(Reply::WriteOk { written: 16, .. })));
+        let row = [[0x11; 4], [0x22; 4]].concat();
+        assert_eq!(session.read(0, 1, 0, 31).expect("read back"), row.repeat(4));
+        drop(session);
+        failing.stop();
+        healthy.stop();
     }
 
     #[test]

@@ -1087,6 +1087,11 @@ pub(crate) fn append_frame(
     start
 }
 
+/// [`append_frame`] for a reply value: its payload encoded in place.
+pub(crate) fn append_reply(out: &mut Vec<u8>, request_id: u64, reply: &Reply) {
+    append_frame(out, reply.opcode(), request_id, |out| reply.append_payload(out));
+}
+
 /// Reads one frame, enforcing the size budget.
 ///
 /// Returns [`FrameReadError::Closed`] only when the connection ends cleanly

@@ -1,25 +1,28 @@
 //! The receive half of the frame path: one buffer that reads from a
 //! non-blocking socket and splits the byte stream into frames.
 //!
-//! Both event loops — the client's [`mux`](crate::mux) driver and the
-//! daemon's reactor — own one [`FrameBuf`] per connection. It reads
-//! straight into its own storage (allocated and zeroed once, then reused
-//! behind a filled-length mark), validates every length prefix against
-//! `max_frame` and [`HEADER_LEN`] *before* anything is sized by it, and
-//! hands frames out in one of two ways:
+//! Both event loops — the session's [`mux`](crate::mux), turned on the
+//! caller's thread, and the daemon's reactor — own one [`FrameBuf`] per
+//! connection. It reads straight into its own storage (allocated and
+//! zeroed once, then reused behind a filled-length mark), validates every
+//! length prefix against `max_frame` and [`HEADER_LEN`] *before* anything
+//! is sized by it, and hands frames out in one of two ways:
 //!
 //! * a frame that is complete in the buffer is lent as a slice of it
 //!   ([`Cow::Borrowed`]) — a small reply is decoded without any copy, a
 //!   small request is copied once into the frame queued for dispatch;
-//! * a frame longer than what is buffered when its header arrives gets an
-//!   exactly-sized `Vec` of its own, and the rest of it is read from the
-//!   socket directly into that `Vec` ([`Cow::Owned`]) — a bulk payload
-//!   crosses user space once, socket → frame, and the `Vec` becomes the
-//!   queued frame's (or the `Data` reply's) payload as it is.
+//! * a frame longer than what is buffered when its header arrives gets a
+//!   `Vec` of its own, and the rest of it is read from the socket directly
+//!   into that `Vec` ([`Cow::Owned`]) — a bulk payload crosses user space
+//!   once, socket → frame, and the `Vec` becomes the queued frame's (or the
+//!   `Data` reply's) payload as it is. It is the spare handed back through
+//!   [`FrameBuf::recycle`] when that fits (its stale bytes are all
+//!   overwritten before the frame is handed out), else a zeroed one.
 //!
 //! A read never asks for more than the current frame's remainder in the
 //! second mode, so frame boundaries survive it. Receive memory per
-//! connection is bounded by `max_frame` plus one [`READ_CHUNK`].
+//! connection is bounded by `max_frame` plus one [`READ_CHUNK`], plus the
+//! one spare (itself at most `max_frame`).
 
 use super::{Frame, WireError, HEADER_LEN, PREFIX_LEN};
 use std::borrow::Cow;
@@ -67,13 +70,15 @@ pub struct FrameBuf {
     /// A frame being received into its own payload `Vec`, with the
     /// payload bytes received so far.
     in_place: Option<(Frame, usize)>,
+    /// A consumed payload handed back for the next in-place frame.
+    spare: Option<Vec<u8>>,
 }
 
 impl FrameBuf {
     /// A splitter refusing frames whose length prefix exceeds `max_frame`.
     #[must_use]
     pub fn new(max_frame: u32) -> Self {
-        Self { max_frame, buf: Vec::new(), start: 0, end: 0, in_place: None }
+        Self { max_frame, buf: Vec::new(), start: 0, end: 0, in_place: None, spare: None }
     }
 
     /// Forgets everything received so far (connection reset, or a stream
@@ -82,6 +87,14 @@ impl FrameBuf {
         self.start = 0;
         self.end = 0;
         self.in_place = None;
+    }
+
+    /// Hands back a consumed frame payload for the next in-place frame that
+    /// fits in it: one is kept, none larger than `max_frame`.
+    pub fn recycle(&mut self, payload: Vec<u8>) {
+        if payload.capacity() <= self.max_frame as usize {
+            self.spare = Some(payload);
+        }
     }
 
     /// One `read` call on `r`, into the in-place frame when one is being
@@ -161,9 +174,10 @@ impl FrameBuf {
             let payload = Cow::Borrowed(payload);
             return Ok(Some(RawFrame { version, opcode, request_id, payload }));
         }
-        // The frame reaches past what is buffered: give it its own
-        // exactly-sized storage and receive the rest in place.
-        let mut payload = vec![0; payload_len];
+        // The frame reaches past what is buffered: give it storage of its
+        // own — the spare when it fits — and receive the rest in place.
+        let mut payload = self.spare.take_if(|v| v.capacity() >= payload_len).unwrap_or_default();
+        payload.resize(payload_len, 0);
         payload[..body.len()].copy_from_slice(body);
         self.in_place = Some((Frame { version, opcode, request_id, payload }, body.len()));
         self.start = 0;

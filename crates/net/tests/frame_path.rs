@@ -3,7 +3,8 @@
 //! [`FrameBuf`] splitter both event loops share yields exactly what the
 //! blocking reference reader [`read_frame`] yields, and a length prefix it
 //! must refuse is refused from its four bytes alone, with the error codes
-//! the daemon has always answered.
+//! the daemon has always answered. Buffers handed back for reuse, full of
+//! stale bytes, change nothing it yields.
 
 use parafile_net::wire::{
     read_frame, write_frame_at, Filled, FrameBuf, FrameReadError, WireError, HEADER_LEN, READ_CHUNK,
@@ -33,8 +34,15 @@ impl Read for Pieces<'_> {
 
 type Fields = (u8, u8, u64, Vec<u8>);
 
-/// Every frame the splitter yields for `stream` delivered in `sizes`.
-fn split(stream: &[u8], sizes: &[usize], max_frame: u32) -> Result<Vec<Fields>, WireError> {
+/// Every frame the splitter yields for `stream` delivered in `sizes`;
+/// after each frame, a buffer of the next of `spares` bytes (cycled), all
+/// garbage, is handed back for reuse.
+fn split(
+    stream: &[u8],
+    sizes: &[usize],
+    max_frame: u32,
+    spares: &[usize],
+) -> Result<Vec<Fields>, WireError> {
     let mut rx = FrameBuf::new(max_frame);
     let mut r = Pieces { data: stream, sizes, turn: 0 };
     let mut out = Vec::new();
@@ -42,6 +50,9 @@ fn split(stream: &[u8], sizes: &[usize], max_frame: u32) -> Result<Vec<Fields>, 
         let filled = rx.read_from(&mut r).expect("in-memory reads do not fail");
         while let Some(f) = rx.next_frame()? {
             out.push((f.version, f.opcode, f.request_id, f.payload.into_owned()));
+            if let Some(&n) = spares.get(out.len() % spares.len().max(1)) {
+                rx.recycle(vec![0xEE; n]);
+            }
         }
         if filled == Filled::Eof {
             return Ok(out);
@@ -80,10 +91,10 @@ fn one_byte_reads_split_every_frame_including_one_of_exactly_max_frame() {
         stream_of(&[(6, 3, 1, 0), (6, 3, 2, 1), (1, 0x82, u64::MAX, biggest), (6, 9, 4, 300)]);
     let want = reference(&stream, max_frame);
     assert_eq!(want.len(), 4);
-    assert_eq!(split(&stream, &[1], max_frame).expect("well-formed"), want);
+    assert_eq!(split(&stream, &[1], max_frame, &[]).expect("well-formed"), want);
     // One byte more in the prefix and the same frame is refused.
     assert_eq!(
-        split(&stream, &[1], max_frame - 1).unwrap_err(),
+        split(&stream, &[1], max_frame - 1, &[]).unwrap_err(),
         WireError::FrameTooLarge { len: max_frame, max: max_frame - 1 }
     );
 }
@@ -129,6 +140,35 @@ fn a_full_buffer_is_not_mistaken_for_end_of_stream() {
     assert_eq!(stream.len() - r.len(), READ_CHUNK, "nothing read past the buffer");
 }
 
+#[test]
+fn a_recycled_buffer_is_received_into_and_its_garbage_never_shows() {
+    let big = READ_CHUNK + 5000;
+    let max_frame = 2 * READ_CHUNK as u32;
+    // Frames just under, at and over the spare's length, then small ones.
+    let stream = stream_of(&[(6, 0x81, 1, big - 1), (6, 0x81, 2, big), (6, 0x81, 3, big + 1)]);
+    let mut rx = FrameBuf::new(max_frame);
+    let mut r = stream.as_slice();
+    let mut got = Vec::new();
+    let spare = vec![0xEE; big];
+    let mut lent = spare.as_ptr();
+    rx.recycle(spare);
+    while rx.read_from(&mut r).expect("read") != Filled::Eof {
+        while let Some(f) = rx.next_frame().expect("well-formed") {
+            let mut payload = f.payload.into_owned();
+            // The first two fit in the spare and are received into it.
+            assert_eq!(payload.as_ptr() == lent, got.len() < 2, "frame {}", got.len());
+            got.push((f.version, f.opcode, f.request_id, payload.clone()));
+            payload.iter_mut().for_each(|b| *b = !*b);
+            lent = payload.as_ptr();
+            rx.recycle(payload);
+        }
+    }
+    assert_eq!(got, reference(&stream, max_frame));
+    for spares in [[0], [big - 1], [big + 4096], [max_frame as usize]] {
+        assert_eq!(split(&stream, &[1, 777, READ_CHUNK], max_frame, &spares), Ok(got.clone()));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
     #[test]
@@ -156,9 +196,15 @@ proptest! {
             ],
             1..5,
         ),
+        spares in prop::collection::vec(
+            prop_oneof![Just(0usize), 1usize..64, 1000usize..200_000, Just(3 << 19)],
+            0..4,
+        ),
     ) {
         let stream = stream_of(&frames);
         let max_frame = (3 << 19) + HEADER_LEN;
-        prop_assert_eq!(split(&stream, &sizes, max_frame).expect("well-formed"), reference(&stream, max_frame));
+        let want = reference(&stream, max_frame);
+        prop_assert_eq!(split(&stream, &sizes, max_frame, &[]).expect("well-formed"), want.clone());
+        prop_assert_eq!(split(&stream, &sizes, max_frame, &spares).expect("well-formed"), want);
     }
 }

@@ -1,14 +1,19 @@
 //! The daemon's per-message integrity path, end to end over loopback: the
 //! page checksum map a fragmented write leaves behind must be the one a
 //! rebuild from the stored bytes gives, on-disk rot must still turn the
-//! next read into `ChecksumMismatch`, and the background scrub must count
-//! exactly the bad pages while walking a subfile in windows.
+//! next read into `ChecksumMismatch`, the background scrub must count
+//! exactly the bad pages while walking a subfile in windows, and a reply
+//! gathered in place that is refused or cut leaves nothing of itself in
+//! the connection.
 
+use arraydist::matrix::MatrixLayout;
+use clusterfile::checksum::WALK_WINDOW_PAGES;
 use clusterfile::{ChecksumMap, StorageBackend, SubfileStore, CHECKSUM_PAGE};
 use parafile_audit::{RawElement, RawFalls, RawPattern};
+use parafile_net::fault::Direction;
 use parafile_net::server::{serve, DaemonConfig, DaemonHandle};
 use parafile_net::wire::{Reply, Request, StatInfo};
-use parafile_net::{ErrCode, Mux, NetError, RetryBudget};
+use parafile_net::{ErrCode, FaultPlan, Mux, NetError, RetryBudget, Session, TruncateFault};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -163,4 +168,96 @@ fn windowed_scrub_counts_each_bad_page_once() {
     drop(mux);
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One daemon over `backend` hosting file `file`: an `n`×`n` byte matrix,
+/// one subfile, written whole through a session whose compute node 0
+/// sees it in storage order (so `Read { l_s, r_s }` addresses subfile
+/// bytes directly). Returns the written bytes.
+fn identity_file(daemon: &DaemonHandle, file: u64, n: u64) -> (Session, Vec<u8>) {
+    let layout = MatrixLayout::ColumnBlocks.partition(n, n, 1, 1);
+    let mut session = Session::connect(&[daemon.addr().to_string()]);
+    let len = n * n;
+    session.create_file(file, layout.clone(), len).expect("create file");
+    session.set_view(0, file, &layout, 0).expect("set view");
+    let data: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
+    session.write(0, file, 0, len - 1, &data).expect("write the file");
+    (session, data)
+}
+
+/// A verified read gathered straight into its reply frame: 2.5 MB over
+/// three walk windows, rot only in the last. Two verified windows are in
+/// the connection's write buffer when the third fails, so the frame must
+/// be cut back to its start — a clean read pipelined right behind it on
+/// the same connection comes back intact, and the refused read counts no
+/// bytes.
+#[test]
+fn a_refused_read_leaves_no_partial_frame_behind() {
+    const FILE: u64 = 5;
+    let dir = scratch_dir("three_windows");
+    let (mut daemon, mut mux) = disk_node(&dir, None);
+    let (session, data) = identity_file(&daemon, FILE, 1600);
+    let len = data.len() as u64;
+    let window = WALK_WINDOW_PAGES as u64 * CHECKSUM_PAGE;
+    assert!(len > 2 * window, "the read spans three windows");
+    rot(&dir.join(format!("file{FILE}_subfile0.bin")), 2 * window + 300_000);
+    let before = stat(&mut mux, FILE);
+
+    let read = |l_s, r_s| Request::Read { file: FILE, compute: 0, l_s, r_s };
+    let refused = mux.submit(0, read(0, len - 1)).expect("submit the rotten read");
+    let clean = mux.submit(0, read(0, window + window / 2)).expect("submit the clean read");
+    match mux.wait(refused) {
+        Err(NetError::Protocol(e)) => assert_eq!(e.code, ErrCode::ChecksumMismatch, "{e:?}"),
+        other => panic!("expected ChecksumMismatch, got {other:?}"),
+    }
+    let want = data[..=(window + window / 2) as usize].to_vec();
+    assert_eq!(mux.wait(clean).expect("clean read"), Reply::Data { payload: want.clone() });
+    let after = stat(&mut mux, FILE);
+    assert_eq!(after.bytes_read - before.bytes_read, want.len() as u64, "only the clean read");
+    assert_eq!(after.checksum_errors - before.checksum_errors, 1);
+
+    drop((session, mux));
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An injected truncation cuts a bulk `Read` reply mid-payload and severs
+/// the connection: the session retries on a fresh connection and returns
+/// the right bytes, and the next read, received into the buffer the first
+/// one handed back, is right too.
+#[test]
+fn a_truncated_read_reply_is_retried_to_the_right_bytes() {
+    const FILE: u64 = 6;
+    let mut plan = FaultPlan::none();
+    // The session's connection carries Open, SetView, the chunk-capability
+    // Ping and the Write before its first Read, the fifth frame.
+    plan.truncate = Some(TruncateFault { frame: 5, keep: 100_000, dir: Direction::ServerToClient });
+    let config = DaemonConfig { fault: Some(plan), ..DaemonConfig::default() };
+    let mut daemon = serve("127.0.0.1:0", config).expect("serve");
+    let (mut session, data) = identity_file(&daemon, FILE, 512);
+    let len = data.len() as u64;
+    assert_eq!(session.read(0, FILE, 0, len - 1).expect("read after the cut"), data);
+    let served = session.stat(FILE).expect("stat")[0].bytes_read;
+    assert_eq!(served, 2 * len, "the cut reply was served, then its retry");
+    assert_eq!(session.read(0, FILE, 0, len - 1).expect("second read"), data);
+    drop(session);
+    daemon.stop();
+}
+
+/// A write torn by an injected crash has its reply appended like any other
+/// before the crash is noticed: it must be cut back out of the write
+/// buffer, so the "crashed" daemon acknowledges nothing.
+#[test]
+fn a_torn_write_is_never_acknowledged() {
+    let plan = FaultPlan { torn_write: Some(1), ..FaultPlan::none() };
+    let config = DaemonConfig { fault: Some(plan), ..DaemonConfig::default() };
+    let mut daemon = serve("127.0.0.1:0", config).expect("serve");
+    let layout = MatrixLayout::ColumnBlocks.partition(8, 8, 1, 1);
+    let mut session = Session::connect(&[daemon.addr().to_string()]);
+    session.create_file(7, layout.clone(), 64).expect("create file");
+    session.set_view(0, 7, &layout, 0).expect("set view");
+    assert!(session.write(0, 7, 0, 63, &[0x5A; 64]).is_err(), "the torn write was acknowledged");
+    assert!(daemon.fault_killed());
+    drop(session);
+    daemon.stop();
 }

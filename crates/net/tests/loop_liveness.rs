@@ -2,16 +2,18 @@
 //! it: a frame held back by an injected delay parks only its own
 //! connection, and a client that pipelines requests without ever reading
 //! the replies is skipped until its socket drains. A loop that slept or
-//! blocked in place would fail both tests.
+//! blocked in place would fail both tests. On the client side, a
+//! [`Mux::pause`] keeps turning the session's connections while it waits.
 
 use arraydist::matrix::MatrixLayout;
 use parafile_net::server::{serve, DaemonConfig};
 use parafile_net::session::Session;
 use parafile_net::wire::{read_frame, write_frame, Reply, Request, DEFAULT_MAX_FRAME};
-use parafile_net::FaultPlan;
+use parafile_net::{FaultPlan, Mux, RetryBudget};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Sends one request frame in a single segment.
@@ -106,4 +108,21 @@ fn a_reader_that_never_reads_does_not_stall_other_sessions() {
         .expect("a second session completes its writes and reads beside a stalled reader");
     other.join().expect("second session");
     drop(slow);
+}
+
+#[test]
+fn a_pause_keeps_turning_the_connections() {
+    // A request submitted before the pause is answered during it: the
+    // pause runs reactor turns, it does not park the thread.
+    let mut daemon = serve("127.0.0.1:0", DaemonConfig::default()).expect("serve");
+    let mut mux = Mux::new(&[daemon.addr().to_string()], Arc::new(RetryBudget::for_session()));
+    let slot = mux.submit(0, Request::Ping).expect("submit");
+    let started = Instant::now();
+    mux.pause(started + Duration::from_millis(50));
+    assert!(started.elapsed() >= Duration::from_millis(50), "the pause lasts its span");
+    // An `until` already past runs no turn: only a settled slot shows.
+    assert_eq!(mux.wait_any(&[slot], Some(Instant::now())), Some(slot));
+    assert!(matches!(mux.wait(slot), Ok(Reply::Pong { .. })));
+    drop(mux);
+    daemon.stop();
 }
