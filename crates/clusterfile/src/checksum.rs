@@ -319,18 +319,21 @@ impl ChecksumMap {
     /// Verify up to `count` pages starting at page `first`, clipped to the
     /// store; returns the number of mismatching pages. A background scrub
     /// walks a subfile through this in bounded steps so foreground I/O
-    /// waits for one step, not for the whole subfile.
+    /// waits for one step, not for the whole subfile. A file-backed store
+    /// is read through `window`, as [`read_verified`](Self::read_verified)
+    /// reads it.
     pub fn verify_pages(
         &self,
         store: &mut SubfileStore,
         first: usize,
         count: usize,
+        window: &mut Vec<u8>,
     ) -> io::Result<u64> {
         let n = Self::page_count(store.len(), self.page);
         let end = first.saturating_add(count).min(n);
         let mut bad = 0u64;
         if first < end {
-            walk_pages(store, self.page, first, end, &mut Vec::new(), |p, bytes| {
+            walk_pages(store, self.page, first, end, window, |p, bytes| {
                 bad += self.mismatches(p, bytes);
             })?;
         }
@@ -339,7 +342,7 @@ impl ChecksumMap {
 
     /// Verify every page; returns the number of mismatching pages.
     pub fn verify_all(&self, store: &mut SubfileStore) -> io::Result<u64> {
-        self.verify_pages(store, 0, usize::MAX)
+        self.verify_pages(store, 0, usize::MAX, &mut Vec::new())
     }
 
     /// How many of the pages in `bytes` (page `first` onwards) disagree
@@ -723,7 +726,7 @@ pub(crate) mod tests {
         store.replace(vec![0; 3 * 4096]).unwrap();
         assert_eq!(map.verify_range(&mut store, 4096, 8192).unwrap(), 2);
         assert_eq!(map.verify_runs(&mut store, &[(5000, 1), (0, 10), (9000, 1)]).unwrap(), 2);
-        assert_eq!(map.verify_pages(&mut store, 1, 1).unwrap(), 1);
+        assert_eq!(map.verify_pages(&mut store, 1, 1, &mut Vec::new()).unwrap(), 1);
         let read = map.read_verified(&mut store, &[(4096, 10)], &mut Vec::new(), &mut Vec::new());
         assert_eq!(read.unwrap(), 1);
         assert_eq!(map.verify_all(&mut store).unwrap(), 2);
@@ -755,8 +758,11 @@ pub(crate) mod tests {
             store.write_at(page * CHECKSUM_PAGE + 7, &[0xEE]).unwrap();
         }
         assert_eq!(map.verify_all(&mut store).unwrap(), 5);
-        assert_eq!(map.verify_pages(&mut store, 0, WALK_WINDOW_PAGES).unwrap(), 2);
-        assert_eq!(map.verify_pages(&mut store, WALK_WINDOW_PAGES, usize::MAX).unwrap(), 3);
+        // A reused window's stale bytes are overwritten, never verified.
+        let mut window = body[..3 * CHECKSUM_PAGE as usize].to_vec();
+        assert_eq!(map.verify_pages(&mut store, 0, WALK_WINDOW_PAGES, &mut window).unwrap(), 2);
+        let rest = map.verify_pages(&mut store, WALK_WINDOW_PAGES, usize::MAX, &mut window);
+        assert_eq!(rest.unwrap(), 3);
         let mut out = Vec::new();
         assert_eq!(
             map.read_verified(&mut store, &[(0, len)], &mut out, &mut Vec::new()).unwrap(),

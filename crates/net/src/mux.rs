@@ -4,11 +4,16 @@
 //! A [`Mux`] is a plain struct its session owns: a [`Reactor`], a
 //! [`TimerWheel`], one non-blocking connection per node and the table of
 //! requests owed an answer. No thread sits behind it. [`Mux::submit`]
-//! encodes a request into its node's write buffer, tries one non-blocking
-//! write and returns a [`Slot`]; [`Mux::wait`], [`Mux::wait_any`] and
-//! [`Mux::poll`] run reactor turns on the caller's thread — read replies,
-//! flush write buffers, fire due timers — until their slots settle or
-//! their deadline passes. Requests are pipelined (many in flight per
+//! encodes a request into its node's write buffer and returns a [`Slot`];
+//! [`Mux::wait`], [`Mux::wait_any`], [`Mux::pause`] and [`Mux::poll`] run
+//! reactor turns on the caller's thread — read replies, flush write
+//! buffers, fire due timers — until their slots settle or their deadline
+//! passes. Frames are sent when the caller waits, not at every submit:
+//! each turn writes every node's unsent bytes before it polls and again
+//! before it returns, and a submit writes only once its node's buffer
+//! holds [`READ_CHUNK`] bytes (the daemon's read size), so a bulk frame
+//! leaves at once and a pipelined batch of small ones in one `send`
+//! (DESIGN.md §17). Requests are pipelined (many in flight per
 //! connection, replies matched FIFO by request id), and all timing (retry
 //! backoff, shed hints, response timeouts) runs on the wheel, whose timers
 //! fall due during whichever call runs the next turn (DESIGN.md §17). A
@@ -62,7 +67,7 @@ use crate::proto::ChunkSender;
 use crate::reactor::{Clock, Event, Interest, MonotonicClock, Reactor, TimerId, TimerWheel};
 use crate::resilience::{Deadline, RetryBudget};
 use crate::server::{NetStream, Peer};
-use crate::wire::{self, Filled, FrameBuf, Lent, Reply, Request, DEFAULT_MAX_FRAME};
+use crate::wire::{self, Filled, FrameBuf, Lent, Reply, Request, DEFAULT_MAX_FRAME, READ_CHUNK};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Write};
 use std::sync::Arc;
@@ -369,8 +374,9 @@ impl Mux {
         }
     }
 
-    /// Queues `request` for `node`, encodes it into the node's write
-    /// buffer and tries one non-blocking write. Returns the slot its single
+    /// Queues `request` for `node` and encodes it into the node's write
+    /// buffer, which is written now only if it holds [`READ_CHUNK`] bytes,
+    /// else by the next turn (module docs). Returns the slot its single
     /// terminal result settles; never blocks (in-flight depth is bounded by
     /// the daemon's admission control, not a client queue). The result
     /// stays in the mux until [`wait`](Self::wait) or [`poll`](Self::poll)
@@ -519,6 +525,10 @@ impl Mux {
     /// (`None` = no limit), and never past the next due timer, for
     /// readiness; handle every event; then fire the timers that fell due.
     fn turn(&mut self, timeout: Option<Duration>) {
+        // A write that fails a connection may settle a slot: then look, not block.
+        let settled = self.settled.len();
+        self.flush_all();
+        let timeout = if self.settled.len() > settled { Some(Duration::ZERO) } else { timeout };
         let timer = self.wheel.until_next(self.clock.now_ms()).map(Duration::from_millis);
         let timeout = match (timeout, timer) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -549,6 +559,16 @@ impl Mux {
         }
         self.events = events;
         self.fire_timers();
+        self.flush_all();
+    }
+
+    /// Writes every node's unsent frames.
+    fn flush_all(&mut self) {
+        for n in 0..self.nodes.len() {
+            if self.nodes[n].pending_bytes() > 0 {
+                self.flush_node(n);
+            }
+        }
     }
 
     /// Runs one non-blocking turn before a request goes onto `n`'s
@@ -651,7 +671,9 @@ impl Mux {
                 }
             }
         }
-        self.flush_node(n);
+        if self.nodes[n].pending_bytes() >= READ_CHUNK {
+            self.flush_node(n);
+        }
     }
 
     /// Encodes one frame in place into the node's write buffer —

@@ -448,8 +448,9 @@ struct Daemon {
     config: DaemonConfig,
     shared: Arc<Shared>,
     files: HashMap<u64, FileSlot>,
-    /// The page window every verified read of a file-backed subfile is
-    /// read through: grown by the first such read, reused by the rest.
+    /// The page window every verified read and scrub step of a
+    /// file-backed subfile is read through: grown by the first, reused by
+    /// the rest.
     window: Vec<u8>,
 }
 
@@ -567,7 +568,8 @@ impl Daemon {
         if page as u64 * clusterfile::CHECKSUM_PAGE >= slot.store.len() {
             return None;
         }
-        let bad = slot.sums.verify_pages(&mut slot.store, page, SCRUB_WINDOW_PAGES).ok()?;
+        let window = &mut self.window;
+        let bad = slot.sums.verify_pages(&mut slot.store, page, SCRUB_WINDOW_PAGES, window).ok()?;
         slot.stats.checksum_errors += bad;
         Some(page + SCRUB_WINDOW_PAGES)
     }

@@ -562,11 +562,14 @@ impl Driver {
                 break;
             };
             outcome = execute(&mut self.daemon, conn, &frame);
-            if !matches!(outcome, Outcome::Continue) {
-                if matches!(outcome, Outcome::Hold(_)) {
+            match outcome {
+                // The next bulk frame is received into this one's payload.
+                Outcome::Continue => conn.rx.recycle(frame.payload),
+                Outcome::Hold(_) => {
                     conn.frames.push_front(frame);
+                    break;
                 }
-                break;
+                Outcome::Close | Outcome::Crashed => break,
             }
         }
         // Replies to the frames that completed go out even when the last

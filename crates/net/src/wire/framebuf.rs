@@ -90,9 +90,10 @@ impl FrameBuf {
     }
 
     /// Hands back a consumed frame payload for the next in-place frame that
-    /// fits in it: one is kept, none larger than `max_frame`.
+    /// fits in it: one is kept, the larger, none larger than `max_frame`.
     pub fn recycle(&mut self, payload: Vec<u8>) {
-        if payload.capacity() <= self.max_frame as usize {
+        let kept = self.spare.as_ref().map_or(0, Vec::capacity);
+        if payload.capacity() > kept && payload.capacity() <= self.max_frame as usize {
             self.spare = Some(payload);
         }
     }

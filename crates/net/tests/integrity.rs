@@ -170,6 +170,41 @@ fn windowed_scrub_counts_each_bad_page_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The scrub reads through the page window the daemon's verified reads
+/// use. A clean read between rotten pages grows that window and leaves
+/// its own bytes in it; the scrub pass that follows must still count
+/// every bad page, once.
+#[test]
+fn a_scrub_after_a_read_counts_the_bad_pages() {
+    const FILE: u64 = 7;
+    let dir = scratch_dir("scrub_after_read");
+    // The first pass starts one interval after `serve`: long enough that
+    // the rot is all in place before it.
+    let (mut daemon, mut mux) = disk_node(&dir, Some(Duration::from_secs(3)));
+    // 1452² bytes: 515 pages, the last one partial.
+    let (session, data) = identity_file(&daemon, FILE, 1452);
+    let pages = data.len().div_ceil(CHECKSUM_PAGE as usize) as u64;
+    let bad_pages = [0, 255, 256, 511, 512, pages - 1];
+    for page in bad_pages {
+        rot(&dir.join(format!("file{FILE}_subfile0.bin")), page * CHECKSUM_PAGE + 17);
+    }
+    let (l_s, r_s) = (CHECKSUM_PAGE, 255 * CHECKSUM_PAGE - 1);
+    let clean = mux.call(0, Request::Read { file: FILE, compute: 0, l_s, r_s });
+    let want = data[l_s as usize..=r_s as usize].to_vec();
+    assert_eq!(clean.expect("a read between the bad pages"), Reply::Data { payload: want });
+    let started = Instant::now();
+    while stat(&mut mux, FILE).checksum_errors == 0 {
+        assert!(started.elapsed() < Duration::from_secs(20), "the scrub never ticked");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(stat(&mut mux, FILE).checksum_errors, bad_pages.len() as u64);
+
+    drop((session, mux));
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One daemon over `backend` hosting file `file`: an `n`×`n` byte matrix,
 /// one subfile, written whole through a session whose compute node 0
 /// sees it in storage order (so `Read { l_s, r_s }` addresses subfile
